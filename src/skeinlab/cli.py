@@ -184,6 +184,8 @@ def cmd_composite(args):
 
 def cmd_reform(args):
     spec = _parse_spec(args)
+    if args.p is not None and args.p < 1:
+        raise SystemExit2("--p must be a positive integer")
     if args.rhat:
         if args.p is None:
             raise SystemExit2("--rhat needs --p")

@@ -62,7 +62,7 @@ def composite_invariant(spec, labels):
     total = RationalQT(0)
     for pairs, weight in _label_assignments(labels):
         total = total + full_invariant_value(spec, pairs) * weight
-    return total.reduced()
+    return total
 
 
 def framed_composite(spec, labels):
@@ -110,7 +110,7 @@ def z_reform(spec, labels):
         raise LabelCountMismatch(f"{len(labels)} labels for {spec.L} components")
     decorations = [power_decoration(Partition(mu)) for mu in labels]
     raw = torus_framed(spec, decorations)
-    return (RationalQT(bracket_norm(labels)) * raw).reduced()
+    return RationalQT(bracket_norm(labels)) * raw
 
 
 def r_reform(spec, p):
@@ -128,7 +128,7 @@ def r_reform(spec, p):
     for k in range(spec.L + 1):
         for subset in combinations(range(spec.L), k):
             total = total + z_reform(spec.with_reversed(subset), labels)
-    return total.reduced()
+    return total
 
 
 # -- integrality verdicts --------------------------------------------------------------

@@ -7,10 +7,12 @@ Three value types, all immutable:
   fractional twist factors such as ``q**(n/m * kappa)`` appear in the middle
   of torus-link computations, while genuinely invariant end results must have
   integer exponents (``assert_integral``).
-* :class:`RationalQT` -- quotients of two ``LaurentQT`` values.  Equality is
-  decided by cross-multiplication; normalisation is lazy apart from a cheap
-  cancellation pass against the factor family ``q**k - q**-k``, which is where
-  every denominator in this engine comes from.
+* :class:`RationalQT` -- quotients whose denominator is an integer times a
+  product of brackets ``q**k - q**-k``, which is where every denominator in
+  this engine comes from.  Each value is kept in one canonical factored form
+  over the centred cyclotomic factors ``phi_d`` (``{k} = prod_{d|k} phi_d``),
+  so equality, hashing and serialisation agree, and cancellation is decided
+  by residues modulo ``phi_d`` rather than by trial division.
 * :class:`HSeries` -- truncated power series in ``h`` under ``q = exp(h)``,
   with Laurent-in-``t`` coefficients over the rationals, used for ``q -> 1``
   limits.
@@ -22,7 +24,9 @@ threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 
 class NonIntegralExponent(ValueError):
@@ -407,11 +411,19 @@ def exact_div(a, b):
     if lo_q > hi_q or lo_t > hi_t:
         return None
     (lead_exp, lead_c) = b.leading()
+    b_terms = list(b._terms.items())
     rem = dict(a._terms)
+    # the remainder's lex-largest key, through a max-heap of negated keys;
+    # entries whose key has since cancelled out of rem are skipped when popped
+    heap = [(-eq, -et) for eq, et in rem]
+    heapify(heap)
     quo = {}
     while rem:
-        key = max(rem)
-        c = rem[key]
+        neq, net = heappop(heap)
+        key = (-neq, -net)
+        c = rem.get(key)
+        if c is None:
+            continue
         weq, wet = key[0] - lead_exp[0], key[1] - lead_exp[1]
         if not (lo_q <= weq <= hi_q and lo_t <= wet <= hi_t):
             return None
@@ -419,13 +431,18 @@ def exact_div(a, b):
             return None
         w = c // lead_c
         quo[(weq, wet)] = w
-        for (eq, et), bc in b._terms.items():
+        for (eq, et), bc in b_terms:
             k2 = (eq + weq, et + wet)
-            r = rem.get(k2, 0) - w * bc
-            if r:
-                rem[k2] = r
+            r = rem.get(k2)
+            if r is None:
+                rem[k2] = -w * bc
+                heappush(heap, (-k2[0], -k2[1]))
             else:
-                rem.pop(k2, None)
+                r -= w * bc
+                if r:
+                    rem[k2] = r
+                else:
+                    del rem[k2]
     out = LaurentQT.__new__(LaurentQT)
     out._terms = quo
     out._hash = None
@@ -478,36 +495,171 @@ def zsquare_recompose(table):
     return total
 
 
+# -- centred cyclotomic factors ---------------------------------------------------------
+
+
+def _divmod_monic(p, m):
+    """Quotient and remainder of integer polynomials (constant term first) by a monic m."""
+    p = list(p)
+    k = len(m) - 1
+    quo = [0] * max(len(p) - k, 0)
+    for i in range(len(p) - 1, k - 1, -1):
+        c = p[i]
+        if c:
+            quo[i - k] = c
+            for j in range(k + 1):
+                p[i - k + j] -= c * m[j]
+    return quo, p[:k]
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(d):
+    """Coefficients of the cyclotomic polynomial Phi_d(x), constant term first."""
+    p = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            p, _ = _divmod_monic(p, _cyclotomic(e))
+    return tuple(p)
+
+
+def _totient(d):
+    """Euler's totient of d."""
+    out, n, p = d, d, 2
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            out -= out // p
+        p += 1
+    if n > 1:
+        out -= out // n
+    return out
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_factor(d):
+    """phi_d = q**-phi(d) * Phi_d(q**2), centred so that {k} = prod over d | k of phi_d."""
+    coeffs = _cyclotomic(d)
+    deg = len(coeffs) - 1
+    return LaurentQT({(2 * j - deg, 0): c for j, c in enumerate(coeffs)})
+
+
+@lru_cache(maxsize=4096)
+def _phi_product(exps):
+    """prod phi_d**e over a sorted tuple of (d, e) pairs."""
+    out = _ONE
+    for d, e in exps:
+        out = out * cyclotomic_factor(d) ** e
+    return out
+
+
+def _phi_divides(f, d):
+    """Whether phi_d divides f, decided from residues without a trial division.
+
+    phi_d is a unit times Phi_d(q**2), a polynomial in x = q**2 that divides
+    x**d - 1.  So f splits into classes by t-exponent, fractional part of the
+    q-exponent and parity of its integer part; each class is a Laurent
+    polynomial in x, folded modulo x**d - 1 and then reduced modulo Phi_d(x).
+    phi_d divides f exactly when every class leaves no remainder.
+    """
+    folds = {}
+    for (eq, et), c in f._terms.items():
+        if type(eq) is int:
+            key = (et, 0, eq & 1)
+        else:
+            n = eq.numerator // eq.denominator
+            key = (et, eq - n, n & 1)
+            eq = n
+        row = folds.get(key)
+        if row is None:
+            row = folds[key] = [0] * d
+        row[(eq >> 1) % d] += c
+    m = _cyclotomic(d)
+    return not any(any(_divmod_monic(row, m)[1]) for row in folds.values())
+
+
+def bracket_factors(f):
+    """Split a nonzero f as u * c * prod phi_d**e_d with u a signed monomial and c > 0.
+
+    Returns (1/u, c, exps), exps a sorted tuple of (d, e) pairs.  The factors
+    are found by trial division over the phi_d that fit the degree of f.
+    Raises ValueError when f is not of this form.
+    """
+    if len({et for _, et in f._terms}) != 1:
+        raise ValueError(f"denominator {f} is not an integer times q-brackets")
+    (hi, et), lead = f.leading()
+    (lo, _), _ = f.trailing()
+    shift = _exp(Fraction(hi + lo) / 2)
+    c = f.content()
+    inv_unit = LaurentQT({(-shift, -et): 1 if lead > 0 else -1})
+    p = f * inv_unit
+    half = _exp(hi - shift)
+    if not isinstance(half, int) or not p.is_integral():
+        raise ValueError(f"denominator {f} is not an integer times q-brackets")
+    p = _div_int(p, c)
+    exps = {}
+    d = 1
+    while half and d <= 2 * half * half:  # phi(d) >= sqrt(d / 2)
+        tot = _totient(d)
+        while tot <= half:
+            quo = exact_div(p, cyclotomic_factor(d))
+            if quo is None:
+                break
+            p, half = quo, half - tot
+            exps[d] = exps.get(d, 0) + 1
+        d += 1
+    if p != _ONE:
+        raise ValueError(f"denominator {f} is not an integer times q-brackets")
+    return inv_unit, c, tuple(sorted(exps.items()))
+
+
+def _div_int(f, g):
+    """f with every coefficient divided by g, which divides them all."""
+    if g == 1:
+        return f
+    out = LaurentQT.__new__(LaurentQT)
+    out._terms = {k: c // g for k, c in f._terms.items()}
+    out._hash = None
+    return out
+
+
 # -- rational functions --------------------------------------------------------
 
 
-_BRACKET_CANCEL_LIMIT = 64
-
-
 class RationalQT:
-    """Quotient num/den of Laurent polynomials, den nonzero.
+    """A value num / (c * prod_d phi_d**e_d), held in one canonical form.
 
-    Equality is decided by cross-multiplication.  There is no global gcd
-    normalisation; ``reduced()`` cancels integer content, a monomial unit and
-    any shared ``q**k - q**-k`` factors, which covers every denominator this
-    engine constructs.
+    ``c`` is a positive integer, the exponents are a sorted tuple of (d, e)
+    pairs with e > 0, and monomial units and the sign live in ``num``.  Two
+    invariants make the form canonical: gcd(content(num), c) = 1, and no
+    phi_d of the denominator divides num.  So ``==`` compares fields, the
+    hash agrees with it and equal values give identical ``to_json()``.
+
+    A sum takes the lcm of the denominators and multiplies each numerator
+    only by its own missing factors; a product cancels each numerator
+    against the other operand's denominator before multiplying.  Only the
+    factors that may have become divisible are tested (``_phi_divides``),
+    and ``exact_div`` runs only on a factor that divides.  An explicit
+    denominator in ``RationalQT(num, den)`` is factored once by
+    ``bracket_factors``; one outside the bracket family raises ValueError.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "_c", "_exps", "_den", "_hash")
 
     def __init__(self, num, den=None):
         if isinstance(num, int):
             num = LaurentQT.from_int(num)
-        if den is None:
-            den = _ONE
-        elif isinstance(den, int):
-            den = LaurentQT.from_int(den)
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            den = _ONE
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        c, exps = 1, ()
+        if den is not None:
+            if isinstance(den, int):
+                den = LaurentQT.from_int(den)
+            if not den:
+                raise ZeroDivisionError("zero denominator")
+            if num:
+                inv_unit, c, exps = bracket_factors(den)
+                value = _canonical(num * inv_unit, c, dict(exps), [d for d, _ in exps])
+                num, c, exps = value.num, value._c, value._exps
+        _fill(self, num, c, exps)
 
     def __setattr__(self, *a):
         raise AttributeError("RationalQT is immutable")
@@ -519,7 +671,14 @@ class RationalQT:
     @classmethod
     def from_fraction(cls, fr):
         fr = Fraction(fr)
-        return cls(LaurentQT.from_int(fr.numerator), LaurentQT.from_int(fr.denominator))
+        return _rational(LaurentQT.from_int(fr.numerator), fr.denominator)
+
+    @property
+    def den(self):
+        """The denominator c * prod phi_d**e_d as a Laurent polynomial."""
+        if self._den is None:
+            object.__setattr__(self, "_den", _phi_product(self._exps) * self._c)
+        return self._den
 
     @property
     def is_zero(self):
@@ -535,9 +694,9 @@ class RationalQT:
         if isinstance(x, RationalQT):
             return x
         if isinstance(x, LaurentQT):
-            return RationalQT(x)
+            return _rational(x)
         if isinstance(x, int):
-            return RationalQT(LaurentQT.from_int(x))
+            return _rational(LaurentQT.from_int(x))
         if isinstance(x, Fraction):
             return RationalQT.from_fraction(x)
         return None
@@ -550,22 +709,12 @@ class RationalQT:
             return other
         if not other.num:
             return self
-        if self.den == other.den:
-            return RationalQT(self.num + other.num, self.den)._cancel_content()
-        k = exact_div(other.den, self.den)
-        if k is not None:
-            return RationalQT(self.num * k + other.num, other.den)._cancel_content()
-        k = exact_div(self.den, other.den)
-        if k is not None:
-            return RationalQT(self.num + other.num * k, self.den)._cancel_content()
-        return RationalQT(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        ).reduced()
+        return _sum_canonical([self, other])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalQT(-self.num, self.den)
+        return _rational(-self.num, self._c, self._exps)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -581,11 +730,22 @@ class RationalQT:
         if other is None:
             return NotImplemented
         if not self.num or not other.num:
-            return RationalQT(_ZERO)
-        # diagonal cancellation keeps factored denominators small
-        n1, d2 = _cross_cancel(self.num, other.den)
-        n2, d1 = _cross_cancel(other.num, self.den)
-        return RationalQT(n1 * n2, d1 * d2)
+            return ZERO_RATIONAL
+        ea, eb = dict(self._exps), dict(other._exps)
+        # a phi_d in both denominators divides neither numerator already
+        x = _canonical(self.num, other._c, eb, [d for d in eb if d not in ea])
+        y = _canonical(other.num, self._c, ea, [d for d in ea if d not in eb])
+        exps = dict(x._exps)
+        for d, e in y._exps:
+            exps[d] = exps.get(d, 0) + e
+        # phi_d, prime in q for even d, splits for odd d (and under fractional
+        # q-exponents), so the product may hold it though neither factor does;
+        # a monomial factor is a unit times an integer, which holds no part of it
+        test = []
+        if len(x.num) > 1 and len(y.num) > 1:
+            integral = _q_integral(x.num) and _q_integral(y.num)
+            test = [d for d in exps if d % 2 or not integral]
+        return _canonical(x.num * y.num, x._c * y._c, exps, test)
 
     __rmul__ = __mul__
 
@@ -599,6 +759,7 @@ class RationalQT:
         return self._coerce(other) / self
 
     def reciprocal(self):
+        """1 / self; raises ValueError when num is not in the bracket family."""
         if not self.num:
             raise ZeroDivisionError("reciprocal of zero")
         return RationalQT(self.den, self.num)
@@ -608,100 +769,76 @@ class RationalQT:
             raise ValueError("integer powers only")
         if k < 0:
             return self.reciprocal() ** (-k)
-        return RationalQT(self.num**k, self.den**k)
+        # neither a prime of c nor all of a phi_d can divide num**k when it misses num
+        return _rational(self.num**k, self._c**k, tuple((d, e * k) for d, e in self._exps if k))
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.num * other.den == other.num * self.den
+        return self._c == other._c and self._exps == other._exps and self.num == other.num
 
-    __hash__ = None
+    def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.num, self._c, self._exps)))
+        return self._hash
 
     @classmethod
     def sum(cls, items):
-        """Sum many values, grouping by common denominator first."""
+        """Sum many values, adding numerators over a shared denominator first."""
         groups = {}
         for x in items:
             x = cls._coerce(x)
-            groups[x.den] = groups.get(x.den, _ZERO) + x.num
-        total = cls(_ZERO)
-        for den, num in groups.items():
-            total = total + cls(num, den)
-        return total
-
-    # -- normalisation --------------------------------------------------------
-
-    def _cancel_content(self):
-        if not self.num:
-            return RationalQT(_ZERO)
-        g = gcd(self.num.content(), self.den.content())
-        if g > 1:
-            return RationalQT(exact_div(self.num, LaurentQT.from_int(g)),
-                              exact_div(self.den, LaurentQT.from_int(g)))
-        return self
+            if x.num:
+                key = (x._c, x._exps)
+                num, count = groups.get(key, (_ZERO, 0))
+                groups[key] = (num + x.num, count + 1)
+        parts = []
+        for (c, exps), (num, count) in groups.items():
+            if count > 1:
+                part = _canonical(num, c, dict(exps), [d for d, _ in exps])
+            else:
+                part = _rational(num, c, exps)
+            if part.num:
+                parts.append(part)
+        return _sum_canonical(parts) if parts else ZERO_RATIONAL
 
     def reduced(self):
-        """Cancel shared content, a denominator monomial unit, and q-bracket factors."""
-        num, den = self.num, self.den
-        if not num:
-            return RationalQT(_ZERO)
-        if len(den) == 1:
-            # monomial denominator is a unit: fold into the numerator
-            (eq, et), c = den.leading()
-            num = num * LaurentQT({(-eq, -et): 1})
-            if c < 0:
-                num, c = -num, -c
-            if c != 1:
-                g = gcd(num.content(), c)
-                num = exact_div(num, LaurentQT.from_int(g))
-                c //= g
-            return RationalQT(num, LaurentQT.from_int(c))
-        (bq, BQ), _ = den.exponent_box()
-        span = BQ - bq
-        max_k = min(_BRACKET_CANCEL_LIMIT, int(span) if isinstance(span, int) else 0)
-        for k in range(max_k, 0, -1):
-            br = q_bracket(k)
-            while True:
-                d2 = exact_div(den, br)
-                if d2 is None:
-                    break
-                n2 = exact_div(num, br)
-                if n2 is None:
-                    break
-                num, den = n2, d2
-                if len(den) == 1:
-                    return RationalQT(num, den).reduced()
-        out = RationalQT(num, den)._cancel_content()
-        # normalise the denominator sign by its leading coefficient
-        if out.den.leading()[1] < 0:
-            out = RationalQT(-out.num, -out.den)
-        return out
+        """The value itself: every RationalQT is already in canonical form."""
+        return self
 
     # -- conversions ------------------------------------------------------------
 
     def as_laurent(self):
-        """The value as a Laurent polynomial, or None when den does not divide num."""
-        if not self.num:
-            return _ZERO
-        if self.den == _ONE:
-            return self.num
-        q = exact_div(self.num, self.den)
-        if q is not None:
-            return q
-        r = self.reduced()
-        if r.den == _ONE:
-            return r.num
-        return exact_div(r.num, r.den)
+        """The value as a Laurent polynomial, or None when it is not one."""
+        return self.num if self._c == 1 and not self._exps else None
 
     def substitute_power(self, d):
-        return RationalQT(self.num.substitute_power(d), self.den.substitute_power(d))
+        """q -> q**d, t -> t**d for a positive integer d."""
+        d = _exp(d)
+        if not isinstance(d, int) or d < 1:
+            raise ValueError("the substitution power must be a positive integer")
+        # phi_k(q**d) is the product of the phi_j with j / gcd(j, d) = k
+        exps = {}
+        for k, e in self._exps:
+            for g in range(1, d + 1):
+                if d % g == 0 and gcd(k * g, d) == g:
+                    exps[k * g] = exps.get(k * g, 0) + e
+        return _canonical(self.num.substitute_power(d), self._c, exps, list(exps))
 
     def mirror(self):
-        return RationalQT(self.num.mirror(), self.den.mirror())
+        """q -> 1/q, t -> 1/t, which fixes every phi_d but phi_1 = -phi_1(1/q)."""
+        return self._flip_sign(self.num.mirror(), 1)
 
     def conj_q(self):
-        return RationalQT(self.num.conj_q(), self.den.conj_q())
+        """q -> -1/q, which fixes every phi_d but phi_2 = -phi_2(-1/q)."""
+        return self._flip_sign(self.num.conj_q(), 2)
+
+    def _flip_sign(self, num, d):
+        """num over this denominator, negated once per factor phi_d."""
+        if dict(self._exps).get(d, 0) % 2:
+            num = -num
+        return _rational(num, self._c, self._exps)
 
     def to_json(self):
         return {"num": self.num.to_records(), "den": self.den.to_records()}
@@ -712,16 +849,69 @@ class RationalQT:
         return f"RationalQT({format_laurent(self.num)!r} / {format_laurent(self.den)!r})"
 
 
-def _cross_cancel(num, den):
-    """Cancel obvious shared structure between a numerator and an unrelated denominator."""
-    if len(den) == 1:
-        (eq, et), c = den.leading()
-        if c in (1, -1):
-            return num * LaurentQT({(-eq, -et): c}), _ONE
-    q = exact_div(num, den)
-    if q is not None:
-        return q, _ONE
-    return num, den
+def _fill(value, num, c, exps):
+    setattr_ = object.__setattr__
+    setattr_(value, "num", num)
+    setattr_(value, "_c", c)
+    setattr_(value, "_exps", exps)
+    setattr_(value, "_den", None)
+    setattr_(value, "_hash", None)
+
+
+def _rational(num, c=1, exps=()):
+    """A RationalQT from fields already in canonical form."""
+    out = object.__new__(RationalQT)
+    _fill(out, num, c, exps)
+    return out
+
+
+def _q_integral(f):
+    return all(type(eq) is int for eq, _ in f._terms)
+
+
+def _canonical(num, c, exps, test):
+    """num / (c * prod phi_d**e) in canonical form, exps a dict {d: e}.
+
+    Cancels the content against c and each phi_d with d in ``test``; the
+    factors outside ``test`` must already be known not to divide num.
+    """
+    if not num:
+        return ZERO_RATIONAL
+    if c > 1:
+        g = gcd(num.content(), c)
+        num, c = _div_int(num, g), c // g
+    # a monomial is a unit times an integer, so no phi_d divides it
+    for d in test if len(num) > 1 else ():
+        e = exps[d]
+        while e and _phi_divides(num, d):
+            num = exact_div(num, cyclotomic_factor(d))
+            e -= 1
+        exps[d] = e
+    return _rational(num, c, tuple(sorted((d, e) for d, e in exps.items() if e)))
+
+
+def _sum_canonical(parts):
+    """The sum of nonzero canonical values over their least common denominator."""
+    if len(parts) == 1:
+        return parts[0]
+    c = lcm(*(x._c for x in parts))
+    top, holders = {}, {}
+    for x in parts:
+        for d, e in x._exps:
+            if e > top.get(d, 0):
+                top[d], holders[d] = e, 1
+            elif e == top[d]:
+                holders[d] += 1
+    num = _ZERO
+    for x in parts:
+        have = dict(x._exps)
+        missing = tuple(
+            (d, e - have.get(d, 0)) for d, e in sorted(top.items()) if e > have.get(d, 0)
+        )
+        term = x.num if c == x._c else x.num * (c // x._c)
+        num = num + (term * _phi_product(missing) if missing else term)
+    # a phi_d whose top power only one part holds divides every other term but not that one
+    return _canonical(num, c, top, [d for d in top if holders[d] > 1])
 
 
 def substitute_power(f, d):
@@ -731,8 +921,8 @@ def substitute_power(f, d):
     return f.substitute_power(d)
 
 
-ZERO_RATIONAL = RationalQT(_ZERO)
-ONE_RATIONAL = RationalQT(_ONE)
+ZERO_RATIONAL = _rational(_ZERO)
+ONE_RATIONAL = _rational(_ONE)
 
 
 # -- h-series -------------------------------------------------------------------

@@ -172,7 +172,7 @@ def log_partition_series(spec, D):
         sign = -sign
         if i < D:
             power = _series_mul(power, u, D)
-    return {k: v.reduced() for k, v in log_series.items() if v}
+    return {k: v for k, v in log_series.items() if v}
 
 
 def plethystic_h(spec, D):
@@ -214,7 +214,7 @@ def plethystic_h(spec, D):
                         break
                 if chi:
                     pieces.append(value * chi)
-            total = RationalQT.sum(pieces).reduced()
+            total = RationalQT.sum(pieces)
             if total:
                 entries[labels] = total
     return FreeEnergyTable(entries=entries, max_degree=D, spec=spec)
@@ -244,7 +244,7 @@ def t_transform(A, B):
         for p in mu:
             den = den * q_bracket(p)
         total = total + RationalQT(LaurentQT.from_int(c), den)
-    return total.reduced()
+    return total
 
 
 def hat_h(spec, B_labels, D=None, table=None):
@@ -263,7 +263,7 @@ def hat_h(spec, B_labels, D=None, table=None):
         for A, B in zip(labels, B_labels):
             piece = piece * t_transform(A, B)
         total = total + piece
-    return total.reduced()
+    return total
 
 
 def lmov_check(spec, B_labels, D=None, table=None):

@@ -94,6 +94,14 @@ class TestReformAndLmov:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("p", ["0", "-1"])
+    @pytest.mark.parametrize("rhat", [[], ["--rhat"]])
+    def test_nonpositive_p_is_a_usage_error(self, capsys, p, rhat):
+        with pytest.raises(SystemExit) as err:
+            run_cli(capsys, "reform", "--torus", "2", "3", "1", "--p", p, *rhat)
+        assert err.value.code == 2
+        assert "--p" in capsys.readouterr().err
+
     def test_lmov(self, capsys):
         code, out, _ = run_cli(
             capsys,

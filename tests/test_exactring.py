@@ -1,6 +1,7 @@
 """Exact-arithmetic layer: ring laws, division, membership, h-series."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,9 @@ from skeinlab.exactring import (
     NonIntegralExponent,
     RationalQT,
     TruncationInsufficient,
+    _phi_divides,
+    bracket_factors,
+    cyclotomic_factor,
     exact_div,
     format_laurent,
     hseries_expand,
@@ -34,6 +38,42 @@ def laurents(max_terms=4, span=3, coeff=6):
     return st.lists(term, min_size=0, max_size=max_terms).map(
         lambda ts: LaurentQT({(eq, et): c for eq, et, c in ts})
     )
+
+
+def half_laurents(max_terms=4, span=4, coeff=6):
+    """Laurent polynomials whose q-exponents may be halves."""
+    term = st.tuples(
+        st.integers(-span, span), st.integers(-2, 2), st.integers(-coeff, coeff)
+    )
+    return st.lists(term, min_size=0, max_size=max_terms).map(
+        lambda ts: LaurentQT({(Fraction(eq, 2), et): c for eq, et, c in ts})
+    )
+
+
+def _bracket_den(c, half_q, e_t, ks):
+    out = LaurentQT.monomial(c, Fraction(half_q, 2), e_t)
+    for k in ks:
+        out = out * q_bracket(k)
+    return out
+
+
+def bracket_dens():
+    """A signed integer times a monomial times up to three q-brackets {k}, k <= 6."""
+    return st.builds(
+        _bracket_den,
+        st.sampled_from([1, -1, 2, -3, 4, 6]),
+        st.integers(-3, 3),
+        st.integers(-2, 2),
+        st.lists(st.integers(1, 6), max_size=3),
+    )
+
+
+def bracket_fractions():
+    return st.builds(RationalQT, half_laurents(), bracket_dens())
+
+
+def _fields(x):
+    return x.num, x._c, x._exps
 
 
 class TestLaurent:
@@ -105,6 +145,16 @@ class TestExactDiv:
         if not b:
             return
         assert exact_div(a * b, b) == a
+
+    @given(half_laurents(), half_laurents())
+    @settings(max_examples=120, deadline=None)
+    def test_fractional_round_trip(self, a, b):
+        if not b:
+            return
+        assert exact_div(a * b, b) == a
+        quo = exact_div(a, b)
+        if quo is not None:
+            assert quo * b == a
 
     def test_brace(self):
         assert q_brace(3) == LaurentQT({(2, 0): 1, (0, 0): 1, (-2, 0): 1})
@@ -178,6 +228,118 @@ class TestRational:
         f = RationalQT(t_power(1), q_bracket(1))
         assert f**2 == RationalQT(t_power(2), q_bracket(1) * q_bracket(1))
         assert f**-1 == RationalQT(q_bracket(1), t_power(1))
+
+
+class TestCanonicalForm:
+    """Every RationalQT is num / (c * prod phi_d**e_d) in one canonical form."""
+
+    def test_cyclotomic_factors_build_brackets(self):
+        for k in range(1, 25):
+            prod = LaurentQT.one()
+            for d in range(1, k + 1):
+                if k % d == 0:
+                    prod = prod * cyclotomic_factor(d)
+            assert prod == q_bracket(k)
+
+    @given(
+        half_laurents(max_terms=5), st.integers(1, 12), st.lists(st.integers(1, 12), max_size=3)
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_residue_test_agrees_with_division(self, f, d, others):
+        for k in others:
+            f = f * cyclotomic_factor(k)
+        expected = exact_div(f, cyclotomic_factor(d)) is not None
+        assert _phi_divides(f, d) == expected
+
+    @given(bracket_fractions())
+    @settings(max_examples=150, deadline=None)
+    def test_invariants_hold(self, x):
+        assert x._c > 0
+        assert [d for d, _ in x._exps] == sorted({d for d, _ in x._exps})
+        if x._c > 1:
+            assert gcd(x.num.content(), x._c) == 1
+        for d, e in x._exps:
+            assert e > 0
+            assert exact_div(x.num, cyclotomic_factor(d)) is None
+
+    @given(bracket_fractions(), bracket_fractions(), bracket_dens())
+    @settings(max_examples=150, deadline=None)
+    def test_equality_json_and_hash_agree(self, x, y, extra):
+        same = (x + y) - y
+        scaled = RationalQT(x.num * extra, x.den * extra)
+        for a, b in ((x, y), (x, same), (x, scaled), (same, scaled)):
+            equal = a == b
+            assert equal == (a.to_json() == b.to_json())
+            # only this direction: hash(-1) == hash(-2) in CPython
+            assert hash(a) == hash(b) or not equal
+        assert {x: 1}[same] == 1
+
+    @given(half_laurents(), bracket_dens(), st.integers(1, 6), st.sampled_from([1, -2, 3]))
+    @settings(max_examples=150, deadline=None)
+    def test_common_bracket_cancels_to_identical_fields(self, n, d, k, m):
+        assert _fields(RationalQT(n * q_bracket(k) * m, d * q_bracket(k) * m)) == _fields(
+            RationalQT(n, d)
+        )
+
+    @given(bracket_fractions(), bracket_fractions(), bracket_fractions())
+    @settings(max_examples=100, deadline=None)
+    def test_ring_laws_against_cross_multiplication(self, x, y, z):
+        s = x + y
+        assert s.num * x.den * y.den == (x.num * y.den + y.num * x.den) * s.den
+        p = x * y
+        assert p.num * x.den * y.den == x.num * y.num * p.den
+        assert (x + y) + z == x + (y + z)
+        assert x * (y + z) == x * y + x * z
+        assert x - x == 0
+        assert RationalQT.sum([x, y, z, x]) == x + y + z + x
+
+    @given(bracket_fractions(), st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_substitutions_against_cross_multiplication(self, x, d):
+        ops = [lambda f: f.substitute_power(d), lambda f: f.mirror()]
+        if x.num.is_integral():
+            ops.append(lambda f: f.conj_q())
+        for op in ops:
+            y = op(x)
+            assert y.num * op(x.den) == op(x.num) * y.den
+            assert y == RationalQT(op(x.num), op(x.den))
+
+    def test_split_factor_cancels_in_products(self):
+        # phi_1 = (q - 1)(q + 1)/q: each numerator holds one prime of it
+        a = RationalQT(LaurentQT({(1, 0): 1, (0, 0): -1}), q_bracket(1))
+        b = RationalQT(LaurentQT({(1, 0): 1, (0, 0): 1}), q_bracket(1))
+        assert _fields(a * b) == _fields(RationalQT(q_power(1), q_bracket(1)))
+
+    def test_reduced_and_as_laurent_read_the_form(self):
+        x = RationalQT(q_bracket(6), q_bracket(2) * 3)
+        assert x.reduced() is x
+        assert x.as_laurent() is None
+        assert (x * 3).as_laurent() == exact_div(q_bracket(6), q_bracket(2))
+
+    @pytest.mark.parametrize(
+        "den",
+        [
+            LaurentQT({(1, 0): 1, (0, 0): 2}),
+            LaurentQT({(Fraction(1, 2), 0): 1, (Fraction(-1, 2), 0): -1}),
+            q_bracket(1) + t_power(1),
+            q_bracket(3) * LaurentQT({(2, 0): 1, (0, 0): 3}),
+            q_bracket(2) * q_bracket(2) * 2 + q_power(0),
+        ],
+    )
+    def test_denominator_outside_the_family_raises(self, den):
+        with pytest.raises(ValueError):
+            RationalQT(q_power(1), den)
+        with pytest.raises(ValueError):
+            RationalQT(den).reciprocal()
+
+    @given(bracket_dens())
+    @settings(max_examples=100, deadline=None)
+    def test_bracket_factors_recompose(self, den):
+        inv_unit, c, exps = bracket_factors(den)
+        prod = LaurentQT.from_int(c)
+        for d, e in exps:
+            prod = prod * cyclotomic_factor(d) ** e
+        assert den * inv_unit == prod
 
 
 class TestHSeries:
