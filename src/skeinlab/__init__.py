@@ -6,7 +6,7 @@ checks, congruent skein relations, and q -> 1 special-polynomial limits,
 all in exact arithmetic over ZZ[q^{+-1}, t^{+-1}] with bracket denominators.
 """
 
-from .exactring import HSeries, LaurentQT, RationalQT
+from .exactring import LaurentQT, RationalQT
 from .partitions import Partition, PartitionPair
 from .skein import InvariantResult, LinkSpec
 from .symfun import SymFunc
@@ -14,7 +14,6 @@ from .symfun import SymFunc
 __version__ = "0.1.0"
 
 __all__ = [
-    "HSeries",
     "InvariantResult",
     "LaurentQT",
     "LinkSpec",

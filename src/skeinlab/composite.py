@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import combinations, product as iproduct
 
 from .chars import character, lr_coeff
-from .exactring import LaurentQT, RationalQT, q_bracket, zsquare_decompose
+from .exactring import LaurentQT, RationalQT, exact_div, q_bracket, zsquare_decompose
 from .partitions import Partition, PartitionPair, partitions_of
 from .skein import LabelCountMismatch, full_invariant_value, torus_framed
 from .symfun import COMPOSITE, SymFunc
@@ -154,18 +154,10 @@ def integrality_2z(f):
     Reduces to a Laurent polynomial, halves it, and decomposes in powers of
     z**2; the certificate is the integer coefficient table of f/2.
     """
-    if isinstance(f, LaurentQT):
-        lau = f
-    else:
-        lau = f.as_laurent()
-        if lau is None:
-            return False, "not-laurent", None
-    from .exactring import exact_div
-
+    lau = f if isinstance(f, LaurentQT) else f.as_laurent()
+    if lau is None:
+        return False, "not-laurent", None
     half = exact_div(lau, LaurentQT.from_int(2))
     if half is None:
         return False, "not-even", None
-    table = zsquare_decompose(half, allowed_pole=0)
-    if table is None:
-        return False, "not-zsquare", None
-    return True, None, table
+    return zsquare_member(half)

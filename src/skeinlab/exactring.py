@@ -1,6 +1,6 @@
 """Exact scalar arithmetic for quantum link invariants.
 
-Three value types, all immutable:
+Two value types, both immutable:
 
 * :class:`LaurentQT` -- sparse Laurent polynomials in ``q`` and ``t`` with
   arbitrary-precision integer coefficients.  Exponents may be rational:
@@ -13,9 +13,9 @@ Three value types, all immutable:
   over the centred cyclotomic factors ``phi_d`` (``{k} = prod_{d|k} phi_d``),
   so equality, hashing and serialisation agree, and cancellation is decided
   by residues modulo ``phi_d`` rather than by trial division.
-* :class:`HSeries` -- truncated power series in ``h`` under ``q = exp(h)``,
-  with Laurent-in-``t`` coefficients over the rationals, used for ``q -> 1``
-  limits.
+
+``q_one_leading`` gives the exact leading term of either type under
+``q = exp(h)``, which is how ``q -> 1`` limits are taken.
 
 All operations are pure functions of their inputs and safe to share across
 threads.
@@ -31,14 +31,6 @@ from math import gcd, lcm
 
 class NonIntegralExponent(ValueError):
     """A value required to be an honest Laurent polynomial has fractional exponents."""
-
-
-class TruncationInsufficient(ArithmeticError):
-    """The series truncation order was too small to expose the leading term."""
-
-
-class NonLaurentCoefficient(ArithmeticError):
-    """A series division produced a coefficient outside the t-Laurent ring."""
 
 
 def _exp(x):
@@ -285,11 +277,6 @@ class LaurentQT:
         out._hash = None
         return out
 
-    def coefficient_of_t(self, et):
-        """The q-Laurent slice at a fixed t-exponent, as {e_q: coeff}."""
-        et = _exp(et)
-        return {eq: c for (eq, e), c in self._terms.items() if e == et}
-
     # -- serialization -------------------------------------------------------
 
     def to_records(self):
@@ -430,7 +417,11 @@ def exact_div(a, b):
         if c % lead_c:
             return None
         w = c // lead_c
-        quo[(weq, wet)] = w
+        # fractional exponents may differ by integers; renormalise keys in that case
+        if type(weq) is int and type(wet) is int:
+            quo[(weq, wet)] = w
+        else:
+            quo[(_exp(weq), _exp(wet))] = w
         for (eq, et), bc in b_terms:
             k2 = (eq + weq, et + wet)
             r = rem.get(k2)
@@ -663,10 +654,6 @@ class RationalQT:
 
     def __setattr__(self, *a):
         raise AttributeError("RationalQT is immutable")
-
-    @classmethod
-    def from_laurent(cls, f):
-        return cls(f)
 
     @classmethod
     def from_fraction(cls, fr):
@@ -925,248 +912,51 @@ ZERO_RATIONAL = _rational(_ZERO)
 ONE_RATIONAL = _rational(_ONE)
 
 
-# -- h-series -------------------------------------------------------------------
+def bracket_quotient(num, c, ks):
+    """num / (c * prod over k in ks of {k}) for a positive integer c.
 
-
-def _tpoly_add(a, b):
-    out = dict(a)
-    for e, c in b.items():
-        r = out.get(e, 0) + c
-        if r:
-            out[e] = r
-        else:
-            out.pop(e, None)
-    return out
-
-
-def _tpoly_scale(a, c):
-    if not c:
-        return {}
-    return {e: v * c for e, v in a.items()}
-
-def _tpoly_mul(a, b):
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            r = out.get(e, 0) + c1 * c2
-            if r:
-                out[e] = r
-            else:
-                out.pop(e, None)
-    return out
-
-
-def _tpoly_exact_div(a, b):
-    """Exact division of t-Laurent polynomials over Q, or None."""
-    if not b:
-        raise ZeroDivisionError
-    if not a:
-        return {}
-    lo = min(a) - min(b)
-    hi = max(a) - max(b)
-    if lo > hi:
-        return None
-    lead = max(b)
-    rem = dict(a)
-    quo = {}
-    while rem:
-        e = max(rem)
-        we = e - lead
-        if not (lo <= we <= hi):
-            return None
-        w = rem[e] / b[lead]
-        quo[we] = w
-        for eb, cb in b.items():
-            k = eb + we
-            r = rem.get(k, 0) - w * cb
-            if r:
-                rem[k] = r
-            else:
-                rem.pop(k, None)
-    return quo
-
-
-class HSeries:
-    """h**valuation * (c_0 + c_1 h + ...), coefficients Laurent in t over Q.
-
-    ``coeffs[0]`` is nonzero unless the whole series is zero (represented with
-    valuation 0 and an all-zero coefficient list).
+    {k} = prod over d | k of phi_d, so the denominator is built factored,
+    without the trial divisions of ``RationalQT(num, den)``.
     """
-
-    __slots__ = ("valuation", "coeffs")
-
-    def __init__(self, valuation, coeffs):
-        coeffs = [dict(c) for c in coeffs]
-        if coeffs and not coeffs[0]:
-            # re-anchor so the first coefficient is nonzero (or the series is zero)
-            shift = 0
-            while shift < len(coeffs) and not coeffs[shift]:
-                shift += 1
-            if shift == len(coeffs):
-                valuation, coeffs = 0, [{} for _ in coeffs]
-            else:
-                valuation += shift
-                coeffs = coeffs[shift:] + [{} for _ in range(shift)]
-        object.__setattr__(self, "valuation", valuation)
-        object.__setattr__(self, "coeffs", tuple(tuple(sorted(c.items())) for c in coeffs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("HSeries is immutable")
-
-    @property
-    def order(self):
-        return len(self.coeffs)
-
-    @property
-    def is_zero(self):
-        return all(not c for c in self.coeffs)
-
-    def coefficient(self, i):
-        """The i-th coefficient past the valuation, as {t-exponent: Fraction}."""
-        return dict(self.coeffs[i])
-
-    def __eq__(self, other):
-        if not isinstance(other, HSeries):
-            return NotImplemented
-        if self.is_zero and other.is_zero:
-            return True
-        return self.valuation == other.valuation and self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def truncated(self, k):
-        return HSeries(self.valuation, [dict(c) for c in self.coeffs[:k]])
-
-    def __mul__(self, other):
-        if not isinstance(other, HSeries):
-            return NotImplemented
-        k = min(self.order, other.order)
-        if self.is_zero or other.is_zero:
-            return HSeries(0, [{} for _ in range(k)])
-        out = [{} for _ in range(k)]
-        a = [dict(c) for c in self.coeffs]
-        b = [dict(c) for c in other.coeffs]
-        for i in range(k):
-            for j in range(k - i):
-                out[i + j] = _tpoly_add(out[i + j], _tpoly_mul(a[i], b[j]))
-        return HSeries(self.valuation + other.valuation, out)
-
-    def __truediv__(self, other):
-        if not isinstance(other, HSeries):
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero series")
-        if self.is_zero:
-            return HSeries(0, [{} for _ in self.coeffs])
-        k = min(self.order, other.order)
-        a = [dict(c) for c in self.coeffs[:k]]
-        b = [dict(c) for c in other.coeffs[:k]]
-        lead = b[0]
-        out = []
-        for i in range(k):
-            acc = a[i]
-            for j in range(i):
-                acc = _tpoly_add(acc, _tpoly_scale(_tpoly_mul(out[j], b[i - j]), -1))
-            c = _tpoly_exact_div(acc, lead)
-            if c is None:
-                raise NonLaurentCoefficient(
-                    "series division left the t-Laurent ring at order %d" % i
-                )
-            out.append(c)
-        return HSeries(self.valuation - other.valuation, out)
-
-    def limit(self):
-        """The value at h = 0: zero map for positive valuation, error for a pole."""
-        if self.is_zero:
-            return {}
-        if self.valuation > 0:
-            return {}
-        if self.valuation < 0:
-            raise ArithmeticError("pole at q = 1")
-        return self.coefficient(0)
-
-    def __repr__(self):
-        return f"HSeries(val={self.valuation}, coeffs={[dict(c) for c in self.coeffs]!r})"
+    exps = {}
+    for k in ks:
+        for d in range(1, k + 1):
+            if k % d == 0:
+                exps[d] = exps.get(d, 0) + 1
+    return _canonical(num, c, exps, list(exps))
 
 
-def _laurent_hseries(f, K):
-    """Expand a LaurentQT at q = exp(h) to K coefficients past the valuation.
+def q_one_leading(f):
+    """(v, lead) with f(exp(h), t) = h**v * lead(t) + O(h**(v+1)), for f nonzero.
 
-    Raises TruncationInsufficient when the first K coefficients all vanish for
-    a nonzero input.
+    ``f`` is a LaurentQT or a RationalQT; ``lead`` is a Laurent polynomial in
+    t over the rationals, held as a RationalQT with an integer denominator.
+    The coefficient of h**k is sum c * e_q**k / k! per t-exponent.  On one
+    t-slice with n distinct q-exponents the first n of these sums cannot all
+    vanish (the Vandermonde matrix is nonsingular), so the loop ends at k < n.
     """
+    if isinstance(f, RationalQT):
+        v, lead = q_one_leading(f.num)
+        w, unit = q_one_leading(f.den)
+        return v - w, lead / unit
     if not f:
-        return HSeries(0, [{} for _ in range(K)])
-    horizon = 2 * K
-    slices = {}  # t-exponent -> list of (e_q, coeff)
+        raise ValueError("the zero polynomial has no leading term at q = 1")
+    # scale makes every q-exponent an integer; it comes back as scale**k
+    scale = lcm(*(eq.denominator for eq, _ in f._terms))
+    slices = {}
     for (eq, et), c in f._terms.items():
-        slices.setdefault(et, []).append((Fraction(eq), c))
-    coeffs = []
-    fact = 1
-    for k in range(horizon):
-        if k:
-            fact *= k
-        row = {}
+        slices.setdefault(et, []).append([int(eq * scale), c])
+    k, den = 0, 1
+    while True:
+        lead = {}
         for et, terms in slices.items():
-            v = sum(c * (eq**k) for eq, c in terms)
-            if v:
-                row[et] = Fraction(v, fact)
-        coeffs.append(row)
-    val = None
-    for k in range(K):
-        if coeffs[k]:
-            val = k
-            break
-    if val is None:
-        raise TruncationInsufficient(f"no nonzero coefficient in the first {K} orders")
-    return HSeries(val, coeffs[val : val + K])
-
-
-def hseries_expand(f, K=8):
-    """Expand a RationalQT under q = exp(h), truncated K terms past the valuation."""
-    if isinstance(f, LaurentQT):
-        f = RationalQT(f)
-    num = _laurent_hseries(f.num, K)
-    if f.den == _ONE:
-        return num
-    den = _laurent_hseries(f.den, K)
-    return num / den
-
-
-def hseries_expand_auto(f, K=8, max_K=64):
-    """hseries_expand with automatic doubling of K on TruncationInsufficient."""
-    while True:
-        try:
-            return hseries_expand(f, K)
-        except TruncationInsufficient:
-            if K >= max_K:
-                raise
-            K = min(2 * K, max_K)
-
-
-def hseries_valuation(f, K=8, max_K=64):
-    """The h-adic valuation of a RationalQT at q = exp(h)."""
-    if isinstance(f, LaurentQT):
-        f = RationalQT(f)
-    if not f.num:
-        raise ValueError("the zero function has no valuation")
-    K0 = K
-    while True:
-        try:
-            vn = _laurent_hseries(f.num, K0).valuation
-            break
-        except TruncationInsufficient:
-            if K0 >= max_K:
-                raise
-            K0 = min(2 * K0, max_K)
-    K0 = K
-    while True:
-        try:
-            vd = _laurent_hseries(f.den, K0).valuation
-            break
-        except TruncationInsufficient:
-            if K0 >= max_K:
-                raise
-            K0 = min(2 * K0, max_K)
-    return vn - vd
+            s = 0
+            for term in terms:
+                s += term[1]
+                term[1] *= term[0]
+            if s:
+                lead[(0, et)] = s
+        if lead:
+            return k, _canonical(LaurentQT(lead), den, {}, ())
+        k += 1
+        den *= k * scale

@@ -33,12 +33,11 @@ from .composite import framed_composite, r_reform
 from .exactring import (
     LaurentQT,
     RationalQT,
-    TruncationInsufficient,
-    _laurent_hseries,
+    bracket_quotient,
     exact_div,
-    hseries_valuation,
     q_bracket,
     q_brace,
+    q_one_leading,
     zsquare_decompose,
 )
 from .partitions import EMPTY, Partition, partitions_of
@@ -240,10 +239,7 @@ def t_transform(A, B):
         c = character(A, mu) * character(B, mu)
         if not c:
             continue
-        den = LaurentQT.from_int(mu.z)
-        for p in mu:
-            den = den * q_bracket(p)
-        total = total + RationalQT(LaurentQT.from_int(c), den)
+        total = total + bracket_quotient(LaurentQT.from_int(c), mu.z, mu)
     return total
 
 
@@ -348,17 +344,7 @@ def congruent_skein_case(p, k):
 # -- special polynomials ------------------------------------------------------------------
 
 
-def _hseries_auto(f, K=8, max_K=64):
-    while True:
-        try:
-            return _laurent_hseries(f, K)
-        except TruncationInsufficient:
-            if K >= max_K:
-                raise
-            K = min(2 * K, max_K)
-
-
-def special_polynomial(spec, pairs, K=8):
+def special_polynomial(spec, pairs):
     """The q -> 1 limit of the full invariant over the product of unknot values.
 
     Returns a Laurent polynomial in t; the limit exists and factorises as the
@@ -371,30 +357,15 @@ def special_polynomial(spec, pairs, K=8):
         s = unknot_full(Partition(pair[0]), Partition(pair[1]))
         num = num * s.den
         den = den * s.num
-    a = _hseries_auto(num, K)
-    b = _hseries_auto(den, K)
-    if a.valuation > b.valuation:
+    vn, a = q_one_leading(num)
+    vd, b = q_one_leading(den)
+    if vn > vd:
         return LaurentQT.zero()
-    if a.valuation < b.valuation:
+    if vn < vd:
         raise ArithmeticError("the normalised invariant has a pole at q = 1")
-    quot = a.coefficient(0)
-    lead = b.coefficient(0)
-    from .exactring import _tpoly_exact_div
-
-    ratio = _tpoly_exact_div(quot, lead)
+    # a / b over one common integer denominator; over ZZ the greedy division
+    # succeeds exactly when the rational quotient has integer coefficients
+    ratio = exact_div(a.num * b.den, b.num * a.den)
     if ratio is None:
-        raise ArithmeticError("limit is not Laurent in t")
-    terms = {}
-    for e, c in ratio.items():
-        if c.denominator != 1:
-            raise ArithmeticError("limit has non-integral coefficients")
-        terms[(0, e)] = int(c)
-    return LaurentQT(terms)
-
-
-def bracket_h_valuation(value, total_size, K=8):
-    """The h-adic valuation of a decorated bracket; must be >= -total_size."""
-    if not value:
-        return None
-    val = hseries_valuation(value, K=K)
-    return val >= -total_size
+        raise ArithmeticError("the limit is not a Laurent polynomial in t over ZZ")
+    return ratio

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .exactring import LaurentQT, RationalQT, q_bracket, t_bracket, _exp
+from .exactring import LaurentQT, RationalQT, bracket_quotient, q_bracket, t_bracket, _exp
 from .partitions import Partition, PartitionPair
 from .symfun import (
     COMPOSITE,
@@ -163,7 +163,7 @@ class InvariantResult:
 @lru_cache(maxsize=None)
 def power_value(m):
     """The unknot decorated by P_m: (t**m - t**-m)/(q**m - q**-m)."""
-    return RationalQT(t_bracket(m), q_bracket(m))
+    return bracket_quotient(t_bracket(m), 1, [m])
 
 
 def evaluate(f):

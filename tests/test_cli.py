@@ -134,6 +134,27 @@ class TestCongruenceAndRepro:
         doc = json.loads(out.strip().splitlines()[-1])
         assert doc["value"] == [[0, 1, -4, 1, "-1"], [0, 1, -2, 1, "2"]]
 
+    @pytest.mark.parametrize(
+        "torus, pairs, value",
+        [
+            (
+                ("2", "5", "1"),
+                "[[[2,1],[2,1]]]",
+                [
+                    [0, 1, -36, 1, "64"], [0, 1, -34, 1, "-576"], [0, 1, -32, 1, "2160"],
+                    [0, 1, -30, 1, "-4320"], [0, 1, -28, 1, "4860"], [0, 1, -26, 1, "-2916"],
+                    [0, 1, -24, 1, "729"],
+                ],
+            ),
+            (("1", "1", "2"), "[[[2],[]],[[],[2]]]", [[0, 1, 0, 1, "1"]]),
+        ],
+    )
+    def test_special_values_pinned(self, capsys, torus, pairs, value):
+        code, out, _ = run_cli(capsys, "special", "--torus", *torus, "--pairs", pairs, "--json")
+        assert code == 0
+        doc = json.loads(out.strip().splitlines()[-1])
+        assert doc["value"] == value
+
 
 class TestSelftestAndCache:
     def test_selftest_single_suite(self, capsys):

@@ -1,4 +1,4 @@
-"""Exact-arithmetic layer: ring laws, division, membership, h-series."""
+"""Exact-arithmetic layer: ring laws, division, membership, leading terms at q = 1."""
 
 from fractions import Fraction
 from math import gcd
@@ -8,20 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skeinlab.exactring import (
-    HSeries,
     LaurentQT,
     NonIntegralExponent,
     RationalQT,
-    TruncationInsufficient,
     _phi_divides,
     bracket_factors,
+    bracket_quotient,
     cyclotomic_factor,
     exact_div,
     format_laurent,
-    hseries_expand,
-    hseries_expand_auto,
     q_bracket,
     q_brace,
+    q_one_leading,
     q_power,
     t_bracket,
     t_power,
@@ -155,6 +153,13 @@ class TestExactDiv:
         quo = exact_div(a, b)
         if quo is not None:
             assert quo * b == a
+
+    def test_fractional_operands_give_integral_keys(self):
+        h = Fraction(1, 2)
+        a = LaurentQT({(5 * h, 0): 1, (h, 0): -2, (-3 * h, 0): 1})
+        quo = exact_div(a, q_power(h))
+        assert quo == q_bracket(1) ** 2 and quo.is_integral()
+        assert zsquare_decompose(quo) == {(1, 0): 1}
 
     def test_brace(self):
         assert q_brace(3) == LaurentQT({(2, 0): 1, (0, 0): 1, (-2, 0): 1})
@@ -332,6 +337,17 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             RationalQT(den).reciprocal()
 
+    @given(
+        half_laurents(), st.integers(0, 4), st.integers(1, 12), st.lists(st.integers(1, 6), max_size=3)
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bracket_quotient_matches_explicit_denominator(self, f, j, c, ks):
+        num = f * q_bracket(j) if j else f
+        den = LaurentQT.from_int(c)
+        for k in ks:
+            den = den * q_bracket(k)
+        assert _fields(bracket_quotient(num, c, ks)) == _fields(RationalQT(num, den))
+
     @given(bracket_dens())
     @settings(max_examples=100, deadline=None)
     def test_bracket_factors_recompose(self, den):
@@ -342,53 +358,96 @@ class TestCanonicalForm:
         assert den * inv_unit == prod
 
 
-class TestHSeries:
-    def test_bracket_expansion(self):
-        s = hseries_expand(RationalQT(q_bracket(1)), K=3)
-        assert s.valuation == 1
-        assert s.coefficient(0) == {0: Fraction(2)}
-        assert s.coefficient(1) == {}
-        assert s.coefficient(2) == {0: Fraction(1, 3)}
+def _lead_at_q_one(f):
+    """The leading term of f(exp(h), t) as a sympy expression, from a series in h."""
+    sympy = pytest.importorskip("sympy")
+    h, t = sympy.symbols("h t")
+    expr = sum(
+        c * sympy.exp(h * sympy.Rational(eq)) * t ** int(et) for (eq, et), c in f.terms.items()
+    )
+    order = 0
+    while True:
+        series = sympy.expand(sympy.series(expr, h, 0, order + 1).removeO())
+        if series != 0:
+            return order, sympy.expand(series / h**order)
+        order += 1
 
-    def test_unknot_scalar_expansion(self):
-        s = hseries_expand(RationalQT(t_bracket(1), q_bracket(1)), K=2)
-        assert s.valuation == -1
-        assert s.coefficient(0) == {1: Fraction(1, 2), -1: Fraction(-1, 2)}
+
+def _to_sympy(lead):
+    """A leading coefficient (a t-polynomial over an integer) as a sympy expression."""
+    import sympy
+
+    t = sympy.Symbol("t")
+    (_, den), = lead.den.terms.items()
+    num = sum(c * t**et for (_, et), c in lead.num.terms.items())
+    return sympy.expand(num / sympy.Integer(den))
+
+
+class TestQOneLeading:
+    def test_bracket(self):
+        assert q_one_leading(q_bracket(1)) == (1, 2)
+
+    def test_unknot_scalar(self):
+        f = RationalQT(t_bracket(1), q_bracket(1))
+        assert q_one_leading(f) == (-1, RationalQT(t_bracket(1)) / 2)
 
     def test_constant(self):
-        s = hseries_expand(RationalQT(t_power(2)), K=4)
-        assert s.valuation == 0
-        assert s.coefficient(0) == {2: Fraction(1)}
-        assert all(s.coefficient(i) == {} for i in range(1, 4))
+        assert q_one_leading(t_power(2)) == (0, t_power(2))
+        assert q_one_leading(RationalQT(t_power(2))) == (0, t_power(2))
 
-    def test_truncation_insufficient_and_doubling(self):
-        f = RationalQT(q_bracket(1) ** 10)
-        with pytest.raises(TruncationInsufficient):
-            hseries_expand(f, K=8)
-        s = hseries_expand_auto(f, K=8)
-        assert s.valuation == 10
-        assert s.coefficient(0) == {0: Fraction(1024)}
-
-    def test_multiplicativity(self):
-        f = RationalQT(t_bracket(1), q_bracket(1))
-        g = RationalQT(q_bracket(2))
-        K = 6
-        lhs = hseries_expand(f * g, K)
-        rhs = hseries_expand(f, K) * hseries_expand(g, K)
-        assert lhs.truncated(4) == rhs.truncated(4)
+    def test_high_valuation_needs_no_truncation_order(self):
+        assert q_one_leading(q_bracket(1) ** 10) == (10, 1024)
 
     def test_quotient_valuations_subtract(self):
         f = RationalQT(q_bracket(2) * q_bracket(2), q_bracket(1))
-        assert hseries_expand(f, K=4).valuation == 1
+        assert q_one_leading(f) == (1, 8)
 
-    def test_limit(self):
-        assert hseries_expand(RationalQT(t_power(2)), K=3).limit() == {2: Fraction(1)}
-        assert hseries_expand(RationalQT(q_bracket(1)), K=3).limit() == {}
-        pole = hseries_expand(RationalQT(LaurentQT.one(), q_bracket(1)), K=3)
-        with pytest.raises(ArithmeticError):
-            pole.limit()
+    def test_zero_has_no_leading_term(self):
+        with pytest.raises(ValueError):
+            q_one_leading(LaurentQT.zero())
 
-    def test_series_normalises_leading_zero(self):
-        s = HSeries(0, [{}, {0: Fraction(3)}, {}])
-        assert s.valuation == 1
-        assert s.coefficient(0) == {0: Fraction(3)}
+    @pytest.mark.parametrize(
+        "value, limit",
+        [
+            (RationalQT(t_power(2)), t_power(2)),
+            (RationalQT(q_bracket(1)), LaurentQT.zero()),
+            (RationalQT(LaurentQT.one(), q_bracket(1)), "pole"),
+            (RationalQT(t_power(2), 2), "not a Laurent polynomial"),
+        ],
+        ids=["constant", "zero", "pole", "not-integral"],
+    )
+    def test_limit_at_q_one(self, monkeypatch, value, limit):
+        from skeinlab import lmov
+        from skeinlab.skein import LinkSpec
+
+        monkeypatch.setattr(lmov, "full_invariant_value", lambda spec, pairs: value)
+        if isinstance(limit, str):
+            with pytest.raises(ArithmeticError, match=limit):
+                lmov.special_polynomial(LinkSpec.unknot(0), [])
+        else:
+            assert lmov.special_polynomial(LinkSpec.unknot(0), []) == limit
+
+    @given(half_laurents(), half_laurents())
+    @settings(max_examples=100, deadline=None)
+    def test_multiplicative(self, f, g):
+        if not f or not g:
+            return
+        (vf, lf), (vg, lg) = q_one_leading(f), q_one_leading(g)
+        assert q_one_leading(f * g) == (vf + vg, lf * lg)
+
+    @given(half_laurents(), st.integers(0, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_bracket_power_shifts_valuation(self, f, k):
+        if not f:
+            return
+        v, lead = q_one_leading(f)
+        assert q_one_leading(q_bracket(1) ** k * f) == (k + v, lead * 2**k)
+
+    @given(half_laurents(max_terms=3, span=3), st.integers(0, 2))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_sympy_series(self, g, k):
+        if not g:
+            return
+        f = q_bracket(1) ** k * g
+        v, lead = q_one_leading(f)
+        assert (v, _to_sympy(lead)) == _lead_at_q_one(f)
