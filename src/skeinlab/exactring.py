@@ -49,7 +49,7 @@ class LaurentQT:
     equality.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_hash", "_integral")
 
     def __init__(self, terms=None):
         data = {}
@@ -71,6 +71,7 @@ class LaurentQT:
                         del data[key]
         self._terms = data
         self._hash = None
+        self._integral = None
 
     # -- constructors ------------------------------------------------------
 
@@ -140,18 +141,12 @@ class LaurentQT:
                     data[key] = c
                 else:
                     del data[key]
-        out = LaurentQT.__new__(LaurentQT)
-        out._terms = data
-        out._hash = None
-        return out
+        return _laurent(data, self._integral and other._integral or None)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = LaurentQT.__new__(LaurentQT)
-        out._terms = {k: -c for k, c in self._terms.items()}
-        out._hash = None
-        return out
+        return _laurent({k: -c for k, c in self._terms.items()}, self._integral)
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -165,10 +160,7 @@ class LaurentQT:
         if isinstance(other, int):
             if not other:
                 return _ZERO
-            out = LaurentQT.__new__(LaurentQT)
-            out._terms = {k: c * other for k, c in self._terms.items()}
-            out._hash = None
-            return out
+            return _laurent({k: c * other for k, c in self._terms.items()}, self._integral)
         if not isinstance(other, LaurentQT):
             return NotImplemented
         a, b = self._terms, other._terms
@@ -177,14 +169,14 @@ class LaurentQT:
         if len(a) > len(b):
             a, b = b, a
         # fractional exponents may sum to integers; renormalise keys in that case
-        mixed = not (self.is_integral() and other.is_integral())
+        integral = self.is_integral() and other.is_integral()
         data = {}
         for (eq1, et1), c1 in a.items():
             for (eq2, et2), c2 in b.items():
-                if mixed:
-                    key = (_exp(eq1 + eq2), _exp(et1 + et2))
-                else:
+                if integral:
                     key = (eq1 + eq2, et1 + et2)
+                else:
+                    key = (_exp(eq1 + eq2), _exp(et1 + et2))
                 c = data.get(key)
                 if c is None:
                     data[key] = c1 * c2
@@ -194,10 +186,7 @@ class LaurentQT:
                         data[key] = c
                     else:
                         del data[key]
-        out = LaurentQT.__new__(LaurentQT)
-        out._terms = data
-        out._hash = None
-        return out
+        return _laurent(data, integral or None)
 
     __rmul__ = __mul__
 
@@ -240,8 +229,12 @@ class LaurentQT:
         return (min(eqs), max(eqs)), (min(ets), max(ets))
 
     def is_integral(self):
-        """True when every stored exponent is an integer."""
-        return all(isinstance(eq, int) and isinstance(et, int) for eq, et in self._terms)
+        """True when every stored exponent is an integer (scanned once, then cached)."""
+        if self._integral is None:
+            self._integral = all(
+                isinstance(eq, int) and isinstance(et, int) for eq, et in self._terms
+            )
+        return self._integral
 
     def assert_integral(self):
         if not self.is_integral():
@@ -253,17 +246,12 @@ class LaurentQT:
     def substitute_power(self, d):
         """q -> q**d, t -> t**d applied exactly to every exponent."""
         d = _exp(d)
-        out = LaurentQT.__new__(LaurentQT)
-        out._terms = {(_exp(eq * d), _exp(et * d)): c for (eq, et), c in self._terms.items()}
-        out._hash = None
-        return out
+        data = {(_exp(eq * d), _exp(et * d)): c for (eq, et), c in self._terms.items()}
+        return _laurent(data, self._integral and isinstance(d, int) or None)
 
     def mirror(self):
         """q -> 1/q, t -> 1/t."""
-        out = LaurentQT.__new__(LaurentQT)
-        out._terms = {(-eq, -et): c for (eq, et), c in self._terms.items()}
-        out._hash = None
-        return out
+        return _laurent({(-eq, -et): c for (eq, et), c in self._terms.items()}, self._integral)
 
     def conj_q(self):
         """q -> -1/q.  Requires integer q-exponents."""
@@ -272,10 +260,7 @@ class LaurentQT:
             if not isinstance(eq, int):
                 raise NonIntegralExponent("q -> -1/q needs integer q-exponents")
             data[(-eq, et)] = c if eq % 2 == 0 else -c
-        out = LaurentQT.__new__(LaurentQT)
-        out._terms = data
-        out._hash = None
-        return out
+        return _laurent(data, self._integral)
 
     # -- serialization -------------------------------------------------------
 
@@ -298,6 +283,18 @@ class LaurentQT:
 
     def __str__(self):
         return format_laurent(self)
+
+
+def _laurent(data, integral=None):
+    """A LaurentQT over a normalised term dict, taken as is.
+
+    ``integral`` is the ``is_integral()`` flag when already known, else None.
+    """
+    out = LaurentQT.__new__(LaurentQT)
+    out._terms = data
+    out._hash = None
+    out._integral = integral
+    return out
 
 
 _ZERO = LaurentQT()
@@ -434,10 +431,7 @@ def exact_div(a, b):
                     rem[k2] = r
                 else:
                     del rem[k2]
-    out = LaurentQT.__new__(LaurentQT)
-    out._terms = quo
-    out._hash = None
-    return out
+    return _laurent(quo, a._integral and b._integral or None)
 
 
 def zsquare_decompose(f, allowed_pole=0):
@@ -608,10 +602,7 @@ def _div_int(f, g):
     """f with every coefficient divided by g, which divides them all."""
     if g == 1:
         return f
-    out = LaurentQT.__new__(LaurentQT)
-    out._terms = {k: c // g for k, c in f._terms.items()}
-    out._hash = None
-    return out
+    return _laurent({k: c // g for k, c in f._terms.items()}, f._integral)
 
 
 # -- rational functions --------------------------------------------------------
@@ -934,11 +925,16 @@ def q_one_leading(f):
     The coefficient of h**k is sum c * e_q**k / k! per t-exponent.  On one
     t-slice with n distinct q-exponents the first n of these sums cannot all
     vanish (the Vandermonde matrix is nonsingular), so the loop ends at k < n.
+    A RationalQT is read factored: phi_1 = 2h + O(h**3), and phi_d for d >= 2
+    tends to Phi_d(1), so the denominator contributes e_1 and
+    c * 2**e_1 * prod Phi_d(1)**e_d.
     """
     if isinstance(f, RationalQT):
         v, lead = q_one_leading(f.num)
-        w, unit = q_one_leading(f.den)
-        return v - w, lead / unit
+        unit = f._c
+        for d, e in f._exps:
+            unit *= (2 if d == 1 else sum(_cyclotomic(d))) ** e
+        return v - dict(f._exps).get(1, 0), _canonical(lead.num, lead._c * unit, {}, ())
     if not f:
         raise ValueError("the zero polynomial has no leading term at q = 1")
     # scale makes every q-exponent an integer; it comes back as scale**k

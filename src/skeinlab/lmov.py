@@ -351,17 +351,14 @@ def special_polynomial(spec, pairs):
     product over components of the classical q = 1 evaluation raised to the
     total label size.
     """
-    W = full_invariant_value(spec, pairs)
-    num, den = W.num, W.den
+    v, a = q_one_leading(full_invariant_value(spec, pairs))
+    b = RationalQT(1)
     for pair in pairs:
-        s = unknot_full(Partition(pair[0]), Partition(pair[1]))
-        num = num * s.den
-        den = den * s.num
-    vn, a = q_one_leading(num)
-    vd, b = q_one_leading(den)
-    if vn > vd:
+        w, unit = q_one_leading(unknot_full(Partition(pair[0]), Partition(pair[1])))
+        v, b = v - w, b * unit
+    if v > 0:
         return LaurentQT.zero()
-    if vn < vd:
+    if v < 0:
         raise ArithmeticError("the normalised invariant has a pole at q = 1")
     # a / b over one common integer denominator; over ZZ the greedy division
     # succeeds exactly when the rational quotient has integer coefficients

@@ -64,6 +64,11 @@ class Partition(tuple):
         """Multiset of cell contents j - i (sorted list)."""
         return sorted(j - i for i, p in enumerate(self) for j in range(p))
 
+    def hook_lengths(self):
+        """Hook lengths of the cells, row by row."""
+        conj = self.conjugate()
+        return [p + conj[j] - i - j - 1 for i, p in enumerate(self) for j in range(p)]
+
     def statistics(self):
         """(z, kappa, contents) in one call."""
         return self.z, self.kappa, self.contents()

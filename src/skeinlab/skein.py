@@ -22,6 +22,7 @@ two rows of the decoration label.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -181,32 +182,33 @@ def evaluate(f):
 
 
 @lru_cache(maxsize=None)
-def _schur_unknot(lam):
-    """Colored unknot value for a one-row-family label, via the Frobenius expansion."""
-    from .symfun import schur_to_power_terms
-
-    pieces = []
-    for mu, coeff in schur_to_power_terms(lam).items():
-        val = RationalQT.from_fraction(coeff)
-        for p in mu:
-            val = val * power_value(p)
-        pieces.append(val)
-    return RationalQT.sum(pieces)
-
-
-@lru_cache(maxsize=None)
 def unknot_full(lam, mu=()):
     """Full colored unknot invariant for the composite label [lam, mu].
 
-    Equals the alternating LR combination of products of one-sided colored
-    unknot values, which is also the plane evaluation of the composite basis
-    element (the two agree; see the selftest suite).
+    The quantum dimension of the mixed weight (lam, 0, ..., 0, -mu reversed)
+    at t = q**N (Koike 1989), a product.  With [a] = t*q**a - t**-1*q**-a,
+    {h} = q**h - q**-h, contents c and hook lengths h of the cells of lam
+    and mu, and i, j running over the rows of lam and of mu:
+
+        prod [c] * prod_{i,j} [lam_i+mu_j-i-j+1] * [1-i-j]
+                   / ([lam_i-i-j+1] * [mu_j-i-j+1])  over  prod {h}.
+
+    Every net power of an [a] is >= 0: the value is a Laurent polynomial in
+    t, and [a] = q**a * t**-1 * (t - q**-a) * (t + q**-a) shares no factor
+    with [b] for b != a, so a negative power could not cancel.  The value
+    agrees with the plane evaluation of the composite basis element
+    (``evaluate``, the test and selftest oracle).
     """
     lam, mu = Partition(lam), Partition(mu)
-    pieces = []
-    for pair, c in composite_to_schurpair_terms(lam, mu).items():
-        pieces.append(_schur_unknot(pair.pos) * _schur_unknot(pair.neg) * c)
-    return RationalQT.sum(pieces)
+    powers = Counter(lam.contents() + mu.contents())
+    for i, li in enumerate(lam, 1):
+        for j, mj in enumerate(mu, 1):
+            for a, e in ((li + mj, 1), (0, 1), (li, -1), (mj, -1)):
+                powers[a + 1 - i - j] += e
+    num = LaurentQT.one()
+    for a, e in powers.items():
+        num = num * LaurentQT({(a, 1): 1, (-a, -1): -1}) ** e
+    return bracket_quotient(num, 1, lam.hook_lengths() + mu.hook_lengths())
 
 
 def framing_factor(lam, mu=()):

@@ -99,6 +99,24 @@ class TestLaurent:
             f.assert_integral()
         (f * f).assert_integral()
 
+    @given(
+        half_laurents(), half_laurents(), st.booleans(), st.sampled_from([1, 2, 3, Fraction(1, 2)])
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_cached_integrality_flag_matches_a_scan(self, a, b, primed, d):
+        def scan(f):
+            return all(isinstance(eq, int) and isinstance(et, int) for eq, et in f.terms)
+
+        if primed:  # fill the operands' flags so that the results inherit them
+            a.is_integral(), b.is_integral()
+        results = [a + b, a - b, a * b, -a, a * 3, a.mirror(), a.substitute_power(d)]
+        if b:
+            results += [exact_div(a * b, b), exact_div(a, b)]
+        for f in results:
+            if f is not None:
+                assert f.is_integral() == scan(f)
+                assert (f * b).is_integral() == scan(f * b)
+
     def test_mirror_and_conjugation(self):
         f = q_bracket(3)
         assert f.mirror() == -f
@@ -401,6 +419,14 @@ class TestQOneLeading:
     def test_quotient_valuations_subtract(self):
         f = RationalQT(q_bracket(2) * q_bracket(2), q_bracket(1))
         assert q_one_leading(f) == (1, 8)
+
+    @given(bracket_fractions())
+    @settings(max_examples=100, deadline=None)
+    def test_factored_denominator_matches_expanded(self, x):
+        if not x:
+            return
+        (v, a), (w, b) = q_one_leading(x.num), q_one_leading(x.den)
+        assert q_one_leading(x) == (v - w, a / b)
 
     def test_zero_has_no_leading_term(self):
         with pytest.raises(ValueError):

@@ -79,7 +79,7 @@ class TestUnknot:
         assert lhs == rhs
 
     def test_agrees_with_power_sum_evaluation(self):
-        for n in range(5):
+        for n in range(9):
             for pr in pairs_of_total(n):
                 assert unknot_full(pr.pos, pr.neg) == evaluate(
                     SymFunc.composite(pr.pos, pr.neg)
