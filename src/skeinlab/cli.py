@@ -84,27 +84,36 @@ def _add_spec_arguments(sub):
     sub.add_argument("--reversed", help="comma-separated indices of orientation-reversed components")
 
 
+def _partition_arg(item, flag):
+    # Partition() would coerce 1.5 and true to 1 and drop zero parts
+    if not isinstance(item, list) or not all(type(p) is int and p > 0 for p in item):
+        raise SystemExit2(f"{flag}: {json.dumps(item)} is not a list of positive integers")
+    return Partition(item)
+
+
 def _parse_pairs(text, L):
     data = json.loads(text)
     if not isinstance(data, list):
         raise SystemExit2("--pairs must be a JSON list with one [lam, mu] pair per component")
     pairs = []
     for item in data:
-        if isinstance(item, list) and len(item) == 2 and all(isinstance(x, list) for x in item):
-            pairs.append(PartitionPair(Partition(item[0]), Partition(item[1])))
-        else:
-            # a bare partition means [lam, empty]
-            pairs.append(PartitionPair(Partition(item), Partition()))
+        # a bare partition means [lam, empty]
+        lam, mu = item, []
+        if isinstance(item, list) and any(isinstance(x, list) for x in item):
+            if len(item) != 2:
+                raise SystemExit2(f"--pairs: {json.dumps(item)} is not a [lam, mu] pair")
+            lam, mu = item
+        pairs.append(PartitionPair(_partition_arg(lam, "--pairs"), _partition_arg(mu, "--pairs")))
     if len(pairs) != L:
         raise SystemExit2(f"{len(pairs)} pairs given for {L} components")
     return pairs
 
 
-def _parse_labels(text, L):
+def _parse_labels(text, L, flag="--labels"):
     data = json.loads(text)
     if not isinstance(data, list) or len(data) != L:
-        raise SystemExit2(f"--labels must be a JSON list of {L} partitions")
-    return [Partition(x) for x in data]
+        raise SystemExit2(f"{flag} must be a JSON list of {L} partitions")
+    return [_partition_arg(x, flag) for x in data]
 
 
 def _rational_json(value):
@@ -222,8 +231,8 @@ def cmd_reform(args):
 
 def cmd_lmov(args):
     spec = _parse_spec(args)
-    B = _parse_labels(args.B, spec.L)
-    D = args.D if args.D else sum(x.size for x in B)
+    B = _parse_labels(args.B, spec.L, "--B")
+    D = sum(x.size for x in B) if args.D is None else args.D
     table = plethystic_h(spec, D)
     value = hat_h(spec, B, table=table)
     verdict, ntable, stage = lmov_check(spec, B, table=table)

@@ -23,30 +23,16 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, product as iproduct
 
-from .chars import character, lr_coeff
+from .chars import character
 from .exactring import LaurentQT, RationalQT, exact_div, q_bracket, zsquare_decompose
 from .partitions import Partition, PartitionPair, partitions_of
 from .skein import LabelCountMismatch, full_invariant_value, torus_framed
-from .symfun import COMPOSITE, SymFunc
-
-
-@lru_cache(maxsize=None)
-def _pair_weights(A):
-    """{(lam, mu): c^A_{lam,mu}} over all pairs splitting the label A."""
-    A = Partition(A)
-    out = {}
-    for k in range(A.size + 1):
-        for lam in partitions_of(k):
-            for mu in partitions_of(A.size - k):
-                c = lr_coeff(A, lam, mu)
-                if c:
-                    out[PartitionPair(lam, mu)] = c
-    return out
+from .symfun import COMPOSITE, SymFunc, pair_weights
 
 
 def _label_assignments(labels):
     """Iterate (pairs, weight) over LR-weighted pair choices per component."""
-    tables = [list(_pair_weights(Partition(A)).items()) for A in labels]
+    tables = [list(pair_weights(Partition(A)).items()) for A in labels]
     for combo in iproduct(*tables):
         pairs = tuple(p for p, _ in combo)
         weight = 1
@@ -69,10 +55,7 @@ def framed_composite(spec, labels):
     """The same LR-weighted sum applied to the framed bracket (no writhe correction)."""
     if len(labels) != spec.L:
         raise LabelCountMismatch(f"{len(labels)} labels for {spec.L} components")
-    decorations = []
-    for A in labels:
-        terms = {pair: c for pair, c in _pair_weights(Partition(A)).items()}
-        decorations.append(SymFunc(COMPOSITE, terms))
+    decorations = [SymFunc(COMPOSITE, pair_weights(Partition(A))) for A in labels]
     return torus_framed(spec, decorations)
 
 

@@ -42,6 +42,7 @@ from .exactring import (
 )
 from .partitions import EMPTY, Partition, partitions_of
 from .skein import LinkSpec, full_invariant_value, unknot_full
+from .symfun import _add_to, schur_to_power_terms
 
 
 def _labels_upto(L, D):
@@ -84,11 +85,8 @@ def _series_mul(a, b, D):
         for mu2, c2 in b.items():
             if d1 + sum(p.size for p in mu2) > D:
                 continue
-            key = tuple(x.union(y) for x, y in zip(mu1, mu2))
-            cur = out.get(key)
-            prod = c1 * c2
-            out[key] = prod if cur is None else cur + prod
-    return {k: v for k, v in out.items() if v}
+            _add_to(out, tuple(x.union(y) for x, y in zip(mu1, mu2)), c1 * c2)
+    return out
 
 
 def _schur_vector_to_power(labels, scale=1):
@@ -97,19 +95,25 @@ def _schur_vector_to_power(labels, scale=1):
     Returns {mu vector: Fraction weight} where the weight is
     prod_a chi_{A^a}(mu^a) / z_{mu^a} and every part is multiplied by scale.
     """
-    from .symfun import schur_to_power_terms
-
     acc = {(): Fraction(1)}
     for A in labels:
         nxt = {}
         for mus, w in acc.items():
             for mu, coeff in schur_to_power_terms(A).items():
-                key = mus + (mu.scaled(scale),)
-                cur = nxt.get(key)
-                val = w * coeff
-                nxt[key] = val if cur is None else cur + val
+                _add_to(nxt, mus + (mu.scaled(scale),), w * coeff)
         acc = nxt
     return acc
+
+
+def _add_adams_layer(out, entries, n, d, sign=1):
+    """Add sign times the degree-n part of (1/d) sum_A f_A(q^d, t^d) s_A(x^d) to out."""
+    weight = Fraction(sign, d)
+    for labels, value in entries.items():
+        if sum(A.size for A in labels) * d != n:
+            continue
+        scaled = value.substitute_power(d)
+        for mus, w in _schur_vector_to_power(labels, scale=d).items():
+            _add_to(out, mus, scaled * RationalQT.from_fraction(w * weight))
 
 
 @dataclass
@@ -130,17 +134,11 @@ class FreeEnergyTable:
         Rebuilding the log from the table is the triangular-consistency check.
         """
         out = {}
-        for d in range(1, self.max_degree + 1):
-            for labels, value in self.entries.items():
-                deg = sum(A.size for A in labels)
-                if deg * d > self.max_degree or deg == 0:
-                    continue
-                scaled = value.substitute_power(d)
-                for mus, w in _schur_vector_to_power(labels, scale=d).items():
-                    term = scaled * RationalQT.from_fraction(w * Fraction(1, d))
-                    cur = out.get(mus)
-                    out[mus] = term if cur is None else cur + term
-        return {k: v for k, v in out.items() if v}
+        for n in range(1, self.max_degree + 1):
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    _add_adams_layer(out, self.entries, n, d)
+        return out
 
 
 def log_partition_series(spec, D):
@@ -151,9 +149,7 @@ def log_partition_series(spec, D):
         if not value:
             continue
         for mus, w in _schur_vector_to_power(labels).items():
-            term = value * RationalQT.from_fraction(w)
-            cur = zseries.get(mus)
-            zseries[mus] = term if cur is None else cur + term
+            _add_to(zseries, mus, value * RationalQT.from_fraction(w))
     unit_key = (EMPTY,) * spec.L
     u = {k: v for k, v in zseries.items() if k != unit_key}
     # log(1 + u) truncated: u has positive degree, so powers beyond D vanish
@@ -165,13 +161,11 @@ def log_partition_series(spec, D):
             break
         factor = RationalQT.from_fraction(Fraction(sign, i))
         for k, v in power.items():
-            term = v * factor
-            cur = log_series.get(k)
-            log_series[k] = term if cur is None else cur + term
+            _add_to(log_series, k, v * factor)
         sign = -sign
         if i < D:
             power = _series_mul(power, u, D)
-    return {k: v for k, v in log_series.items() if v}
+    return log_series
 
 
 def plethystic_h(spec, D):
@@ -186,23 +180,13 @@ def plethystic_h(spec, D):
     for n in range(1, D + 1):
         residue = {k: v for k, v in log_series.items() if sum(p.size for p in k) == n}
         for d in range(2, n + 1):
-            if n % d:
-                continue
-            for labels, value in entries.items():
-                if sum(A.size for A in labels) * d != n:
-                    continue
-                scaled = value.substitute_power(d)
-                for mus, w in _schur_vector_to_power(labels, scale=d).items():
-                    term = scaled * RationalQT.from_fraction(w * Fraction(1, d))
-                    cur = residue.get(mus)
-                    residue[mus] = -term if cur is None else cur - term
+            if n % d == 0:
+                _add_adams_layer(residue, entries, n, d, sign=-1)
         for labels in _labels_upto(spec.L, n):
             if sum(A.size for A in labels) != n:
                 continue
             pieces = []
             for mus, value in residue.items():
-                if not value:
-                    continue
                 chi = 1
                 for A, mu in zip(labels, mus):
                     if A.size != mu.size:
@@ -244,12 +228,17 @@ def t_transform(A, B):
 
 
 def hat_h(spec, B_labels, D=None, table=None):
-    """The transformed free energy fhat_B = sum_A f_A prod_a T_{A^a B^a}."""
+    """The transformed free energy fhat_B = sum_A f_A prod_a T_{A^a B^a}.
+
+    The table (given, or computed to degree D, default |B|) must reach the
+    total degree |B|; a truncated table would leave fhat_B silently 0.
+    """
     B_labels = tuple(Partition(B) for B in B_labels)
+    degree = sum(B.size for B in B_labels)
     if table is None:
-        if D is None:
-            D = sum(B.size for B in B_labels)
-        table = plethystic_h(spec, D)
+        table = plethystic_h(spec, degree if D is None else D)
+    if table.max_degree < degree:
+        raise ValueError(f"fhat_B has degree {degree}, beyond the table's degree {table.max_degree}")
     total = RationalQT(0)
     sizes = tuple(B.size for B in B_labels)
     for labels, value in table.entries.items():

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd
 
 from .exactring import LaurentQT, RationalQT, bracket_quotient, q_bracket, t_bracket, _exp
@@ -33,7 +33,9 @@ from .partitions import Partition, PartitionPair
 from .symfun import (
     COMPOSITE,
     POWER_PAIR,
-    composite_to_schurpair_terms,
+    adams_schurpair,
+    expand_terms,
+    multiply_terms,
     schurpair_mult,
     schurpair_to_composite_terms,
 )
@@ -240,31 +242,6 @@ def meridian_eigenvalue(lam, mu=()):
 
 
 @lru_cache(maxsize=None)
-def _adams_schurpair(pair, m):
-    """Adams operation applied to a composite element, left in the schur_pair basis."""
-    out = {}
-    for sp, c in composite_to_schurpair_terms(pair.pos, pair.neg).items():
-        if m == 1:
-            cur = out.get(sp, 0) + c
-            if cur:
-                out[sp] = cur
-            else:
-                out.pop(sp, None)
-            continue
-        from .symfun import adams_schur
-
-        for d, c1 in adams_schur(sp.pos, m).items():
-            for th, c2 in adams_schur(sp.neg, m).items():
-                key = PartitionPair(d, th)
-                cur = out.get(key, 0) + c * c1 * c2
-                if cur:
-                    out[key] = cur
-                else:
-                    out.pop(key, None)
-    return out
-
-
-@lru_cache(maxsize=None)
 def _surface_bracket(m, n, L, pairs):
     """Bracket of the surface-framed torus link decorated by composite labels.
 
@@ -272,36 +249,13 @@ def _surface_bracket(m, n, L, pairs):
     the annulus algebra, twists every resulting eigenvector by
     tau**(n/m), and evaluates each on the unknot.
     """
-    acc = None
-    for pair in pairs:
-        table = _adams_schurpair(pair, m)
-        if acc is None:
-            acc = dict(table)
-        else:
-            nxt = {}
-            for p1, c1 in acc.items():
-                for p2, c2 in table.items():
-                    for target, k in schurpair_mult(p1, p2).items():
-                        cur = nxt.get(target, 0) + c1 * c2 * k
-                        if cur:
-                            nxt[target] = cur
-                        else:
-                            nxt.pop(target, None)
-            acc = nxt
-    composite = {}
-    for sp, c in acc.items():
-        for target, k in schurpair_to_composite_terms(sp.pos, sp.neg).items():
-            cur = composite.get(target, 0) + c * k
-            if cur:
-                composite[target] = cur
-            else:
-                composite.pop(target, None)
+    tables = [adams_schurpair(pair, m) for pair in pairs]
+    product = reduce(lambda a, b: multiply_terms(a, b, schurpair_mult), tables)
     twist = Fraction(n, m)
-    pieces = []
-    for pair, c in composite.items():
-        mono = _framing_power(pair, twist) * c
-        pieces.append(RationalQT(mono) * unknot_full(pair.pos, pair.neg))
-    return RationalQT.sum(pieces)
+    return RationalQT.sum(
+        RationalQT(_framing_power(pair, twist) * c) * unknot_full(pair.pos, pair.neg)
+        for pair, c in expand_terms(product, schurpair_to_composite_terms).items()
+    )
 
 
 def _validated_pairs(spec, pairs):
@@ -366,18 +320,12 @@ def _t_integral(f):
 def torus_full_invariant(spec, pairs):
     """The framing-independent full colored invariant with the given labels.
 
-    The writhe correction removes m*n framing factors per component, so the
+    It is the framed bracket at framing -m*n per component (writhe 0), so the
     result does not depend on the framing vector at all; the final value has
     integer t-exponents (checked).
     """
     labels = _validated_pairs(spec, pairs)
-    if spec.family == UNKNOT:
-        value = unknot_full(labels[0].pos, labels[0].neg)
-    else:
-        norm = LaurentQT.one()
-        for pair in labels:
-            norm = norm * _framing_power(pair, -spec.m * spec.n)
-        value = RationalQT(norm) * _surface_bracket(spec.m, spec.n, spec.L, labels)
+    value = _bracket_basis(spec.with_framing(-spec.m * spec.n), labels)
     # denominators are q-brackets, so the t-exponents all sit in the numerator
     if not _t_integral(value.num):
         raise ArithmeticError(f"non-integral t-exponent in invariant for {spec.describe()}")

@@ -125,20 +125,59 @@ def schurpair_mult(p1, p2):
     return out
 
 
+def expand_terms(table, kernel):
+    """Re-expand {(pos, neg): c} through kernel(pos, neg) -> {target: k}: sum of c * k."""
+    out = {}
+    for (pos, neg), c in table.items():
+        for target, k in kernel(pos, neg).items():
+            _add_to(out, target, c * k)
+    return out
+
+
+def legwise_terms(table, kernel):
+    """Apply kernel(leg) -> {a: k} to both legs of every {(pos, neg): c} entry.
+
+    The result maps (a, b) to the sum of c * k_pos(a) * k_neg(b).
+    """
+    out = {}
+    for (pos, neg), c in table.items():
+        right = kernel(neg)
+        for a, ka in kernel(pos).items():
+            for b, kb in right.items():
+                _add_to(out, PartitionPair(a, b), c * (ka * kb))
+    return out
+
+
+def multiply_terms(t1, t2, kernel):
+    """Product of {pair: c} tables through the structure constants kernel(p1, p2)."""
+    out = {}
+    for p1, c1 in t1.items():
+        for p2, c2 in t2.items():
+            c = c1 * c2
+            for pair, k in kernel(p1, p2).items():
+                _add_to(out, pair, c * k)
+    return out
+
+
 @lru_cache(maxsize=None)
 def composite_product_terms(p1, p2):
     """Structure constants of the composite basis, through the schur_pair route."""
-    acc = {}
     t1 = composite_to_schurpair_terms(p1.pos, p1.neg)
     t2 = composite_to_schurpair_terms(p2.pos, p2.neg)
-    for a, c1 in t1.items():
-        for b, c2 in t2.items():
-            for pair, c3 in schurpair_mult(a, b).items():
-                _add_to(acc, pair, c1 * c2 * c3)
+    return expand_terms(multiply_terms(t1, t2, schurpair_mult), schurpair_to_composite_terms)
+
+
+@lru_cache(maxsize=None)
+def pair_weights(A):
+    """{(lam, mu): c^A_{lam,mu}} over all pairs splitting the label A."""
+    A = Partition(A)
     out = {}
-    for pair, c in acc.items():
-        for target, k in schurpair_to_composite_terms(pair.pos, pair.neg).items():
-            _add_to(out, target, c * k)
+    for k in range(A.size + 1):
+        for lam in partitions_of(k):
+            for mu in partitions_of(A.size - k):
+                c = lr_coeff(A, lam, mu)
+                if c:
+                    out[PartitionPair(lam, mu)] = c
     return out
 
 
@@ -212,26 +251,20 @@ def adams_schur(lam, m):
 
 
 @lru_cache(maxsize=None)
+def adams_schurpair(pair, m):
+    """Adams operation on a composite basis element, left in the schur_pair basis."""
+    table = composite_to_schurpair_terms(pair.pos, pair.neg)
+    return legwise_terms(table, lambda lam: adams_schur(lam, m))
+
+
+@lru_cache(maxsize=None)
 def adams_composite(pair, m):
     """Adams operation on a composite basis element, as an integer table.
 
-    Computed by pushing through the schur_pair basis: expand, apply the Adams
-    table to each tensor leg, re-expand in the composite basis.
+    The schur_pair table of ``adams_schurpair`` re-expanded in the composite
+    basis.
     """
-    if m == 1:
-        return {pair: 1}
-    acc = {}
-    for sp, c in composite_to_schurpair_terms(pair.pos, pair.neg).items():
-        left = adams_schur(sp.pos, m)
-        right = adams_schur(sp.neg, m)
-        for d, c1 in left.items():
-            for th, c2 in right.items():
-                _add_to(acc, PartitionPair(d, th), c * c1 * c2)
-    out = {}
-    for sp, c in acc.items():
-        for target, k in schurpair_to_composite_terms(sp.pos, sp.neg).items():
-            _add_to(out, target, c * k)
-    return out
+    return expand_terms(adams_schurpair(pair, m), schurpair_to_composite_terms)
 
 
 # -- the SymFunc container --------------------------------------------------------------
@@ -250,22 +283,11 @@ class SymFunc:
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}")
         data = {}
-        if terms:
-            for pair, coeff in terms.items():
-                if isinstance(coeff, (int, Fraction)):
-                    coeff = (
-                        RationalQT(coeff)
-                        if isinstance(coeff, int)
-                        else RationalQT.from_fraction(coeff)
-                    )
-                if coeff:
-                    key = PartitionPair(Partition(pair[0]), Partition(pair[1]))
-                    if key in data:
-                        coeff = data[key] + coeff
-                    if coeff:
-                        data[key] = coeff
-                    else:
-                        del data[key]
+        for pair, coeff in (terms or {}).items():
+            value = RationalQT._coerce(coeff)
+            if value is None:
+                raise TypeError(f"unsupported coefficient {coeff!r}")
+            _add_to(data, PartitionPair(Partition(pair[0]), Partition(pair[1])), value)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "terms", data)
 
@@ -306,12 +328,7 @@ class SymFunc:
             other = other.to_basis(self.basis)
         data = dict(self.terms)
         for pair, c in other.terms.items():
-            cur = data.get(pair)
-            c2 = c if cur is None else cur + c
-            if c2:
-                data[pair] = c2
-            else:
-                data.pop(pair, None)
+            _add_to(data, pair, c)
         return SymFunc(self.basis, data)
 
     def __neg__(self):
@@ -342,33 +359,18 @@ class SymFunc:
     def to_basis(self, basis):
         if basis == self.basis:
             return self
-        route = {
-            (COMPOSITE, SCHUR_PAIR): composite_to_schurpair_terms,
-            (SCHUR_PAIR, COMPOSITE): schurpair_to_composite_terms,
-        }
-        if (self.basis, basis) in route:
-            kernel = route[(self.basis, basis)]
-            out = {}
-            for pair, coeff in self.terms.items():
-                for target, k in kernel(pair.pos, pair.neg).items():
-                    _add_to(out, target, coeff * k)
-            return SymFunc(basis, out)
-        if self.basis == SCHUR_PAIR and basis == POWER_PAIR:
-            out = {}
-            for pair, coeff in self.terms.items():
-                for eta, a in schur_to_power_terms(pair.pos).items():
-                    for pi, b in schur_to_power_terms(pair.neg).items():
-                        _add_to(out, PartitionPair(eta, pi), coeff * (a * b))
-            return SymFunc(POWER_PAIR, out)
-        if self.basis == POWER_PAIR and basis == SCHUR_PAIR:
-            out = {}
-            for pair, coeff in self.terms.items():
-                for lam, a in power_to_schur_terms(pair.pos).items():
-                    for nu, b in power_to_schur_terms(pair.neg).items():
-                        _add_to(out, PartitionPair(lam, nu), coeff * (a * b))
-            return SymFunc(SCHUR_PAIR, out)
-        # two-step routes through schur_pair
-        return self.to_basis(SCHUR_PAIR).to_basis(basis)
+        step = (self.basis, basis)
+        if step == (COMPOSITE, SCHUR_PAIR):
+            terms = expand_terms(self.terms, composite_to_schurpair_terms)
+        elif step == (SCHUR_PAIR, COMPOSITE):
+            terms = expand_terms(self.terms, schurpair_to_composite_terms)
+        elif step == (SCHUR_PAIR, POWER_PAIR):
+            terms = legwise_terms(self.terms, schur_to_power_terms)
+        elif step == (POWER_PAIR, SCHUR_PAIR):
+            terms = legwise_terms(self.terms, power_to_schur_terms)
+        else:  # two-step routes through schur_pair
+            return self.to_basis(SCHUR_PAIR).to_basis(basis)
+        return SymFunc(basis, terms)
 
     # -- multiplication --------------------------------------------------------------------
 
@@ -377,20 +379,15 @@ class SymFunc:
             return NotImplemented
         if other.basis != self.basis:
             other = other.to_basis(self.basis)
-        out = {}
         if self.basis == POWER_PAIR:
+            out = {}
             for p1, c1 in self.terms.items():
                 for p2, c2 in other.terms.items():
                     key = PartitionPair(p1.pos.union(p2.pos), p1.neg.union(p2.neg))
                     _add_to(out, key, c1 * c2)
             return SymFunc(POWER_PAIR, out)
         kernel = schurpair_mult if self.basis == SCHUR_PAIR else composite_product_terms
-        for p1, c1 in self.terms.items():
-            for p2, c2 in other.terms.items():
-                c = c1 * c2
-                for pair, k in kernel(p1, p2).items():
-                    _add_to(out, pair, c * k)
-        return SymFunc(self.basis, out)
+        return SymFunc(self.basis, multiply_terms(self.terms, other.terms, kernel))
 
     # -- symmetries ---------------------------------------------------------------------------
 
@@ -504,14 +501,7 @@ def q_determinant(lam, mu):
     matrix = q_matrix(lam, mu)
     size = len(matrix)
     monos = _det_monomials(tuple(range(size)), tuple(range(size)), matrix)
-    out = {}
-    for (hs, hstars), c in monos.items():
-        left = _h_monomial_schur(hs)
-        right = _h_monomial_schur(hstars)
-        for a, c1 in left.items():
-            for b, c2 in right.items():
-                _add_to(out, PartitionPair(a, b), c * c1 * c2)
-    return SymFunc(SCHUR_PAIR, out).to_basis(COMPOSITE)
+    return SymFunc(SCHUR_PAIR, legwise_terms(monos, _h_monomial_schur)).to_basis(COMPOSITE)
 
 
 # -- the orientation-symmetrised power-sum element ------------------------------------------------
@@ -523,14 +513,9 @@ def _r_nu_character_route(nu):
     composite = {}
     for A in partitions_of(nu.size):
         chi = character(A, nu)
-        if not chi:
-            continue
-        for k in range(nu.size + 1):
-            for lam in partitions_of(k):
-                for m in partitions_of(nu.size - k):
-                    c = lr_coeff(A, lam, m)
-                    if c:
-                        _add_to(composite, PartitionPair(lam, m), chi * c)
+        if chi:
+            for pair, c in pair_weights(A).items():
+                _add_to(composite, pair, chi * c)
     return SymFunc(COMPOSITE, composite).to_basis(POWER_PAIR)
 
 

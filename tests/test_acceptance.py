@@ -5,23 +5,32 @@ Every check is exact (integer or ring equality); there are no numerical
 tolerances anywhere.
 """
 
-from itertools import product as iproduct
+import pytest
 
-from skeinlab.composite import integrality_2z, r_reform, z_reform, zsquare_member
 from skeinlab.exactring import LaurentQT
 from skeinlab.fixtures import (
     check_hopf_hat_table,
-    check_matrix_fixture,
     check_theorem_79,
     check_torus_knot_family,
     hopf_with_kinks,
 )
 from skeinlab.lmov import lmov_check, plethystic_h, special_polynomial
-from skeinlab.partitions import Partition, PartitionPair, pairs_of_total, partitions_of
-from skeinlab.selftest import ACCEPTANCE_SPECS, corollary_congruence, run as run_suites
+from skeinlab.partitions import Partition, PartitionPair, pairs_of_total
+from skeinlab.selftest import corollary_congruence, run as run_suites
 from skeinlab.skein import LinkSpec
 
 P = Partition
+
+
+@pytest.fixture(scope="module")
+def suites():
+    """Every selftest suite, run once: criteria 4 and 5 are two of its checks."""
+    return run_suites()
+
+
+def _check(results, suite, name):
+    """(ok, detail) of one named selftest check."""
+    return next((ok, detail) for check, ok, detail in results[suite] if check == name)
 
 
 def _report(criterion, ok, detail):
@@ -63,39 +72,14 @@ def test_criterion_3_congruent_skein_instances():
     )
 
 
-def test_criterion_4_zh_integrality():
-    labels = [p for n in range(1, 4) for p in partitions_of(n)]
-    bad = []
-    count = 0
-    for name, spec in ACCEPTANCE_SPECS:
-        for combo in iproduct(labels, repeat=spec.L):
-            verdict, stage, _ = zsquare_member(z_reform(spec, list(combo)))
-            count += 1
-            if not verdict:
-                bad.append((name, combo, stage))
-    assert _report(
-        "criterion-4",
-        not bad,
-        f"Zh in Z[z^2, t^±1] for {count} (spec, label) pairs, labels of size <= 3"
-        + (f"; failures: {bad[:3]}" if bad else ""),
-    )
+def test_criterion_4_zh_integrality(suites):
+    ok, detail = _check(suites, "composite", "zh-integrality")
+    assert _report("criterion-4", ok, f"Zh in Z[z^2, t^±1] on the acceptance specs, {detail}")
 
 
-def test_criterion_5_rh_even_integrality():
-    bad = []
-    count = 0
-    for name, spec in ACCEPTANCE_SPECS:
-        for p in (2, 3):
-            verdict, stage, _ = integrality_2z(r_reform(spec, p))
-            count += 1
-            if not verdict:
-                bad.append((name, p, stage))
-    assert _report(
-        "criterion-5",
-        not bad,
-        f"Rh_p in 2Z[z^2, t^±1] for p in {{2,3}} on {count} instances"
-        + (f"; failures: {bad}" if bad else ""),
-    )
+def test_criterion_5_rh_even_integrality(suites):
+    ok, detail = _check(suites, "composite", "rh-2z-integrality")
+    assert _report("criterion-5", ok, f"Rh_p in 2Z[z^2, t^±1] on the acceptance specs, {detail}")
 
 
 def test_criterion_6_special_polynomials():
@@ -130,19 +114,18 @@ def test_criterion_6_special_polynomials():
     )
 
 
-def test_criterion_7_structural_suites():
-    results = run_suites()
+def test_criterion_7_structural_suites(suites):
     bad = [
         f"{suite}:{name}"
-        for suite, checks in results.items()
+        for suite, checks in suites.items()
         for name, ok, _ in checks
         if not ok
     ]
-    total = sum(len(c) for c in results.values())
+    total = sum(len(c) for c in suites.values())
     assert _report(
         "criterion-7",
         not bad,
-        f"{total} structural property checks across {len(results)} suites"
+        f"{total} structural property checks across {len(suites)} suites"
         + (f"; failures: {bad}" if bad else ""),
     )
 

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, exit codes, determinism, cache handling."""
 
+import hashlib
 import json
 
 import pytest
@@ -112,6 +113,73 @@ class TestReformAndLmov:
         doc = json.loads(out.strip().splitlines()[-1])
         assert doc["verdict"] is True
         assert [0, 0, 6] in doc["N"]
+
+    @pytest.mark.parametrize("D", ["0", "1"])
+    def test_lmov_truncated_table_exit_2(self, capsys, D):
+        # fhat_{(1),(1)} needs the degree-2 table; below it the value would read 0
+        code, _, err = run_cli(
+            capsys, "lmov", "--torus", "1", "1", "2", "--B", "[[1],[1]]", "--D", D
+        )
+        assert code == 2 and "degree 2" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("invariant", "--pairs", "[[[1]]]"),
+        ("invariant", "--pairs", "[[[1],[1],[1]]]"),
+        ("invariant", "--pairs", "[[[1],[0]]]"),
+        ("composite", "--labels", "[[1.5]]"),
+        ("composite", "--labels", "[[true]]"),
+        ("composite", "--labels", "[[2,0,1]]"),
+        ("composite", "--labels", "[3]"),
+    ],
+    ids=lambda argv: argv[2],
+)
+def test_malformed_label_exit_2(capsys, argv):
+    command, flag, text = argv
+    with pytest.raises(SystemExit) as err:
+        run_cli(capsys, command, "--torus", "2", "3", "1", flag, text)
+    assert err.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+# sha256 of the --json document, so that a change of the algebra kernels cannot
+# move an output byte unnoticed; together these cover Adams m = 3,
+# three-component products and mixed-orientation labels.  The reform case uses
+# p = 1: with p = 2 the same link runs ~35 s (degree-18 LR products).
+PINNED_JSON_SHA256 = [
+    (
+        ("bracket", "--torus", "1", "1", "2", "--pairs", "[[[1],[]],[[1],[]]]"),
+        "1e79d33bcdcdb903804f7eabb25447a006d8e48711fc128afccbcc03f12ec0b9",
+    ),
+    (
+        ("composite", "--torus", "2", "3", "1", "--labels", "[[2,1]]", "--framed"),
+        "edf4688c0c4670553cd524e9b5de8376754b6202441753865a10a1f0f1bb56ae",
+    ),
+    (
+        ("reform", "--torus", "3", "1", "3", "--blackboard", "--p", "1"),
+        "f33ecb73b1499e95894e3ac30fed8a229d419ce2f05b529be897ee363ae4f61e",
+    ),
+    (
+        ("lmov", "--torus", "1", "1", "2", "--framing=-1,-1", "--B", "[[2],[1,1]]"),
+        "85a004cb97d132d61b12098767d5091ef1be21bcae3b18a28b2b0a1c383974e1",
+    ),
+    (
+        ("invariant", "--torus", "3", "4", "1", "--pairs", "[[[2,1],[1]]]"),
+        "a4293e08791fd5c2a25c05269851dbadb78590b22a6fa05328ebe7c607e69025",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", PINNED_JSON_SHA256, ids=[argv[0] for argv, _ in PINNED_JSON_SHA256]
+)
+def test_json_bytes_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    document = out.strip().splitlines()[-1]
+    assert hashlib.sha256(document.encode()).hexdigest() == digest
 
 
 class TestCongruenceAndRepro:

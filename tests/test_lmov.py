@@ -122,6 +122,16 @@ class TestLmovCheck:
         verdict, ntable, stage = lmov_check(spec, [EMPTY], D=1)
         assert verdict and ntable == {}
 
+    @pytest.mark.parametrize("D, table_degree", [(2, None), (None, 2), (None, 3)])
+    def test_truncated_table_is_refused(self, D, table_degree):
+        # fhat_{(2),(2)} has degree 4: a lower-degree table holds none of its f_A
+        spec = LinkSpec.torus(1, 1, 2)
+        table = None if table_degree is None else plethystic_h(spec, table_degree)
+        with pytest.raises(ValueError, match="degree 4"):
+            lmov_check(spec, [P([2]), P([2])], D=D, table=table)
+        with pytest.raises(ValueError, match="degree 4"):
+            hat_h(spec, [P([2]), P([2])], D=D, table=table)
+
     def test_hopf_values_pinned(self):
         spec = LinkSpec.torus(1, 1, 2, framing=(-1, -1))
         table = plethystic_h(spec, 4)
