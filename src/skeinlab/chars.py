@@ -1,9 +1,7 @@
 """Symmetric-group characters and Littlewood-Richardson coefficients.
 
 Characters chi_lambda(C_mu) are computed by the Murnaghan-Nakayama border-strip
-recursion on beta-numbers, memoised in a table that can persist to disk (one
-JSON file per degree under the directory named by SKEINLAB_CACHE).  A missing
-or corrupted cache file is silently recomputed.
+recursion on beta-numbers, memoised in memory for the life of the process.
 
 Littlewood-Richardson coefficients come in two independent flavours:
 tableau enumeration (`lr_coeff`) and the character-sum formula
@@ -12,16 +10,10 @@ tableau enumeration (`lr_coeff`) and the character-sum formula
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from fractions import Fraction
 from functools import lru_cache
 
 from .partitions import Partition, partitions_of
-
-CACHE_ENV = "SKEINLAB_CACHE"
-_CACHE_VERSION = 1
 
 
 class SizeMismatch(ValueError):
@@ -40,140 +32,33 @@ def _partition_from_beta(beta):
     return Partition(beta[i] - (l - 1 - i) for i in range(l))
 
 
-class CharacterTable:
-    """Memoised table of irreducible symmetric-group character values.
-
-    The memo behaves as a pure cache: concurrent use may duplicate work but
-    every stored entry is final, and results do not depend on interleaving.
-    """
-
-    def __init__(self, cache_dir=None):
-        if cache_dir is None:
-            cache_dir = os.environ.get(CACHE_ENV)
-        self.cache_dir = cache_dir
-        self._memo = {}
-        self._loaded = set()
-        self._dirty = set()
-
-    # -- public API ------------------------------------------------------------
-
-    def character(self, lam, mu):
-        """chi_lambda evaluated on the conjugacy class of cycle type mu."""
-        lam, mu = Partition(lam), Partition(mu)
-        if lam.size != mu.size:
-            raise SizeMismatch(f"|{lam}| = {lam.size} != {mu.size} = |{mu}|")
-        self._load_degree(lam.size)
-        return self._chi(lam, mu)
-
-    def dimension(self, lam):
-        lam = Partition(lam)
-        return self.character(lam, Partition([1] * lam.size))
-
-    def _chi(self, lam, mu):
-        key = (lam, mu)
-        val = self._memo.get(key)
-        if val is not None:
-            return val
-        if not mu:
-            return 1 if not lam else 0
-        # strip the largest part of mu first: deterministic recursion order
-        k, rest = mu[0], Partition(mu[1:])
-        beta = _beta_numbers(lam)
-        beta_set = set(beta)
-        total = 0
-        for b in beta:
-            nb = b - k
-            if nb < 0 or nb in beta_set:
-                continue
-            height = sum(1 for c in beta if nb < c < b)
-            nxt = _partition_from_beta([nb if c == b else c for c in beta])
-            term = self._chi(nxt, rest)
-            total += -term if height % 2 else term
-        self._memo[key] = total
-        self._dirty.add(lam.size)
-        return total
-
-    # -- persistence -------------------------------------------------------------
-
-    def _path(self, degree):
-        return os.path.join(self.cache_dir, f"chars_v{_CACHE_VERSION}_deg{degree}.json")
-
-    def _load_degree(self, degree):
-        if self.cache_dir is None or degree in self._loaded:
-            return
-        self._loaded.add(degree)
-        try:
-            with open(self._path(degree)) as fh:
-                data = json.load(fh)
-            if data.get("version") != _CACHE_VERSION or data.get("degree") != degree:
-                return
-            for lam, mu, val in data["entries"]:
-                lam, mu = Partition(lam), Partition(mu)
-                if lam.size == mu.size == degree:
-                    self._memo[(lam, mu)] = int(val)
-        except (OSError, ValueError, KeyError, TypeError):
-            pass  # recompute silently
-
-    def persist(self):
-        """Write dirty degrees to disk (atomic rename; no-op without a cache dir)."""
-        if self.cache_dir is None:
-            return
-        os.makedirs(self.cache_dir, exist_ok=True)
-        for degree in sorted(self._dirty):
-            entries = [
-                [list(lam), list(mu), val]
-                for (lam, mu), val in sorted(self._memo.items())
-                if lam.size == degree
-            ]
-            payload = {"version": _CACHE_VERSION, "degree": degree, "entries": entries}
-            fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    json.dump(payload, fh)
-                os.replace(tmp, self._path(degree))
-            except OSError:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-        self._dirty.clear()
-
-    def clear_disk(self):
-        if self.cache_dir is None or not os.path.isdir(self.cache_dir):
-            return 0
-        n = 0
-        for name in os.listdir(self.cache_dir):
-            if name.startswith("chars_v") and name.endswith(".json"):
-                os.unlink(os.path.join(self.cache_dir, name))
-                n += 1
-        return n
-
-
-_default_table = None
-
-
-def default_table():
-    global _default_table
-    if _default_table is None:
-        _default_table = CharacterTable()
-    return _default_table
-
-
-def set_default_cache_dir(path):
-    """Point the process-wide table at a cache directory (CLI --cache-dir)."""
-    global _default_table
-    table = default_table()
-    if table.cache_dir != path:
-        fresh = CharacterTable(cache_dir=path)
-        fresh._memo.update(table._memo)
-        fresh._dirty.update(lam.size for lam, _ in table._memo)
-        _default_table = fresh
-    return _default_table
+@lru_cache(maxsize=None)
+def _chi(lam, mu):
+    """chi_lam(C_mu) for partitions of equal size, by border-strip recursion."""
+    if not mu:
+        return 1 if not lam else 0
+    # strip the largest part of mu first: deterministic recursion order
+    k, rest = mu[0], Partition(mu[1:])
+    beta = _beta_numbers(lam)
+    beta_set = set(beta)
+    total = 0
+    for b in beta:
+        nb = b - k
+        if nb < 0 or nb in beta_set:
+            continue
+        height = sum(1 for c in beta if nb < c < b)
+        nxt = _partition_from_beta([nb if c == b else c for c in beta])
+        term = _chi(nxt, rest)
+        total += -term if height % 2 else term
+    return total
 
 
 def character(lam, mu):
-    """chi_lambda(C_mu) from the process-wide table."""
-    return default_table().character(lam, mu)
+    """chi_lambda evaluated on the conjugacy class of cycle type mu."""
+    lam, mu = Partition(lam), Partition(mu)
+    if lam.size != mu.size:
+        raise SizeMismatch(f"|{lam}| = {lam.size} != {mu.size} = |{mu}|")
+    return _chi(lam, mu)
 
 
 # -- Littlewood-Richardson ---------------------------------------------------------
@@ -232,7 +117,7 @@ def lr_coeff(nu, lam, mu):
     return place(0)
 
 
-def lr_via_chars(nu, lam, mu, table=None):
+def lr_via_chars(nu, lam, mu):
     """c^nu_{lam, mu} through the character-sum formula; the independent oracle.
 
     c^nu_{lam,mu} = sum over rho, tau of
@@ -241,17 +126,16 @@ def lr_via_chars(nu, lam, mu, table=None):
     nu, lam, mu = Partition(nu), Partition(lam), Partition(mu)
     if lam.size + mu.size != nu.size:
         return 0
-    table = table or default_table()
     total = Fraction(0)
     for rho in partitions_of(lam.size):
-        chi_l = table.character(lam, rho)
+        chi_l = character(lam, rho)
         if not chi_l:
             continue
         for tau in partitions_of(mu.size):
-            chi_m = table.character(mu, tau)
+            chi_m = character(mu, tau)
             if not chi_m:
                 continue
-            chi_n = table.character(nu, rho.union(tau))
+            chi_n = character(nu, rho.union(tau))
             if not chi_n:
                 continue
             total += Fraction(chi_l * chi_m * chi_n, rho.z * tau.z)

@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
-from .chars import default_table, set_default_cache_dir
 from .composite import (
     composite_invariant,
     framed_composite,
@@ -33,7 +31,7 @@ from .exactring import LaurentQT, format_laurent
 from .fixtures import FIXTURE_SETS, run_fixture
 from .lmov import congruent_skein_case, hat_h, lmov_check, plethystic_h, special_polynomial
 from .partitions import Partition, PartitionPair
-from .selftest import SUITES, run as run_suites
+from .selftest import SUITES
 from .skein import LinkSpec, full_invariant_value, torus_framed
 from .symfun import SymFunc
 
@@ -263,6 +261,15 @@ def _parse_krange(text):
     return [int(x) for x in text.split(",")]
 
 
+def _map_jobs(fn, items, jobs):
+    """[fn(x) for x in items], over min(jobs, len(items)) worker processes if that is > 1."""
+    workers = min(jobs, len(items))
+    if workers < 2:
+        return [fn(x) for x in items]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def _congruence_item(pk):
     p, k = pk
     verdict, stage, _ = congruent_skein_case(p, k)
@@ -274,11 +281,7 @@ def cmd_congruence(args):
         raise SystemExit2("only the t2 family (torus quadruples on two strands) is supported")
     ks = _parse_krange(args.k)
     items = [(args.p, k) for k in ks]
-    if args.jobs and args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = sorted(pool.map(_congruence_item, items))
-    else:
-        results = sorted(_congruence_item(it) for it in items)
+    results = sorted(_map_jobs(_congruence_item, items, args.jobs))
     doc = {
         "command": "congruence",
         "p": args.p,
@@ -317,11 +320,7 @@ def cmd_selftest(args):
     for name in names:
         if name not in SUITES:
             raise SystemExit2(f"unknown suite {name!r}; choices: {sorted(SUITES)}")
-    if args.jobs and args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = dict(pool.map(_suite_item, [(n, args.deep) for n in names]))
-    else:
-        results = run_suites(names, deep=args.deep)
+    results = dict(_map_jobs(_suite_item, [(n, args.deep) for n in names], args.jobs))
     failures = 0
     doc = {"command": "selftest", "suites": {}}
     for name in names:
@@ -331,7 +330,6 @@ def cmd_selftest(args):
             status = "pass" if ok else "FAIL"
             print(f"[{status}] {name}:{check} ({detail})")
             failures += 0 if ok else 1
-    default_table().persist()
     _emit(args, doc, [f"{failures} failures" if failures else "all suites passed"])
     return 1 if failures else 0
 
@@ -347,42 +345,18 @@ def cmd_repro(args):
         failures += len(bad)
         status = "ok" if not bad else f"DIFFS: {bad}"
         print(f"{name}: {len(checks)} checks, {status}")
-    default_table().persist()
     _emit(args, doc, ["report clean" if not failures else f"{failures} diffs"])
     return 1 if failures else 0
-
-
-def cmd_cache(args):
-    table = default_table()
-    if args.action == "info":
-        where = table.cache_dir or "(memory only; set SKEINLAB_CACHE or --cache-dir)"
-        print(f"cache directory: {where}")
-        if table.cache_dir and os.path.isdir(table.cache_dir):
-            files = sorted(
-                f for f in os.listdir(table.cache_dir) if f.startswith("chars_")
-            )
-            print(f"files: {len(files)}")
-            for f in files:
-                print(f"  {f}")
-        return 0
-    removed = table.clear_disk()
-    print(f"removed {removed} cache files")
-    return 0
 
 
 # -- argument wiring -----------------------------------------------------------------
 
 
-def _load_config(path):
-    values = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
-    return values
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
 
 
 def build_parser():
@@ -393,9 +367,6 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=f"skeinlab {__version__}")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value config file (flags take precedence)")
-    common.add_argument("--cache-dir", help="character table cache directory")
-    common.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     common.add_argument("--output", help="write the JSON document to this path")
     common.add_argument("--json", action="store_true", help="also print the JSON document")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -436,6 +407,8 @@ def build_parser():
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--family", default="t2")
     p.add_argument("--k", required=True, help="range like 0..3 or list like 0,2")
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="worker processes (at most one per k)")
     p.set_defaults(func=cmd_congruence)
 
     p = add_parser("special", help="q -> 1 special polynomial")
@@ -446,29 +419,19 @@ def build_parser():
     p = add_parser("selftest", help="run structural property suites")
     p.add_argument("--suite", action="append", help="suite name (repeatable; default all)")
     p.add_argument("--deep", action="store_true", help="larger randomized sample sizes")
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="worker processes (at most one per suite)")
     p.set_defaults(func=cmd_selftest)
 
     p = add_parser("repro", help="reproduce pinned regression fixtures")
     p.add_argument("set", choices=sorted(FIXTURE_SETS) + ["all"])
     p.set_defaults(func=cmd_repro)
-
-    p = add_parser("cache", help="character-table cache management")
-    p.add_argument("action", choices=["info", "clear"])
-    p.set_defaults(func=cmd_cache)
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config:
-        config = _load_config(args.config)
-        if args.cache_dir is None and "cache_dir" in config:
-            args.cache_dir = config["cache_dir"]
-        if args.jobs == 1 and "jobs" in config:
-            args.jobs = int(config["jobs"])
-    if args.cache_dir:
-        set_default_cache_dir(args.cache_dir)
     try:
         return args.func(args)
     except SystemExit:

@@ -658,10 +658,6 @@ class RationalQT:
             object.__setattr__(self, "_den", _phi_product(self._exps) * self._c)
         return self._den
 
-    @property
-    def is_zero(self):
-        return not self.num
-
     def __bool__(self):
         return bool(self.num)
 

@@ -8,14 +8,13 @@ border-strip code is shared with the engine.
 """
 
 import itertools
-import json
 import threading
 from fractions import Fraction
 
 import pytest
 
+from skeinlab import chars
 from skeinlab.chars import (
-    CharacterTable,
     SizeMismatch,
     character,
     lr_coeff,
@@ -216,57 +215,15 @@ class TestLR:
 
 
 class TestCache:
-    def test_disk_round_trip(self, tmp_path):
-        table = CharacterTable(cache_dir=str(tmp_path))
-        value = table.character(P([2, 1]), P([3]))
-        table.persist()
-        files = list(tmp_path.glob("chars_v*_deg3.json"))
-        assert files
-        fresh = CharacterTable(cache_dir=str(tmp_path))
-        fresh._load_degree(3)
-        assert fresh._memo[(P([2, 1]), P([3]))] == value
-
-    def test_corrupt_cache_recomputed(self, tmp_path):
-        table = CharacterTable(cache_dir=str(tmp_path))
-        table.character(P([2, 1]), P([3]))
-        table.persist()
-        for f in tmp_path.glob("chars_v*.json"):
-            f.write_text("{definitely not json")
-        fresh = CharacterTable(cache_dir=str(tmp_path))
-        assert fresh.character(P([2, 1]), P([3])) == table.character(P([2, 1]), P([3]))
-
-    def test_wrong_version_ignored(self, tmp_path):
-        table = CharacterTable(cache_dir=str(tmp_path))
-        expected = table.character(P([2]), P([2]))
-        table.persist()
-        for f in tmp_path.glob("chars_v*.json"):
-            data = json.loads(f.read_text())
-            data["version"] = -1
-            data["entries"] = [[[2], [2], 999]]
-            f.write_text(json.dumps(data))
-        fresh = CharacterTable(cache_dir=str(tmp_path))
-        assert fresh.character(P([2]), P([2])) == expected
-
-    def test_env_variable_used(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SKEINLAB_CACHE", str(tmp_path))
-        table = CharacterTable()
-        assert table.cache_dir == str(tmp_path)
-
-    def test_memory_only_without_env(self, monkeypatch):
-        monkeypatch.delenv("SKEINLAB_CACHE", raising=False)
-        table = CharacterTable()
-        assert table.cache_dir is None
-        table.persist()  # no-op
-
     def test_concurrent_lookups_consistent(self):
-        table = CharacterTable(cache_dir=None)
+        chars._chi.cache_clear()  # make the threads fill the memo concurrently
         results = []
 
         def worker():
             local = []
             for lam in partitions_of(5):
                 for mu in partitions_of(5):
-                    local.append(table.character(lam, mu))
+                    local.append(character(lam, mu))
             results.append(local)
 
         threads = [threading.Thread(target=worker) for _ in range(4)]

@@ -1,10 +1,16 @@
-"""Command-line interface: parsing, exit codes, determinism, cache handling."""
+"""Command-line interface: parsing, exit codes, determinism, worker pools."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import skeinlab
+import skeinlab.cli as cli
 from skeinlab.cli import main
 
 
@@ -230,29 +236,83 @@ class TestSelftestAndCache:
         assert code == 0
         assert "[pass] partitions:" in out
 
-    def test_cache_info_and_clear(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("SKEINLAB_CACHE", str(tmp_path))
-        import skeinlab.chars as chars
-
-        monkeypatch.setattr(chars, "_default_table", None)
-        code, out, _ = run_cli(capsys, "selftest", "--suite", "chars")
-        assert code == 0
-        assert list(tmp_path.glob("chars_v*.json"))
-        code, out, _ = run_cli(capsys, "cache", "info")
-        assert code == 0 and str(tmp_path) in out
-        code, out, _ = run_cli(capsys, "cache", "clear")
-        assert code == 0
-        assert not list(tmp_path.glob("chars_v*.json"))
-
-    def test_config_file(self, capsys, tmp_path, monkeypatch):
-        import skeinlab.chars as chars
-
-        monkeypatch.setattr(chars, "_default_table", None)
-        monkeypatch.delenv("SKEINLAB_CACHE", raising=False)
-        cfg = tmp_path / "skeinlab.cfg"
-        cache_dir = tmp_path / "cache"
-        cfg.write_text(f"# comment\ncache_dir={cache_dir}\n")
-        code, out, _ = run_cli(
-            capsys, "cache", "info", "--config", str(cfg)
+    def test_stale_cache_directory_is_not_read(self, capsys, tmp_path):
+        # a character file in the layout of the former on-disk cache, with
+        # chi_(2)(1,1) = 7 instead of -1; a fresh process must not read it
+        (tmp_path / "chars_v1_deg2.json").write_text(
+            json.dumps({"version": 1, "degree": 2, "entries": [[[2], [1, 1], 7]]})
         )
-        assert code == 0 and str(cache_dir) in out
+        argv = ["invariant", "--torus", "2", "3", "1", "--pairs", "[[[2],[]]]", "--json"]
+        src = str(Path(skeinlab.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=src, SKEINLAB_CACHE=str(tmp_path))
+        done = subprocess.run(
+            [sys.executable, "-m", "skeinlab.cli", *argv],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert done.stdout == run_cli(capsys, *argv)[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("invariant", "--unknot", "0", "--pairs", "[[1]]", "--cache-dir", "DIR"),
+        ("invariant", "--unknot", "0", "--pairs", "[[1]]", "--config", "FILE"),
+        ("invariant", "--unknot", "0", "--pairs", "[[1]]", "--jobs", "2"),
+        ("repro", "all", "--jobs", "2"),
+        ("cache", "info"),
+        ("congruence", "--p", "2", "--k", "0..1", "--jobs", "0"),
+        ("selftest", "--jobs", "-1"),
+    ],
+    ids=["cache-dir", "config", "invariant-jobs", "repro-jobs", "cache", "jobs-0", "jobs-negative"],
+)
+def test_rejected_arguments_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(list(argv))
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: skeinlab")
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swap the CLI's ProcessPoolExecutor for an in-process stand-in; lists its max_workers."""
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "k, jobs, workers",
+    [("0..1", "64", [2]), ("0", "64", []), ("0..3", "2", [2]), ("0..3", "1", [])],
+)
+def test_jobs_bounded_by_item_count(capsys, pool_sizes, k, jobs, workers):
+    code, _, _ = run_cli(capsys, "congruence", "--p", "2", "--k", k, "--jobs", jobs)
+    assert code == 0
+    assert pool_sizes == workers
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("congruence", "--p", "2", "--k", "0..3", "--json"),
+        ("selftest", "--suite", "partitions", "--suite", "chars", "--json"),
+    ],
+    ids=["congruence", "selftest"],
+)
+def test_worker_pool_output_identical(capsys, argv):
+    serial = run_cli(capsys, *argv)
+    pooled = run_cli(capsys, *argv, "--jobs", "2")
+    assert pooled == serial
