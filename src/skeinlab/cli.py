@@ -257,7 +257,10 @@ def cmd_lmov(args):
 def _parse_krange(text):
     if ".." in text:
         lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
+        ks = list(range(int(lo), int(hi) + 1))
+        if not ks:
+            raise SystemExit2(f"--k: the range {text} is empty")
+        return ks
     return [int(x) for x in text.split(",")]
 
 

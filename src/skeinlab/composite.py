@@ -45,10 +45,9 @@ def composite_invariant(spec, labels):
     """H_A for the framing-independent full colored invariants."""
     if len(labels) != spec.L:
         raise LabelCountMismatch(f"{len(labels)} labels for {spec.L} components")
-    total = RationalQT(0)
-    for pairs, weight in _label_assignments(labels):
-        total = total + full_invariant_value(spec, pairs) * weight
-    return total
+    return RationalQT.sum(
+        full_invariant_value(spec, pairs) * weight for pairs, weight in _label_assignments(labels)
+    )
 
 
 def framed_composite(spec, labels):
@@ -107,11 +106,11 @@ def r_reform(spec, p):
     if p < 1:
         raise ValueError("p must be >= 1")
     labels = tuple(Partition([p]) for _ in range(spec.L))
-    total = RationalQT(0)
-    for k in range(spec.L + 1):
-        for subset in combinations(range(spec.L), k):
-            total = total + z_reform(spec.with_reversed(subset), labels)
-    return total
+    return RationalQT.sum(
+        z_reform(spec.with_reversed(subset), labels)
+        for k in range(spec.L + 1)
+        for subset in combinations(range(spec.L), k)
+    )
 
 
 # -- integrality verdicts --------------------------------------------------------------

@@ -131,16 +131,7 @@ class LaurentQT:
         if not other._terms:
             return self
         data = dict(self._terms)
-        for key, c in other._terms.items():
-            c0 = data.get(key)
-            if c0 is None:
-                data[key] = c
-            else:
-                c = c0 + c
-                if c:
-                    data[key] = c
-                else:
-                    del data[key]
+        _add_terms(data, other)
         return _laurent(data, self._integral and other._integral or None)
 
     __radd__ = __add__
@@ -283,6 +274,20 @@ class LaurentQT:
 
     def __str__(self):
         return format_laurent(self)
+
+
+def _add_terms(data, f):
+    """Add the terms of the LaurentQT f into the term dict data in place."""
+    for key, c in f._terms.items():
+        c0 = data.get(key)
+        if c0 is None:
+            data[key] = c
+        else:
+            c = c0 + c
+            if c:
+                data[key] = c
+            else:
+                del data[key]
 
 
 def _laurent(data, integral=None):
@@ -683,7 +688,7 @@ class RationalQT:
             return other
         if not other.num:
             return self
-        return _sum_canonical([self, other])
+        return RationalQT.sum((self, other))
 
     __radd__ = __add__
 
@@ -759,23 +764,56 @@ class RationalQT:
 
     @classmethod
     def sum(cls, items):
-        """Sum many values, adding numerators over a shared denominator first."""
+        """The sum of many values, canonicalised once.
+
+        Numerators over one denominator are added first.  The groups are then
+        brought to their least common denominator, each numerator multiplied
+        only by its own missing factors.  A phi_d can divide the total only
+        when two groups hold its top power, or when its one holder merged
+        several values: every other group's term carries phi_d, and a single
+        value's numerator is canonical.  Only those phi_d are tested.
+        """
         groups = {}
         for x in items:
             x = cls._coerce(x)
-            if x.num:
-                key = (x._c, x._exps)
-                num, count = groups.get(key, (_ZERO, 0))
-                groups[key] = (num + x.num, count + 1)
-        parts = []
-        for (c, exps), (num, count) in groups.items():
-            if count > 1:
-                part = _canonical(num, c, dict(exps), [d for d, _ in exps])
+            if not x.num:
+                continue
+            key = (x._c, x._exps)
+            num = groups.get(key)
+            if num is None:
+                groups[key] = x.num
             else:
-                part = _rational(num, c, exps)
-            if part.num:
-                parts.append(part)
-        return _sum_canonical(parts) if parts else ZERO_RATIONAL
+                if type(num) is LaurentQT:
+                    num = groups[key] = dict(num._terms)
+                _add_terms(num, x.num)
+        # a merged group holds a term dict, a single value its LaurentQT
+        parts = [(c, exps, num) for (c, exps), num in groups.items() if num]
+        if not parts:
+            return ZERO_RATIONAL
+        if len(parts) == 1 and type(parts[0][2]) is LaurentQT:
+            c, exps, num = parts[0]
+            return _rational(num, c, exps)
+        c = lcm(*(x_c for x_c, _, _ in parts))
+        top, test = {}, {}
+        for _, exps, num in parts:
+            merged = type(num) is dict
+            for d, e in exps:
+                if e > top.get(d, 0):
+                    top[d], test[d] = e, merged
+                elif e == top[d]:
+                    test[d] = True
+        total = {}
+        for x_c, exps, num in parts:
+            if type(num) is dict:
+                num = _laurent(num)
+            have = dict(exps)
+            missing = tuple(
+                (d, e - have.get(d, 0)) for d, e in sorted(top.items()) if e > have.get(d, 0)
+            )
+            if x_c != c:
+                num = num * (c // x_c)
+            _add_terms(total, num * _phi_product(missing) if missing else num)
+        return _canonical(_laurent(total), c, top, [d for d in top if test[d]])
 
     def reduced(self):
         """The value itself: every RationalQT is already in canonical form."""
@@ -864,30 +902,6 @@ def _canonical(num, c, exps, test):
     return _rational(num, c, tuple(sorted((d, e) for d, e in exps.items() if e)))
 
 
-def _sum_canonical(parts):
-    """The sum of nonzero canonical values over their least common denominator."""
-    if len(parts) == 1:
-        return parts[0]
-    c = lcm(*(x._c for x in parts))
-    top, holders = {}, {}
-    for x in parts:
-        for d, e in x._exps:
-            if e > top.get(d, 0):
-                top[d], holders[d] = e, 1
-            elif e == top[d]:
-                holders[d] += 1
-    num = _ZERO
-    for x in parts:
-        have = dict(x._exps)
-        missing = tuple(
-            (d, e - have.get(d, 0)) for d, e in sorted(top.items()) if e > have.get(d, 0)
-        )
-        term = x.num if c == x._c else x.num * (c // x._c)
-        num = num + (term * _phi_product(missing) if missing else term)
-    # a phi_d whose top power only one part holds divides every other term but not that one
-    return _canonical(num, c, top, [d for d in top if holders[d] > 1])
-
-
 def substitute_power(f, d):
     """q -> q**d, t -> t**d on a LaurentQT or RationalQT."""
     if d < 1:
@@ -905,12 +919,18 @@ def bracket_quotient(num, c, ks):
     {k} = prod over d | k of phi_d, so the denominator is built factored,
     without the trial divisions of ``RationalQT(num, den)``.
     """
+    exps = bracket_exponents(ks)
+    return _canonical(num, c, exps, list(exps))
+
+
+def bracket_exponents(ks):
+    """{d: e} with prod over k in ks of {k} = prod phi_d**e."""
     exps = {}
     for k in ks:
         for d in range(1, k + 1):
             if k % d == 0:
                 exps[d] = exps.get(d, 0) + 1
-    return _canonical(num, c, exps, list(exps))
+    return exps
 
 
 def q_one_leading(f):

@@ -174,10 +174,10 @@ def torus_knot_expected(label, k):
     """Build the reference invariant of the (2, 2k+1) torus knot for one label."""
     prefactor, terms = TORUS_KNOT_FAMILY[label]
     (qs, ts) = prefactor
-    total = RationalQT(0)
-    for sign, qlin, tlin, pos, neg in terms:
-        piece = _mono(_eval_linear(qlin, k), _eval_linear(tlin, k)) * sign
-        total = total + piece * unknot_full(P(pos), P(neg))
+    total = RationalQT.sum(
+        _mono(_eval_linear(qlin, k), _eval_linear(tlin, k)) * sign * unknot_full(P(pos), P(neg))
+        for sign, qlin, tlin, pos, neg in terms
+    )
     return _mono(_eval_linear(qs, k), _eval_linear(ts, k)) * total
 
 
@@ -234,11 +234,10 @@ HOPF_HAT_TABLE = {
 def hopf_hat_expected(rows):
     z2 = RationalQT(q_bracket(1) * q_bracket(1))
     t2m1 = LaurentQT({(0, 2): 1, (0, 0): -1})
-    total = RationalQT(0)
-    for g, row in rows.items():
-        poly = t2m1 * LaurentQT({(0, e): c for e, c in row.items()})
-        total = total + RationalQT(poly) * z2 ** (g - 1)
-    return total
+    return RationalQT.sum(
+        RationalQT(t2m1 * LaurentQT({(0, e): c for e, c in row.items()})) * z2 ** (g - 1)
+        for g, row in rows.items()
+    )
 
 
 def check_hopf_hat_table():

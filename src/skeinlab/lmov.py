@@ -42,7 +42,7 @@ from .exactring import (
 )
 from .partitions import EMPTY, Partition, partitions_of
 from .skein import LinkSpec, full_invariant_value, unknot_full
-from .symfun import _add_to, schur_to_power_terms
+from .symfun import schur_to_power_terms, sum_terms
 
 
 def _labels_upto(L, D):
@@ -79,14 +79,12 @@ def cs_partition(spec, D):
 
 
 def _series_mul(a, b, D):
-    out = {}
-    for mu1, c1 in a.items():
-        d1 = sum(p.size for p in mu1)
-        for mu2, c2 in b.items():
-            if d1 + sum(p.size for p in mu2) > D:
-                continue
-            _add_to(out, tuple(x.union(y) for x, y in zip(mu1, mu2)), c1 * c2)
-    return out
+    return sum_terms(
+        (tuple(x.union(y) for x, y in zip(mu1, mu2)), c1 * c2)
+        for mu1, c1 in a.items()
+        for mu2, c2 in b.items()
+        if sum(p.size for p in mu1 + mu2) <= D
+    )
 
 
 def _schur_vector_to_power(labels, scale=1):
@@ -97,23 +95,23 @@ def _schur_vector_to_power(labels, scale=1):
     """
     acc = {(): Fraction(1)}
     for A in labels:
-        nxt = {}
-        for mus, w in acc.items():
-            for mu, coeff in schur_to_power_terms(A).items():
-                _add_to(nxt, mus + (mu.scaled(scale),), w * coeff)
-        acc = nxt
+        acc = sum_terms(
+            (mus + (mu.scaled(scale),), w * coeff)
+            for mus, w in acc.items()
+            for mu, coeff in schur_to_power_terms(A).items()
+        )
     return acc
 
 
-def _add_adams_layer(out, entries, n, d, sign=1):
-    """Add sign times the degree-n part of (1/d) sum_A f_A(q^d, t^d) s_A(x^d) to out."""
+def _adams_layer(entries, n, d, sign=1):
+    """The degree-n part of sign/d sum_A f_A(q^d, t^d) s_A(x^d) as (mu vector, value) pieces."""
     weight = Fraction(sign, d)
     for labels, value in entries.items():
         if sum(A.size for A in labels) * d != n:
             continue
         scaled = value.substitute_power(d)
         for mus, w in _schur_vector_to_power(labels, scale=d).items():
-            _add_to(out, mus, scaled * RationalQT.from_fraction(w * weight))
+            yield mus, scaled * RationalQT.from_fraction(w * weight)
 
 
 @dataclass
@@ -133,39 +131,37 @@ class FreeEnergyTable:
 
         Rebuilding the log from the table is the triangular-consistency check.
         """
-        out = {}
+        pieces = []
         for n in range(1, self.max_degree + 1):
             for d in range(1, n + 1):
                 if n % d == 0:
-                    _add_adams_layer(out, self.entries, n, d)
-        return out
+                    pieces.extend(_adams_layer(self.entries, n, d))
+        return sum_terms(pieces)
 
 
 def log_partition_series(spec, D):
     """log Z as a power-sum monomial series {mu vector: RationalQT}, total degree <= D."""
-    coeffs = cs_partition(spec, D)
-    zseries = {}
-    for labels, value in coeffs.items():
-        if not value:
-            continue
-        for mus, w in _schur_vector_to_power(labels).items():
-            _add_to(zseries, mus, value * RationalQT.from_fraction(w))
+    zseries = sum_terms(
+        (mus, value * RationalQT.from_fraction(w))
+        for labels, value in cs_partition(spec, D).items()
+        if value
+        for mus, w in _schur_vector_to_power(labels).items()
+    )
     unit_key = (EMPTY,) * spec.L
     u = {k: v for k, v in zseries.items() if k != unit_key}
     # log(1 + u) truncated: u has positive degree, so powers beyond D vanish
-    log_series = {}
-    power = dict(u)
+    pieces = []
+    power = u
     sign = 1
     for i in range(1, D + 1):
         if not power:
             break
         factor = RationalQT.from_fraction(Fraction(sign, i))
-        for k, v in power.items():
-            _add_to(log_series, k, v * factor)
+        pieces.extend((k, v * factor) for k, v in power.items())
         sign = -sign
         if i < D:
             power = _series_mul(power, u, D)
-    return log_series
+    return sum_terms(pieces)
 
 
 def plethystic_h(spec, D):
@@ -178,10 +174,11 @@ def plethystic_h(spec, D):
     log_series = log_partition_series(spec, D)
     entries = {}
     for n in range(1, D + 1):
-        residue = {k: v for k, v in log_series.items() if sum(p.size for p in k) == n}
+        pieces = [(k, v) for k, v in log_series.items() if sum(p.size for p in k) == n]
         for d in range(2, n + 1):
             if n % d == 0:
-                _add_adams_layer(residue, entries, n, d, sign=-1)
+                pieces.extend(_adams_layer(entries, n, d, sign=-1))
+        residue = sum_terms(pieces)
         for labels in _labels_upto(spec.L, n):
             if sum(A.size for A in labels) != n:
                 continue
@@ -218,13 +215,10 @@ def t_transform(A, B):
         raise SizeMismatch(f"|{A}| != |{B}|")
     if not A:
         return RationalQT(1)
-    total = RationalQT(0)
-    for mu in partitions_of(A.size):
-        c = character(A, mu) * character(B, mu)
-        if not c:
-            continue
-        total = total + bracket_quotient(LaurentQT.from_int(c), mu.z, mu)
-    return total
+    return RationalQT.sum(
+        bracket_quotient(LaurentQT.from_int(character(A, mu) * character(B, mu)), mu.z, mu)
+        for mu in partitions_of(A.size)
+    )
 
 
 def hat_h(spec, B_labels, D=None, table=None):
@@ -239,16 +233,15 @@ def hat_h(spec, B_labels, D=None, table=None):
         table = plethystic_h(spec, degree if D is None else D)
     if table.max_degree < degree:
         raise ValueError(f"fhat_B has degree {degree}, beyond the table's degree {table.max_degree}")
-    total = RationalQT(0)
     sizes = tuple(B.size for B in B_labels)
+    pieces = []
     for labels, value in table.entries.items():
         if tuple(A.size for A in labels) != sizes:
             continue
-        piece = value
         for A, B in zip(labels, B_labels):
-            piece = piece * t_transform(A, B)
-        total = total + piece
-    return total
+            value = value * t_transform(A, B)
+        pieces.append(value)
+    return RationalQT.sum(pieces)
 
 
 def lmov_check(spec, B_labels, D=None, table=None):

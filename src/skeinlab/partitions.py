@@ -22,7 +22,8 @@ class Partition(tuple):
     def __new__(cls, parts=()):
         cleaned = []
         for p in parts:
-            p = int(p)
+            if type(p) is not int:
+                raise TypeError(f"partition part {p!r} is not an integer")
             if p < 0:
                 raise ValueError(f"negative part {p}")
             if p:

@@ -53,7 +53,6 @@ from .symfun import (
     POWER_PAIR,
     SCHUR_PAIR,
     SymFunc,
-    _add_to,
     adams_composite,
     composite_product_terms,
     composite_to_schurpair,
@@ -62,6 +61,7 @@ from .symfun import (
     q_determinant,
     r_nu,
     schurpair_to_composite,
+    sum_terms,
 )
 
 P = Partition
@@ -243,10 +243,11 @@ def suite_symfun(deep=False):
     for m in (2, 3):
         for p1 in deg2:
             for p2 in deg2:
-                lhs = {}
-                for target, c in composite_product_terms(p1, p2).items():
-                    for out, k in adams_composite(target, m).items():
-                        _add_to(lhs, out, c * k)
+                lhs = sum_terms(
+                    (out, c * k)
+                    for target, c in composite_product_terms(p1, p2).items()
+                    for out, k in adams_composite(target, m).items()
+                )
                 a1, a2 = adams_composite(p1, m), adams_composite(p2, m)
                 rhs = multiply_terms(a1, a2, composite_product_terms)
                 if lhs != rhs:

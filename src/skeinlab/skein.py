@@ -28,7 +28,8 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd
 
-from .exactring import LaurentQT, RationalQT, bracket_quotient, q_bracket, t_bracket, _exp
+from .exactring import LaurentQT, RationalQT, _exp, _rational, bracket_exponents
+from .exactring import bracket_quotient, q_bracket, t_bracket
 from .partitions import Partition, PartitionPair
 from .symfun import (
     COMPOSITE,
@@ -172,15 +173,12 @@ def power_value(m):
 def evaluate(f):
     """The plane evaluation: a ring homomorphism on the power-sum basis."""
     f = f.to_basis(POWER_PAIR)
-    total = RationalQT(0)
+    pieces = []
     for pair, coeff in f.terms.items():
-        val = coeff
-        for p in pair.pos:
-            val = val * power_value(p)
-        for p in pair.neg:
-            val = val * power_value(p)
-        total = total + val
-    return total
+        for p in pair.pos + pair.neg:
+            coeff = coeff * power_value(p)
+        pieces.append(coeff)
+    return RationalQT.sum(pieces)
 
 
 @lru_cache(maxsize=None)
@@ -210,7 +208,9 @@ def unknot_full(lam, mu=()):
     num = LaurentQT.one()
     for a, e in powers.items():
         num = num * LaurentQT({(a, 1): 1, (-a, -1): -1}) ** e
-    return bracket_quotient(num, 1, lam.hook_lengths() + mu.hook_lengths())
+    # num is primitive in t over ZZ[q**+-1], so by Gauss's lemma no phi_d divides it
+    exps = bracket_exponents(lam.hook_lengths() + mu.hook_lengths())
+    return _rational(num, 1, tuple(sorted(exps.items())))
 
 
 def framing_factor(lam, mu=()):
@@ -299,18 +299,15 @@ def torus_framed(spec, decorations):
         if a in spec.reversed_:
             dec = dec.swapped()
         comps.append(list(dec.terms.items()))
-    total = RationalQT(0)
 
     def rec(a, pairs, coeff):
-        nonlocal total
         if a == spec.L:
-            total = total + coeff * _bracket_basis(spec, tuple(pairs))
+            yield coeff * _bracket_basis(spec, tuple(pairs))
             return
         for pair, c in comps[a]:
-            rec(a + 1, pairs + [pair], coeff * c)
+            yield from rec(a + 1, pairs + [pair], coeff * c)
 
-    rec(0, [], RationalQT(1))
-    return total
+    return RationalQT.sum(rec(0, [], RationalQT(1)))
 
 
 def _t_integral(f):

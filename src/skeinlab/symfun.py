@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from .chars import character, lr_coeff, schur_expand_product
 from .exactring import RationalQT
@@ -35,17 +36,21 @@ POWER_PAIR = "power_pair"
 BASES = (COMPOSITE, SCHUR_PAIR, POWER_PAIR)
 
 
-def _add_to(table, key, value):
-    cur = table.get(key)
-    if cur is None:
-        if value:
-            table[key] = value
-    else:
-        cur = cur + value
-        if cur:
-            table[key] = cur
+def sum_terms(pairs):
+    """Sum (key, value) pairs into {key: total}, leaving out zero totals.
+
+    Integer and Fraction values add as they come; RationalQT values are
+    collected per key and summed once, through ``RationalQT.sum``.
+    """
+    out, pieces = {}, {}
+    for key, value in pairs:
+        if isinstance(value, RationalQT):
+            pieces.setdefault(key, []).append(value)
         else:
-            del table[key]
+            out[key] = out.get(key, 0) + value
+    for key, values in pieces.items():
+        out[key] = RationalQT.sum([out.get(key, 0), *values])
+    return {key: value for key, value in out.items() if value}
 
 
 # -- integer basis-change kernels -------------------------------------------------
@@ -55,7 +60,7 @@ def _add_to(table, key, value):
 def composite_to_schurpair_terms(lam, mu):
     """s_{lam,mu} expanded over s_rho (x) s*_nu; integer coefficients."""
     lam, mu = Partition(lam), Partition(mu)
-    out = {}
+    terms = []
     for s in range(min(lam.size, mu.size) + 1):
         sign = -1 if s % 2 else 1
         for sigma in partitions_of(s):
@@ -67,15 +72,15 @@ def composite_to_schurpair_terms(lam, mu):
                 for nu in partitions_of(mu.size - s):
                     c2 = lr_coeff(mu, sigma_t, nu)
                     if c2:
-                        _add_to(out, PartitionPair(rho, nu), sign * c1 * c2)
-    return out
+                        terms.append((PartitionPair(rho, nu), sign * c1 * c2))
+    return sum_terms(terms)
 
 
 @lru_cache(maxsize=None)
 def schurpair_to_composite_terms(rho, nu):
     """s_rho (x) s*_nu expanded over composite Schur functions; the inverse map."""
     rho, nu = Partition(rho), Partition(nu)
-    out = {}
+    terms = []
     for s in range(min(rho.size, nu.size) + 1):
         for eps in partitions_of(s):
             for beta in partitions_of(rho.size - s):
@@ -85,8 +90,8 @@ def schurpair_to_composite_terms(rho, nu):
                 for gamma in partitions_of(nu.size - s):
                     c2 = lr_coeff(nu, eps, gamma)
                     if c2:
-                        _add_to(out, PartitionPair(beta, gamma), c1 * c2)
-    return out
+                        terms.append((PartitionPair(beta, gamma), c1 * c2))
+    return sum_terms(terms)
 
 
 @lru_cache(maxsize=None)
@@ -116,22 +121,20 @@ def power_to_schur_terms(eta):
 @lru_cache(maxsize=None)
 def schurpair_mult(p1, p2):
     """(s_a (x) s*_b) * (s_c (x) s*_d): leg-wise LR products, integer table."""
-    out = {}
     left = schur_expand_product(p1.pos, p2.pos)
     right = schur_expand_product(p1.neg, p2.neg)
-    for A, c1 in left.items():
-        for B, c2 in right.items():
-            _add_to(out, PartitionPair(A, B), c1 * c2)
-    return out
+    return sum_terms(
+        (PartitionPair(A, B), c1 * c2) for A, c1 in left.items() for B, c2 in right.items()
+    )
 
 
 def expand_terms(table, kernel):
     """Re-expand {(pos, neg): c} through kernel(pos, neg) -> {target: k}: sum of c * k."""
-    out = {}
-    for (pos, neg), c in table.items():
-        for target, k in kernel(pos, neg).items():
-            _add_to(out, target, c * k)
-    return out
+    return sum_terms(
+        (target, c * k)
+        for (pos, neg), c in table.items()
+        for target, k in kernel(pos, neg).items()
+    )
 
 
 def legwise_terms(table, kernel):
@@ -139,24 +142,24 @@ def legwise_terms(table, kernel):
 
     The result maps (a, b) to the sum of c * k_pos(a) * k_neg(b).
     """
-    out = {}
+    terms = []
     for (pos, neg), c in table.items():
         right = kernel(neg)
         for a, ka in kernel(pos).items():
             for b, kb in right.items():
-                _add_to(out, PartitionPair(a, b), c * (ka * kb))
-    return out
+                terms.append((PartitionPair(a, b), c * (ka * kb)))
+    return sum_terms(terms)
 
 
 def multiply_terms(t1, t2, kernel):
     """Product of {pair: c} tables through the structure constants kernel(p1, p2)."""
-    out = {}
+    terms = []
     for p1, c1 in t1.items():
         for p2, c2 in t2.items():
             c = c1 * c2
             for pair, k in kernel(p1, p2).items():
-                _add_to(out, pair, c * k)
-    return out
+                terms.append((pair, c * k))
+    return sum_terms(terms)
 
 
 @lru_cache(maxsize=None)
@@ -238,10 +241,11 @@ def adams_schur(lam, m):
         raise ValueError("the Adams index must be >= 1")
     if m == 1:
         return {lam: 1}
-    acc = {}
-    for mu, coeff in schur_to_power_terms(lam).items():
-        for rho, chi in power_to_schur_terms(mu.scaled(m)).items():
-            _add_to(acc, rho, coeff * chi)
+    acc = sum_terms(
+        (rho, coeff * chi)
+        for mu, coeff in schur_to_power_terms(lam).items()
+        for rho, chi in power_to_schur_terms(mu.scaled(m)).items()
+    )
     out = {}
     for rho, val in acc.items():
         if val.denominator != 1:
@@ -282,14 +286,14 @@ class SymFunc:
     def __init__(self, basis, terms=None):
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}")
-        data = {}
+        data = []
         for pair, coeff in (terms or {}).items():
             value = RationalQT._coerce(coeff)
             if value is None:
                 raise TypeError(f"unsupported coefficient {coeff!r}")
-            _add_to(data, PartitionPair(Partition(pair[0]), Partition(pair[1])), value)
+            data.append((PartitionPair(Partition(pair[0]), Partition(pair[1])), value))
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "terms", data)
+        object.__setattr__(self, "terms", sum_terms(data))
 
     def __setattr__(self, *a):
         raise AttributeError("SymFunc is immutable")
@@ -326,9 +330,7 @@ class SymFunc:
             return NotImplemented
         if other.basis != self.basis:
             other = other.to_basis(self.basis)
-        data = dict(self.terms)
-        for pair, c in other.terms.items():
-            _add_to(data, pair, c)
+        data = sum_terms(chain(self.terms.items(), other.terms.items()))
         return SymFunc(self.basis, data)
 
     def __neg__(self):
@@ -380,11 +382,11 @@ class SymFunc:
         if other.basis != self.basis:
             other = other.to_basis(self.basis)
         if self.basis == POWER_PAIR:
-            out = {}
-            for p1, c1 in self.terms.items():
-                for p2, c2 in other.terms.items():
-                    key = PartitionPair(p1.pos.union(p2.pos), p1.neg.union(p2.neg))
-                    _add_to(out, key, c1 * c2)
+            out = sum_terms(
+                (PartitionPair(p1.pos.union(p2.pos), p1.neg.union(p2.neg)), c1 * c2)
+                for p1, c1 in self.terms.items()
+                for p2, c2 in other.terms.items()
+            )
             return SymFunc(POWER_PAIR, out)
         kernel = schurpair_mult if self.basis == SCHUR_PAIR else composite_product_terms
         return SymFunc(self.basis, multiply_terms(self.terms, other.terms, kernel))
@@ -462,7 +464,7 @@ def _det_monomials(rows, cols, matrix):
     if not rows:
         return {((), ()): 1}
     r0 = rows[0]
-    out = {}
+    out = []
     for pos, j in enumerate(cols):
         kind, idx = matrix[r0][j]
         if idx < 0:
@@ -478,8 +480,8 @@ def _det_monomials(rows, cols, matrix):
                 )
             else:
                 key = (hs, hstars)
-            _add_to(out, key, sign * c)
-    return out
+            out.append((key, sign * c))
+    return sum_terms(out)
 
 
 @lru_cache(maxsize=None)
@@ -487,11 +489,11 @@ def _h_monomial_schur(indices):
     """prod_i h_{m_i} expanded in the Schur basis (h_m = s_(m))."""
     acc = {EMPTY: 1}
     for m in indices:
-        nxt = {}
-        for lam, c in acc.items():
-            for target, k in schur_expand_product(lam, Partition([m])).items():
-                _add_to(nxt, target, c * k)
-        acc = nxt
+        acc = sum_terms(
+            (target, c * k)
+            for lam, c in acc.items()
+            for target, k in schur_expand_product(lam, Partition([m])).items()
+        )
     return acc
 
 
@@ -510,13 +512,13 @@ def q_determinant(lam, mu):
 def _r_nu_character_route(nu):
     """sum_A chi_A(nu) sum_{lam,mu} c^A_{lam,mu} s_{lam,mu}, pushed to power sums."""
     nu = Partition(nu)
-    composite = {}
+    composite = []
     for A in partitions_of(nu.size):
         chi = character(A, nu)
         if chi:
             for pair, c in pair_weights(A).items():
-                _add_to(composite, pair, chi * c)
-    return SymFunc(COMPOSITE, composite).to_basis(POWER_PAIR)
+                composite.append((pair, chi * c))
+    return SymFunc(COMPOSITE, sum_terms(composite)).to_basis(POWER_PAIR)
 
 
 def _r_nu_splitting_route(nu):
@@ -527,9 +529,7 @@ def _r_nu_splitting_route(nu):
     nu = tau u tau u eta u pi contribute (-1)^{l(tau)} z_nu/(z_eta z_tau z_pi).
     """
     nu = Partition(nu)
-    out = {}
-    for B, C in splittings(nu):
-        _add_to(out, PartitionPair(B, C), Fraction(nu.z, B.z * C.z))
+    out = [(PartitionPair(B, C), Fraction(nu.z, B.z * C.z)) for B, C in splittings(nu)]
     # enumerate tau with tau u tau contained in nu
     mult = nu.multiplicities()
     values = sorted(mult)
@@ -547,14 +547,14 @@ def _r_nu_splitting_route(nu):
             sign = -1 if len(tau) % 2 else 1
             for eta, pi in splittings(rest):
                 w = Fraction(nu.z, eta.z * tau.z * pi.z)
-                _add_to(out, PartitionPair(eta, pi), sign * w)
+                out.append((PartitionPair(eta, pi), sign * w))
             return
         for v, i in choices[idx]:
             rec(idx + 1, tau_parts + [v] * i)
 
     rec(0, [])
     terms = {}
-    for pair, w in out.items():
+    for pair, w in sum_terms(out).items():
         if w.denominator != 1:
             raise ArithmeticError(f"non-integral splitting weight {w}")
         terms[pair] = int(w)

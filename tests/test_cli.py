@@ -272,6 +272,15 @@ def test_rejected_arguments_exit_2(capsys, argv):
     assert capsys.readouterr().err.startswith("usage: skeinlab")
 
 
+@pytest.mark.parametrize("k", ["3..1", "1..0"])
+def test_empty_k_range_exit_2(capsys, k):
+    with pytest.raises(SystemExit) as err:
+        main(["congruence", "--p", "2", "--k", k, "--json"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert "--k" in captured.err and captured.out == ""
+
+
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """Swap the CLI's ProcessPoolExecutor for an in-process stand-in; lists its max_workers."""

@@ -46,6 +46,10 @@ class TestComposite:
         with pytest.raises(LabelCountMismatch):
             composite_invariant(LinkSpec.torus(1, 1, 2), [P([1])])
 
+    def test_non_integer_label_rejected(self):
+        with pytest.raises(TypeError):
+            composite_invariant(LinkSpec.torus(2, 3, 1), [[1.5]])
+
 
 class TestFramedComposite:
     def test_unknot_framings(self):

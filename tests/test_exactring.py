@@ -74,6 +74,42 @@ def _fields(x):
     return x.num, x._c, x._exps
 
 
+@st.composite
+def sum_parts(draw):
+    """Parts for RationalQT.sum over few denominators, so that groups merge.
+
+    Negated copies cancel, and split pairs (f {k} + m) / D, -m / D sum to a
+    value whose bracket {k} cancels only after the merge.
+    """
+    dens = draw(st.lists(bracket_dens(), min_size=1, max_size=3))
+    parts = draw(
+        st.lists(st.builds(RationalQT, half_laurents(), st.sampled_from(dens)), min_size=1, max_size=6)
+    )
+    parts += [-x for x in draw(st.lists(st.sampled_from(parts), max_size=3))]
+    splits = st.tuples(half_laurents(), half_laurents(), st.integers(1, 6), st.sampled_from(dens))
+    for f, m, k, den in draw(st.lists(splits, max_size=2)):
+        den = den * q_bracket(k)
+        parts += [RationalQT(f * q_bracket(k) + m, den), RationalQT(-m, den)]
+    return draw(st.permutations(parts))
+
+
+def _value_at(f, r, t):
+    """f at q = r**2 and t, exactly: q-exponents are at most halves."""
+    if isinstance(f, RationalQT):
+        return _value_at(f.num, r, t) / _value_at(f.den, r, t)
+    return sum(c * r ** int(2 * eq) * t**et for (eq, et), c in f.terms.items())
+
+
+def _assert_canonical(x):
+    assert x._c > 0
+    assert [d for d, _ in x._exps] == sorted({d for d, _ in x._exps})
+    if x._c > 1:
+        assert gcd(x.num.content(), x._c) == 1
+    for d, e in x._exps:
+        assert e > 0
+        assert exact_div(x.num, cyclotomic_factor(d)) is None
+
+
 class TestLaurent:
     def test_zero_coefficients_dropped(self):
         f = LaurentQT({(1, 0): 1, (0, 0): 0})
@@ -277,13 +313,18 @@ class TestCanonicalForm:
     @given(bracket_fractions())
     @settings(max_examples=150, deadline=None)
     def test_invariants_hold(self, x):
-        assert x._c > 0
-        assert [d for d, _ in x._exps] == sorted({d for d, _ in x._exps})
-        if x._c > 1:
-            assert gcd(x.num.content(), x._c) == 1
-        for d, e in x._exps:
-            assert e > 0
-            assert exact_div(x.num, cyclotomic_factor(d)) is None
+        _assert_canonical(x)
+
+    @given(
+        sum_parts(),
+        st.fractions(-5, 5, max_denominator=4).filter(lambda r: r not in (0, 1, -1)),
+        st.fractions(-5, 5, max_denominator=4).filter(lambda t: t != 0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_sum_is_exact_and_canonical(self, parts, r, t):
+        total = RationalQT.sum(parts)
+        _assert_canonical(total)
+        assert _value_at(total, r, t) == sum(_value_at(x, r, t) for x in parts)
 
     @given(bracket_fractions(), bracket_fractions(), bracket_dens())
     @settings(max_examples=150, deadline=None)

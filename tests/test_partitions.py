@@ -28,6 +28,11 @@ class TestPartition:
         with pytest.raises(ValueError):
             P([2, -1])
 
+    @pytest.mark.parametrize("parts", [[1.5], [True], [2, False], ["1"], [2.0]])
+    def test_non_integer_part_rejected(self, parts):
+        with pytest.raises(TypeError):
+            P(parts)
+
     def test_conjugate(self):
         assert P([4, 2, 2]).conjugate() == P([3, 3, 1, 1])
         assert EMPTY.conjugate() == EMPTY
