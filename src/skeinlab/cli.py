@@ -8,7 +8,9 @@ optional machine-readable JSON document (``--output``); JSON term lists are
 sorted by (t-exponent, q-exponent) so output is byte-stable for fixed inputs.
 
 Exit codes: 0 for success / all verdicts true, 1 for a false verdict or a
-fixture diff, 2 for usage errors.
+fixture diff, 2 for usage errors, 3 for an internal error (an
+``ArithmeticError`` other than division by zero: a broken invariant of the
+engine, not of the input).
 """
 
 from __future__ import annotations
@@ -114,10 +116,6 @@ def _parse_labels(text, L, flag="--labels"):
     return [_partition_arg(x, flag) for x in data]
 
 
-def _rational_json(value):
-    return value.to_json()
-
-
 def _emit(args, document, human_lines):
     for line in human_lines:
         print(line)
@@ -147,7 +145,7 @@ def cmd_invariant(args):
         "command": "invariant",
         "spec": spec.to_json(),
         "labels": [[list(p.pos), list(p.neg)] for p in pairs],
-        "value": _rational_json(value),
+        "value": value.to_json(),
     }
     _emit(args, doc, [f"spec: {spec.describe()}",
                       f"labels: {' '.join(p.text() for p in pairs)}",
@@ -164,7 +162,7 @@ def cmd_bracket(args):
         "command": "bracket",
         "spec": spec.to_json(),
         "labels": [[list(p.pos), list(p.neg)] for p in pairs],
-        "value": _rational_json(value),
+        "value": value.to_json(),
     }
     _emit(args, doc, [f"spec: {spec.describe()}",
                       f"bracket = {_pretty_rational(value)}"])
@@ -182,7 +180,7 @@ def cmd_composite(args):
         "framed": bool(args.framed),
         "spec": spec.to_json(),
         "labels": [list(x) for x in labels],
-        "value": _rational_json(value),
+        "value": value.to_json(),
     }
     _emit(args, doc, [f"spec: {spec.describe()}",
                       f"{kind} H_{''.join(x.text() for x in labels)} = {_pretty_rational(value)}"])
@@ -215,7 +213,7 @@ def cmd_reform(args):
         "command": "reform",
         "spec": spec.to_json(),
         "invariant": name,
-        "value": _rational_json(value),
+        "value": value.to_json(),
         "verdict": bool(verdict),
         "stage": stage,
         "certificate": sorted([g, Q, c] for (g, Q), c in table.items()) if table else [],
@@ -239,7 +237,7 @@ def cmd_lmov(args):
         "spec": spec.to_json(),
         "B": [list(x) for x in B],
         "D": D,
-        "hat_h": _rational_json(value),
+        "hat_h": value.to_json(),
         "N": sorted([g, Q, c] for (g, Q), c in ntable.items()) if ntable else [],
         "verdict": bool(verdict),
         "stage": stage,
@@ -442,6 +440,9 @@ def main(argv=None):
     except (ValueError, KeyError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -3,10 +3,12 @@
 Two value types, both immutable:
 
 * :class:`LaurentQT` -- sparse Laurent polynomials in ``q`` and ``t`` with
-  arbitrary-precision integer coefficients.  Exponents may be rational:
-  fractional twist factors such as ``q**(n/m * kappa)`` appear in the middle
-  of torus-link computations, while genuinely invariant end results must have
-  integer exponents (``assert_integral``).
+  arbitrary-precision integer coefficients and integer exponents.  The one
+  place a fraction could enter is the torus twist ``tau**(n/m)``, and it
+  never does: every label (beta, gamma) in the image of the m-th Adams
+  operation has legs with empty m-core, so each leg is tiled by m-ribbons,
+  whose m contents are consecutive; hence m divides both the size and kappa
+  (twice the content sum).
 * :class:`RationalQT` -- quotients whose denominator is an integer times a
   product of brackets ``q**k - q**-k``, which is where every denominator in
   this engine comes from.  Each value is kept in one canonical factored form
@@ -29,37 +31,28 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 
-class NonIntegralExponent(ValueError):
-    """A value required to be an honest Laurent polynomial has fractional exponents."""
-
-
-def _exp(x):
-    """Normalise an exponent to int when integral, Fraction otherwise."""
-    if isinstance(x, int):
-        return x
-    f = Fraction(x)
-    return f.numerator if f.denominator == 1 else f
-
-
 class LaurentQT:
     """Sparse integer Laurent polynomial in ``q`` and ``t``.
 
-    Terms map exponent pairs ``(e_q, e_t)`` to nonzero integer coefficients.
-    Zero coefficients are never stored, so equality is plain term-set
-    equality.
+    Terms map integer exponent pairs ``(e_q, e_t)`` to nonzero integer
+    coefficients.  Zero coefficients are never stored, so equality is plain
+    term-set equality.  An exponent whose type is not ``int`` (a fraction, a
+    float or a bool) raises TypeError.
     """
 
-    __slots__ = ("_terms", "_hash", "_integral")
+    __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms=None):
         data = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for (eq, et), c in items:
+                if type(eq) is not int or type(et) is not int:
+                    raise TypeError(f"exponents must be int, not {eq!r}, {et!r}")
                 c = int(c)
                 if not c:
                     continue
-                key = (_exp(eq), _exp(et))
+                key = (eq, et)
                 c0 = data.get(key)
                 if c0 is None:
                     data[key] = c
@@ -71,7 +64,6 @@ class LaurentQT:
                         del data[key]
         self._terms = data
         self._hash = None
-        self._integral = None
 
     # -- constructors ------------------------------------------------------
 
@@ -92,10 +84,6 @@ class LaurentQT:
         return cls({(e_q, e_t): coeff})
 
     # -- container behaviour -----------------------------------------------
-
-    @property
-    def terms(self):
-        return dict(self._terms)
 
     def __bool__(self):
         return bool(self._terms)
@@ -132,12 +120,12 @@ class LaurentQT:
             return self
         data = dict(self._terms)
         _add_terms(data, other)
-        return _laurent(data, self._integral and other._integral or None)
+        return _laurent(data)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _laurent({k: -c for k, c in self._terms.items()}, self._integral)
+        return _laurent({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -151,7 +139,7 @@ class LaurentQT:
         if isinstance(other, int):
             if not other:
                 return _ZERO
-            return _laurent({k: c * other for k, c in self._terms.items()}, self._integral)
+            return _laurent({k: c * other for k, c in self._terms.items()})
         if not isinstance(other, LaurentQT):
             return NotImplemented
         a, b = self._terms, other._terms
@@ -159,15 +147,10 @@ class LaurentQT:
             return _ZERO
         if len(a) > len(b):
             a, b = b, a
-        # fractional exponents may sum to integers; renormalise keys in that case
-        integral = self.is_integral() and other.is_integral()
         data = {}
         for (eq1, et1), c1 in a.items():
             for (eq2, et2), c2 in b.items():
-                if integral:
-                    key = (eq1 + eq2, et1 + et2)
-                else:
-                    key = (_exp(eq1 + eq2), _exp(et1 + et2))
+                key = (eq1 + eq2, et1 + et2)
                 c = data.get(key)
                 if c is None:
                     data[key] = c1 * c2
@@ -177,7 +160,7 @@ class LaurentQT:
                         data[key] = c
                     else:
                         del data[key]
-        return _laurent(data, integral or None)
+        return _laurent(data)
 
     __rmul__ = __mul__
 
@@ -219,55 +202,41 @@ class LaurentQT:
         ets = [k[1] for k in self._terms]
         return (min(eqs), max(eqs)), (min(ets), max(ets))
 
-    def is_integral(self):
-        """True when every stored exponent is an integer (scanned once, then cached)."""
-        if self._integral is None:
-            self._integral = all(
-                isinstance(eq, int) and isinstance(et, int) for eq, et in self._terms
-            )
-        return self._integral
-
-    def assert_integral(self):
-        if not self.is_integral():
-            raise NonIntegralExponent(f"fractional exponent in {self!r}")
-        return self
-
     # -- substitutions -------------------------------------------------------
 
     def substitute_power(self, d):
-        """q -> q**d, t -> t**d applied exactly to every exponent."""
-        d = _exp(d)
-        data = {(_exp(eq * d), _exp(et * d)): c for (eq, et), c in self._terms.items()}
-        return _laurent(data, self._integral and isinstance(d, int) or None)
+        """q -> q**d, t -> t**d for a positive integer d."""
+        if type(d) is not int or d < 1:
+            raise ValueError("the substitution power must be a positive integer")
+        return _laurent({(eq * d, et * d): c for (eq, et), c in self._terms.items()})
 
     def mirror(self):
         """q -> 1/q, t -> 1/t."""
-        return _laurent({(-eq, -et): c for (eq, et), c in self._terms.items()}, self._integral)
+        return _laurent({(-eq, -et): c for (eq, et), c in self._terms.items()})
 
     def conj_q(self):
-        """q -> -1/q.  Requires integer q-exponents."""
-        data = {}
-        for (eq, et), c in self._terms.items():
-            if not isinstance(eq, int):
-                raise NonIntegralExponent("q -> -1/q needs integer q-exponents")
-            data[(-eq, et)] = c if eq % 2 == 0 else -c
-        return _laurent(data, self._integral)
+        """q -> -1/q."""
+        return _laurent({(-eq, et): -c if eq & 1 else c for (eq, et), c in self._terms.items()})
 
     # -- serialization -------------------------------------------------------
 
     def to_records(self):
-        """JSON form: [e_q_num, e_q_den, e_t_num, e_t_den, coeff-as-string] per term."""
-        recs = []
-        for (eq, et), c in self.sorted_terms():
-            fq, ft = Fraction(eq), Fraction(et)
-            recs.append([fq.numerator, fq.denominator, ft.numerator, ft.denominator, str(c)])
-        return recs
+        """JSON form: [e_q, 1, e_t, 1, coeff-as-string] per term.
+
+        The 1s are exponent denominators, kept so that the record format that
+        readers of saved documents parse stays fixed.
+        """
+        return [[eq, 1, et, 1, str(c)] for (eq, et), c in self.sorted_terms()]
 
     @classmethod
     def from_records(cls, recs):
-        return cls(
-            {(Fraction(a, b), Fraction(n, d)): int(c) for a, b, n, d, c in recs}
-        )
+        """Inverse of to_records; an exponent denominator other than 1 raises ValueError."""
+        terms = []
+        for a, b, n, d, c in recs:
+            if b != 1 or d != 1:
+                raise ValueError(f"exponent denominator in record {[a, b, n, d, c]} is not 1")
+            terms.append(((a, n), int(c)))
+        return cls(terms)
 
     def __repr__(self):
         return f"LaurentQT({format_laurent(self)!r})"
@@ -290,15 +259,11 @@ def _add_terms(data, f):
                 del data[key]
 
 
-def _laurent(data, integral=None):
-    """A LaurentQT over a normalised term dict, taken as is.
-
-    ``integral`` is the ``is_integral()`` flag when already known, else None.
-    """
+def _laurent(data):
+    """A LaurentQT over a normalised term dict, taken as is."""
     out = LaurentQT.__new__(LaurentQT)
     out._terms = data
     out._hash = None
-    out._integral = integral
     return out
 
 
@@ -419,11 +384,7 @@ def exact_div(a, b):
         if c % lead_c:
             return None
         w = c // lead_c
-        # fractional exponents may differ by integers; renormalise keys in that case
-        if type(weq) is int and type(wet) is int:
-            quo[(weq, wet)] = w
-        else:
-            quo[(_exp(weq), _exp(wet))] = w
+        quo[(weq, wet)] = w
         for (eq, et), bc in b_terms:
             k2 = (eq + weq, et + wet)
             r = rem.get(k2)
@@ -436,7 +397,7 @@ def exact_div(a, b):
                     rem[k2] = r
                 else:
                     del rem[k2]
-    return _laurent(quo, a._integral and b._integral or None)
+    return _laurent(quo)
 
 
 def zsquare_decompose(f, allowed_pole=0):
@@ -452,8 +413,6 @@ def zsquare_decompose(f, allowed_pole=0):
         f = f * z_square_power(allowed_pole)
     if not f:
         return {}
-    if not f.is_integral():
-        return None
     slices = {}
     for (eq, et), c in f._terms.items():
         slices.setdefault(et, {})[eq] = c
@@ -547,19 +506,14 @@ def _phi_divides(f, d):
     """Whether phi_d divides f, decided from residues without a trial division.
 
     phi_d is a unit times Phi_d(q**2), a polynomial in x = q**2 that divides
-    x**d - 1.  So f splits into classes by t-exponent, fractional part of the
-    q-exponent and parity of its integer part; each class is a Laurent
-    polynomial in x, folded modulo x**d - 1 and then reduced modulo Phi_d(x).
-    phi_d divides f exactly when every class leaves no remainder.
+    x**d - 1.  So f splits into classes by t-exponent and parity of the
+    q-exponent; each class is a Laurent polynomial in x (times q for the odd
+    class), folded modulo x**d - 1 and then reduced modulo Phi_d(x).  phi_d
+    divides f exactly when every class leaves no remainder.
     """
     folds = {}
     for (eq, et), c in f._terms.items():
-        if type(eq) is int:
-            key = (et, 0, eq & 1)
-        else:
-            n = eq.numerator // eq.denominator
-            key = (et, eq - n, n & 1)
-            eq = n
+        key = (et, eq & 1)
         row = folds.get(key)
         if row is None:
             row = folds[key] = [0] * d
@@ -579,14 +533,13 @@ def bracket_factors(f):
         raise ValueError(f"denominator {f} is not an integer times q-brackets")
     (hi, et), lead = f.leading()
     (lo, _), _ = f.trailing()
-    shift = _exp(Fraction(hi + lo) / 2)
+    # an integer times brackets is symmetric in q -> 1/q up to sign
+    if (hi + lo) % 2:
+        raise ValueError(f"denominator {f} is not an integer times q-brackets")
+    shift, half = (hi + lo) // 2, (hi - lo) // 2
     c = f.content()
     inv_unit = LaurentQT({(-shift, -et): 1 if lead > 0 else -1})
-    p = f * inv_unit
-    half = _exp(hi - shift)
-    if not isinstance(half, int) or not p.is_integral():
-        raise ValueError(f"denominator {f} is not an integer times q-brackets")
-    p = _div_int(p, c)
+    p = _div_int(f * inv_unit, c)
     exps = {}
     d = 1
     while half and d <= 2 * half * half:  # phi(d) >= sqrt(d / 2)
@@ -607,7 +560,7 @@ def _div_int(f, g):
     """f with every coefficient divided by g, which divides them all."""
     if g == 1:
         return f
-    return _laurent({k: c // g for k, c in f._terms.items()}, f._integral)
+    return _laurent({k: c // g for k, c in f._terms.items()})
 
 
 # -- rational functions --------------------------------------------------------
@@ -717,13 +670,12 @@ class RationalQT:
         exps = dict(x._exps)
         for d, e in y._exps:
             exps[d] = exps.get(d, 0) + e
-        # phi_d, prime in q for even d, splits for odd d (and under fractional
-        # q-exponents), so the product may hold it though neither factor does;
-        # a monomial factor is a unit times an integer, which holds no part of it
+        # phi_d, prime in q for even d, splits for odd d, so the product may
+        # hold it though neither factor does; a monomial factor is a unit
+        # times an integer, which holds no part of it
         test = []
         if len(x.num) > 1 and len(y.num) > 1:
-            integral = _q_integral(x.num) and _q_integral(y.num)
-            test = [d for d in exps if d % 2 or not integral]
+            test = [d for d in exps if d % 2]
         return _canonical(x.num * y.num, x._c * y._c, exps, test)
 
     __rmul__ = __mul__
@@ -827,16 +779,14 @@ class RationalQT:
 
     def substitute_power(self, d):
         """q -> q**d, t -> t**d for a positive integer d."""
-        d = _exp(d)
-        if not isinstance(d, int) or d < 1:
-            raise ValueError("the substitution power must be a positive integer")
+        num = self.num.substitute_power(d)
         # phi_k(q**d) is the product of the phi_j with j / gcd(j, d) = k
         exps = {}
         for k, e in self._exps:
             for g in range(1, d + 1):
                 if d % g == 0 and gcd(k * g, d) == g:
                     exps[k * g] = exps.get(k * g, 0) + e
-        return _canonical(self.num.substitute_power(d), self._c, exps, list(exps))
+        return _canonical(num, self._c, exps, list(exps))
 
     def mirror(self):
         """q -> 1/q, t -> 1/t, which fixes every phi_d but phi_1 = -phi_1(1/q)."""
@@ -877,10 +827,6 @@ def _rational(num, c=1, exps=()):
     return out
 
 
-def _q_integral(f):
-    return all(type(eq) is int for eq, _ in f._terms)
-
-
 def _canonical(num, c, exps, test):
     """num / (c * prod phi_d**e) in canonical form, exps a dict {d: e}.
 
@@ -900,13 +846,6 @@ def _canonical(num, c, exps, test):
             e -= 1
         exps[d] = e
     return _rational(num, c, tuple(sorted((d, e) for d, e in exps.items() if e)))
-
-
-def substitute_power(f, d):
-    """q -> q**d, t -> t**d on a LaurentQT or RationalQT."""
-    if d < 1:
-        raise ValueError("the substitution power must be a positive integer")
-    return f.substitute_power(d)
 
 
 ZERO_RATIONAL = _rational(_ZERO)
@@ -953,11 +892,9 @@ def q_one_leading(f):
         return v - dict(f._exps).get(1, 0), _canonical(lead.num, lead._c * unit, {}, ())
     if not f:
         raise ValueError("the zero polynomial has no leading term at q = 1")
-    # scale makes every q-exponent an integer; it comes back as scale**k
-    scale = lcm(*(eq.denominator for eq, _ in f._terms))
     slices = {}
     for (eq, et), c in f._terms.items():
-        slices.setdefault(et, []).append([int(eq * scale), c])
+        slices.setdefault(et, []).append([eq, c])
     k, den = 0, 1
     while True:
         lead = {}
@@ -971,4 +908,4 @@ def q_one_leading(f):
         if lead:
             return k, _canonical(LaurentQT(lead), den, {}, ())
         k += 1
-        den *= k * scale
+        den *= k

@@ -37,10 +37,6 @@ class Partition(tuple):
     def size(self):
         return sum(self)
 
-    @property
-    def length(self):
-        return len(self)
-
     def multiplicities(self):
         """{part value: multiplicity}."""
         out = {}
@@ -122,10 +118,6 @@ class PartitionPair(NamedTuple):
 
     pos: Partition
     neg: Partition
-
-    @classmethod
-    def make(cls, pos=(), neg=()):
-        return cls(Partition(pos), Partition(neg))
 
     @property
     def size(self):

@@ -5,9 +5,14 @@ The engine evaluates decorated links of two families:
 * ``TorusLink(m, n, L)`` -- the L-component torus link whose components are
   (m, n)-curves, gcd(m, n) = 1, carried by the framed cabling map: decorate
   each component, apply the m-th Adams operation, multiply in the annulus
-  algebra, apply the fractional twist tau**(n/m), and close off in the plane.
-  The natural surface framing contributes writhe m*n per component; the
-  ``framing`` vector counts extra kinks on top of that.
+  algebra, apply the twist tau**(n/m), and close off in the plane.  The
+  twist is a monomial with integer exponents.  The Adams operation is a
+  ring map, so the product lies in its image, and every label
+  (beta, gamma) there has legs with empty m-core: each leg is tiled by
+  m-ribbons, and a ribbon's m cell contents are consecutive, so m divides
+  |beta| + |gamma| as well as kappa_beta + kappa_gamma (twice the content
+  sum).  The natural surface framing contributes writhe m*n per component;
+  the ``framing`` vector counts extra kinks on top of that.
 * ``FramedUnknot(f)`` -- an unknot with f kinks.
 
 Evaluation in the plane is the ring homomorphism sending the power sums
@@ -24,11 +29,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd
 
-from .exactring import LaurentQT, RationalQT, _exp, _rational, bracket_exponents
+from .exactring import LaurentQT, RationalQT, _rational, bracket_exponents
 from .exactring import bracket_quotient, q_bracket, t_bracket
 from .partitions import Partition, PartitionPair
 from .symfun import (
@@ -219,10 +223,17 @@ def framing_factor(lam, mu=()):
     return LaurentQT.monomial(1, lam.kappa + mu.kappa, lam.size + mu.size)
 
 
-def _framing_power(pair, e):
-    """tau_{pair}**e for a rational exponent e, as a (possibly fractional) monomial."""
-    e = Fraction(e)
-    return LaurentQT.monomial(1, _exp(pair.kappa * e), _exp(pair.size * e))
+def _framing_power(pair, e, m=1):
+    """tau_{pair}**(e/m) as a monomial.
+
+    m divides kappa and |pair| for every label the torus twist meets (see the
+    module docstring), so a remainder is a broken invariant: ArithmeticError.
+    """
+    e_q, r_q = divmod(pair.kappa * e, m)
+    e_t, r_t = divmod(pair.size * e, m)
+    if r_q or r_t:
+        raise ArithmeticError(f"twist tau**({e}/{m}) of {pair.text()} has a fractional exponent")
+    return LaurentQT.monomial(1, e_q, e_t)
 
 
 def meridian_eigenvalue(lam, mu=()):
@@ -251,9 +262,8 @@ def _surface_bracket(m, n, L, pairs):
     """
     tables = [adams_schurpair(pair, m) for pair in pairs]
     product = reduce(lambda a, b: multiply_terms(a, b, schurpair_mult), tables)
-    twist = Fraction(n, m)
     return RationalQT.sum(
-        RationalQT(_framing_power(pair, twist) * c) * unknot_full(pair.pos, pair.neg)
+        RationalQT(_framing_power(pair, n, m) * c) * unknot_full(pair.pos, pair.neg)
         for pair, c in expand_terms(product, schurpair_to_composite_terms).items()
     )
 
@@ -310,22 +320,14 @@ def torus_framed(spec, decorations):
     return RationalQT.sum(rec(0, [], RationalQT(1)))
 
 
-def _t_integral(f):
-    return all(isinstance(et, int) for (_, et) in f.terms)
-
-
 def torus_full_invariant(spec, pairs):
     """The framing-independent full colored invariant with the given labels.
 
     It is the framed bracket at framing -m*n per component (writhe 0), so the
-    result does not depend on the framing vector at all; the final value has
-    integer t-exponents (checked).
+    result does not depend on the framing vector at all.
     """
     labels = _validated_pairs(spec, pairs)
     value = _bracket_basis(spec.with_framing(-spec.m * spec.n), labels)
-    # denominators are q-brackets, so the t-exponents all sit in the numerator
-    if not _t_integral(value.num):
-        raise ArithmeticError(f"non-integral t-exponent in invariant for {spec.describe()}")
     return InvariantResult(value=value, normalized=True, labels=labels)
 
 

@@ -281,6 +281,23 @@ def test_empty_k_range_exit_2(capsys, k):
     assert "--k" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "exc, code, message",
+    [
+        (ArithmeticError("a pole at q = 1"), 3, "internal error: a pole at q = 1"),
+        (ZeroDivisionError("zero modulus"), 2, "error: zero modulus"),
+    ],
+    ids=["internal", "zero-division"],
+)
+def test_arithmetic_error_exit_codes(capsys, monkeypatch, exc, code, message):
+    def fail(spec, pairs):
+        raise exc
+
+    monkeypatch.setattr(cli, "special_polynomial", fail)
+    assert main(["special", "--torus", "2", "3", "1", "--pairs", "[[[1],[]]]"]) == code
+    assert capsys.readouterr().err == message + "\n"
+
+
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """Swap the CLI's ProcessPoolExecutor for an in-process stand-in; lists its max_workers."""

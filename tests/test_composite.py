@@ -1,6 +1,10 @@
 """Composite invariants, reformulated invariants, integrality verdicts."""
 
+from math import gcd
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skeinlab.composite import (
     bracket_norm,
@@ -25,6 +29,11 @@ def pair(a, b=()):
 
 
 UNKNOT_SCALAR = RationalQT(t_bracket(1), q_bracket(1))
+
+# (m, n, L) of blackboard-framed torus links: knots with m = 2, 3 and either
+# chirality, and the two-component T(2, 2) and T(2, 4)
+BLACKBOARD_TORUS = [(m, n, 1) for m in (2, 3) for n in range(-5, 6) if gcd(m, n) == 1]
+BLACKBOARD_TORUS += [(1, 1, 2), (1, 2, 2)]
 
 
 class TestComposite:
@@ -163,6 +172,15 @@ class TestIntegrality2Z:
     def test_rh2_hopf(self):
         verdict, stage, _ = integrality_2z(r_reform(LinkSpec.torus_diagram(2, 2), 2))
         assert verdict, stage
+
+    @given(st.sampled_from(BLACKBOARD_TORUS), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_rhat_in_2z_on_torus_links(self, mnl, p):
+        # the paper's theorem: Rh_p lies in 2 ZZ[z^2, t^+-1]
+        m, n, L = mnl
+        spec = LinkSpec.torus(m, n, L, framing=(-n,) * L)
+        verdict, stage, _ = integrality_2z(r_reform(spec, p))
+        assert verdict, (spec.describe(), p, stage)
 
     def test_non_laurent(self):
         verdict, stage, _ = integrality_2z(RationalQT(LaurentQT.one(), q_bracket(1)))

@@ -7,6 +7,7 @@ from skeinlab.partitions import EMPTY, Partition, PartitionPair, pairs_of_total
 from skeinlab.skein import (
     LabelCountMismatch,
     LinkSpec,
+    _framing_power,
     evaluate,
     framing_factor,
     full_invariant_value,
@@ -16,7 +17,7 @@ from skeinlab.skein import (
     torus_full_invariant,
     unknot_full,
 )
-from skeinlab.symfun import SymFunc
+from skeinlab.symfun import SymFunc, adams_composite
 
 P = Partition
 
@@ -95,6 +96,19 @@ class TestFraming:
 
     def test_empty(self):
         assert framing_factor(EMPTY, EMPTY) == LaurentQT.one()
+
+    @pytest.mark.parametrize("m, max_size", [(2, 4), (3, 3), (4, 2), (5, 2)])
+    def test_adams_image_twists_integrally(self, m, max_size):
+        # the torus twist tau**(n/m) meets only the labels of an m-th Adams image
+        for size in range(max_size + 1):
+            for source in pairs_of_total(size):
+                for target in adams_composite(source, m):
+                    assert target.kappa % m == 0 and target.size % m == 0, (source, target)
+
+    def test_fractional_twist_is_an_internal_error(self):
+        assert _framing_power(pair([2]), 3, 2) == LaurentQT.monomial(1, 3, 3)
+        with pytest.raises(ArithmeticError, match=r"\[\[1\],\[\]\]"):
+            _framing_power(pair([1]), 1, 3)
 
 
 class TestMeridian:
