@@ -87,34 +87,38 @@ def lr_coeff(nu, lam, mu):
     for r in range(rows):
         for c in range(nu[r] - 1, lam_pad[r] - 1, -1):
             cells.append((r, c))
-    fill = {}
-    remaining = list(mu)
-    counts = [0] * (nvals + 1)
+    return _lr_place(0, cells, {}, list(mu), [0] * (nvals + 1), nvals)
 
-    def place(idx):
-        if idx == len(cells):
-            return 1
-        r, c = cells[idx]
-        total = 0
-        upper = fill.get((r - 1, c))  # strictly above, already placed
-        right = fill.get((r, c + 1))  # to the right, already placed
-        lo = (upper + 1) if upper is not None else 1
-        hi = right if right is not None else nvals
-        for v in range(lo, hi + 1):
-            if remaining[v - 1] == 0:
-                continue
-            if v > 1 and counts[v] + 1 > counts[v - 1]:
-                continue  # lattice condition on the reverse reading word
-            fill[(r, c)] = v
-            remaining[v - 1] -= 1
-            counts[v] += 1
-            total += place(idx + 1)
-            counts[v] -= 1
-            remaining[v - 1] += 1
-            del fill[(r, c)]
-        return total
 
-    return place(0)
+def _lr_place(idx, cells, fill, remaining, counts, nvals):
+    """The number of LR fillings of cells[idx:] that extend the partial filling ``fill``.
+
+    ``remaining[v - 1]`` is how many v are still to place and ``counts[v]``
+    how many are placed; all three are restored before returning.  It lives
+    at module level because a nested recursive closure is a reference cycle
+    that only the cyclic collector frees.
+    """
+    if idx == len(cells):
+        return 1
+    r, c = cells[idx]
+    total = 0
+    upper = fill.get((r - 1, c))  # strictly above, already placed
+    right = fill.get((r, c + 1))  # to the right, already placed
+    lo = (upper + 1) if upper is not None else 1
+    hi = right if right is not None else nvals
+    for v in range(lo, hi + 1):
+        if remaining[v - 1] == 0:
+            continue
+        if v > 1 and counts[v] + 1 > counts[v - 1]:
+            continue  # lattice condition on the reverse reading word
+        fill[(r, c)] = v
+        remaining[v - 1] -= 1
+        counts[v] += 1
+        total += _lr_place(idx + 1, cells, fill, remaining, counts, nvals)
+        counts[v] -= 1
+        remaining[v - 1] += 1
+        del fill[(r, c)]
+    return total
 
 
 def lr_via_chars(nu, lam, mu):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .composite import (
@@ -267,6 +266,9 @@ def _map_jobs(fn, items, jobs):
     workers = min(jobs, len(items))
     if workers < 2:
         return [fn(x) for x in items]
+    # imported here: loading multiprocessing costs every serial call time and memory
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 

@@ -13,8 +13,9 @@ Two value types, both immutable:
   product of brackets ``q**k - q**-k``, which is where every denominator in
   this engine comes from.  Each value is kept in one canonical factored form
   over the centred cyclotomic factors ``phi_d`` (``{k} = prod_{d|k} phi_d``),
-  so equality, hashing and serialisation agree, and cancellation is decided
-  by residues modulo ``phi_d`` rather than by trial division.
+  so equality, hashing and serialisation agree, and each ``phi_d`` is
+  cancelled by one synthetic division by ``Phi_d(q**2)`` that also decides
+  whether it divides.
 
 ``q_one_leading`` gives the exact leading term of either type under
 ``q = exp(h)``, which is how ``q -> 1`` limits are taken.
@@ -447,18 +448,20 @@ def zsquare_recompose(table):
 # -- centred cyclotomic factors ---------------------------------------------------------
 
 
-def _divmod_monic(p, m):
-    """Quotient and remainder of integer polynomials (constant term first) by a monic m."""
-    p = list(p)
+def _divmod_monic(row, m):
+    """Quotient and remainder of an integer polynomial row (constant term first) by a monic m.
+
+    Synthetic division in place over m's nonzero lower coefficients: row
+    ends as the remainder (its first deg m entries) followed by the quotient.
+    """
     k = len(m) - 1
-    quo = [0] * max(len(p) - k, 0)
-    for i in range(len(p) - 1, k - 1, -1):
-        c = p[i]
+    taps = [(j - k, mj) for j, mj in enumerate(m[:k]) if mj]
+    for i in range(len(row) - 1, k - 1, -1):
+        c = row[i]
         if c:
-            quo[i - k] = c
-            for j in range(k + 1):
-                p[i - k + j] -= c * m[j]
-    return quo, p[:k]
+            for j, mj in taps:
+                row[i + j] -= c * mj
+    return row[k:], row[:k]
 
 
 @lru_cache(maxsize=None)
@@ -502,24 +505,44 @@ def _phi_product(exps):
     return out
 
 
-def _phi_divides(f, d):
-    """Whether phi_d divides f, decided from residues without a trial division.
+def phi_quotient(f, d):
+    """f / phi_d in the Laurent ring, or None when phi_d does not divide f.
 
-    phi_d is a unit times Phi_d(q**2), a polynomial in x = q**2 that divides
-    x**d - 1.  So f splits into classes by t-exponent and parity of the
-    q-exponent; each class is a Laurent polynomial in x (times q for the odd
-    class), folded modulo x**d - 1 and then reduced modulo Phi_d(x).  phi_d
-    divides f exactly when every class leaves no remainder.
+    phi_d is q**-phi(d) times the monic Phi_d(x) in x = q**2.  So f splits
+    into classes by t-exponent and parity of the q-exponent; each class is a
+    monomial times a dense polynomial in x, divided by Phi_d with synthetic
+    division over Phi_d's nonzero coefficients.  The first class that leaves
+    a nonzero remainder gives None; otherwise the quotients, shifted by
+    q**phi(d), make up f / phi_d.
     """
-    folds = {}
+    classes = {}
     for (eq, et), c in f._terms.items():
-        key = (et, eq & 1)
-        row = folds.get(key)
-        if row is None:
-            row = folds[key] = [0] * d
-        row[(eq >> 1) % d] += c
+        terms = classes.get((et, eq & 1))
+        if terms is None:
+            classes[(et, eq & 1)] = [(eq >> 1, c)]
+        else:
+            terms.append((eq >> 1, c))
     m = _cyclotomic(d)
-    return not any(any(_divmod_monic(row, m)[1]) for row in folds.values())
+    k = len(m) - 1
+    quo = {}
+    for (et, r), terms in classes.items():
+        lo = min(terms)[0]
+        n = max(terms)[0] - lo + 1
+        # a nonzero class has a nonzero constant term once x**lo is taken out,
+        # so it is not a multiple of Phi_d unless its degree reaches phi(d)
+        if n <= k:
+            return None
+        row = [0] * n
+        for i, c in terms:
+            row[i - lo] = c
+        qrow, rem = _divmod_monic(row, m)
+        if any(rem):
+            return None
+        shift = 2 * lo + r + k  # x**(lo + i) * q**(r + phi(d))
+        for i, c in enumerate(qrow):
+            if c:
+                quo[(2 * i + shift, et)] = c
+    return _laurent(quo)
 
 
 def bracket_factors(f):
@@ -578,8 +601,8 @@ class RationalQT:
     A sum takes the lcm of the denominators and multiplies each numerator
     only by its own missing factors; a product cancels each numerator
     against the other operand's denominator before multiplying.  Only the
-    factors that may have become divisible are tested (``_phi_divides``),
-    and ``exact_div`` runs only on a factor that divides.  An explicit
+    factors that may have become divisible are tested, each by
+    ``phi_quotient``, which decides and divides in one pass.  An explicit
     denominator in ``RationalQT(num, den)`` is factored once by
     ``bracket_factors``; one outside the bracket family raises ValueError.
     """
@@ -841,9 +864,11 @@ def _canonical(num, c, exps, test):
     # a monomial is a unit times an integer, so no phi_d divides it
     for d in test if len(num) > 1 else ():
         e = exps[d]
-        while e and _phi_divides(num, d):
-            num = exact_div(num, cyclotomic_factor(d))
-            e -= 1
+        while e:
+            quo = phi_quotient(num, d)
+            if quo is None:
+                break
+            num, e = quo, e - 1
         exps[d] = e
     return _rational(num, c, tuple(sorted((d, e) for d, e in exps.items() if e)))
 

@@ -309,15 +309,21 @@ def torus_framed(spec, decorations):
         if a in spec.reversed_:
             dec = dec.swapped()
         comps.append(list(dec.terms.items()))
+    return RationalQT.sum(_decorated_terms(spec, comps, 0, [], RationalQT(1)))
 
-    def rec(a, pairs, coeff):
-        if a == spec.L:
-            yield coeff * _bracket_basis(spec, tuple(pairs))
-            return
-        for pair, c in comps[a]:
-            yield from rec(a + 1, pairs + [pair], coeff * c)
 
-    return RationalQT.sum(rec(0, [], RationalQT(1)))
+def _decorated_terms(spec, comps, a, pairs, coeff):
+    """coeff times the bracket of each choice of one basis term per component from a on.
+
+    Each prefix of choices multiplies its coefficient once.  It lives at
+    module level because a nested recursive closure is a reference cycle
+    that only the cyclic collector frees.
+    """
+    if a == spec.L:
+        yield coeff * _bracket_basis(spec, tuple(pairs))
+        return
+    for pair, c in comps[a]:
+        yield from _decorated_terms(spec, comps, a + 1, pairs + [pair], coeff * c)
 
 
 def torus_full_invariant(spec, pairs):

@@ -300,7 +300,7 @@ def test_arithmetic_error_exit_codes(capsys, monkeypatch, exc, code, message):
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Swap the CLI's ProcessPoolExecutor for an in-process stand-in; lists its max_workers."""
+    """Swap the pool class that the CLI imports for an in-process stand-in; lists its max_workers."""
     sizes = []
 
     class Pool:
@@ -316,7 +316,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
     return sizes
 
 
@@ -342,3 +342,17 @@ def test_worker_pool_output_identical(capsys, argv):
     serial = run_cli(capsys, *argv)
     pooled = run_cli(capsys, *argv, "--jobs", "2")
     assert pooled == serial
+
+
+def test_import_loads_no_process_pool():
+    # the pool is imported only when a command runs on two or more workers
+    src = str(Path(skeinlab.__file__).parent.parent)
+    code = (
+        "import sys, skeinlab.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "[]\n"

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from skeinlab.exactring import (
     LaurentQT,
     RationalQT,
-    _phi_divides,
     bracket_factors,
     bracket_quotient,
     cyclotomic_factor,
     exact_div,
     format_laurent,
+    phi_quotient,
     q_bracket,
     q_brace,
     q_one_leading,
@@ -263,21 +263,25 @@ class TestCanonicalForm:
             assert prod == q_bracket(k)
 
     @given(
-        laurents(max_terms=5), st.integers(1, 12), st.lists(st.integers(1, 12), max_size=3)
+        laurents(max_terms=6, span=4),
+        st.integers(1, 30),
+        st.integers(0, 3),
+        st.lists(st.integers(1, 30), max_size=2),
     )
-    @settings(max_examples=200, deadline=None)
-    def test_residue_test_agrees_with_division(self, f, d, others):
-        for k in others:
-            f = f * cyclotomic_factor(k)
-        expected = exact_div(f, cyclotomic_factor(d)) is not None
-        assert _phi_divides(f, d) == expected
+    @settings(max_examples=300, deadline=None)
+    def test_residue_test_agrees_with_division(self, f, d, k, others):
+        f = f * cyclotomic_factor(d) ** k
+        for j in others:
+            f = f * cyclotomic_factor(j)
+        assert phi_quotient(f, d) == exact_div(f, cyclotomic_factor(d))
 
     def test_residue_classes_split_by_q_parity(self):
-        # 1 - q folds to zero modulo x**d - 1 if the two q-parities share a class
+        # 1 - q is one class in x = q**2 if the two q-parities share a class
         f = LaurentQT({(0, 0): 1, (1, 0): -1})
-        assert not any(_phi_divides(f, d) for d in range(1, 13))
+        assert all(phi_quotient(f, d) is None for d in range(1, 13))
         g = f * cyclotomic_factor(3) * cyclotomic_factor(4)
-        assert [d for d in range(1, 13) if _phi_divides(g, d)] == [3, 4]
+        assert [d for d in range(1, 13) if phi_quotient(g, d) is not None] == [3, 4]
+        assert phi_quotient(phi_quotient(g, 3), 4) == f
 
     @given(bracket_fractions())
     @settings(max_examples=150, deadline=None)

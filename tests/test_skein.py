@@ -1,7 +1,10 @@
 """Bracket evaluation, framing factors, torus invariants, symmetries."""
 
+import gc
+
 import pytest
 
+from skeinlab.chars import lr_coeff
 from skeinlab.exactring import LaurentQT, RationalQT, q_bracket, t_bracket
 from skeinlab.partitions import EMPTY, Partition, PartitionPair, pairs_of_total
 from skeinlab.skein import (
@@ -168,6 +171,22 @@ class TestFramedBrackets:
             spec, [SymFunc.composite([], [1])]
         ) * 3
         assert got == split
+
+    def test_leaves_no_cyclic_garbage(self):
+        # what a call allocates is freed by reference counting alone, so peak
+        # memory does not wait on the cyclic collector
+        spec = LinkSpec.torus_diagram(2, 4)
+        dec = SymFunc.composite([1]) + SymFunc.composite([], [1])
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            torus_framed(spec, [dec, dec])
+            assert lr_coeff.__wrapped__(P([3, 2, 1]), P([2, 1]), P([2, 1])) == 2
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestFullInvariant:
