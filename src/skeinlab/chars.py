@@ -3,14 +3,12 @@
 Characters chi_lambda(C_mu) are computed by the Murnaghan-Nakayama border-strip
 recursion on beta-numbers, memoised in memory for the life of the process.
 
-Littlewood-Richardson coefficients come in two independent flavours:
-tableau enumeration (`lr_coeff`) and the character-sum formula
-(`lr_via_chars`); the second serves as an oracle for the first.
+Littlewood-Richardson coefficients come from tableau enumeration
+(`lr_coeff`); the tests check it against the character-sum formula.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .partitions import Partition, partitions_of
@@ -119,33 +117,6 @@ def _lr_place(idx, cells, fill, remaining, counts, nvals):
         remaining[v - 1] += 1
         del fill[(r, c)]
     return total
-
-
-def lr_via_chars(nu, lam, mu):
-    """c^nu_{lam, mu} through the character-sum formula; the independent oracle.
-
-    c^nu_{lam,mu} = sum over rho, tau of
-    chi_lam(rho) chi_mu(tau) chi_nu(rho U tau) / (z_rho z_tau).
-    """
-    nu, lam, mu = Partition(nu), Partition(lam), Partition(mu)
-    if lam.size + mu.size != nu.size:
-        return 0
-    total = Fraction(0)
-    for rho in partitions_of(lam.size):
-        chi_l = character(lam, rho)
-        if not chi_l:
-            continue
-        for tau in partitions_of(mu.size):
-            chi_m = character(mu, tau)
-            if not chi_m:
-                continue
-            chi_n = character(nu, rho.union(tau))
-            if not chi_n:
-                continue
-            total += Fraction(chi_l * chi_m * chi_n, rho.z * tau.z)
-    if total.denominator != 1:
-        raise ArithmeticError(f"non-integral LR value {total} for {nu}, {lam}, {mu}")
-    return int(total)
 
 
 @lru_cache(maxsize=None)

@@ -313,9 +313,8 @@ def cmd_special(args):
     return 0
 
 
-def _suite_item(item):
-    name, deep = item
-    return name, SUITES[name](deep=deep)
+def _suite_item(name):
+    return name, SUITES[name]()
 
 
 def cmd_selftest(args):
@@ -323,7 +322,7 @@ def cmd_selftest(args):
     for name in names:
         if name not in SUITES:
             raise SystemExit2(f"unknown suite {name!r}; choices: {sorted(SUITES)}")
-    results = dict(_map_jobs(_suite_item, [(n, args.deep) for n in names], args.jobs))
+    results = dict(_map_jobs(_suite_item, names, args.jobs))
     failures = 0
     doc = {"command": "selftest", "suites": {}}
     for name in names:
@@ -421,7 +420,6 @@ def build_parser():
 
     p = add_parser("selftest", help="run structural property suites")
     p.add_argument("--suite", action="append", help="suite name (repeatable; default all)")
-    p.add_argument("--deep", action="store_true", help="larger randomized sample sizes")
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes (at most one per suite)")
     p.set_defaults(func=cmd_selftest)

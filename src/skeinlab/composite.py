@@ -21,37 +21,26 @@ table.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product as iproduct
+from itertools import combinations
 
 from .chars import character
-from .exactring import LaurentQT, RationalQT, exact_div, q_bracket, zsquare_decompose
+from .exactring import LaurentQT, RationalQT, _div_int, q_bracket, zsquare_decompose
 from .partitions import Partition, PartitionPair, partitions_of
-from .skein import LabelCountMismatch, full_invariant_value, torus_framed
+from .skein import LabelCountMismatch, torus_framed
 from .symfun import COMPOSITE, SymFunc, pair_weights
 
 
-def _label_assignments(labels):
-    """Iterate (pairs, weight) over LR-weighted pair choices per component."""
-    tables = [list(pair_weights(Partition(A)).items()) for A in labels]
-    for combo in iproduct(*tables):
-        pairs = tuple(p for p, _ in combo)
-        weight = 1
-        for _, c in combo:
-            weight *= c
-        yield pairs, weight
-
-
 def composite_invariant(spec, labels):
-    """H_A for the framing-independent full colored invariants."""
-    if len(labels) != spec.L:
-        raise LabelCountMismatch(f"{len(labels)} labels for {spec.L} components")
-    return RationalQT.sum(
-        full_invariant_value(spec, pairs) * weight for pairs, weight in _label_assignments(labels)
-    )
+    """H_A for the framing-independent full colored invariants.
+
+    The full invariant is the framed bracket at writhe 0, i.e. framing -m*n
+    on every component, so H_A is the framed composite sum there.
+    """
+    return framed_composite(spec.with_framing(-spec.m * spec.n), labels)
 
 
 def framed_composite(spec, labels):
-    """The same LR-weighted sum applied to the framed bracket (no writhe correction)."""
+    """The LR-weighted sum applied to the framed bracket (no writhe correction)."""
     if len(labels) != spec.L:
         raise LabelCountMismatch(f"{len(labels)} labels for {spec.L} components")
     decorations = [SymFunc(COMPOSITE, pair_weights(Partition(A))) for A in labels]
@@ -133,13 +122,13 @@ def zsquare_member(f):
 def integrality_2z(f):
     """(verdict, stage, table) for membership in 2 ZZ[z^2, t^{+-1}].
 
-    Reduces to a Laurent polynomial, halves it, and decomposes in powers of
-    z**2; the certificate is the integer coefficient table of f/2.
+    Reduces to a Laurent polynomial, checks that every coefficient is even,
+    halves it, and decomposes in powers of z**2; the certificate is the
+    integer coefficient table of f/2.
     """
     lau = f if isinstance(f, LaurentQT) else f.as_laurent()
     if lau is None:
         return False, "not-laurent", None
-    half = exact_div(lau, LaurentQT.from_int(2))
-    if half is None:
+    if lau.content() % 2:
         return False, "not-even", None
-    return zsquare_member(half)
+    return zsquare_member(_div_int(lau, 2))

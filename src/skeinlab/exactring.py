@@ -305,10 +305,6 @@ def format_laurent(f):
 # -- distinguished elements ---------------------------------------------------
 
 
-def q_power(e):
-    return LaurentQT({(e, 0): 1})
-
-
 def t_power(e):
     return LaurentQT({(0, e): 1})
 

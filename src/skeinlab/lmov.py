@@ -126,18 +126,6 @@ class FreeEnergyTable:
         labels = tuple(Partition(A) for A in labels)
         return self.entries.get(labels, RationalQT(0))
 
-    def reassembled_log(self):
-        """sum_{d} (1/d) sum_A f_A(q^d, t^d) s_A(x^d) as a power-sum series.
-
-        Rebuilding the log from the table is the triangular-consistency check.
-        """
-        pieces = []
-        for n in range(1, self.max_degree + 1):
-            for d in range(1, n + 1):
-                if n % d == 0:
-                    pieces.extend(_adams_layer(self.entries, n, d))
-        return sum_terms(pieces)
-
 
 def log_partition_series(spec, D):
     """log Z as a power-sum monomial series {mu vector: RationalQT}, total degree <= D."""

@@ -7,10 +7,8 @@ canonical order for deterministic caches and output).
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
-from itertools import product as _iproduct
-from math import comb, factorial
+from math import factorial
 from typing import NamedTuple
 
 
@@ -66,10 +64,6 @@ class Partition(tuple):
         conj = self.conjugate()
         return [p + conj[j] - i - j - 1 for i, p in enumerate(self) for j in range(p)]
 
-    def statistics(self):
-        """(z, kappa, contents) in one call."""
-        return self.z, self.kappa, self.contents()
-
     # -- structural operations -------------------------------------------------
 
     def conjugate(self):
@@ -97,14 +91,6 @@ class Partition(tuple):
     def text(self):
         """Canonical text form, e.g. "[4,2,2]"."""
         return "[" + ",".join(str(p) for p in self) + "]"
-
-    @classmethod
-    def parse(cls, text):
-        """Inverse of text(); accepts any JSON list of integers."""
-        data = json.loads(text)
-        if not isinstance(data, list):
-            raise ValueError(f"not a partition: {text!r}")
-        return cls(data)
 
     def __repr__(self):
         return f"Partition({list(self)!r})"
@@ -136,13 +122,6 @@ class PartitionPair(NamedTuple):
     def text(self):
         return f"[{self.pos.text()},{self.neg.text()}]"
 
-    @classmethod
-    def parse(cls, text):
-        data = json.loads(text)
-        if not (isinstance(data, list) and len(data) == 2):
-            raise ValueError(f"not a partition pair: {text!r}")
-        return cls(Partition(data[0]), Partition(data[1]))
-
 
 @lru_cache(maxsize=None)
 def partitions_of(n, max_part=None):
@@ -161,15 +140,6 @@ def partitions_of(n, max_part=None):
 
 
 @lru_cache(maxsize=None)
-def partitions_upto(n):
-    """All partitions of size 0..n, ordered by size then reverse-lex."""
-    out = []
-    for k in range(n + 1):
-        out.extend(partitions_of(k))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def pairs_of_total(n):
     """All PartitionPair with |pos| + |neg| == n."""
     out = []
@@ -178,41 +148,3 @@ def pairs_of_total(n):
             for mu in partitions_of(n - k):
                 out.append(PartitionPair(lam, mu))
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def splittings(nu, left_nonempty=False, right_nonempty=False):
-    """All distinct splittings of the part multiset of nu into (B, C).
-
-    Each distinct pair is listed once; the number of occurrence-level
-    assignments collapsing onto it equals z(nu) / (z(B) z(C)), so the z-weights
-    standard in character identities count exactly these merges.
-    """
-    nu = Partition(nu)
-    per_value = []
-    for v, m in sorted(nu.multiplicities().items()):
-        per_value.append([(v, i, m - i) for i in range(m + 1)])
-    out = []
-    for combo in _iproduct(*per_value) if per_value else [()]:
-        left, right = [], []
-        for v, i, j in combo:
-            left.extend([v] * i)
-            right.extend([v] * j)
-        B, C = Partition(left), Partition(right)
-        if left_nonempty and not B:
-            continue
-        if right_nonempty and not C:
-            continue
-        out.append((B, C))
-    return tuple(out)
-
-
-def splitting_weight(nu, B, C):
-    """z(nu)/(z(B) z(C)); equals the number of merged occurrence assignments."""
-    weight = 1
-    mB, mC = B.multiplicities(), C.multiplicities()
-    for v, m in nu.multiplicities().items():
-        weight *= comb(m, mB.get(v, 0))
-        if mB.get(v, 0) + mC.get(v, 0) != m:
-            raise ValueError("not a splitting of nu")
-    return weight

@@ -33,11 +33,10 @@ from functools import lru_cache, reduce
 from math import gcd
 
 from .exactring import LaurentQT, RationalQT, _rational, bracket_exponents
-from .exactring import bracket_quotient, q_bracket, t_bracket
+from .exactring import bracket_quotient, t_bracket
 from .partitions import Partition, PartitionPair
 from .symfun import (
     COMPOSITE,
-    POWER_PAIR,
     adams_schurpair,
     expand_terms,
     multiply_terms,
@@ -174,17 +173,6 @@ def power_value(m):
     return bracket_quotient(t_bracket(m), 1, [m])
 
 
-def evaluate(f):
-    """The plane evaluation: a ring homomorphism on the power-sum basis."""
-    f = f.to_basis(POWER_PAIR)
-    pieces = []
-    for pair, coeff in f.terms.items():
-        for p in pair.pos + pair.neg:
-            coeff = coeff * power_value(p)
-        pieces.append(coeff)
-    return RationalQT.sum(pieces)
-
-
 @lru_cache(maxsize=None)
 def unknot_full(lam, mu=()):
     """Full colored unknot invariant for the composite label [lam, mu].
@@ -199,9 +187,9 @@ def unknot_full(lam, mu=()):
 
     Every net power of an [a] is >= 0: the value is a Laurent polynomial in
     t, and [a] = q**a * t**-1 * (t - q**-a) * (t + q**-a) shares no factor
-    with [b] for b != a, so a negative power could not cancel.  The value
-    agrees with the plane evaluation of the composite basis element
-    (``evaluate``, the test and selftest oracle).
+    with [b] for b != a, so a negative power could not cancel.  The tests
+    check the value against the plane evaluation of the composite basis
+    element on power sums.
     """
     lam, mu = Partition(lam), Partition(mu)
     powers = Counter(lam.contents() + mu.contents())
@@ -217,12 +205,6 @@ def unknot_full(lam, mu=()):
     return _rational(num, 1, tuple(sorted(exps.items())))
 
 
-def framing_factor(lam, mu=()):
-    """tau_{lam,mu} = q**(kappa_lam + kappa_mu) * t**(|lam| + |mu|)."""
-    lam, mu = Partition(lam), Partition(mu)
-    return LaurentQT.monomial(1, lam.kappa + mu.kappa, lam.size + mu.size)
-
-
 def _framing_power(pair, e, m=1):
     """tau_{pair}**(e/m) as a monomial.
 
@@ -234,19 +216,6 @@ def _framing_power(pair, e, m=1):
     if r_q or r_t:
         raise ArithmeticError(f"twist tau**({e}/{m}) of {pair.text()} has a fractional exponent")
     return LaurentQT.monomial(1, e_q, e_t)
-
-
-def meridian_eigenvalue(lam, mu=()):
-    """Eigenvalue of the meridian map on the composite eigenvector [lam, mu]:
-
-    (q - 1/q) * (t * sum over lam cells of q**(2c) - 1/t * sum over mu cells
-    of q**(-2c)) + the unknot scalar, c the cell content.
-    """
-    lam, mu = Partition(lam), Partition(mu)
-    terms = [((2 * c, 1), 1) for c in lam.contents()]
-    terms += [((-2 * c, -1), -1) for c in mu.contents()]
-    finite = q_bracket(1) * LaurentQT(terms)
-    return RationalQT(finite) + power_value(1)
 
 
 # -- torus-link brackets ----------------------------------------------------------------

@@ -28,7 +28,7 @@ from itertools import chain
 
 from .chars import character, lr_coeff, schur_expand_product
 from .exactring import RationalQT
-from .partitions import EMPTY, Partition, PartitionPair, partitions_of, splittings
+from .partitions import EMPTY, Partition, PartitionPair, partitions_of
 
 COMPOSITE = "composite"
 SCHUR_PAIR = "schur_pair"
@@ -182,49 +182,6 @@ def pair_weights(A):
                 if c:
                     out[PartitionPair(lam, mu)] = c
     return out
-
-
-def product_structure_constant(p1, p2, target):
-    """One structure constant through the direct quadruple-LR sum.
-
-    This is the independent route against which composite_product_terms is
-    validated:
-
-        M = sum over beta,gamma,theta,delta of
-            (sum_sigma c^xi_{sigma,beta} c^nu_{sigma,gamma})
-            (sum_eps   c^eta_{eps,theta} c^rho_{eps,delta})
-            c^lam_{beta,delta} c^mu_{gamma,theta}
-
-    for [xi, eta] * [rho, nu] -> [lam, mu].
-    """
-    xi, eta = p1
-    rho, nu = p2
-    lam, mu = target
-    total = 0
-    for sb in range(min(xi.size, nu.size) + 1):
-        for beta in partitions_of(xi.size - sb):
-            for gamma in partitions_of(nu.size - sb):
-                inner1 = sum(
-                    lr_coeff(xi, sigma, beta) * lr_coeff(nu, sigma, gamma)
-                    for sigma in partitions_of(sb)
-                )
-                if not inner1:
-                    continue
-                for se in range(min(eta.size, rho.size) + 1):
-                    for theta in partitions_of(eta.size - se):
-                        c_mu = lr_coeff(mu, gamma, theta)
-                        if not c_mu:
-                            continue
-                        for delta in partitions_of(rho.size - se):
-                            c_lam = lr_coeff(lam, beta, delta)
-                            if not c_lam:
-                                continue
-                            inner2 = sum(
-                                lr_coeff(eta, eps, theta) * lr_coeff(rho, eps, delta)
-                                for eps in partitions_of(se)
-                            )
-                            total += inner1 * inner2 * c_lam * c_mu
-    return total
 
 
 # -- Adams operations ----------------------------------------------------------------
@@ -413,28 +370,6 @@ class SymFunc:
         return f"SymFunc({self.basis}, {{{bits}}})"
 
 
-# -- spec-level operation wrappers ---------------------------------------------------------------
-
-
-def composite_to_schurpair(lam, mu):
-    """The composite Schur element s_{lam,mu} as a schur_pair combination."""
-    terms = composite_to_schurpair_terms(Partition(lam), Partition(mu))
-    return SymFunc(SCHUR_PAIR, dict(terms))
-
-
-def schurpair_to_composite(rho, nu):
-    """The plain tensor s_rho (x) s*_nu as a composite combination."""
-    terms = schurpair_to_composite_terms(Partition(rho), Partition(nu))
-    return SymFunc(COMPOSITE, dict(terms))
-
-
-def composite_product(p1, p2):
-    """Product of two composite basis elements, in the composite basis."""
-    p1 = PartitionPair(Partition(p1[0]), Partition(p1[1]))
-    p2 = PartitionPair(Partition(p2[0]), Partition(p2[1]))
-    return SymFunc(COMPOSITE, dict(composite_product_terms(p1, p2)))
-
-
 # -- the determinantal construction --------------------------------------------------------------
 
 
@@ -504,72 +439,3 @@ def q_determinant(lam, mu):
     size = len(matrix)
     monos = _det_monomials(tuple(range(size)), tuple(range(size)), matrix)
     return SymFunc(SCHUR_PAIR, legwise_terms(monos, _h_monomial_schur)).to_basis(COMPOSITE)
-
-
-# -- the orientation-symmetrised power-sum element ------------------------------------------------
-
-
-def _r_nu_character_route(nu):
-    """sum_A chi_A(nu) sum_{lam,mu} c^A_{lam,mu} s_{lam,mu}, pushed to power sums."""
-    nu = Partition(nu)
-    composite = []
-    for A in partitions_of(nu.size):
-        chi = character(A, nu)
-        if chi:
-            for pair, c in pair_weights(A).items():
-                composite.append((pair, chi * c))
-    return SymFunc(COMPOSITE, sum_terms(composite)).to_basis(POWER_PAIR)
-
-
-def _r_nu_splitting_route(nu):
-    """The splitting expansion over P_eta P*_pi with z-ratio weights.
-
-    First block: all splittings nu = B u C contribute z_nu/(z_B z_C) P_B P*_C.
-    Second block: distinct triples (tau, eta, pi) with tau nonempty and
-    nu = tau u tau u eta u pi contribute (-1)^{l(tau)} z_nu/(z_eta z_tau z_pi).
-    """
-    nu = Partition(nu)
-    out = [(PartitionPair(B, C), Fraction(nu.z, B.z * C.z)) for B, C in splittings(nu)]
-    # enumerate tau with tau u tau contained in nu
-    mult = nu.multiplicities()
-    values = sorted(mult)
-    choices = [[(v, i) for i in range(mult[v] // 2 + 1)] for v in values]
-
-    def rec(idx, tau_parts):
-        if idx == len(choices):
-            tau = Partition(tau_parts)
-            if not tau:
-                return
-            rest = list(nu)
-            for p in tau_parts + tau_parts:
-                rest.remove(p)
-            rest = Partition(rest)
-            sign = -1 if len(tau) % 2 else 1
-            for eta, pi in splittings(rest):
-                w = Fraction(nu.z, eta.z * tau.z * pi.z)
-                out.append((PartitionPair(eta, pi), sign * w))
-            return
-        for v, i in choices[idx]:
-            rec(idx + 1, tau_parts + [v] * i)
-
-    rec(0, [])
-    terms = {}
-    for pair, w in sum_terms(out).items():
-        if w.denominator != 1:
-            raise ArithmeticError(f"non-integral splitting weight {w}")
-        terms[pair] = int(w)
-    return SymFunc(POWER_PAIR, terms)
-
-
-def r_nu(nu, check=True):
-    """The skein element attached to nu, in the power_pair basis.
-
-    With ``check`` the two independent computations (character sum and
-    splitting expansion) are both evaluated and must agree.
-    """
-    result = _r_nu_splitting_route(nu)
-    if check:
-        other = _r_nu_character_route(nu)
-        if result != other:
-            raise ArithmeticError(f"splitting and character routes differ for {nu}")
-    return result

@@ -1,0 +1,245 @@
+"""Independent second routes, used only by the tests as oracles.
+
+The engine computes each quantity one way; every function here computes a
+quantity the engine also computes, by a different formula:
+
+* ``lr_via_chars`` -- LR coefficients by the character-sum formula, against
+  tableau enumeration (``chars.lr_coeff``);
+* ``product_structure_constant`` -- one composite structure constant by the
+  quadruple-LR sum, against ``symfun.composite_product_terms``;
+* ``r_nu`` and ``r_nu_via_chars`` -- the orientation-symmetrised power-sum
+  element by the splitting expansion and by a character sum;
+* ``evaluate`` -- plane evaluation on power sums, against the closed-form
+  unknot (``skein.unknot_full``);
+* ``meridian_eigenvalue`` -- the meridian map's eigenvalue on [lam, mu];
+* ``reassembled_log`` -- log Z rebuilt from a free-energy table, against
+  ``lmov.log_partition_series``;
+* ``corollary_congruence`` -- the power-substitution congruence of Zh_p;
+* ``splittings`` and ``splitting_weight`` -- the part-multiset splittings of
+  nu and their z-ratio weights.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import lru_cache
+from itertools import product as iproduct
+from math import comb
+
+from skeinlab.chars import character, lr_coeff
+from skeinlab.composite import z_reform
+from skeinlab.exactring import LaurentQT, RationalQT, q_brace, q_bracket
+from skeinlab.lmov import _adams_layer, congruence_check
+from skeinlab.partitions import Partition, PartitionPair, partitions_of
+from skeinlab.skein import power_value
+from skeinlab.symfun import (
+    COMPOSITE,
+    POWER_PAIR,
+    SymFunc,
+    pair_weights,
+    sum_terms,
+)
+
+P = Partition
+
+
+# -- Littlewood-Richardson and structure constants ---------------------------------------
+
+
+def lr_via_chars(nu, lam, mu):
+    """c^nu_{lam, mu} through the character-sum formula.
+
+    c^nu_{lam,mu} = sum over rho, tau of
+    chi_lam(rho) chi_mu(tau) chi_nu(rho U tau) / (z_rho z_tau).
+    """
+    nu, lam, mu = Partition(nu), Partition(lam), Partition(mu)
+    if lam.size + mu.size != nu.size:
+        return 0
+    total = Fraction(0)
+    for rho in partitions_of(lam.size):
+        chi_l = character(lam, rho)
+        if not chi_l:
+            continue
+        for tau in partitions_of(mu.size):
+            chi_m = character(mu, tau)
+            if not chi_m:
+                continue
+            chi_n = character(nu, rho.union(tau))
+            if not chi_n:
+                continue
+            total += Fraction(chi_l * chi_m * chi_n, rho.z * tau.z)
+    if total.denominator != 1:
+        raise ArithmeticError(f"non-integral LR value {total} for {nu}, {lam}, {mu}")
+    return int(total)
+
+
+def product_structure_constant(p1, p2, target):
+    """One composite structure constant through the direct quadruple-LR sum:
+
+        M = sum over beta,gamma,theta,delta of
+            (sum_sigma c^xi_{sigma,beta} c^nu_{sigma,gamma})
+            (sum_eps   c^eta_{eps,theta} c^rho_{eps,delta})
+            c^lam_{beta,delta} c^mu_{gamma,theta}
+
+    for [xi, eta] * [rho, nu] -> [lam, mu].
+    """
+    xi, eta = p1
+    rho, nu = p2
+    lam, mu = target
+    total = 0
+    for sb in range(min(xi.size, nu.size) + 1):
+        for beta in partitions_of(xi.size - sb):
+            for gamma in partitions_of(nu.size - sb):
+                inner1 = sum(
+                    lr_coeff(xi, sigma, beta) * lr_coeff(nu, sigma, gamma)
+                    for sigma in partitions_of(sb)
+                )
+                if not inner1:
+                    continue
+                for se in range(min(eta.size, rho.size) + 1):
+                    for theta in partitions_of(eta.size - se):
+                        c_mu = lr_coeff(mu, gamma, theta)
+                        if not c_mu:
+                            continue
+                        for delta in partitions_of(rho.size - se):
+                            c_lam = lr_coeff(lam, beta, delta)
+                            if not c_lam:
+                                continue
+                            inner2 = sum(
+                                lr_coeff(eta, eps, theta) * lr_coeff(rho, eps, delta)
+                                for eps in partitions_of(se)
+                            )
+                            total += inner1 * inner2 * c_lam * c_mu
+    return total
+
+
+# -- splittings and the orientation-symmetrised power-sum element ---------------------------
+
+
+@lru_cache(maxsize=None)
+def splittings(nu):
+    """All distinct splittings of the part multiset of nu into (B, C).
+
+    Each distinct pair is listed once; the number of occurrence-level
+    assignments collapsing onto it equals z(nu) / (z(B) z(C)).
+    """
+    nu = Partition(nu)
+    mult = nu.multiplicities()
+    per_value = [[(v, i, mult[v] - i) for i in range(mult[v] + 1)] for v in sorted(mult)]
+    out = []
+    for combo in iproduct(*per_value):
+        left, right = [], []
+        for v, i, j in combo:
+            left.extend([v] * i)
+            right.extend([v] * j)
+        out.append((Partition(left), Partition(right)))
+    return tuple(out)
+
+
+def splitting_weight(nu, B, C):
+    """z(nu)/(z(B) z(C)); equals the number of merged occurrence assignments."""
+    weight = 1
+    mB, mC = B.multiplicities(), C.multiplicities()
+    for v, m in nu.multiplicities().items():
+        weight *= comb(m, mB.get(v, 0))
+        if mB.get(v, 0) + mC.get(v, 0) != m:
+            raise ValueError("not a splitting of nu")
+    return weight
+
+
+def r_nu(nu):
+    """The skein element attached to nu in the power_pair basis, by splittings.
+
+    First block: all splittings nu = B u C contribute z_nu/(z_B z_C) P_B P*_C.
+    Second block: distinct triples (tau, eta, pi) with tau nonempty and
+    nu = tau u tau u eta u pi contribute (-1)^{l(tau)} z_nu/(z_eta z_tau z_pi).
+    """
+    nu = Partition(nu)
+    out = [(PartitionPair(B, C), Fraction(nu.z, B.z * C.z)) for B, C in splittings(nu)]
+    mult = nu.multiplicities()
+    choices = [[(v, i) for i in range(mult[v] // 2 + 1)] for v in sorted(mult)]
+    for combo in iproduct(*choices):
+        tau_parts = [v for v, i in combo for _ in range(i)]
+        if not tau_parts:
+            continue
+        tau = Partition(tau_parts)
+        rest = list(nu)
+        for p in tau_parts + tau_parts:
+            rest.remove(p)
+        sign = -1 if len(tau) % 2 else 1
+        for eta, pi in splittings(Partition(rest)):
+            out.append((PartitionPair(eta, pi), sign * Fraction(nu.z, eta.z * tau.z * pi.z)))
+    terms = {}
+    for pair, w in sum_terms(out).items():
+        if w.denominator != 1:
+            raise ArithmeticError(f"non-integral splitting weight {w}")
+        terms[pair] = int(w)
+    return SymFunc(POWER_PAIR, terms)
+
+
+def r_nu_via_chars(nu):
+    """sum_A chi_A(nu) sum_{lam,mu} c^A_{lam,mu} s_{lam,mu}, pushed to power sums."""
+    nu = Partition(nu)
+    composite = []
+    for A in partitions_of(nu.size):
+        chi = character(A, nu)
+        if chi:
+            for pair, c in pair_weights(A).items():
+                composite.append((pair, chi * c))
+    return SymFunc(COMPOSITE, sum_terms(composite)).to_basis(POWER_PAIR)
+
+
+# -- skein evaluation -----------------------------------------------------------------------
+
+
+def evaluate(f):
+    """The plane evaluation: a ring homomorphism on the power-sum basis."""
+    f = f.to_basis(POWER_PAIR)
+    pieces = []
+    for pair, coeff in f.terms.items():
+        for p in pair.pos + pair.neg:
+            coeff = coeff * power_value(p)
+        pieces.append(coeff)
+    return RationalQT.sum(pieces)
+
+
+def meridian_eigenvalue(lam, mu=()):
+    """Eigenvalue of the meridian map on the composite eigenvector [lam, mu]:
+
+    (q - 1/q) * (t * sum over lam cells of q**(2c) - 1/t * sum over mu cells
+    of q**(-2c)) + the unknot scalar, c the cell content.
+    """
+    lam, mu = Partition(lam), Partition(mu)
+    terms = [((2 * c, 1), 1) for c in lam.contents()]
+    terms += [((-2 * c, -1), -1) for c in mu.contents()]
+    finite = q_bracket(1) * LaurentQT(terms)
+    return RationalQT(finite) + power_value(1)
+
+
+# -- free energy and congruences ------------------------------------------------------------
+
+
+def reassembled_log(table):
+    """sum_{d} (1/d) sum_A f_A(q^d, t^d) s_A(x^d) as a power-sum series.
+
+    Rebuilding log Z from a ``lmov.FreeEnergyTable`` checks the triangular
+    extraction of ``lmov.plethystic_h``.
+    """
+    pieces = []
+    for n in range(1, table.max_degree + 1):
+        for d in range(1, n + 1):
+            if n % d == 0:
+                pieces.extend(_adams_layer(table.entries, n, d))
+    return sum_terms(pieces)
+
+
+def corollary_congruence(spec, p):
+    """Zh_p(L) = (-1)^((p-1) wbar) Zh_1(L; q^p, t^p) mod {p}^2, as a verdict."""
+    L = spec.L
+    a = z_reform(spec, [P([p])] * L)
+    b = z_reform(spec, [P([1])] * L).substitute_power(p)
+    wbar = sum(spec.writhes)
+    if (p - 1) % 2 and wbar % 2:
+        b = -b
+    verdict, stage, _ = congruence_check(a, b, q_brace(p) * q_brace(p))
+    return verdict

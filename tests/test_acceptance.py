@@ -16,8 +16,10 @@ from skeinlab.fixtures import (
 )
 from skeinlab.lmov import lmov_check, plethystic_h, special_polynomial
 from skeinlab.partitions import Partition, PartitionPair, pairs_of_total
-from skeinlab.selftest import corollary_congruence, run as run_suites
+from skeinlab.selftest import run as run_suites
 from skeinlab.skein import LinkSpec
+
+from oracles import corollary_congruence
 
 P = Partition
 

@@ -14,14 +14,10 @@ from fractions import Fraction
 import pytest
 
 from skeinlab import chars
-from skeinlab.chars import (
-    SizeMismatch,
-    character,
-    lr_coeff,
-    lr_via_chars,
-    schur_expand_product,
-)
+from skeinlab.chars import SizeMismatch, character, lr_coeff, schur_expand_product
 from skeinlab.partitions import Partition, partitions_of
+
+from oracles import lr_via_chars
 
 P = Partition
 
@@ -129,6 +125,9 @@ class TestCharacterOracle:
 class TestCharacterValues:
     def test_standard_tableau_count(self):
         assert character(P([2, 1]), P([1, 1, 1])) == 2
+        for n in range(1, 7):
+            for lam in partitions_of(n):
+                assert character(lam, P([1] * n)) > 0
 
     def test_sign_representation(self):
         assert character(P([1, 1]), P([2])) == -1

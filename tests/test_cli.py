@@ -153,34 +153,59 @@ def test_malformed_label_exit_2(capsys, argv):
 # sha256 of the --json document, so that a change of the algebra kernels cannot
 # move an output byte unnoticed; together these cover Adams m = 3,
 # three-component products and mixed-orientation labels.  The reform case uses
-# p = 1: with p = 2 the same link runs ~35 s (degree-18 LR products).
+# p = 1: with p = 2 the same link runs ~35 s (degree-18 LR products).  The
+# unframed composite cases pin H_A, reversed component and kinked unknot
+# included; reform-rhat pins the halving in integrality_2z.
 PINNED_JSON_SHA256 = [
-    (
+    pytest.param(
         ("bracket", "--torus", "1", "1", "2", "--pairs", "[[[1],[]],[[1],[]]]"),
         "1e79d33bcdcdb903804f7eabb25447a006d8e48711fc128afccbcc03f12ec0b9",
+        id="bracket",
     ),
-    (
+    pytest.param(
         ("composite", "--torus", "2", "3", "1", "--labels", "[[2,1]]", "--framed"),
         "edf4688c0c4670553cd524e9b5de8376754b6202441753865a10a1f0f1bb56ae",
+        id="composite",
     ),
-    (
+    pytest.param(
         ("reform", "--torus", "3", "1", "3", "--blackboard", "--p", "1"),
         "f33ecb73b1499e95894e3ac30fed8a229d419ce2f05b529be897ee363ae4f61e",
+        id="reform",
     ),
-    (
+    pytest.param(
         ("lmov", "--torus", "1", "1", "2", "--framing=-1,-1", "--B", "[[2],[1,1]]"),
         "85a004cb97d132d61b12098767d5091ef1be21bcae3b18a28b2b0a1c383974e1",
+        id="lmov",
     ),
-    (
+    pytest.param(
         ("invariant", "--torus", "3", "4", "1", "--pairs", "[[[2,1],[1]]]"),
         "a4293e08791fd5c2a25c05269851dbadb78590b22a6fa05328ebe7c607e69025",
+        id="invariant",
+    ),
+    pytest.param(
+        ("composite", "--torus", "2", "3", "1", "--labels", "[[2,1]]"),
+        "07c9ce972a4219f302ffb8af7cc53dae8d47485e424c05b5833744bbb816ad89",
+        id="composite-full",
+    ),
+    pytest.param(
+        ("composite", "--torus", "1", "1", "2", "--reversed", "1", "--labels", "[[2],[1,1]]"),
+        "7a4eb6dfe15219d5a31ee0b29f871582a51ece67a479143e99b13eb61e59484f",
+        id="composite-reversed",
+    ),
+    pytest.param(
+        ("composite", "--unknot", "-1", "--labels", "[[2,1]]"),
+        "2a0e7eb57f794e2e43747cb9d2656d68cb142c39577d4bd3e810d17e88f10178",
+        id="composite-unknot",
+    ),
+    pytest.param(
+        ("reform", "--torus", "1", "1", "2", "--blackboard", "--p", "2", "--rhat"),
+        "2306e50a375430316209572fbee2e2b95fac0cb359f6ae52693090c12d871d1c",
+        id="reform-rhat",
     ),
 ]
 
 
-@pytest.mark.parametrize(
-    "argv, digest", PINNED_JSON_SHA256, ids=[argv[0] for argv, _ in PINNED_JSON_SHA256]
-)
+@pytest.mark.parametrize("argv, digest", PINNED_JSON_SHA256)
 def test_json_bytes_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv, "--json")
     assert code == 0
@@ -232,9 +257,9 @@ class TestCongruenceAndRepro:
 
 class TestSelftestAndCache:
     def test_selftest_single_suite(self, capsys):
-        code, out, _ = run_cli(capsys, "selftest", "--suite", "partitions")
+        code, out, _ = run_cli(capsys, "selftest", "--suite", "symfun")
         assert code == 0
-        assert "[pass] partitions:" in out
+        assert "[pass] symfun:" in out
 
     def test_stale_cache_directory_is_not_read(self, capsys, tmp_path):
         # a character file in the layout of the former on-disk cache, with
@@ -334,7 +359,7 @@ def test_jobs_bounded_by_item_count(capsys, pool_sizes, k, jobs, workers):
     "argv",
     [
         ("congruence", "--p", "2", "--k", "0..3", "--json"),
-        ("selftest", "--suite", "partitions", "--suite", "chars", "--json"),
+        ("selftest", "--suite", "symfun", "--suite", "lmov", "--json"),
     ],
     ids=["congruence", "selftest"],
 )

@@ -1,5 +1,6 @@
 """Composite invariants, reformulated invariants, integrality verdicts."""
 
+from itertools import product
 from math import gcd
 
 import pytest
@@ -19,7 +20,9 @@ from skeinlab.composite import (
 from skeinlab.exactring import LaurentQT, RationalQT, q_bracket, t_bracket, t_power
 from skeinlab.partitions import EMPTY, Partition, PartitionPair
 from skeinlab.skein import LabelCountMismatch, LinkSpec, full_invariant_value, torus_framed
-from skeinlab.symfun import SymFunc, r_nu
+from skeinlab.symfun import SymFunc, pair_weights
+
+from oracles import r_nu
 
 P = Partition
 
@@ -50,6 +53,27 @@ class TestComposite:
         got = composite_invariant(spec, [P([1])])
         w = full_invariant_value(spec, [pair([1])])
         assert got == w * 2
+
+    @pytest.mark.parametrize(
+        "spec, labels",
+        [
+            (LinkSpec.torus(2, 3, 1, framing=4), [P([2, 1])]),
+            (LinkSpec.torus(1, 1, 2, reversed_={1}), [P([2]), P([1, 1])]),
+            (LinkSpec.torus(1, 2, 2, framing=(1, -3), reversed_={0}), [P([1]), P([2])]),
+            (LinkSpec.unknot(-1), [P([2, 1])]),
+        ],
+        ids=["trefoil", "hopf-reversed", "t24-reversed", "kinked-unknot"],
+    )
+    def test_is_lr_weighted_sum_of_full_invariants(self, spec, labels):
+        # H_A = sum over (lam^a, mu^a) of prod_a c^{A^a}_{lam^a,mu^a} W_{[lam,mu]}
+        tables = [pair_weights(A).items() for A in labels]
+        expected = RationalQT(0)
+        for combo in product(*tables):
+            weight = 1
+            for _, c in combo:
+                weight *= c
+            expected = expected + full_invariant_value(spec, [pr for pr, _ in combo]) * weight
+        assert composite_invariant(spec, labels) == expected
 
     def test_label_count(self):
         with pytest.raises(LabelCountMismatch):

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skeinlab.exactring import (
@@ -19,12 +19,15 @@ from skeinlab.exactring import (
     q_bracket,
     q_brace,
     q_one_leading,
-    q_power,
     t_bracket,
     t_power,
     zsquare_decompose,
     zsquare_recompose,
 )
+
+
+def q_power(e):
+    return LaurentQT.monomial(1, e, 0)
 
 
 def laurents(max_terms=4, span=3, coeff=6):
@@ -182,8 +185,16 @@ class TestZSquare:
         f = t_power(2) * q_bracket(1) ** 4
         assert zsquare_decompose(f) == {(2, 2): 1}
 
-    def test_round_trip(self):
-        table = {(0, -1): 3, (2, 1): -4, (1, 0): 5}
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(-3, 3)),
+            st.integers(-4, 4).filter(bool),
+            max_size=4,
+        )
+    )
+    @example({(0, -1): 3, (2, 1): -4, (1, 0): 5})
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip(self, table):
         assert zsquare_decompose(zsquare_recompose(table)) == table
 
     def test_allowed_pole_is_slack_for_polynomials(self):
@@ -465,7 +476,7 @@ class TestQOneLeading:
         else:
             assert lmov.special_polynomial(LinkSpec.unknot(0), []) == limit
 
-    @given(laurents(), laurents())
+    @given(st.one_of(laurents(), bracket_fractions()), st.one_of(laurents(), bracket_fractions()))
     @settings(max_examples=100, deadline=None)
     def test_multiplicative(self, f, g):
         if not f or not g:

@@ -11,22 +11,25 @@ from skeinlab.skein import (
     LabelCountMismatch,
     LinkSpec,
     _framing_power,
-    evaluate,
-    framing_factor,
     full_invariant_value,
-    meridian_eigenvalue,
-    power_value,
     torus_framed,
     torus_full_invariant,
     unknot_full,
 )
 from skeinlab.symfun import SymFunc, adams_composite
 
+from oracles import evaluate, meridian_eigenvalue
+
 P = Partition
 
 
 def pair(a, b=()):
     return PartitionPair(P(a), P(b))
+
+
+def framing_factor(lam, mu=()):
+    """tau_{lam,mu} = q**(kappa_lam + kappa_mu) * t**(|lam| + |mu|)."""
+    return _framing_power(PartitionPair(P(lam), P(mu)), 1)
 
 
 def mono(eq, et, c=1):
