@@ -7,16 +7,28 @@ The framed partition function attaches one variable set per component:
 
 with w_a the per-component writhe and H_A the framed composite invariant.
 Writing log Z = sum_{d >= 1} (1/d) sum_A f_A(q**d, t**d) s_A(x**d) defines the
-free-energy coefficients f_A, extracted degree by degree after converting to
-the power-sum monomial basis (where x -> x**d is the diagonal substitution
-p_j -> p_{jd}).  The transformed coefficients
+free-energy coefficients f_A.  The whole layer works in the power-sum basis,
+with mu a vector of partitions (one per component), p_mu = prod_a p_{mu^a}(x^a)
+and chi_A(mu) = prod_a chi_{A^a}(mu^a):
+
+* Z = sum_nu Z_nu p_nu with Z_nu = sum_A chi_A(nu) H_A / z_nu, and log Z by
+  the degree recursion n F_n = n Z_n - sum_{k<n} k F_k Z_{n-k} (Z = exp F,
+  and the degree operator is a derivation on power-sum monomials);
+* x -> x**d is the diagonal substitution p_mu -> p_{d mu}, so with
+  F~_mu the power-sum coefficients of sum_A f_A s_A,
+  log Z[nu] = sum_{d | nu} (1/d) F~_{nu/d}(q**d, t**d);
+* f_A = sum_mu chi_A(mu) F~_mu.
+
+The transformed coefficients
 
     fhat_B = sum_A f_A prod_a T_{A^a B^a},
     T_{AB} = sum_mu chi_A(mu) chi_B(mu) / z_mu prod_i 1/(q**m_i - q**-m_i),
 
-are the integrality carriers: the claim under test is z**2 fhat_B in
-ZZ[z**2, t**(+-1)], i.e. integer coefficients N_{B,g,Q} with
-fhat_B = sum N z**(2g-2) t**Q.
+are diagonal there: column orthogonality (sum_A chi_A(mu) chi_A(nu) =
+z_mu delta_{mu nu}) gives fhat_B = sum_mu chi_B(mu) F~_mu / {mu}, with
+{mu} = prod over all parts m of q**m - q**-m.  They are the integrality
+carriers: the claim under test is z**2 fhat_B in ZZ[z**2, t**(+-1)], i.e.
+integer coefficients N_{B,g,Q} with fhat_B = sum N z**(2g-2) t**Q.
 
 Congruences A = B mod C always mean (A - B)/C in ZZ[z**2, t**(+-1)].
 """
@@ -26,7 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
+from math import gcd, prod
 
 from .chars import SizeMismatch, character
 from .composite import framed_composite, r_reform
@@ -40,9 +53,9 @@ from .exactring import (
     q_one_leading,
     zsquare_decompose,
 )
-from .partitions import EMPTY, Partition, partitions_of
-from .skein import LinkSpec, full_invariant_value, unknot_full
-from .symfun import schur_to_power_terms, sum_terms
+from .partitions import Partition, partitions_of
+from .skein import LabelCountMismatch, LinkSpec, full_invariant_value, unknot_full
+from .symfun import power_to_schur_terms, sum_terms
 
 
 def _labels_upto(L, D):
@@ -56,6 +69,41 @@ def _labels_upto(L, D):
             out.append(tuple(combo))
     out.sort(key=lambda c: (sum(p.size for p in c), c))
     return out
+
+
+def _checked_labels(spec, labels, max_degree, name):
+    """labels as a vector of partitions, one per component, of degree <= max_degree."""
+    labels = tuple(Partition(A) for A in labels)
+    if len(labels) != spec.L:
+        raise LabelCountMismatch(f"{len(labels)} labels for {spec.L} components")
+    degree = sum(A.size for A in labels)
+    if max_degree is not None and degree > max_degree:
+        raise ValueError(f"{name} has degree {degree}, beyond the table's degree {max_degree}")
+    return labels
+
+
+def _chi(labels, mus):
+    """chi_A(mu) = prod_a chi_{A^a}(mu^a) for vectors of equal sizes, from memoised tables."""
+    out = 1
+    for A, mu in zip(labels, mus):
+        out *= power_to_schur_terms(mu).get(A, 0)
+        if not out:
+            break
+    return out
+
+
+def _times(value, n):
+    """n * value for a nonzero integer n; n = +-1 costs no product."""
+    if n == 1:
+        return value
+    if n == -1:
+        return -value
+    return value * n
+
+
+def _partition_vectors(sizes):
+    """Every vector of partitions with the given component sizes."""
+    return iproduct(*(partitions_of(n) for n in sizes))
 
 
 def cs_partition(spec, D):
@@ -75,117 +123,108 @@ def cs_partition(spec, D):
     return out
 
 
-# -- power-sum monomial series ------------------------------------------------------
-
-
-def _series_mul(a, b, D):
-    return sum_terms(
-        (tuple(x.union(y) for x, y in zip(mu1, mu2)), c1 * c2)
-        for mu1, c1 in a.items()
-        for mu2, c2 in b.items()
-        if sum(p.size for p in mu1 + mu2) <= D
-    )
-
-
-def _schur_vector_to_power(labels, scale=1):
-    """prod_a s_{A^a}(x^a) as power-sum monomial coefficients, with x -> x**scale.
-
-    Returns {mu vector: Fraction weight} where the weight is
-    prod_a chi_{A^a}(mu^a) / z_{mu^a} and every part is multiplied by scale.
-    """
-    acc = {(): Fraction(1)}
-    for A in labels:
-        acc = sum_terms(
-            (mus + (mu.scaled(scale),), w * coeff)
-            for mus, w in acc.items()
-            for mu, coeff in schur_to_power_terms(A).items()
-        )
-    return acc
-
-
-def _adams_layer(entries, n, d, sign=1):
-    """The degree-n part of sign/d sum_A f_A(q^d, t^d) s_A(x^d) as (mu vector, value) pieces."""
-    weight = Fraction(sign, d)
-    for labels, value in entries.items():
-        if sum(A.size for A in labels) * d != n:
-            continue
-        scaled = value.substitute_power(d)
-        for mus, w in _schur_vector_to_power(labels, scale=d).items():
-            yield mus, scaled * RationalQT.from_fraction(w * weight)
+# -- free energy in the power-sum basis ------------------------------------------------
 
 
 @dataclass
 class FreeEnergyTable:
-    """Free-energy coefficients f_A up to a fixed total degree."""
+    """The free energy up to a fixed total degree, held as ghat_mu = F~_mu / {mu}.
 
-    entries: dict
+    ``table[labels]`` and ``entries`` give the coefficients
+    f_A = sum_mu chi_A(mu) {mu} ghat_mu; ``hat_h`` sums ghat directly.
+    """
+
+    ghat: dict
     max_degree: int
     spec: LinkSpec
 
     def __getitem__(self, labels):
-        labels = tuple(Partition(A) for A in labels)
-        return self.entries.get(labels, RationalQT(0))
+        labels = _checked_labels(self.spec, labels, self.max_degree, "f_A")
+        pieces = []
+        for mus in _partition_vectors(A.size for A in labels):
+            value = self.ghat.get(mus)
+            chi = _chi(labels, mus) if value else 0
+            if chi:
+                brace = prod((q_bracket(m) for mu in mus for m in mu), start=LaurentQT.one())
+                pieces.append(_times(value * brace, chi))
+        return RationalQT.sum(pieces)
+
+    @property
+    def entries(self):
+        """{label vector: f_A} over the nonzero f_A of degree 1 to max_degree."""
+        out = {}
+        for labels in _labels_upto(self.spec.L, self.max_degree)[1:]:
+            value = self[labels]
+            if value:
+                out[labels] = value
+        return out
 
 
 def log_partition_series(spec, D):
-    """log Z as a power-sum monomial series {mu vector: RationalQT}, total degree <= D."""
-    zseries = sum_terms(
-        (mus, value * RationalQT.from_fraction(w))
-        for labels, value in cs_partition(spec, D).items()
-        if value
-        for mus, w in _schur_vector_to_power(labels).items()
-    )
-    unit_key = (EMPTY,) * spec.L
-    u = {k: v for k, v in zseries.items() if k != unit_key}
-    # log(1 + u) truncated: u has positive degree, so powers beyond D vanish
-    pieces = []
-    power = u
-    sign = 1
-    for i in range(1, D + 1):
-        if not power:
-            break
-        factor = RationalQT.from_fraction(Fraction(sign, i))
-        pieces.extend((k, v * factor) for k, v in power.items())
-        sign = -sign
-        if i < D:
-            power = _series_mul(power, u, D)
-    return sum_terms(pieces)
+    """log Z as a power-sum monomial series {mu vector: RationalQT}, total degree <= D.
+
+    Z's degree-0 part, H of the empty label vector, is 1; F = log Z then
+    follows degree by degree from n F_n = n Z_n - sum_{k<n} k F_k Z_{n-k}.
+    """
+    by_sizes = {}
+    for labels, value in cs_partition(spec, D).items():
+        if value and any(labels):
+            by_sizes.setdefault(tuple(A.size for A in labels), []).append((labels, value))
+    zseries = [{} for _ in range(D + 1)]
+    for sizes, group in by_sizes.items():
+        for nus in _partition_vectors(sizes):
+            pieces = []
+            for labels, value in group:
+                chi = _chi(labels, nus)
+                if chi:
+                    pieces.append(_times(value, chi))
+            total = RationalQT.sum(pieces)
+            if total:
+                z = prod(nu.z for nu in nus)
+                zseries[sum(sizes)][nus] = total * Fraction(1, z) if z > 1 else total
+    # kf[k] = k F_k, the degree operator applied to F
+    kf = [None] * (D + 1)
+    out = {}
+    for n in range(1, D + 1):
+        scaled = ((nus, _times(value, n)) for nus, value in zseries[n].items())
+        products = (
+            (tuple(x.union(y) for x, y in zip(mus, nus)), -(a * b))
+            for k in range(1, n)
+            for mus, a in kf[k].items()
+            for nus, b in zseries[n - k].items()
+        )
+        kf[n] = sum_terms(chain(scaled, products))
+        inverse = Fraction(1, n)
+        for mus, value in kf[n].items():
+            out[mus] = value * inverse if n > 1 else value
+    return out
 
 
 def plethystic_h(spec, D):
     """Extract the free-energy table from log Z, degree by degree.
 
-    At degree n the d >= 2 substitution layers only involve lower-degree
-    coefficients, so subtracting them leaves the d = 1 layer, which inverts
-    through characters (p_mu = sum_A chi_A(mu) s_A).
+    F~_nu = log Z[nu] - sum_{d >= 2, d | nu} (1/d) F~_{nu/d}(q**d, t**d), and
+    {nu} = {nu/d}(q**d), so ghat_nu = F~_nu / {nu} obeys the same recursion:
+    ghat_nu = log Z[nu] / {nu} - sum_{d >= 2, d | nu} (1/d) ghat_{nu/d}(q**d, t**d).
     """
     log_series = log_partition_series(spec, D)
-    entries = {}
-    for n in range(1, D + 1):
-        pieces = [(k, v) for k, v in log_series.items() if sum(p.size for p in k) == n]
-        for d in range(2, n + 1):
-            if n % d == 0:
-                pieces.extend(_adams_layer(entries, n, d, sign=-1))
-        residue = sum_terms(pieces)
-        for labels in _labels_upto(spec.L, n):
-            if sum(A.size for A in labels) != n:
-                continue
-            pieces = []
-            for mus, value in residue.items():
-                chi = 1
-                for A, mu in zip(labels, mus):
-                    if A.size != mu.size:
-                        chi = 0
-                        break
-                    chi *= character(A, mu)
-                    if not chi:
-                        break
-                if chi:
-                    pieces.append(value * chi)
-            total = RationalQT.sum(pieces)
-            if total:
-                entries[labels] = total
-    return FreeEnergyTable(entries=entries, max_degree=D, spec=spec)
+    ghat = {}
+    for nus in _labels_upto(spec.L, D)[1:]:
+        parts = [m for nu in nus for m in nu]
+        pieces = []
+        value = log_series.get(nus)
+        if value:
+            pieces.append(value * bracket_quotient(LaurentQT.one(), 1, parts))
+        g = gcd(*parts)
+        for d in range(2, g + 1):
+            if g % d == 0:
+                lower = ghat.get(tuple(Partition(m // d for m in nu) for nu in nus))
+                if lower:
+                    pieces.append(lower.substitute_power(d) * Fraction(-1, d))
+        total = RationalQT.sum(pieces)
+        if total:
+            ghat[nus] = total
+    return FreeEnergyTable(ghat=ghat, max_degree=D, spec=spec)
 
 
 # -- the transform and the integrality verdict ------------------------------------------
@@ -196,7 +235,8 @@ def t_transform(A, B):
     """T_{AB} evaluated on the principal specialisation q**rho.
 
     sum over mu of chi_A(mu) chi_B(mu) / z_mu * prod_i 1/(q**m_i - q**-m_i);
-    requires |A| = |B|.
+    requires |A| = |B|.  ``hat_h`` never forms it: in the power-sum basis
+    the transform is diagonal.
     """
     A, B = Partition(A), Partition(B)
     if A.size != B.size:
@@ -212,23 +252,22 @@ def t_transform(A, B):
 def hat_h(spec, B_labels, D=None, table=None):
     """The transformed free energy fhat_B = sum_A f_A prod_a T_{A^a B^a}.
 
-    The table (given, or computed to degree D, default |B|) must reach the
-    total degree |B|; a truncated table would leave fhat_B silently 0.
+    By column orthogonality of the characters this is the integer-weighted
+    sum fhat_B = sum_mu chi_B(mu) ghat_mu, with ghat_mu = F~_mu / {mu} held by
+    the table.  The table (given, or computed to degree D, default |B|) must
+    reach the total degree |B|; a truncated table would leave fhat_B
+    silently 0.  B needs one label per component.
     """
-    B_labels = tuple(Partition(B) for B in B_labels)
-    degree = sum(B.size for B in B_labels)
+    max_degree = D if table is None else table.max_degree
+    B_labels = _checked_labels(spec, B_labels, max_degree, "fhat_B")
     if table is None:
-        table = plethystic_h(spec, degree if D is None else D)
-    if table.max_degree < degree:
-        raise ValueError(f"fhat_B has degree {degree}, beyond the table's degree {table.max_degree}")
-    sizes = tuple(B.size for B in B_labels)
+        table = plethystic_h(spec, sum(B.size for B in B_labels) if D is None else D)
     pieces = []
-    for labels, value in table.entries.items():
-        if tuple(A.size for A in labels) != sizes:
-            continue
-        for A, B in zip(labels, B_labels):
-            value = value * t_transform(A, B)
-        pieces.append(value)
+    for mus in _partition_vectors(B.size for B in B_labels):
+        value = table.ghat.get(mus)
+        chi = _chi(B_labels, mus) if value else 0
+        if chi:
+            pieces.append(_times(value, chi))
     return RationalQT.sum(pieces)
 
 

@@ -12,8 +12,13 @@ quantity the engine also computes, by a different formula:
 * ``evaluate`` -- plane evaluation on power sums, against the closed-form
   unknot (``skein.unknot_full``);
 * ``meridian_eigenvalue`` -- the meridian map's eigenvalue on [lam, mu];
-* ``reassembled_log`` -- log Z rebuilt from a free-energy table, against
-  ``lmov.log_partition_series``;
+* ``log_series_via_powers``, ``free_energy_via_schur`` and
+  ``hat_h_via_t_transform`` -- the free energy by the Schur route: log(1 + u)
+  by truncated powers of u, the Adams layers and the inversion through
+  characters degree by degree, and fhat_B = sum_A f_A prod_a T_{A^a B^a},
+  against the power-sum route of ``lmov``;
+* ``reassembled_log`` -- log Z rebuilt from a free-energy table by the Schur
+  route, against ``lmov.log_partition_series``;
 * ``corollary_congruence`` -- the power-substitution congruence of Zh_p;
 * ``splittings`` and ``splitting_weight`` -- the part-multiset splittings of
   nu and their z-ratio weights.
@@ -29,14 +34,15 @@ from math import comb
 from skeinlab.chars import character, lr_coeff
 from skeinlab.composite import z_reform
 from skeinlab.exactring import LaurentQT, RationalQT, q_brace, q_bracket
-from skeinlab.lmov import _adams_layer, congruence_check
-from skeinlab.partitions import Partition, PartitionPair, partitions_of
+from skeinlab.lmov import _labels_upto, congruence_check, cs_partition, t_transform
+from skeinlab.partitions import EMPTY, Partition, PartitionPair, partitions_of
 from skeinlab.skein import power_value
 from skeinlab.symfun import (
     COMPOSITE,
     POWER_PAIR,
     SymFunc,
     pair_weights,
+    schur_to_power_terms,
     sum_terms,
 )
 
@@ -219,17 +225,129 @@ def meridian_eigenvalue(lam, mu=()):
 # -- free energy and congruences ------------------------------------------------------------
 
 
+def _series_mul(a, b, D):
+    """The product of two power-sum monomial series, truncated at total degree D."""
+    return sum_terms(
+        (tuple(x.union(y) for x, y in zip(mu1, mu2)), c1 * c2)
+        for mu1, c1 in a.items()
+        for mu2, c2 in b.items()
+        if sum(p.size for p in mu1 + mu2) <= D
+    )
+
+
+def _schur_vector_to_power(labels, scale=1):
+    """prod_a s_{A^a}(x^a) as power-sum monomial coefficients, with x -> x**scale.
+
+    Returns {mu vector: Fraction weight} where the weight is
+    prod_a chi_{A^a}(mu^a) / z_{mu^a} and every part is multiplied by scale.
+    """
+    acc = {(): Fraction(1)}
+    for A in labels:
+        acc = sum_terms(
+            (mus + (mu.scaled(scale),), w * coeff)
+            for mus, w in acc.items()
+            for mu, coeff in schur_to_power_terms(A).items()
+        )
+    return acc
+
+
+def _adams_layer(entries, n, d, sign=1):
+    """The degree-n part of sign/d sum_A f_A(q^d, t^d) s_A(x^d) as (mu vector, value) pieces."""
+    weight = Fraction(sign, d)
+    for labels, value in entries.items():
+        if sum(A.size for A in labels) * d != n:
+            continue
+        scaled = value.substitute_power(d)
+        for mus, w in _schur_vector_to_power(labels, scale=d).items():
+            yield mus, scaled * RationalQT.from_fraction(w * weight)
+
+
+def log_series_via_powers(spec, D):
+    """log Z = log(1 + u) = sum_i (-1)**(i+1) u**i / i, u = Z - 1 in power sums, degree <= D."""
+    zseries = sum_terms(
+        (mus, value * RationalQT.from_fraction(w))
+        for labels, value in cs_partition(spec, D).items()
+        if value
+        for mus, w in _schur_vector_to_power(labels).items()
+    )
+    unit_key = (EMPTY,) * spec.L
+    u = {k: v for k, v in zseries.items() if k != unit_key}
+    # u has positive degree, so powers beyond D vanish
+    pieces = []
+    power = u
+    sign = 1
+    for i in range(1, D + 1):
+        if not power:
+            break
+        factor = RationalQT.from_fraction(Fraction(sign, i))
+        pieces.extend((k, v * factor) for k, v in power.items())
+        sign = -sign
+        if i < D:
+            power = _series_mul(power, u, D)
+    return sum_terms(pieces)
+
+
+def free_energy_via_schur(spec, D):
+    """{label vector: f_A} up to degree D, extracted in the Schur basis.
+
+    At degree n the d >= 2 Adams layers only involve lower-degree f_A, so
+    subtracting them from log Z leaves the d = 1 layer, which inverts through
+    characters (p_mu = sum_A chi_A(mu) s_A).
+    """
+    log_series = log_series_via_powers(spec, D)
+    entries = {}
+    for n in range(1, D + 1):
+        pieces = [(k, v) for k, v in log_series.items() if sum(p.size for p in k) == n]
+        for d in range(2, n + 1):
+            if n % d == 0:
+                pieces.extend(_adams_layer(entries, n, d, sign=-1))
+        residue = sum_terms(pieces)
+        for labels in _labels_upto(spec.L, n):
+            if sum(A.size for A in labels) != n:
+                continue
+            terms = []
+            for mus, value in residue.items():
+                chi = 1
+                for A, mu in zip(labels, mus):
+                    if A.size != mu.size:
+                        chi = 0
+                        break
+                    chi *= character(A, mu)
+                    if not chi:
+                        break
+                if chi:
+                    terms.append(value * chi)
+            total = RationalQT.sum(terms)
+            if total:
+                entries[labels] = total
+    return entries
+
+
+def hat_h_via_t_transform(entries, B_labels):
+    """fhat_B = sum_A f_A prod_a T_{A^a B^a} over a table {label vector: f_A}."""
+    sizes = tuple(B.size for B in B_labels)
+    pieces = []
+    for labels, value in entries.items():
+        if tuple(A.size for A in labels) != sizes:
+            continue
+        for A, B in zip(labels, B_labels):
+            value = value * t_transform(A, B)
+        pieces.append(value)
+    return RationalQT.sum(pieces)
+
+
 def reassembled_log(table):
     """sum_{d} (1/d) sum_A f_A(q^d, t^d) s_A(x^d) as a power-sum series.
 
-    Rebuilding log Z from a ``lmov.FreeEnergyTable`` checks the triangular
-    extraction of ``lmov.plethystic_h``.
+    Rebuilding log Z from a ``lmov.FreeEnergyTable``'s coefficients through
+    the Schur basis checks the power-sum extraction of ``lmov.plethystic_h``.
     """
+    entries = table.entries
     pieces = []
     for n in range(1, table.max_degree + 1):
         for d in range(1, n + 1):
             if n % d == 0:
-                pieces.extend(_adams_layer(table.entries, n, d))
+                pieces.extend(_adams_layer(entries, n, d))
     return sum_terms(pieces)
 
 

@@ -202,6 +202,24 @@ PINNED_JSON_SHA256 = [
         "2306e50a375430316209572fbee2e2b95fac0cb359f6ae52693090c12d871d1c",
         id="reform-rhat",
     ),
+    pytest.param(
+        ("lmov", "--torus", "1", "1", "2", "--framing=-1,-1", "--B", "[[2],[1,1]]", "--D", "6"),
+        "b70f2b0434d380ce8eb2c66dfa12a367a932f9daaab6e80b1c9668184ef7267c",
+        id="lmov-D6",
+    ),
+    pytest.param(
+        ("lmov", "--torus", "2", "3", "1", "--B", "[[2,1]]"),
+        "5e1280598c051bcce15569a56a197d3a89704cf36619c1e8c4574cd3948d2038",
+        id="lmov-trefoil",
+    ),
+    pytest.param(
+        (
+            "lmov", "--torus", "1", "1", "2", "--reversed", "1", "--framing=1,-1",
+            "--B", "[[2,1],[1]]", "--D", "5",
+        ),
+        "0dd6653cb9a2fed865486e0a03b53363dbdf65e8c8292db498d6142206a0630b",
+        id="lmov-reversed",
+    ),
 ]
 
 

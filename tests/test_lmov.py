@@ -8,6 +8,7 @@ from skeinlab.chars import SizeMismatch
 from skeinlab.composite import framed_composite, r_reform
 from skeinlab.exactring import LaurentQT, RationalQT, q_bracket, q_brace, t_bracket
 from skeinlab.lmov import (
+    _labels_upto,
     congruence_check,
     congruent_skein_case,
     cs_partition,
@@ -19,9 +20,14 @@ from skeinlab.lmov import (
     t_transform,
 )
 from skeinlab.partitions import EMPTY, Partition, PartitionPair, pairs_of_total
-from skeinlab.skein import LinkSpec
+from skeinlab.skein import LabelCountMismatch, LinkSpec
 
-from oracles import reassembled_log
+from oracles import (
+    free_energy_via_schur,
+    hat_h_via_t_transform,
+    log_series_via_powers,
+    reassembled_log,
+)
 
 P = Partition
 UNKNOT_SCALAR = RationalQT(t_bracket(1), q_bracket(1))
@@ -67,6 +73,37 @@ class TestFreeEnergy:
             direct = log_partition_series(spec, D)
             for key in set(rebuilt) | set(direct):
                 assert rebuilt.get(key, RationalQT(0)) == direct.get(key, RationalQT(0))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            pytest.param(LinkSpec.unknot(1), id="unknot(1)"),
+            pytest.param(LinkSpec.unknot(-1), id="unknot(-1)"),
+            pytest.param(LinkSpec.torus(1, 1, 2, framing=(0, 0)), id="hopf(0,0)"),
+            pytest.param(LinkSpec.torus(1, 1, 2, framing=(1, -1)), id="hopf(1,-1)"),
+            pytest.param(LinkSpec.torus(1, 1, 2, framing=(-1, -1)), id="hopf(-1,-1)"),
+            pytest.param(
+                LinkSpec.torus(1, 1, 2, framing=(-1, -1), reversed_=(1,)), id="hopf(-1,-1)-reversed"
+            ),
+            pytest.param(LinkSpec.torus(2, 3, 1), id="T(2,3)"),
+        ],
+    )
+    def test_power_sum_route_matches_schur_route(self, spec):
+        # log Z by the degree recursion against log(1 + u) by powers, f_A
+        # against the per-degree Schur inversion, and the character sum for
+        # fhat_B against sum_A f_A prod T_{A^a B^a}, key by key
+        D = 5
+        direct, powers = log_partition_series(spec, D), log_series_via_powers(spec, D)
+        assert sorted(direct) == sorted(powers)
+        for key, value in powers.items():
+            assert direct[key] == value, key
+        table = plethystic_h(spec, D)
+        entries, schur = table.entries, free_energy_via_schur(spec, D)
+        assert sorted(entries) == sorted(schur)
+        for labels, value in schur.items():
+            assert entries[labels] == value, labels
+        for labels in _labels_upto(spec.L, D):
+            assert hat_h(spec, labels, table=table) == hat_h_via_t_transform(schur, labels), labels
 
     def test_degree_two_log_subtraction(self):
         # on a single unknot the second log coefficient must remove both the
@@ -137,6 +174,32 @@ class TestLmovCheck:
             lmov_check(spec, [P([2]), P([2])], D=D, table=table)
         with pytest.raises(ValueError, match="degree 4"):
             hat_h(spec, [P([2]), P([2])], D=D, table=table)
+
+    @pytest.mark.parametrize(
+        "spec, labels",
+        [
+            pytest.param(LinkSpec.torus(1, 1, 2), [P([1])], id="too-few"),
+            pytest.param(LinkSpec.unknot(0), [P([1]), P([1])], id="too-many"),
+        ],
+    )
+    def test_wrong_label_count_is_refused(self, spec, labels):
+        # a label vector of the wrong length matches no table key; it must
+        # not read as fhat_B = 0 and a vacuous true verdict
+        table = plethystic_h(spec, 2)
+        with pytest.raises(LabelCountMismatch):
+            hat_h(spec, labels, table=table)
+        with pytest.raises(LabelCountMismatch):
+            lmov_check(spec, labels, D=2)
+        with pytest.raises(LabelCountMismatch):
+            lmov_check(spec, labels, table=table)
+        with pytest.raises(LabelCountMismatch):
+            table[labels]
+
+    def test_table_lookup_beyond_its_degree_is_refused(self):
+        table = plethystic_h(LinkSpec.torus(1, 1, 2), 2)
+        assert table[(P([1]), P([1]))]
+        with pytest.raises(ValueError, match="degree 3"):
+            table[(P([2]), P([1]))]
 
     def test_hopf_values_pinned(self):
         spec = LinkSpec.torus(1, 1, 2, framing=(-1, -1))
