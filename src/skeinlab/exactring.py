@@ -13,9 +13,11 @@ Two value types, both immutable:
   product of brackets ``q**k - q**-k``, which is where every denominator in
   this engine comes from.  Each value is kept in one canonical factored form
   over the centred cyclotomic factors ``phi_d`` (``{k} = prod_{d|k} phi_d``),
-  so equality, hashing and serialisation agree, and each ``phi_d`` is
-  cancelled by one synthetic division by ``Phi_d(q**2)`` that also decides
-  whether it divides.
+  so equality, hashing and serialisation agree.  Cancellation splits a
+  numerator once into dense rows in ``x = q**2`` and divides every row by
+  ``Phi_d(x)``, for every tested ``phi_d`` and every power, in that one
+  pass; a division is kept only when no row leaves a remainder.  A product
+  with a scalar (one numerator term, no ``phi_d``) only cancels integers.
 
 ``q_one_leading`` gives the exact leading term of either type under
 ``q = exp(h)``, which is how ``q -> 1`` limits are taken.
@@ -501,15 +503,17 @@ def _phi_product(exps):
     return out
 
 
-def phi_quotient(f, d):
-    """f / phi_d in the Laurent ring, or None when phi_d does not divide f.
+def _phi_cancel(f, exps, test):
+    """f divided by each phi_d, d in ``test``, as often as it divides but at most exps[d] times.
 
-    phi_d is q**-phi(d) times the monic Phi_d(x) in x = q**2.  So f splits
-    into classes by t-exponent and parity of the q-exponent; each class is a
-    monomial times a dense polynomial in x, divided by Phi_d with synthetic
-    division over Phi_d's nonzero coefficients.  The first class that leaves
-    a nonzero remainder gives None; otherwise the quotients, shifted by
-    q**phi(d), make up f / phi_d.
+    Lowers exps[d] in place by the number of divisions and returns the
+    quotient; the exponents of d outside ``test`` are left alone.  phi_d is
+    q**-phi(d) times the monic Phi_d(x) in x = q**2.  So f is split once into
+    dense rows in x, one per t-exponent and parity of the q-exponent, with f
+    the sum of the rows times monomials; phi_d divides f exactly when Phi_d
+    divides every row.  Each division by Phi_d is kept only when every row
+    leaves a zero remainder, the factors q**phi(d) add up to one shift of all
+    rows, and the term dict is rebuilt once at the end.
     """
     classes = {}
     for (eq, et), c in f._terms.items():
@@ -518,27 +522,40 @@ def phi_quotient(f, d):
             classes[(et, eq & 1)] = [(eq >> 1, c)]
         else:
             terms.append((eq >> 1, c))
-    m = _cyclotomic(d)
-    k = len(m) - 1
-    quo = {}
+    rows = []
     for (et, r), terms in classes.items():
         lo = min(terms)[0]
-        n = max(terms)[0] - lo + 1
-        # a nonzero class has a nonzero constant term once x**lo is taken out,
-        # so it is not a multiple of Phi_d unless its degree reaches phi(d)
-        if n <= k:
-            return None
-        row = [0] * n
+        row = [0] * (max(terms)[0] - lo + 1)
         for i, c in terms:
             row[i - lo] = c
-        qrow, rem = _divmod_monic(row, m)
-        if any(rem):
-            return None
-        shift = 2 * lo + r + k  # x**(lo + i) * q**(r + phi(d))
-        for i, c in enumerate(qrow):
+        rows.append((et, 2 * lo + r, row))  # row times q**(2 * lo + r) * t**et
+    # the shortest row is the cheapest to divide, so it is tried first
+    rows.sort(key=lambda entry: len(entry[2]))
+    shift = 0
+    for d in test:
+        m = _cyclotomic(d)
+        e = exps[d]
+        while e:
+            quos = []
+            for et, base, row in rows:
+                quo, rem = _divmod_monic(row[:], m)
+                if any(rem):
+                    break
+                quos.append((et, base, quo))
+            else:
+                rows, e, shift = quos, e - 1, shift + len(m) - 1
+                continue
+            break
+        exps[d] = e
+    if not shift:
+        return f
+    out = {}
+    for et, base, row in rows:
+        base += shift
+        for i, c in enumerate(row):
             if c:
-                quo[(2 * i + shift, et)] = c
-    return _laurent(quo)
+                out[(base + 2 * i, et)] = c
+    return _laurent(out)
 
 
 def bracket_factors(f):
@@ -597,10 +614,13 @@ class RationalQT:
     A sum takes the lcm of the denominators and multiplies each numerator
     only by its own missing factors; a product cancels each numerator
     against the other operand's denominator before multiplying.  Only the
-    factors that may have become divisible are tested, each by
-    ``phi_quotient``, which decides and divides in one pass.  An explicit
-    denominator in ``RationalQT(num, den)`` is factored once by
-    ``bracket_factors``; one outside the bracket family raises ValueError.
+    factors that may have become divisible are tested, all of them in one
+    pass of ``_phi_cancel`` over the numerator's rows in q**2.  A product
+    with a scalar n * q**a * t**b / c_s cancels only gcd(n, c) and
+    gcd(content(num), c_s): a monomial times an integer holds no part of a
+    phi_d.  An explicit denominator in ``RationalQT(num, den)`` is factored
+    once by ``bracket_factors``; one outside the bracket family raises
+    ValueError.
     """
 
     __slots__ = ("num", "_c", "_exps", "_den", "_hash")
@@ -682,6 +702,10 @@ class RationalQT:
             return NotImplemented
         if not self.num or not other.num:
             return ZERO_RATIONAL
+        if len(other.num) == 1 and not other._exps:
+            return _scaled(self, other)
+        if len(self.num) == 1 and not self._exps:
+            return _scaled(other, self)
         ea, eb = dict(self._exps), dict(other._exps)
         # a phi_d in both denominators divides neither numerator already
         x = _canonical(self.num, other._c, eb, [d for d in eb if d not in ea])
@@ -846,10 +870,31 @@ def _rational(num, c=1, exps=()):
     return out
 
 
+def _scaled(x, s):
+    """x * s for a scalar s = n * q**a * t**b / c_s: one numerator term and no phi_d.
+
+    With g1 = gcd(n, c) and g2 = gcd(content(num), c_s) the product is
+    num * (n / g1) * q**a * t**b over (c / g1) * (c_s / g2) * prod phi_d**e_d,
+    already canonical: both operands are, so the new numerator content and
+    integer denominator are coprime, and a monomial times an integer holds no
+    part of a primitive phi_d.
+    """
+    ((a, b), n), = s.num._terms.items()
+    g1 = gcd(n, x._c)
+    g2 = gcd(x.num.content(), s._c) if s._c > 1 else 1
+    n //= g1
+    if a == b == 0 and n == 1 and g2 == 1:
+        num = x.num
+    else:
+        num = _laurent({(eq + a, et + b): c // g2 * n for (eq, et), c in x.num._terms.items()})
+    return _rational(num, x._c // g1 * (s._c // g2), x._exps)
+
+
 def _canonical(num, c, exps, test):
     """num / (c * prod phi_d**e) in canonical form, exps a dict {d: e}.
 
-    Cancels the content against c and each phi_d with d in ``test``; the
+    Cancels the content against c, then every power of each phi_d with d in
+    ``test`` in one pass over num's rows in q**2 (``_phi_cancel``); the
     factors outside ``test`` must already be known not to divide num.
     """
     if not num:
@@ -858,14 +903,8 @@ def _canonical(num, c, exps, test):
         g = gcd(num.content(), c)
         num, c = _div_int(num, g), c // g
     # a monomial is a unit times an integer, so no phi_d divides it
-    for d in test if len(num) > 1 else ():
-        e = exps[d]
-        while e:
-            quo = phi_quotient(num, d)
-            if quo is None:
-                break
-            num, e = quo, e - 1
-        exps[d] = e
+    if test and len(num) > 1:
+        num = _phi_cancel(num, exps, test)
     return _rational(num, c, tuple(sorted((d, e) for d, e in exps.items() if e)))
 
 

@@ -254,14 +254,14 @@ def _bracket_basis(spec, pairs):
 
     ``pairs`` must already be swap-adjusted for reversed components.
     """
-    kink = LaurentQT.one()
-    for pair, f in zip(pairs, spec.framing):
-        kink = kink * _framing_power(pair, f)
+    # the kinks multiply to the one monomial q**sum(f * kappa) * t**sum(f * |pair|)
+    e_q = sum(f * pair.kappa for pair, f in zip(pairs, spec.framing))
+    e_t = sum(f * pair.size for pair, f in zip(pairs, spec.framing))
     if spec.family == UNKNOT:
         core = unknot_full(pairs[0].pos, pairs[0].neg)
     else:
         core = _surface_bracket(spec.m, spec.n, spec.L, pairs)
-    return RationalQT(kink) * core
+    return RationalQT(LaurentQT.monomial(1, e_q, e_t)) * core
 
 
 def torus_framed(spec, decorations):

@@ -155,60 +155,73 @@ def test_malformed_label_exit_2(capsys, argv):
 # three-component products and mixed-orientation labels.  The reform case uses
 # p = 1: with p = 2 the same link runs ~35 s (degree-18 LR products).  The
 # unframed composite cases pin H_A, reversed component and kinked unknot
-# included; reform-rhat pins the halving in integrality_2z.
+# included; reform-rhat pins the halving in integrality_2z.  The congruence
+# cases pin one all-true range (p = 3) and one all-false range (p = 4), each with
+# its exit code.
 PINNED_JSON_SHA256 = [
     pytest.param(
         ("bracket", "--torus", "1", "1", "2", "--pairs", "[[[1],[]],[[1],[]]]"),
+        0,
         "1e79d33bcdcdb903804f7eabb25447a006d8e48711fc128afccbcc03f12ec0b9",
         id="bracket",
     ),
     pytest.param(
         ("composite", "--torus", "2", "3", "1", "--labels", "[[2,1]]", "--framed"),
+        0,
         "edf4688c0c4670553cd524e9b5de8376754b6202441753865a10a1f0f1bb56ae",
         id="composite",
     ),
     pytest.param(
         ("reform", "--torus", "3", "1", "3", "--blackboard", "--p", "1"),
+        0,
         "f33ecb73b1499e95894e3ac30fed8a229d419ce2f05b529be897ee363ae4f61e",
         id="reform",
     ),
     pytest.param(
         ("lmov", "--torus", "1", "1", "2", "--framing=-1,-1", "--B", "[[2],[1,1]]"),
+        0,
         "85a004cb97d132d61b12098767d5091ef1be21bcae3b18a28b2b0a1c383974e1",
         id="lmov",
     ),
     pytest.param(
         ("invariant", "--torus", "3", "4", "1", "--pairs", "[[[2,1],[1]]]"),
+        0,
         "a4293e08791fd5c2a25c05269851dbadb78590b22a6fa05328ebe7c607e69025",
         id="invariant",
     ),
     pytest.param(
         ("composite", "--torus", "2", "3", "1", "--labels", "[[2,1]]"),
+        0,
         "07c9ce972a4219f302ffb8af7cc53dae8d47485e424c05b5833744bbb816ad89",
         id="composite-full",
     ),
     pytest.param(
         ("composite", "--torus", "1", "1", "2", "--reversed", "1", "--labels", "[[2],[1,1]]"),
+        0,
         "7a4eb6dfe15219d5a31ee0b29f871582a51ece67a479143e99b13eb61e59484f",
         id="composite-reversed",
     ),
     pytest.param(
         ("composite", "--unknot", "-1", "--labels", "[[2,1]]"),
+        0,
         "2a0e7eb57f794e2e43747cb9d2656d68cb142c39577d4bd3e810d17e88f10178",
         id="composite-unknot",
     ),
     pytest.param(
         ("reform", "--torus", "1", "1", "2", "--blackboard", "--p", "2", "--rhat"),
+        0,
         "2306e50a375430316209572fbee2e2b95fac0cb359f6ae52693090c12d871d1c",
         id="reform-rhat",
     ),
     pytest.param(
         ("lmov", "--torus", "1", "1", "2", "--framing=-1,-1", "--B", "[[2],[1,1]]", "--D", "6"),
+        0,
         "b70f2b0434d380ce8eb2c66dfa12a367a932f9daaab6e80b1c9668184ef7267c",
         id="lmov-D6",
     ),
     pytest.param(
         ("lmov", "--torus", "2", "3", "1", "--B", "[[2,1]]"),
+        0,
         "5e1280598c051bcce15569a56a197d3a89704cf36619c1e8c4574cd3948d2038",
         id="lmov-trefoil",
     ),
@@ -217,17 +230,34 @@ PINNED_JSON_SHA256 = [
             "lmov", "--torus", "1", "1", "2", "--reversed", "1", "--framing=1,-1",
             "--B", "[[2,1],[1]]", "--D", "5",
         ),
+        0,
         "0dd6653cb9a2fed865486e0a03b53363dbdf65e8c8292db498d6142206a0630b",
         id="lmov-reversed",
+    ),
+    pytest.param(
+        ("congruence", "--p", "3", "--k", "0..8"),
+        0,
+        "f018ec56347dd20188bfc888b509bd73bab0d9062c38fda33fbe5100b195aa8c",
+        id="congruence-p3",
+    ),
+    pytest.param(
+        ("congruence", "--p", "4", "--k", "0..5"),
+        1,
+        "985d0b9aceac5680f1db37ac21a4e2ff9df51fe49e2582e255958e86208aba89",
+        id="congruence-p4",
     ),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", PINNED_JSON_SHA256)
-def test_json_bytes_pinned(capsys, argv, digest):
+@pytest.mark.parametrize("argv, exit_code, digest", PINNED_JSON_SHA256)
+def test_json_bytes_pinned(capsys, argv, exit_code, digest):
     code, out, _ = run_cli(capsys, *argv, "--json")
-    assert code == 0
+    assert code == exit_code
     document = out.strip().splitlines()[-1]
+    if exit_code:
+        # the one false verdict, congruence p = 4: (A - B) / C is Laurent but C does not divide it
+        stages = {stage for _, _, stage in json.loads(document)["results"]}
+        assert stages == {"not-divisible"}
     assert hashlib.sha256(document.encode()).hexdigest() == digest
 
 

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from skeinlab.exactring import (
     LaurentQT,
     RationalQT,
+    _phi_cancel,
     bracket_factors,
     bracket_quotient,
     cyclotomic_factor,
     exact_div,
     format_laurent,
-    phi_quotient,
     q_bracket,
     q_brace,
     q_one_leading,
@@ -64,6 +64,21 @@ def bracket_fractions():
 
 def _fields(x):
     return x.num, x._c, x._exps
+
+
+def scalars():
+    """Scalars n * q**a * t**b / c: ints, Fractions, signed monomials and their quotients."""
+    n, a, b = st.integers(-12, 12).filter(bool), st.integers(-3, 3), st.integers(-2, 2)
+    return st.one_of(
+        n,
+        st.fractions(-6, 6, max_denominator=9).filter(bool),
+        st.builds(q_t_monomial, st.sampled_from([1, -1]), a, b, st.just(1)),
+        st.builds(q_t_monomial, n, a, b, st.integers(1, 12)),
+    )
+
+
+def q_t_monomial(n, a, b, c):
+    return RationalQT(LaurentQT.monomial(n, a, b), c)
 
 
 @st.composite
@@ -274,25 +289,50 @@ class TestCanonicalForm:
             assert prod == q_bracket(k)
 
     @given(
-        laurents(max_terms=6, span=4),
-        st.integers(1, 30),
-        st.integers(0, 3),
+        laurents(max_terms=6, span=4).filter(bool),
+        st.dictionaries(st.integers(1, 16), st.integers(0, 4), max_size=3),
         st.lists(st.integers(1, 30), max_size=2),
+        st.data(),
     )
     @settings(max_examples=300, deadline=None)
-    def test_residue_test_agrees_with_division(self, f, d, k, others):
-        f = f * cyclotomic_factor(d) ** k
+    def test_residue_test_agrees_with_division(self, f, powers, others, data):
+        for d, k in powers.items():
+            f = f * cyclotomic_factor(d) ** k
         for j in others:
             f = f * cyclotomic_factor(j)
-        assert phi_quotient(f, d) == exact_div(f, cyclotomic_factor(d))
+        # d = 1, 2 (odd phi(d)) always among the candidates; exps[d] may undercut the power
+        ds = sorted({1, 2, *powers, *others})
+        exps = {d: data.draw(st.integers(0, 5)) for d in ds}
+        test = data.draw(st.lists(st.sampled_from(ds), unique=True))
+        # the oracle: exact_div by one phi_d at a time, at most exps[d] times each
+        quo, want = f, dict(exps)
+        for d in test:
+            while want[d]:
+                q = exact_div(quo, cyclotomic_factor(d))
+                if q is None:
+                    break
+                quo, want[d] = q, want[d] - 1
+        assert _phi_cancel(f, exps, test) == quo
+        assert exps == want
+
+    def test_cancellation_covers_odd_totients(self):
+        # phi(1) = phi(2) = 1, so each division moves q-exponents across parity classes
+        f = LaurentQT({(0, 0): 3, (1, 2): -1, (4, 1): 2})
+        g = f * cyclotomic_factor(1) ** 3 * cyclotomic_factor(2) ** 2 * cyclotomic_factor(6)
+        exps = {1: 2, 2: 4, 6: 1, 5: 7}
+        assert _phi_cancel(g, exps, [1, 2]) == f * cyclotomic_factor(1) * cyclotomic_factor(6)
+        # never past exps[1], down to the true power for 2, and 6 and 5 are not tested
+        assert exps == {1: 0, 2: 2, 6: 1, 5: 7}
 
     def test_residue_classes_split_by_q_parity(self):
         # 1 - q is one class in x = q**2 if the two q-parities share a class
         f = LaurentQT({(0, 0): 1, (1, 0): -1})
-        assert all(phi_quotient(f, d) is None for d in range(1, 13))
+        exps = {d: 1 for d in range(1, 13)}
+        assert _phi_cancel(f, exps, list(range(1, 13))) is f
+        assert exps == {d: 1 for d in range(1, 13)}
         g = f * cyclotomic_factor(3) * cyclotomic_factor(4)
-        assert [d for d in range(1, 13) if phi_quotient(g, d) is not None] == [3, 4]
-        assert phi_quotient(phi_quotient(g, 3), 4) == f
+        assert _phi_cancel(g, exps, list(range(1, 13))) == f
+        assert [d for d, e in exps.items() if not e] == [3, 4]
 
     @given(bracket_fractions())
     @settings(max_examples=150, deadline=None)
@@ -340,6 +380,29 @@ class TestCanonicalForm:
         assert x * (y + z) == x * y + x * z
         assert x - x == 0
         assert RationalQT.sum([x, y, z, x]) == x + y + z + x
+
+    @given(
+        bracket_fractions(),
+        scalars(),
+        st.fractions(-5, 5, max_denominator=4).filter(lambda r: r not in (0, 1, -1)),
+        st.fractions(-5, 5, max_denominator=4).filter(lambda t: t != 0),
+    )
+    # gcd(n, c) = 3 and gcd(content(num), c_s) = 7; and 6 * 4/9, where only the second is > 1
+    @example(
+        RationalQT(LaurentQT({(0, 0): 35, (1, 1): 35}), q_bracket(2) * 6),
+        q_t_monomial(9, 2, -1, 7),
+        Fraction(2),
+        Fraction(3),
+    )
+    @example(RationalQT(6), Fraction(4, 9), Fraction(2), Fraction(3))
+    @settings(max_examples=150, deadline=None)
+    def test_scalar_products(self, x, s, r, t):
+        sr = s if isinstance(s, RationalQT) else RationalQT.from_fraction(s)
+        want = RationalQT(x.num * sr.num, x.den * sr.den)
+        for p in (x * s, s * x):
+            _assert_canonical(p)
+            assert _fields(p) == _fields(want)
+            assert _value_at(p, r, t) == _value_at(x, r, t) * _value_at(sr, r, t)
 
     @given(bracket_fractions(), st.integers(1, 4))
     @settings(max_examples=100, deadline=None)
