@@ -205,8 +205,8 @@ def unknot_full(lam, mu=()):
     return _rational(num, 1, tuple(sorted(exps.items())))
 
 
-def _framing_power(pair, e, m=1):
-    """tau_{pair}**(e/m) as a monomial.
+def _framing_exponents(pair, e, m=1):
+    """(q, t) exponents of tau_{pair}**(e/m) = q**(kappa*e/m) * t**(|pair|*e/m).
 
     m divides kappa and |pair| for every label the torus twist meets (see the
     module docstring), so a remainder is a broken invariant: ArithmeticError.
@@ -215,7 +215,12 @@ def _framing_power(pair, e, m=1):
     e_t, r_t = divmod(pair.size * e, m)
     if r_q or r_t:
         raise ArithmeticError(f"twist tau**({e}/{m}) of {pair.text()} has a fractional exponent")
-    return LaurentQT.monomial(1, e_q, e_t)
+    return e_q, e_t
+
+
+def _framing_power(pair, e, m=1):
+    """tau_{pair}**(e/m) as a monomial."""
+    return LaurentQT.monomial(1, *_framing_exponents(pair, e, m))
 
 
 # -- torus-link brackets ----------------------------------------------------------------
@@ -254,9 +259,9 @@ def _bracket_basis(spec, pairs):
 
     ``pairs`` must already be swap-adjusted for reversed components.
     """
-    # the kinks multiply to the one monomial q**sum(f * kappa) * t**sum(f * |pair|)
-    e_q = sum(f * pair.kappa for pair, f in zip(pairs, spec.framing))
-    e_t = sum(f * pair.size for pair, f in zip(pairs, spec.framing))
+    # the kinks multiply to one monomial: add their exponents
+    kinks = [_framing_exponents(pair, f) for pair, f in zip(pairs, spec.framing)]
+    e_q, e_t = map(sum, zip(*kinks))
     if spec.family == UNKNOT:
         core = unknot_full(pairs[0].pos, pairs[0].neg)
     else:

@@ -290,7 +290,7 @@ class TestCanonicalForm:
 
     @given(
         laurents(max_terms=6, span=4).filter(bool),
-        st.dictionaries(st.integers(1, 16), st.integers(0, 4), max_size=3),
+        st.dictionaries(st.integers(1, 30), st.integers(0, 4), max_size=3),
         st.lists(st.integers(1, 30), max_size=2),
         st.data(),
     )
