@@ -4,12 +4,15 @@ Batch engine for torus links and framed unknots: colored and composite
 invariants, reformulated integrality carriers, free-energy integrality
 checks, congruent skein relations, and q -> 1 special-polynomial limits,
 all in exact arithmetic over ZZ[q^{+-1}, t^{+-1}] with bracket denominators.
+
+A decoration of a link component, an element of the skein of the annulus, is
+a composite-basis term table {PartitionPair: coeff}: the element
+sum of coeff * Q_pair (see ``skeinlab.symfun`` and ``skein.torus_framed``).
 """
 
 from .exactring import LaurentQT, RationalQT
 from .partitions import Partition, PartitionPair
 from .skein import InvariantResult, LinkSpec
-from .symfun import SymFunc
 
 __version__ = "0.1.0"
 
@@ -20,6 +23,5 @@ __all__ = [
     "Partition",
     "PartitionPair",
     "RationalQT",
-    "SymFunc",
     "__version__",
 ]

@@ -34,7 +34,6 @@ from .lmov import congruent_skein_case, hat_h, lmov_check, plethystic_h, special
 from .partitions import Partition, PartitionPair
 from .selftest import SUITES
 from .skein import LinkSpec, full_invariant_value, torus_framed
-from .symfun import SymFunc
 
 
 def _parse_int_list(text):
@@ -155,8 +154,7 @@ def cmd_invariant(args):
 def cmd_bracket(args):
     spec = _parse_spec(args)
     pairs = _parse_pairs(args.pairs, spec.L)
-    decorations = [SymFunc.composite(p.pos, p.neg) for p in pairs]
-    value = torus_framed(spec, decorations)
+    value = torus_framed(spec, [{pair: 1} for pair in pairs])
     doc = {
         "command": "bracket",
         "spec": spec.to_json(),

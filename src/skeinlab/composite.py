@@ -27,7 +27,7 @@ from .chars import character
 from .exactring import LaurentQT, RationalQT, _div_int, q_bracket, zsquare_decompose
 from .partitions import Partition, PartitionPair, partitions_of
 from .skein import LabelCountMismatch, torus_framed
-from .symfun import COMPOSITE, SymFunc, pair_weights
+from .symfun import pair_weights
 
 
 def composite_invariant(spec, labels):
@@ -43,8 +43,7 @@ def framed_composite(spec, labels):
     """The LR-weighted sum applied to the framed bracket (no writhe correction)."""
     if len(labels) != spec.L:
         raise LabelCountMismatch(f"{len(labels)} labels for {spec.L} components")
-    decorations = [SymFunc(COMPOSITE, pair_weights(Partition(A))) for A in labels]
-    return torus_framed(spec, decorations)
+    return torus_framed(spec, [pair_weights(Partition(A)) for A in labels])
 
 
 # -- reformulated invariants -------------------------------------------------------
@@ -59,7 +58,7 @@ def power_decoration(mu):
         chi = character(A, mu)
         if chi:
             terms[PartitionPair(A, Partition())] = chi
-    return SymFunc(COMPOSITE, terms)
+    return terms
 
 
 def bracket_norm(labels):

@@ -217,10 +217,6 @@ class LaurentQT:
         """q -> 1/q, t -> 1/t."""
         return _laurent({(-eq, -et): c for (eq, et), c in self._terms.items()})
 
-    def conj_q(self):
-        """q -> -1/q."""
-        return _laurent({(-eq, et): -c if eq & 1 else c for (eq, et), c in self._terms.items()})
-
     # -- serialization -------------------------------------------------------
 
     def to_records(self):
@@ -833,15 +829,8 @@ class RationalQT:
 
     def mirror(self):
         """q -> 1/q, t -> 1/t, which fixes every phi_d but phi_1 = -phi_1(1/q)."""
-        return self._flip_sign(self.num.mirror(), 1)
-
-    def conj_q(self):
-        """q -> -1/q, which fixes every phi_d but phi_2 = -phi_2(-1/q)."""
-        return self._flip_sign(self.num.conj_q(), 2)
-
-    def _flip_sign(self, num, d):
-        """num over this denominator, negated once per factor phi_d."""
-        if dict(self._exps).get(d, 0) % 2:
+        num = self.num.mirror()
+        if dict(self._exps).get(1, 0) % 2:
             num = -num
         return _rational(num, self._c, self._exps)
 

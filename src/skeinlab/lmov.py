@@ -130,7 +130,7 @@ def cs_partition(spec, D):
 class FreeEnergyTable:
     """The free energy up to a fixed total degree, held as ghat_mu = F~_mu / {mu}.
 
-    ``table[labels]`` and ``entries`` give the coefficients
+    ``table[labels]`` gives the coefficient
     f_A = sum_mu chi_A(mu) {mu} ghat_mu; ``hat_h`` sums ghat directly.
     """
 
@@ -148,16 +148,6 @@ class FreeEnergyTable:
                 brace = prod((q_bracket(m) for mu in mus for m in mu), start=LaurentQT.one())
                 pieces.append(_times(value * brace, chi))
         return RationalQT.sum(pieces)
-
-    @property
-    def entries(self):
-        """{label vector: f_A} over the nonzero f_A of degree 1 to max_degree."""
-        out = {}
-        for labels in _labels_upto(self.spec.L, self.max_degree)[1:]:
-            value = self[labels]
-            if value:
-                out[labels] = value
-        return out
 
 
 def log_partition_series(spec, D):

@@ -120,13 +120,3 @@ SUITES = {
     "lmov": suite_lmov,
 }
 
-
-def run(names=None):
-    """Run the requested suites (all by default); returns {suite: [(name, ok, detail)]}."""
-    names = list(SUITES) if not names else list(names)
-    out = {}
-    for name in names:
-        if name not in SUITES:
-            raise KeyError(f"unknown suite {name!r}")
-        out[name] = SUITES[name]()
-    return out

@@ -36,7 +36,6 @@ from .exactring import LaurentQT, RationalQT, _rational, bracket_exponents
 from .exactring import bracket_quotient, t_bracket
 from .partitions import Partition, PartitionPair
 from .symfun import (
-    COMPOSITE,
     adams_schurpair,
     expand_terms,
     multiply_terms,
@@ -156,13 +155,6 @@ class InvariantResult:
     normalized: bool
     labels: tuple
 
-    def to_json(self):
-        return {
-            "value": self.value.to_json(),
-            "normalized": self.normalized,
-            "labels": [[list(p.pos), list(p.neg)] for p in self.labels],
-        }
-
 
 # -- evaluation in the plane ---------------------------------------------------------
 
@@ -270,8 +262,10 @@ def _bracket_basis(spec, pairs):
 
 
 def torus_framed(spec, decorations):
-    """Framed bracket of the link decorated by arbitrary annulus elements.
+    """Framed bracket of the link decorated by elements of the annulus skein.
 
+    Each decoration is a composite-basis term table {PartitionPair: coeff},
+    the element sum of coeff * Q_pair; coefficients are ints or RationalQT.
     Reversed components see the orientation involution (label rows swapped);
     kinks contribute one framing factor each, applied before the cabling map.
     """
@@ -279,19 +273,19 @@ def torus_framed(spec, decorations):
         raise LabelCountMismatch(f"{len(decorations)} decorations for {spec.L} components")
     comps = []
     for a, dec in enumerate(decorations):
-        dec = dec.to_basis(COMPOSITE)
         if a in spec.reversed_:
-            dec = dec.swapped()
-        comps.append(list(dec.terms.items()))
-    return RationalQT.sum(_decorated_terms(spec, comps, 0, [], RationalQT(1)))
+            dec = {pair.swap(): c for pair, c in dec.items()}
+        comps.append(list(dec.items()))
+    return RationalQT.sum(_decorated_terms(spec, comps, 0, [], 1))
 
 
 def _decorated_terms(spec, comps, a, pairs, coeff):
     """coeff times the bracket of each choice of one basis term per component from a on.
 
-    Each prefix of choices multiplies its coefficient once.  It lives at
-    module level because a nested recursive closure is a reference cycle
-    that only the cyclic collector frees.
+    Each prefix of choices multiplies its coefficient once, so integer
+    weights multiply as ints and meet a RationalQT only at the leaf.  It
+    lives at module level because a nested recursive closure is a reference
+    cycle that only the cyclic collector frees.
     """
     if a == spec.L:
         yield coeff * _bracket_basis(spec, tuple(pairs))

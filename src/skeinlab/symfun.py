@@ -1,14 +1,16 @@
-"""The character ring of the annulus skein.
+"""The character ring of the annulus skein, as integer term tables.
 
 Everything here lives in Lambda_x (x) Lambda_{x*}, the tensor square of the
-ring of symmetric functions, in one of three bases:
+ring of symmetric functions.  An element is a plain table {PartitionPair:
+coeff} over one of three bases:
 
-* ``composite``   -- composite Schur functions s_{lambda,mu}(x; x*), the
-  integral basis matching the annulus eigenvector basis Q_{lambda,mu};
-* ``schur_pair``  -- plain tensors s_rho(x) s_nu(x*), the internal canonical
-  basis (products and Adams operations reduce to ordinary LR data there);
-* ``power_pair``  -- products of power sums P_eta P*_pi, where skein
-  evaluation becomes a ring homomorphism.
+* composite  -- composite Schur functions s_{lambda,mu}(x; x*), the
+  integral basis matching the annulus eigenvector basis Q_{lambda,mu}; a
+  link decoration is a table in this basis;
+* schur pair -- plain tensors s_rho(x) s_nu(x*), where products and Adams
+  operations reduce to ordinary LR data;
+* power pair -- products of power sums P_eta P*_pi, where skein evaluation
+  becomes a ring homomorphism.
 
 The basis changes are the alternating Littlewood-Richardson expansions
 
@@ -16,25 +18,20 @@ The basis changes are the alternating Littlewood-Richardson expansions
                     c^mu_{sigma^t,nu} s_rho (x) s*_nu,
     s_rho (x) s*_nu = sum_eps c^rho_{eps,beta} c^nu_{eps,gamma} s_{beta,gamma},
 
-which are mutually inverse.  Adams operations act on power sums by
-p_k -> p_{mk} and are computed on Schur functions through character sums.
+which are mutually inverse; ``expand_terms`` and ``legwise_terms`` apply
+them, and the Frobenius kernels, to a whole table.  Adams operations act on
+power sums by p_k -> p_{mk} and are computed on Schur functions through
+character sums.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 
 from .chars import character, lr_coeff, schur_expand_product
 from .exactring import RationalQT
 from .partitions import EMPTY, Partition, PartitionPair, partitions_of
-
-COMPOSITE = "composite"
-SCHUR_PAIR = "schur_pair"
-POWER_PAIR = "power_pair"
-BASES = (COMPOSITE, SCHUR_PAIR, POWER_PAIR)
-
 
 def sum_terms(pairs):
     """Sum (key, value) pairs into {key: total}, leaving out zero totals.
@@ -228,148 +225,6 @@ def adams_composite(pair, m):
     return expand_terms(adams_schurpair(pair, m), schurpair_to_composite_terms)
 
 
-# -- the SymFunc container --------------------------------------------------------------
-
-
-class SymFunc:
-    """A finite linear combination over one of the three bases.
-
-    Term keys are PartitionPair; coefficients are RationalQT (integers for
-    most structural elements, scalars of the coefficient ring after twists).
-    """
-
-    __slots__ = ("basis", "terms")
-
-    def __init__(self, basis, terms=None):
-        if basis not in BASES:
-            raise ValueError(f"unknown basis {basis!r}")
-        data = []
-        for pair, coeff in (terms or {}).items():
-            value = RationalQT._coerce(coeff)
-            if value is None:
-                raise TypeError(f"unsupported coefficient {coeff!r}")
-            data.append((PartitionPair(Partition(pair[0]), Partition(pair[1])), value))
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "terms", sum_terms(data))
-
-    def __setattr__(self, *a):
-        raise AttributeError("SymFunc is immutable")
-
-    # -- constructors ------------------------------------------------------------
-
-    @classmethod
-    def zero(cls, basis=COMPOSITE):
-        return cls(basis)
-
-    @classmethod
-    def one(cls, basis=COMPOSITE):
-        return cls(basis, {PartitionPair(EMPTY, EMPTY): 1})
-
-    @classmethod
-    def composite(cls, lam, mu=()):
-        return cls(COMPOSITE, {PartitionPair(Partition(lam), Partition(mu)): 1})
-
-    @classmethod
-    def schur_pair(cls, rho, nu=()):
-        return cls(SCHUR_PAIR, {PartitionPair(Partition(rho), Partition(nu)): 1})
-
-    @classmethod
-    def power_pair(cls, eta, pi=()):
-        return cls(POWER_PAIR, {PartitionPair(Partition(eta), Partition(pi)): 1})
-
-    # -- linear structure -----------------------------------------------------------
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        if not isinstance(other, SymFunc):
-            return NotImplemented
-        if other.basis != self.basis:
-            other = other.to_basis(self.basis)
-        data = sum_terms(chain(self.terms.items(), other.terms.items()))
-        return SymFunc(self.basis, data)
-
-    def __neg__(self):
-        return SymFunc(self.basis, {p: -c for p, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, scalar):
-        scalar = RationalQT._coerce(scalar)
-        if not scalar:
-            return SymFunc(self.basis)
-        return SymFunc(self.basis, {p: c * scalar for p, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, SymFunc):
-            return NotImplemented
-        if other.basis != self.basis:
-            other = other.to_basis(self.basis)
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[k] == other.terms[k] for k in self.terms)
-
-    __hash__ = None
-
-    # -- basis changes ------------------------------------------------------------------
-
-    def to_basis(self, basis):
-        if basis == self.basis:
-            return self
-        step = (self.basis, basis)
-        if step == (COMPOSITE, SCHUR_PAIR):
-            terms = expand_terms(self.terms, composite_to_schurpair_terms)
-        elif step == (SCHUR_PAIR, COMPOSITE):
-            terms = expand_terms(self.terms, schurpair_to_composite_terms)
-        elif step == (SCHUR_PAIR, POWER_PAIR):
-            terms = legwise_terms(self.terms, schur_to_power_terms)
-        elif step == (POWER_PAIR, SCHUR_PAIR):
-            terms = legwise_terms(self.terms, power_to_schur_terms)
-        else:  # two-step routes through schur_pair
-            return self.to_basis(SCHUR_PAIR).to_basis(basis)
-        return SymFunc(basis, terms)
-
-    # -- multiplication --------------------------------------------------------------------
-
-    def __mul__(self, other):
-        if not isinstance(other, SymFunc):
-            return NotImplemented
-        if other.basis != self.basis:
-            other = other.to_basis(self.basis)
-        if self.basis == POWER_PAIR:
-            out = sum_terms(
-                (PartitionPair(p1.pos.union(p2.pos), p1.neg.union(p2.neg)), c1 * c2)
-                for p1, c1 in self.terms.items()
-                for p2, c2 in other.terms.items()
-            )
-            return SymFunc(POWER_PAIR, out)
-        kernel = schurpair_mult if self.basis == SCHUR_PAIR else composite_product_terms
-        return SymFunc(self.basis, multiply_terms(self.terms, other.terms, kernel))
-
-    # -- symmetries ---------------------------------------------------------------------------
-
-    def swapped(self):
-        """Exchange the two orientations on every index pair."""
-        return SymFunc(self.basis, {p.swap(): c for p, c in self.terms.items()})
-
-    def to_json(self):
-        return {
-            "basis": self.basis,
-            "terms": [
-                {"pos": list(p.pos), "neg": list(p.neg), "coeff": c.to_json()}
-                for p, c in sorted(self.terms.items())
-            ],
-        }
-
-    def __repr__(self):
-        if not self.terms:
-            return f"SymFunc({self.basis}, 0)"
-        bits = ", ".join(f"{p.text()}: {c!r}" for p, c in sorted(self.terms.items()))
-        return f"SymFunc({self.basis}, {{{bits}}})"
-
-
 # -- the determinantal construction --------------------------------------------------------------
 
 
@@ -433,9 +288,12 @@ def _h_monomial_schur(indices):
 
 
 def q_determinant(lam, mu):
-    """Expand the determinantal matrix for (lam, mu); must equal s_{lam,mu}."""
+    """Expand the determinantal matrix for (lam, mu) as a composite-basis table.
+
+    It must equal {(lam, mu): 1}, the table of s_{lam,mu}.
+    """
     lam, mu = Partition(lam), Partition(mu)
     matrix = q_matrix(lam, mu)
     size = len(matrix)
     monos = _det_monomials(tuple(range(size)), tuple(range(size)), matrix)
-    return SymFunc(SCHUR_PAIR, legwise_terms(monos, _h_monomial_schur)).to_basis(COMPOSITE)
+    return expand_terms(legwise_terms(monos, _h_monomial_schur), schurpair_to_composite_terms)

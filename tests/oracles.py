@@ -9,14 +9,21 @@ quantity the engine also computes, by a different formula:
   quadruple-LR sum, against ``symfun.composite_product_terms``;
 * ``r_nu`` and ``r_nu_via_chars`` -- the orientation-symmetrised power-sum
   element by the splitting expansion and by a character sum;
-* ``evaluate`` -- plane evaluation on power sums, against the closed-form
-  unknot (``skein.unknot_full``);
+* ``to_power_pairs`` and ``from_power_pairs`` -- a composite-basis table
+  (the engine's decorations) re-expanded over power pairs P_eta P*_pi, and
+  back, through the schur pair basis;
+* ``evaluate`` -- plane evaluation of a power-pair table, against the
+  closed-form unknot (``skeinlab.skein.unknot_full``);
+* ``conj_q`` -- the substitution q -> -1/q, for the conjugation symmetry
+  W_{lam^t}(q) = W_lam(-1/q);
 * ``meridian_eigenvalue`` -- the meridian map's eigenvalue on [lam, mu];
 * ``log_series_via_powers``, ``free_energy_via_schur`` and
   ``hat_h_via_t_transform`` -- the free energy by the Schur route: log(1 + u)
   by truncated powers of u, the Adams layers and the inversion through
   characters degree by degree, and fhat_B = sum_A f_A prod_a T_{A^a B^a},
   against the power-sum route of ``lmov``;
+* ``free_energy_entries`` -- every nonzero f_A of a ``lmov.FreeEnergyTable``,
+  read one label vector at a time;
 * ``reassembled_log`` -- log Z rebuilt from a free-energy table by the Schur
   route, against ``lmov.log_partition_series``;
 * ``corollary_congruence`` -- the power-substitution congruence of Zh_p;
@@ -38,11 +45,13 @@ from skeinlab.lmov import _labels_upto, congruence_check, cs_partition, t_transf
 from skeinlab.partitions import EMPTY, Partition, PartitionPair, partitions_of
 from skeinlab.skein import power_value
 from skeinlab.symfun import (
-    COMPOSITE,
-    POWER_PAIR,
-    SymFunc,
+    composite_to_schurpair_terms,
+    expand_terms,
+    legwise_terms,
     pair_weights,
+    power_to_schur_terms,
     schur_to_power_terms,
+    schurpair_to_composite_terms,
     sum_terms,
 )
 
@@ -154,7 +163,7 @@ def splitting_weight(nu, B, C):
 
 
 def r_nu(nu):
-    """The skein element attached to nu in the power_pair basis, by splittings.
+    """The skein element attached to nu as a power-pair table, by splittings.
 
     First block: all splittings nu = B u C contribute z_nu/(z_B z_C) P_B P*_C.
     Second block: distinct triples (tau, eta, pi) with tau nonempty and
@@ -180,7 +189,7 @@ def r_nu(nu):
         if w.denominator != 1:
             raise ArithmeticError(f"non-integral splitting weight {w}")
         terms[pair] = int(w)
-    return SymFunc(POWER_PAIR, terms)
+    return terms
 
 
 def r_nu_via_chars(nu):
@@ -192,17 +201,28 @@ def r_nu_via_chars(nu):
         if chi:
             for pair, c in pair_weights(A).items():
                 composite.append((pair, chi * c))
-    return SymFunc(COMPOSITE, sum_terms(composite)).to_basis(POWER_PAIR)
+    return to_power_pairs(sum_terms(composite))
 
 
-# -- skein evaluation -----------------------------------------------------------------------
+# -- basis changes and skein evaluation ------------------------------------------------------
 
 
-def evaluate(f):
-    """The plane evaluation: a ring homomorphism on the power-sum basis."""
-    f = f.to_basis(POWER_PAIR)
+def to_power_pairs(table):
+    """A composite-basis table {(lam, mu): c} re-expanded over power pairs P_eta P*_pi."""
+    schur_pairs = expand_terms(table, composite_to_schurpair_terms)
+    return legwise_terms(schur_pairs, schur_to_power_terms)
+
+
+def from_power_pairs(table):
+    """A power-pair table {(eta, pi): c} re-expanded in the composite basis."""
+    schur_pairs = legwise_terms(table, power_to_schur_terms)
+    return expand_terms(schur_pairs, schurpair_to_composite_terms)
+
+
+def evaluate(table):
+    """The plane evaluation of a power-pair table: a ring homomorphism on power sums."""
     pieces = []
-    for pair, coeff in f.terms.items():
+    for pair, coeff in table.items():
         for p in pair.pos + pair.neg:
             coeff = coeff * power_value(p)
         pieces.append(coeff)
@@ -220,6 +240,21 @@ def meridian_eigenvalue(lam, mu=()):
     terms += [((-2 * c, -1), -1) for c in mu.contents()]
     finite = q_bracket(1) * LaurentQT(terms)
     return RationalQT(finite) + power_value(1)
+
+
+def conj_q(x):
+    """q -> -1/q on a LaurentQT or a RationalQT.
+
+    The substitution fixes every phi_d but phi_2 = -phi_2(-1/q), so a
+    RationalQT keeps its denominator, and its numerator changes sign once per
+    factor phi_2.
+    """
+    if isinstance(x, LaurentQT):
+        return LaurentQT({(-eq, et): -c if eq & 1 else c for (eq, et), c in x.sorted_terms()})
+    num = conj_q(x.num)
+    if dict(x._exps).get(2, 0) % 2:
+        num = -num
+    return RationalQT(num, x.den)
 
 
 # -- free energy and congruences ------------------------------------------------------------
@@ -336,13 +371,23 @@ def hat_h_via_t_transform(entries, B_labels):
     return RationalQT.sum(pieces)
 
 
+def free_energy_entries(table):
+    """{label vector: f_A} over the nonzero f_A of degree 1 to the table's maximum."""
+    out = {}
+    for labels in _labels_upto(table.spec.L, table.max_degree)[1:]:
+        value = table[labels]
+        if value:
+            out[labels] = value
+    return out
+
+
 def reassembled_log(table):
     """sum_{d} (1/d) sum_A f_A(q^d, t^d) s_A(x^d) as a power-sum series.
 
     Rebuilding log Z from a ``lmov.FreeEnergyTable``'s coefficients through
     the Schur basis checks the power-sum extraction of ``lmov.plethystic_h``.
     """
-    entries = table.entries
+    entries = free_energy_entries(table)
     pieces = []
     for n in range(1, table.max_degree + 1):
         for d in range(1, n + 1):

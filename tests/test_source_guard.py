@@ -4,10 +4,13 @@ A module-level function of ``skeinlab`` that no code of the package or of the
 benchmark harness refers to is a second route or a dead helper; it belongs in
 ``tests/oracles.py`` or nowhere.  Exempt are the public names in
 ``skeinlab.__all__`` and the boundaries that ``perfbench/tracer.py`` patches
-by name.
+by name.  The same holds for the methods of the classes in src/: a method
+other than a dunder must be referenced by attribute name outside its own
+body, unless the tracer patches it as ``Class.method``.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import skeinlab
@@ -54,3 +57,30 @@ def test_every_src_function_has_a_caller():
     allowed = set(skeinlab.__all__) | _traced_names()
     unused = sorted(f"{mod}:{name}" for name, mod in defined.items() if name not in used | allowed)
     assert not unused, f"functions in src/ with no caller outside the tests: {unused}"
+
+
+def _attribute_names(node):
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
+def test_every_src_method_has_a_caller():
+    used = Counter()
+    methods = []
+    for path in SRC + BENCH:
+        tree = ast.parse(path.read_text())
+        used += _attribute_names(tree)
+        if path not in SRC:
+            continue
+        for cls in (stmt for stmt in tree.body if isinstance(stmt, ast.ClassDef)):
+            for fn in cls.body:
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    fn.name.startswith("__") and fn.name.endswith("__")
+                ):
+                    methods.append((f"{cls.name}.{fn.name}", path.name, fn))
+    allowed = _traced_names()
+    unused = sorted(
+        f"{mod}:{qualname}"
+        for qualname, mod, fn in methods
+        if qualname not in allowed and used[fn.name] <= _attribute_names(fn)[fn.name]
+    )
+    assert not unused, f"methods in src/ with no caller outside the tests: {unused}"
