@@ -17,7 +17,8 @@ Two value types, both immutable:
   numerator once into dense rows in ``x = q**2`` and divides every row by
   ``Phi_d(x)``, for every tested ``phi_d`` and every power, in that one
   pass; a division is kept only when no row leaves a remainder.  A product
-  with a scalar (one numerator term, no ``phi_d``) only cancels integers.
+  with a scalar (one numerator term, no ``phi_d``) only cancels integers,
+  and a product with brackets (``bracket_scaled``) only moves exponents.
 
 ``q_one_leading`` gives the exact leading term of either type under
 ``q = exp(h)``, which is how ``q -> 1`` limits are taken.
@@ -244,9 +245,12 @@ class LaurentQT:
         return format_laurent(self)
 
 
-def _add_terms(data, f):
-    """Add the terms of the LaurentQT f into the term dict data in place."""
-    for key, c in f._terms.items():
+def _add_terms(data, f, w=1):
+    """Add w times the terms of the LaurentQT f into the term dict data in place."""
+    items = f._terms.items()
+    if w != 1:
+        items = [(key, c * w) for key, c in items]
+    for key, c in items:
         c0 = data.get(key)
         if c0 is None:
             data[key] = c
@@ -784,27 +788,19 @@ class RationalQT:
         if len(parts) == 1 and type(parts[0][2]) is LaurentQT:
             c, exps, num = parts[0]
             return _rational(num, c, exps)
-        c = lcm(*(x_c for x_c, _, _ in parts))
-        top, test = {}, {}
+        c, top, lifted = _lift(
+            [(x_c, exps, _laurent(num) if type(num) is dict else num) for x_c, exps, num in parts]
+        )
+        # a merged group counts as two holders of each top power it holds
+        holders = {}
         for _, exps, num in parts:
-            merged = type(num) is dict
             for d, e in exps:
-                if e > top.get(d, 0):
-                    top[d], test[d] = e, merged
-                elif e == top[d]:
-                    test[d] = True
+                if e == top[d]:
+                    holders[d] = holders.get(d, 0) + (2 if type(num) is dict else 1)
         total = {}
-        for x_c, exps, num in parts:
-            if type(num) is dict:
-                num = _laurent(num)
-            have = dict(exps)
-            missing = tuple(
-                (d, e - have.get(d, 0)) for d, e in sorted(top.items()) if e > have.get(d, 0)
-            )
-            if x_c != c:
-                num = num * (c // x_c)
-            _add_terms(total, num * _phi_product(missing) if missing else num)
-        return _canonical(_laurent(total), c, top, [d for d in top if test[d]])
+        for num, k in lifted:
+            _add_terms(total, num, k)
+        return _canonical(_laurent(total), c, top, [d for d, n in holders.items() if n > 1])
 
     def reduced(self):
         """The value itself: every RationalQT is already in canonical form."""
@@ -841,6 +837,35 @@ class RationalQT:
         if self.den == _ONE:
             return f"RationalQT({format_laurent(self.num)!r})"
         return f"RationalQT({format_laurent(self.num)!r} / {format_laurent(self.den)!r})"
+
+
+def _lift(parts):
+    """Numerators of (c, exps, num) parts over their least common denominator.
+
+    Returns (c, top, lifted): c the lcm of the integers, top {d: e} the
+    largest power of each phi_d, and, in the order of ``parts``, pairs
+    (f, k) with num over the common denominator equal to k * f: f is num
+    times its own missing phi_d, and k an integer left for the caller to
+    fold into its own weights.
+    """
+    c = lcm(*(x_c for x_c, _, _ in parts))
+    top = {}
+    for _, exps, _ in parts:
+        for d, e in exps:
+            if e > top.get(d, 0):
+                top[d] = e
+    lifted = []
+    for x_c, exps, num in parts:
+        have = dict(exps)
+        missing = tuple(
+            (d, e - have.get(d, 0)) for d, e in sorted(top.items()) if e > have.get(d, 0)
+        )
+        # the integer scales the cached phi_d product when there is one
+        k = c // x_c
+        if missing:
+            num, k = num * (_phi_product(missing) * k if k > 1 else _phi_product(missing)), 1
+        lifted.append((num, k))
+    return c, top, lifted
 
 
 def _fill(value, num, c, exps):
@@ -909,6 +934,72 @@ def bracket_quotient(num, c, ks):
     """
     exps = bracket_exponents(ks)
     return _canonical(num, c, exps, list(exps))
+
+
+def bracket_scaled(x, ks, divide=False):
+    """x times prod over k in ks of {k}, or x divided by it when ``divide``.
+
+    Works on the phi_d exponents of the canonical x.  A product cancels each
+    phi_d that the denominator shares with the brackets and multiplies num by
+    the cached product of the rest; the phi_d are pairwise coprime and
+    primitive, so no phi_d is tested.  A quotient tests only the phi_d that
+    the denominator lacks: one it holds does not divide the canonical num.
+    """
+    if not x.num:
+        return ZERO_RATIONAL
+    exps, gain = dict(x._exps), bracket_exponents(ks)
+    if not divide:
+        return _bracket_fold(x.num, x._c, exps, gain, ())
+    test = [d for d in gain if d not in exps]
+    for d, e in gain.items():
+        exps[d] = exps.get(d, 0) + e
+    return _canonical(x.num, x._c, exps, test)
+
+
+def common_denominator(values):
+    """RationalQT values brought once to their least common denominator.
+
+    Returns (c, exps, lifted) for the denominator c * prod phi_d**exps, exps
+    a dict {d: e}; ``bracket_combination`` reads it.
+    """
+    return _lift([(x._c, x._exps, x.num) for x in values])
+
+
+def bracket_combination(lifted, weights, c, ks):
+    """sum_i weights[i] * values[i] / c times prod over k in ks of {k}, canonical.
+
+    ``lifted`` is ``common_denominator(values)`` and the weights are integers,
+    so the values are brought to one denominator once for many combinations.
+    The brackets cancel against that denominator by exponents; only the phi_d
+    left in it are tested.
+    """
+    lc, exps, nums = lifted
+    data = {}
+    for (num, k), w in zip(nums, weights):
+        if w:
+            _add_terms(data, num, w * k)
+    return _bracket_fold(_laurent(data), lc * c, dict(exps), bracket_exponents(ks), list(exps))
+
+
+def _bracket_fold(num, c, exps, gain, test):
+    """num / (c * prod phi_d**exps) times prod phi_d**gain, in canonical form.
+
+    exps and gain are dicts {d: e}; exps is lowered in place.  A phi_d in both
+    cancels; what is left of gain multiplies num after the cancellation, which
+    tests only the phi_d in ``test`` that stay in the denominator.  A product
+    of primitive phi_d keeps num's content, and shares no factor with a phi_d
+    of the denominator, so the result is canonical.
+    """
+    extra = []
+    for d, g in gain.items():
+        e = exps.get(d, 0)
+        if g > e:
+            extra.append((d, g - e))
+        exps[d] = max(e - g, 0)
+    value = _canonical(num, c, exps, [d for d in test if exps.get(d)])
+    if extra and value.num:
+        return _rational(value.num * _phi_product(tuple(sorted(extra))), value._c, value._exps)
+    return value
 
 
 def bracket_exponents(ks):

@@ -19,6 +19,14 @@ and chi_A(mu) = prod_a chi_{A^a}(mu^a):
   log Z[nu] = sum_{d | nu} (1/d) F~_{nu/d}(q**d, t**d);
 * f_A = sum_mu chi_A(mu) F~_mu.
 
+Both recursions run on bracket-normalised values, with {mu} the product of
+q**m - q**-m over all parts of mu.  Two identities keep them exact:
+{mu}{nu} = {mu u nu}, so Fhat_mu = {mu} log Z[mu] and Zhat_nu = {nu} Z_nu
+obey the degree recursion unchanged; and {nu/d}(q**d) = {nu}, so
+G_nu = {nu} F~_nu obeys the Adams recursion with Fhat in place of log Z.
+These values have integer denominators in practice, so their products and
+sums test no phi_d; a phi_d that does survive is carried exactly.
+
 The transformed coefficients
 
     fhat_B = sum_A f_A prod_a T_{A^a B^a},
@@ -46,7 +54,10 @@ from .composite import framed_composite, r_reform
 from .exactring import (
     LaurentQT,
     RationalQT,
+    bracket_combination,
     bracket_quotient,
+    bracket_scaled,
+    common_denominator,
     exact_div,
     q_bracket,
     q_brace,
@@ -151,10 +162,17 @@ class FreeEnergyTable:
 
 
 def log_partition_series(spec, D):
-    """log Z as a power-sum monomial series {mu vector: RationalQT}, total degree <= D.
+    """The bracket-normalised log Z: {mu vector: {mu} * log Z[mu]}, total degree <= D.
 
-    Z's degree-0 part, H of the empty label vector, is 1; F = log Z then
-    follows degree by degree from n F_n = n Z_n - sum_{k<n} k F_k Z_{n-k}.
+    {mu} is the product of q**m - q**-m over all parts of mu.  Z's degree-0
+    part, H of the empty label vector, is 1.  Since {mu}{nu} = {mu u nu}, the
+    normalised values Fhat_mu = {mu} log Z[mu] and Zhat_nu = {nu} Z_nu obey
+    the recursion of F = log Z unchanged:
+    n Fhat_n = n Zhat_n - sum_{k<n} k Fhat_k Zhat_{n-k}.  The H_A of one size
+    vector are brought to one denominator once, and each Zhat_nu is an
+    integer combination of their numerators with {nu} cancelled by phi_d
+    exponents.  Every value stays an exact RationalQT; a pole that survives
+    the normalisation is carried, not dropped.
     """
     by_sizes = {}
     for labels, value in cs_partition(spec, D).items():
@@ -162,17 +180,15 @@ def log_partition_series(spec, D):
             by_sizes.setdefault(tuple(A.size for A in labels), []).append((labels, value))
     zseries = [{} for _ in range(D + 1)]
     for sizes, group in by_sizes.items():
+        lifted = common_denominator(value for _, value in group)
         for nus in _partition_vectors(sizes):
-            pieces = []
-            for labels, value in group:
-                chi = _chi(labels, nus)
-                if chi:
-                    pieces.append(_times(value, chi))
-            total = RationalQT.sum(pieces)
-            if total:
-                z = prod(nu.z for nu in nus)
-                zseries[sum(sizes)][nus] = total * Fraction(1, z) if z > 1 else total
-    # kf[k] = k F_k, the degree operator applied to F
+            weights = [_chi(labels, nus) for labels, _ in group]
+            if any(weights):
+                parts = [m for nu in nus for m in nu]
+                total = bracket_combination(lifted, weights, prod(nu.z for nu in nus), parts)
+                if total:
+                    zseries[sum(sizes)][nus] = total
+    # kf[k] = k Fhat_k, the degree operator applied to Fhat
     kf = [None] * (D + 1)
     out = {}
     for n in range(1, D + 1):
@@ -191,29 +207,28 @@ def log_partition_series(spec, D):
 
 
 def plethystic_h(spec, D):
-    """Extract the free-energy table from log Z, degree by degree.
+    """Extract the free-energy table from the normalised log Z, degree by degree.
 
-    F~_nu = log Z[nu] - sum_{d >= 2, d | nu} (1/d) F~_{nu/d}(q**d, t**d), and
-    {nu} = {nu/d}(q**d), so ghat_nu = F~_nu / {nu} obeys the same recursion:
-    ghat_nu = log Z[nu] / {nu} - sum_{d >= 2, d | nu} (1/d) ghat_{nu/d}(q**d, t**d).
+    F~_nu = log Z[nu] - sum_{d >= 2, d | nu} (1/d) F~_{nu/d}(q**d, t**d).  With
+    {nu/d}(q**d) = {nu}, G_nu = {nu} F~_nu = {nu}**2 ghat_nu obeys
+    G_nu = Fhat_nu - sum_{d >= 2, d | nu} (1/d) G_{nu/d}(q**d, t**d) over
+    Fhat = ``log_partition_series``; the table holds ghat_nu = G_nu / {nu}**2.
     """
     log_series = log_partition_series(spec, D)
-    ghat = {}
+    G, ghat = {}, {}
     for nus in _labels_upto(spec.L, D)[1:]:
         parts = [m for nu in nus for m in nu]
-        pieces = []
-        value = log_series.get(nus)
-        if value:
-            pieces.append(value * bracket_quotient(LaurentQT.one(), 1, parts))
+        pieces = [log_series.get(nus, 0)]
         g = gcd(*parts)
         for d in range(2, g + 1):
             if g % d == 0:
-                lower = ghat.get(tuple(Partition(m // d for m in nu) for nu in nus))
+                lower = G.get(tuple(Partition(m // d for m in nu) for nu in nus))
                 if lower:
                     pieces.append(lower.substitute_power(d) * Fraction(-1, d))
         total = RationalQT.sum(pieces)
         if total:
-            ghat[nus] = total
+            G[nus] = total
+            ghat[nus] = bracket_scaled(total, parts * 2, divide=True)
     return FreeEnergyTable(ghat=ghat, max_degree=D, spec=spec)
 
 
@@ -271,9 +286,7 @@ def lmov_check(spec, B_labels, D=None, table=None):
     value = hat_h(spec, B_labels, D=D, table=table)
     if not value:
         return True, {}, None
-    z2 = q_bracket(1) * q_bracket(1)
-    shifted = value * z2
-    lau = shifted.as_laurent()
+    lau = bracket_scaled(value, (1, 1)).as_laurent()
     if lau is None:
         return False, None, "not-laurent"
     # decomposing z^2 fhat with one pole allowed returns keys g with

@@ -220,6 +220,12 @@ PINNED_JSON_SHA256 = [
         id="lmov-D6",
     ),
     pytest.param(
+        ("lmov", "--torus", "1", "1", "2", "--framing=-1,-1", "--B", "[[4],[2,1]]"),
+        0,
+        "92a4017c78d83108c70c63e1020f32ce779fda7d291ee7715d924e0876b59118",
+        id="lmov-degree7",
+    ),
+    pytest.param(
         ("lmov", "--torus", "2", "3", "1", "--B", "[[2,1]]"),
         0,
         "5e1280598c051bcce15569a56a197d3a89704cf36619c1e8c4574cd3948d2038",

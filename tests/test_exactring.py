@@ -13,6 +13,7 @@ from skeinlab.exactring import (
     _phi_cancel,
     bracket_factors,
     bracket_quotient,
+    bracket_scaled,
     cyclotomic_factor,
     exact_div,
     format_laurent,
@@ -453,6 +454,31 @@ class TestCanonicalForm:
         for k in ks:
             den = den * q_bracket(k)
         assert _fields(bracket_quotient(num, c, ks)) == _fields(RationalQT(num, den))
+
+    @given(
+        bracket_fractions(),
+        st.lists(st.integers(1, 6), max_size=2),
+        st.lists(st.integers(1, 6), max_size=4),
+    )
+    # the denominator shares phi_1 and phi_2 with the brackets, or nothing
+    @example(RationalQT(q_power(1) + 3, q_bracket(2) * q_bracket(1)), [], [2, 4])
+    @example(RationalQT(q_power(1) + 3, q_bracket(5) * 2), [], [4, 6])
+    # the numerator holds {4}, so a quotient by {2}{4} cancels phi_2 and phi_4
+    @example(RationalQT(q_power(1) + 3, q_bracket(1)), [4], [2, 4])
+    # phi_3 splits in q: num holds one of its two factors, the brackets all of it
+    @example(RationalQT(q_power(1) + 1 + q_power(-1), q_bracket(3)), [], [6])
+    @example(RationalQT(q_power(1) + 1 + q_power(-1), q_bracket(1)), [], [6, 3])
+    @settings(max_examples=150, deadline=None)
+    def test_bracket_scaling_matches_generic_route(self, x, held, ks):
+        # held brackets in the numerator give the quotient phi_d to cancel
+        for j in held:
+            x = x * RationalQT(q_bracket(j))
+        brackets = LaurentQT.one()
+        for k in ks:
+            brackets = brackets * q_bracket(k)
+        assert _fields(bracket_scaled(x, ks)) == _fields(x * RationalQT(brackets))
+        quotient = x * bracket_quotient(LaurentQT.one(), 1, ks)
+        assert _fields(bracket_scaled(x, ks, divide=True)) == _fields(quotient)
 
     @given(bracket_dens())
     @settings(max_examples=100, deadline=None)
