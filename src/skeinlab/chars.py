@@ -3,8 +3,10 @@
 Characters chi_lambda(C_mu) are computed by the Murnaghan-Nakayama border-strip
 recursion on beta-numbers, memoised in memory for the life of the process.
 
-Littlewood-Richardson coefficients come from tableau enumeration
-(`lr_coeff`); the tests check it against the character-sum formula.
+Littlewood-Richardson coefficients come from one tableau search per skew
+shape: `skew_terms(outer, inner)` expands s_{outer/inner} over the Schur basis,
+and `lr_coeff` reads one coefficient from it; the tests check both against the
+character-sum formula.
 """
 
 from __future__ import annotations
@@ -63,60 +65,64 @@ def character(lam, mu):
 
 
 @lru_cache(maxsize=None)
-def lr_coeff(nu, lam, mu):
-    """c^nu_{lam, mu} by Littlewood-Richardson tableau enumeration.
+def skew_terms(outer, inner):
+    """s_{outer/inner} in the Schur basis: {rho: c^outer_{inner, rho}}, largest rho first.
 
-    Counts semistandard fillings of the skew shape nu/lam with content mu whose
-    reverse reading word is a lattice word.  Zero whenever the sizes do not
-    match or lam is not contained in nu.
+    One search over the semistandard fillings of the skew shape outer/inner
+    whose reverse reading word is a lattice word; the content of each filling
+    is the rho it counts for (Macdonald I.9).  Empty unless inner is
+    contained in outer.
     """
-    nu, lam, mu = Partition(nu), Partition(lam), Partition(mu)
-    if lam.size + mu.size != nu.size:
-        return 0
-    if not nu.contains(lam):
-        return 0
-    if not mu:
-        return 1 if nu == lam else 0
-    rows = len(nu)
-    lam_pad = list(lam) + [0] * (rows - len(lam))
-    nvals = len(mu)
+    outer, inner = Partition(outer), Partition(inner)
+    if not outer.contains(inner):
+        return {}
+    inner_pad = list(inner) + [0] * (len(outer) - len(inner))
     # cells in reverse reading order: top row first, right to left
-    cells = []
-    for r in range(rows):
-        for c in range(nu[r] - 1, lam_pad[r] - 1, -1):
-            cells.append((r, c))
-    return _lr_place(0, cells, {}, list(mu), [0] * (nvals + 1), nvals)
+    cells = [
+        (r, c) for r, width in enumerate(outer) for c in range(width - 1, inner_pad[r] - 1, -1)
+    ]
+    tally = {}
+    _lr_place(0, cells, {}, [0] * (len(cells) + 2), tally)
+    return {Partition(content): n for content, n in sorted(tally.items(), reverse=True)}
 
 
-def _lr_place(idx, cells, fill, remaining, counts, nvals):
-    """The number of LR fillings of cells[idx:] that extend the partial filling ``fill``.
+def _lr_place(idx, cells, fill, counts, tally):
+    """Tally by content the LR fillings of cells[idx:] that extend the partial filling ``fill``.
 
-    ``remaining[v - 1]`` is how many v are still to place and ``counts[v]``
-    how many are placed; all three are restored before returning.  It lives
+    ``counts[v]`` is how many v are placed; it and ``fill`` are restored before
+    returning.  The lattice condition keeps counts weakly decreasing in v, so
+    a value v is open only while v - 1 is placed more often than v.  It lives
     at module level because a nested recursive closure is a reference cycle
     that only the cyclic collector frees.
     """
     if idx == len(cells):
-        return 1
+        content = tuple(n for n in counts[1:] if n)
+        tally[content] = tally.get(content, 0) + 1
+        return
     r, c = cells[idx]
-    total = 0
     upper = fill.get((r - 1, c))  # strictly above, already placed
     right = fill.get((r, c + 1))  # to the right, already placed
     lo = (upper + 1) if upper is not None else 1
-    hi = right if right is not None else nvals
+    hi = right if right is not None else len(counts) - 1
     for v in range(lo, hi + 1):
-        if remaining[v - 1] == 0:
-            continue
-        if v > 1 and counts[v] + 1 > counts[v - 1]:
+        if v > 1 and counts[v] >= counts[v - 1]:
+            if not counts[v - 1]:
+                break  # no larger value is open either
             continue  # lattice condition on the reverse reading word
         fill[(r, c)] = v
-        remaining[v - 1] -= 1
         counts[v] += 1
-        total += _lr_place(idx + 1, cells, fill, remaining, counts, nvals)
+        _lr_place(idx + 1, cells, fill, counts, tally)
         counts[v] -= 1
-        remaining[v - 1] += 1
         del fill[(r, c)]
-    return total
+
+
+@lru_cache(maxsize=None)
+def lr_coeff(nu, lam, mu):
+    """c^nu_{lam, mu}, read from the skew expansion of nu/lam; zero unless |lam| + |mu| = |nu|."""
+    nu, lam, mu = Partition(nu), Partition(lam), Partition(mu)
+    if lam.size + mu.size != nu.size:
+        return 0
+    return skew_terms(nu, lam).get(mu, 0)
 
 
 @lru_cache(maxsize=None)

@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .chars import character
-from .exactring import LaurentQT, RationalQT, _div_int, q_bracket, zsquare_decompose
+from .exactring import LaurentQT, RationalQT, _div_int, bracket_scaled, zsquare_decompose
 from .partitions import Partition, PartitionPair, partitions_of
 from .skein import LabelCountMismatch, torus_framed
 from .symfun import pair_weights
@@ -61,17 +61,8 @@ def power_decoration(mu):
     return terms
 
 
-def bracket_norm(labels):
-    """[mu] = prod over components and parts of q**m - q**-m."""
-    out = LaurentQT.one()
-    for mu in labels:
-        for p in Partition(mu):
-            out = out * q_bracket(p)
-    return out
-
-
 def z_reform(spec, labels):
-    """Zh: the power-sum-decorated bracket rescaled by the bracket norm.
+    """Zh: the power-sum-decorated bracket times [mu], by phi_d exponents (``bracket_scaled``).
 
     Reversed components receive the starred power sums; that is exactly the
     label-swap the bracket machinery applies.
@@ -80,7 +71,7 @@ def z_reform(spec, labels):
         raise LabelCountMismatch(f"{len(labels)} labels for {spec.L} components")
     decorations = [power_decoration(Partition(mu)) for mu in labels]
     raw = torus_framed(spec, decorations)
-    return RationalQT(bracket_norm(labels)) * raw
+    return bracket_scaled(raw, [p for mu in labels for p in Partition(mu)])
 
 
 def r_reform(spec, p):
@@ -112,7 +103,7 @@ def zsquare_member(f):
         lau = f.as_laurent()
         if lau is None:
             return False, "not-laurent", None
-    table = zsquare_decompose(lau, allowed_pole=0)
+    table = zsquare_decompose(lau)
     if table is None:
         return False, "not-zsquare", None
     return True, None, table

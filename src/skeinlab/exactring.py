@@ -399,17 +399,17 @@ def exact_div(a, b):
     return _laurent(quo)
 
 
-def zsquare_decompose(f, allowed_pole=0):
-    """Write f = sum c[g, Q] * (q - 1/q)**(2g) * t**Q with integer c, g >= -allowed_pole.
+def zsquare_decompose(f):
+    """Write f = sum c[g, Q] * (q - 1/q)**(2g) * t**Q with integer c and g >= 0.
 
     Returns the coefficient table or None when no such expansion exists.  The
     peel is greedy per t-power: the top q-degree term is matched against the
-    leading term of the corresponding z-power.
+    leading term of the corresponding z-power.  The expansion is unique, so
+    the table of z**(2k) f is that of f with g raised by k; ``lmov_check``
+    reads the pole z**-2 of fhat this way.
     """
     if not isinstance(f, LaurentQT):
         raise TypeError("zsquare_decompose expects a LaurentQT")
-    if allowed_pole:
-        f = f * z_square_power(allowed_pole)
     if not f:
         return {}
     slices = {}
@@ -429,7 +429,7 @@ def zsquare_decompose(f, allowed_pole=0):
                     poly[eq] = r
                 else:
                     poly.pop(eq, None)
-            table[(g - allowed_pole, Q)] = c
+            table[(g, Q)] = c
     return table
 
 

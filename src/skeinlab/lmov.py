@@ -281,7 +281,11 @@ def lmov_check(spec, B_labels, D=None, table=None):
 
     Returns (verdict, N-table, stage): the N-table satisfies
     fhat_B = sum N[g, Q] z**(2g-2) t**Q with all N integers when the verdict
-    is true; otherwise ``stage`` names the failing reduction step.
+    is true; otherwise ``stage`` names the failing reduction step.  The table
+    is the z**2-decomposition of z**2 fhat_B, whose keys are already those of
+    fhat_B.  One more factor z**2 would admit nothing more: for a Laurent
+    polynomial L with z**2 L in ZZ[z**2, t**(+-1)], setting q = 1 shows that
+    the z**0 terms of z**2 L vanish, so L lies in that ring too.
     """
     value = hat_h(spec, B_labels, D=D, table=table)
     if not value:
@@ -289,13 +293,9 @@ def lmov_check(spec, B_labels, D=None, table=None):
     lau = bracket_scaled(value, (1, 1)).as_laurent()
     if lau is None:
         return False, None, "not-laurent"
-    # decomposing z^2 fhat with one pole allowed returns keys g with
-    # fhat = sum N[g, Q] z^(2g-2) t^Q; g >= 0 holds automatically for Laurent input
-    ntable = zsquare_decompose(lau, allowed_pole=1)
+    ntable = zsquare_decompose(lau)
     if ntable is None:
         return False, None, "not-zsquare"
-    if any(g < 0 for g, _ in ntable):
-        return False, None, "pole-too-deep"
     return True, ntable, None
 
 
@@ -323,7 +323,7 @@ def congruence_check(A, B, C):
     quot = exact_div(lau, C)
     if quot is None:
         return False, "not-divisible", None
-    table = zsquare_decompose(quot, allowed_pole=0)
+    table = zsquare_decompose(quot)
     if table is None:
         return False, "not-zsquare", None
     return True, None, table

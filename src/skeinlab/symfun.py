@@ -18,8 +18,10 @@ The basis changes are the alternating Littlewood-Richardson expansions
                     c^mu_{sigma^t,nu} s_rho (x) s*_nu,
     s_rho (x) s*_nu = sum_eps c^rho_{eps,beta} c^nu_{eps,gamma} s_{beta,gamma},
 
-which are mutually inverse; ``expand_terms`` and ``legwise_terms`` apply
-them, and the Frobenius kernels, to a whole table.  Adams operations act on
+which are mutually inverse.  Each is a sum over sigma (or eps) of tensor
+products of two skew Schur expansions s_{lambda/sigma} (x) s_{mu/sigma^t}
+(``chars.skew_terms``); ``expand_terms`` and ``legwise_terms`` apply them,
+and the Frobenius kernels, to a whole table.  Adams operations act on
 power sums by p_k -> p_{mk} and are computed on Schur functions through
 character sums.
 """
@@ -29,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .chars import character, lr_coeff, schur_expand_product
+from .chars import character, schur_expand_product, skew_terms
 from .exactring import RationalQT
 from .partitions import EMPTY, Partition, PartitionPair, partitions_of
 
@@ -61,15 +63,10 @@ def composite_to_schurpair_terms(lam, mu):
     for s in range(min(lam.size, mu.size) + 1):
         sign = -1 if s % 2 else 1
         for sigma in partitions_of(s):
-            sigma_t = sigma.conjugate()
-            for rho in partitions_of(lam.size - s):
-                c1 = lr_coeff(lam, sigma, rho)
-                if not c1:
-                    continue
-                for nu in partitions_of(mu.size - s):
-                    c2 = lr_coeff(mu, sigma_t, nu)
-                    if c2:
-                        terms.append((PartitionPair(rho, nu), sign * c1 * c2))
+            right = skew_terms(mu, sigma.conjugate())
+            for rho, c1 in skew_terms(lam, sigma).items():
+                for nu, c2 in right.items():
+                    terms.append((PartitionPair(rho, nu), sign * c1 * c2))
     return sum_terms(terms)
 
 
@@ -80,14 +77,10 @@ def schurpair_to_composite_terms(rho, nu):
     terms = []
     for s in range(min(rho.size, nu.size) + 1):
         for eps in partitions_of(s):
-            for beta in partitions_of(rho.size - s):
-                c1 = lr_coeff(rho, eps, beta)
-                if not c1:
-                    continue
-                for gamma in partitions_of(nu.size - s):
-                    c2 = lr_coeff(nu, eps, gamma)
-                    if c2:
-                        terms.append((PartitionPair(beta, gamma), c1 * c2))
+            right = skew_terms(nu, eps)
+            for beta, c1 in skew_terms(rho, eps).items():
+                for gamma, c2 in right.items():
+                    terms.append((PartitionPair(beta, gamma), c1 * c2))
     return sum_terms(terms)
 
 
@@ -171,14 +164,12 @@ def composite_product_terms(p1, p2):
 def pair_weights(A):
     """{(lam, mu): c^A_{lam,mu}} over all pairs splitting the label A."""
     A = Partition(A)
-    out = {}
-    for k in range(A.size + 1):
-        for lam in partitions_of(k):
-            for mu in partitions_of(A.size - k):
-                c = lr_coeff(A, lam, mu)
-                if c:
-                    out[PartitionPair(lam, mu)] = c
-    return out
+    return {
+        PartitionPair(lam, mu): c
+        for k in range(A.size + 1)
+        for lam in partitions_of(k)
+        for mu, c in skew_terms(A, lam).items()
+    }
 
 
 # -- Adams operations ----------------------------------------------------------------

@@ -12,14 +12,28 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skeinlab import chars
-from skeinlab.chars import SizeMismatch, character, lr_coeff, schur_expand_product
+from skeinlab.chars import SizeMismatch, character, lr_coeff, schur_expand_product, skew_terms
 from skeinlab.partitions import Partition, partitions_of
 
 from oracles import lr_via_chars
 
 P = Partition
+
+
+def skew_via_chars(outer, inner):
+    """{rho: c^outer_{inner, rho}} with every coefficient from the character sum."""
+    if inner.size > outer.size:
+        return {}
+    terms = {}
+    for rho in partitions_of(outer.size - inner.size):
+        c = lr_via_chars(outer, inner, rho)
+        if c:
+            terms[rho] = c
+    return terms
 
 
 # -- polynomial helpers (exponent-tuple dicts over Fractions) -------------------------
@@ -207,6 +221,28 @@ class TestLR:
                     for lam in partitions_of(k):
                         for mu in partitions_of(n - k):
                             assert lr_coeff(nu, lam, mu) == lr_via_chars(nu, lam, mu)
+
+    def test_skew_terms_vs_characters(self):
+        # every inner partition against every outer of size <= 7, contained or not
+        for n in range(8):
+            for outer in partitions_of(n):
+                for k in range(n + 1):
+                    for inner in partitions_of(k):
+                        got = skew_terms(outer, inner)
+                        assert got == skew_via_chars(outer, inner)
+                        # largest rho first, as partitions_of lists them, so that the
+                        # tables built from it list their keys in that order too
+                        assert list(got) == sorted(got, reverse=True)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_skew_terms_vs_characters_to_size_ten(self, data):
+        outer = data.draw(st.sampled_from(partitions_of(data.draw(st.integers(8, 10)))))
+        inner, cap = [], outer[0]
+        for part in outer:
+            cap = data.draw(st.integers(0, min(cap, part)))
+            inner.append(cap)
+        assert skew_terms(outer, P(inner)) == skew_via_chars(outer, P(inner))
 
     def test_schur_expand_product(self):
         table = schur_expand_product(P([2]), P([1]))

@@ -156,8 +156,8 @@ def test_malformed_label_exit_2(capsys, argv):
 # p = 1: with p = 2 the same link runs ~35 s (degree-18 LR products).  The
 # unframed composite cases pin H_A, reversed component and kinked unknot
 # included; reform-rhat pins the halving in integrality_2z.  The congruence
-# cases pin one all-true range (p = 3) and one all-false range (p = 4), each with
-# its exit code.
+# cases pin two all-true ranges (p = 3 and p = 5) and one all-false range
+# (p = 4), each with its exit code.
 PINNED_JSON_SHA256 = [
     pytest.param(
         ("bracket", "--torus", "1", "1", "2", "--pairs", "[[[1],[]],[[1],[]]]"),
@@ -251,6 +251,12 @@ PINNED_JSON_SHA256 = [
         1,
         "985d0b9aceac5680f1db37ac21a4e2ff9df51fe49e2582e255958e86208aba89",
         id="congruence-p4",
+    ),
+    pytest.param(
+        ("congruence", "--p", "5", "--k", "0..2"),
+        0,
+        "63e2ed9536915bd4771ee1ee40bee6320e92e90c2613b361c81ec82299fa8d56",
+        id="congruence-p5",
     ),
 ]
 

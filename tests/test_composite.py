@@ -1,14 +1,13 @@
 """Composite invariants, reformulated invariants, integrality verdicts."""
 
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skeinlab.composite import (
-    bracket_norm,
     composite_invariant,
     framed_composite,
     integrality_2z,
@@ -105,9 +104,6 @@ class TestZReform:
         dec = power_decoration(P([2]))
         assert dec == {pair([2]): 1, pair([1, 1]): -1}
 
-    def test_bracket_norm(self):
-        assert bracket_norm([P([2, 1]), P([1])]) == q_bracket(2) * q_bracket(1) * q_bracket(1)
-
     def test_unknot_row_two(self):
         got = z_reform(LinkSpec.unknot(0), [P([2])])
         assert got == RationalQT(t_bracket(2))
@@ -117,7 +113,7 @@ class TestZReform:
         spec = LinkSpec.unknot(0)
         for mu in (P([1]), P([2]), P([2, 1])):
             got = z_reform(spec, [mu])
-            expected = RationalQT(bracket_norm([mu]))
+            expected = RationalQT(prod((q_bracket(p) for p in mu), start=LaurentQT.one()))
             for p in mu:
                 expected = expected * RationalQT(t_bracket(p), q_bracket(p))
             assert got == expected
@@ -166,7 +162,7 @@ class TestRReform:
         for spec, p in ((LinkSpec.unknot(1), 2), (LinkSpec.torus_diagram(2, 2), 2)):
             decorations = [from_power_pairs(r_nu(P([p])))] * spec.L
             bracket = torus_framed(spec, decorations)
-            assert r_reform(spec, p) == RationalQT(bracket_norm([P([p])] * spec.L)) * bracket
+            assert r_reform(spec, p) == RationalQT(q_bracket(p) ** spec.L) * bracket
 
     def test_rejects_reversed_base(self):
         with pytest.raises(ValueError):

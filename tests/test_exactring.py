@@ -215,10 +215,8 @@ class TestZSquare:
     def test_round_trip(self, table):
         assert zsquare_decompose(zsquare_recompose(table)) == table
 
-    def test_allowed_pole_is_slack_for_polynomials(self):
-        # a Laurent input never uses the pole allowance: the keys agree
+    def test_decomposes_per_t_power(self):
         f = t_power(1) * q_bracket(1) ** 2 + t_power(-2) * LaurentQT.from_int(5)
-        assert zsquare_decompose(f, allowed_pole=1) == zsquare_decompose(f, allowed_pole=0)
         assert zsquare_decompose(f) == {(1, 1): 1, (0, -2): 5}
 
     def test_fractional_exponents_rejected(self):

@@ -4,7 +4,7 @@ import gc
 
 import pytest
 
-from skeinlab.chars import lr_coeff
+from skeinlab.chars import skew_terms
 from skeinlab.exactring import LaurentQT, RationalQT, q_bracket, t_bracket
 from skeinlab.partitions import EMPTY, Partition, PartitionPair, pairs_of_total
 from skeinlab.skein import (
@@ -181,7 +181,7 @@ class TestFramedBrackets:
         gc.disable()
         try:
             torus_framed(spec, [dec, dec])
-            assert lr_coeff.__wrapped__(P([3, 2, 1]), P([2, 1]), P([2, 1])) == 2
+            assert skew_terms.__wrapped__(P([3, 2, 1]), P([2, 1]))[P([2, 1])] == 2
             assert gc.collect() == 0
         finally:
             if enabled:
