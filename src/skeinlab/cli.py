@@ -403,7 +403,14 @@ def build_parser():
     p.add_argument("--D", type=int, help="truncation degree (default: |B|)")
     p.set_defaults(func=cmd_lmov)
 
-    p = add_parser("congruence", help="congruent skein relation instances")
+    p = add_parser(
+        "congruence",
+        help="congruent skein relation instances",
+        description="Test the congruent skein relation for Rh_p on the t2 torus family.  "
+        "The verdicts pinned by the tests are true for p = 2, 3 and 5 and FALSE "
+        "(not-divisible, exit 1) for p = 4: a FALSE at a composite p is data about the "
+        "conjecture, not a defect of the program.",
+    )
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--family", default="t2")
     p.add_argument("--k", required=True, help="range like 0..3 or list like 0,2")

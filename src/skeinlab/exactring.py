@@ -965,6 +965,31 @@ def common_denominator(values):
     return _lift([(x._c, x._exps, x.num) for x in values])
 
 
+def shifted_sum(terms):
+    """sum of w * q**e_q * t**e_t * f over (f, w, e_q, e_t), f a LaurentQT and w an int.
+
+    Every shifted, weighted term goes into one term dict: no monomial
+    product is formed and nothing is canonicalised.
+    """
+    data = {}
+    for f, w, e_q, e_t in terms:
+        if not w:
+            continue
+        for (a, b), c in f._terms.items():
+            key = (a + e_q, b + e_t)
+            c *= w
+            c0 = data.get(key)
+            if c0 is None:
+                data[key] = c
+            else:
+                c += c0
+                if c:
+                    data[key] = c
+                else:
+                    del data[key]
+    return _laurent(data)
+
+
 def bracket_combination(lifted, weights, c, ks):
     """sum_i weights[i] * values[i] / c times prod over k in ks of {k}, canonical.
 

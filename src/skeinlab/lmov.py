@@ -50,14 +50,13 @@ from itertools import chain, product as iproduct
 from math import gcd, prod
 
 from .chars import SizeMismatch, character
-from .composite import framed_composite, r_reform
+from .composite import r_reform
 from .exactring import (
     LaurentQT,
     RationalQT,
     bracket_combination,
     bracket_quotient,
     bracket_scaled,
-    common_denominator,
     exact_div,
     q_bracket,
     q_brace,
@@ -65,8 +64,9 @@ from .exactring import (
     zsquare_decompose,
 )
 from .partitions import Partition, partitions_of
-from .skein import LabelCountMismatch, LinkSpec, full_invariant_value, unknot_full
-from .symfun import power_to_schur_terms, sum_terms
+from .skein import LabelCountMismatch, LinkSpec, framed_numerators, full_invariant_value
+from .skein import torus_framed, unknot_full
+from .symfun import pair_weights, power_to_schur_terms, sum_terms
 
 
 def _labels_upto(L, D):
@@ -123,15 +123,18 @@ def cs_partition(spec, D):
     Returns {label vector: signed framed composite invariant}; the sign is
     (-1)**(sum_a w_a |A^a|) with w the per-component writhes of the spec.
     """
-    writhes = spec.writhes
-    out = {}
-    for labels in _labels_upto(spec.L, D):
-        value = framed_composite(spec, labels)
-        exponent = sum(w * A.size for w, A in zip(writhes, labels))
-        if exponent % 2:
-            value = -value
-        out[labels] = value
-    return out
+    return {
+        labels: torus_framed(spec, _signed_decorations(spec, labels))
+        for labels in _labels_upto(spec.L, D)
+    }
+
+
+def _signed_decorations(spec, labels):
+    """The decorations of H_A, with Z's sign (-1)**(sum_a w_a |A^a|) folded into the first."""
+    decorations = [pair_weights(A) for A in labels]
+    if sum(w * A.size for w, A in zip(spec.writhes, labels)) % 2:
+        decorations[0] = {pair: -c for pair, c in decorations[0].items()}
+    return decorations
 
 
 # -- free energy in the power-sum basis ------------------------------------------------
@@ -165,29 +168,46 @@ def log_partition_series(spec, D):
     """The bracket-normalised log Z: {mu vector: {mu} * log Z[mu]}, total degree <= D.
 
     {mu} is the product of q**m - q**-m over all parts of mu.  Z's degree-0
-    part, H of the empty label vector, is 1.  Since {mu}{nu} = {mu u nu}, the
-    normalised values Fhat_mu = {mu} log Z[mu] and Zhat_nu = {nu} Z_nu obey
-    the recursion of F = log Z unchanged:
-    n Fhat_n = n Zhat_n - sum_{k<n} k Fhat_k Zhat_{n-k}.  The H_A of one size
-    vector are brought to one denominator once, and each Zhat_nu is an
-    integer combination of their numerators with {nu} cancelled by phi_d
-    exponents.  Every value stays an exact RationalQT; a pole that survives
-    the normalisation is carried, not dropped.
+    part, H of the empty label vector, is 1.  The signed H_A of one size
+    vector come from ``framed_numerators`` as numerators over one common
+    denominator, never canonicalised one by one, and each Zhat_nu = {nu} Z_nu
+    is an integer combination of them with {nu} cancelled by phi_d exponents.
+    Since {mu}{nu} = {mu u nu}, the normalised values Fhat_mu = {mu} log Z[mu]
+    and Zhat_nu obey the recursion of F = log Z unchanged:
+    n Fhat_n = n Zhat_n - sum_{k<n} k Fhat_k Zhat_{n-k}.  Every value stays an
+    exact RationalQT; a pole that survives the normalisation is carried, not
+    dropped.
     """
     by_sizes = {}
-    for labels, value in cs_partition(spec, D).items():
-        if value and any(labels):
-            by_sizes.setdefault(tuple(A.size for A in labels), []).append((labels, value))
+    for labels in _labels_upto(spec.L, D)[1:]:
+        by_sizes.setdefault(tuple(A.size for A in labels), []).append(labels)
     zseries = [{} for _ in range(D + 1)]
     for sizes, group in by_sizes.items():
-        lifted = common_denominator(value for _, value in group)
-        for nus in _partition_vectors(sizes):
-            weights = [_chi(labels, nus) for labels, _ in group]
-            if any(weights):
-                parts = [m for nu in nus for m in nu]
-                total = bracket_combination(lifted, weights, prod(nu.z for nu in nus), parts)
-                if total:
-                    zseries[sum(sizes)][nus] = total
+        lifted = framed_numerators(spec, [_signed_decorations(spec, labels) for labels in group])
+        zseries[sum(sizes)].update(_zhat_terms(sizes, group, lifted))
+    return _log_of_zhat(zseries, D)
+
+
+def _zhat_terms(sizes, group, lifted):
+    """(nu vector, Zhat_nu) for every nonzero Zhat_nu of one size vector.
+
+    ``lifted`` holds the signed H_A of the label vectors ``group`` in
+    ``common_denominator``'s form.
+    """
+    for nus in _partition_vectors(sizes):
+        weights = [_chi(labels, nus) for labels in group]
+        if any(weights):
+            parts = [m for nu in nus for m in nu]
+            total = bracket_combination(lifted, weights, prod(nu.z for nu in nus), parts)
+            if total:
+                yield nus, total
+
+
+def _log_of_zhat(zseries, D):
+    """{mu vector: Fhat_mu} from zseries[n] = {nu vector: Zhat_nu} of total degree n.
+
+    The degree recursion n Fhat_n = n Zhat_n - sum_{k<n} k Fhat_k Zhat_{n-k}.
+    """
     # kf[k] = k Fhat_k, the degree operator applied to Fhat
     kf = [None] * (D + 1)
     out = {}

@@ -33,7 +33,7 @@ from functools import lru_cache, reduce
 from math import gcd
 
 from .exactring import LaurentQT, RationalQT, _rational, bracket_exponents
-from .exactring import bracket_quotient, t_bracket
+from .exactring import bracket_quotient, common_denominator, shifted_sum, t_bracket
 from .partitions import Partition, PartitionPair
 from .symfun import (
     adams_schurpair,
@@ -246,28 +246,21 @@ def _validated_pairs(spec, pairs):
     return tuple(out)
 
 
-def _bracket_basis(spec, pairs):
-    """Framed bracket of the spec decorated by composite basis elements.
-
-    ``pairs`` must already be swap-adjusted for reversed components.
-    """
-    # the kinks multiply to one monomial: add their exponents
-    kinks = [_framing_exponents(pair, f) for pair, f in zip(pairs, spec.framing)]
-    e_q, e_t = map(sum, zip(*kinks))
+def _core(spec, pairs):
+    """Bracket of the basis-decorated link before its kinks; pairs are swap-adjusted."""
     if spec.family == UNKNOT:
-        core = unknot_full(pairs[0].pos, pairs[0].neg)
-    else:
-        core = _surface_bracket(spec.m, spec.n, spec.L, pairs)
-    return RationalQT(LaurentQT.monomial(1, e_q, e_t)) * core
+        return unknot_full(pairs[0].pos, pairs[0].neg)
+    return _surface_bracket(spec.m, spec.n, spec.L, pairs)
 
 
-def torus_framed(spec, decorations):
-    """Framed bracket of the link decorated by elements of the annulus skein.
+def _leaves(spec, decorations):
+    """(pairs, weight, e_q, e_t) for each choice of one basis term per component.
 
-    Each decoration is a composite-basis term table {PartitionPair: coeff},
-    the element sum of coeff * Q_pair; coefficients are ints or RationalQT.
-    Reversed components see the orientation involution (label rows swapped);
-    kinks contribute one framing factor each, applied before the cabling map.
+    Each decoration is a composite-basis term table {PartitionPair: coeff}.
+    Reversed components see the orientation involution (label rows swapped).
+    ``pairs`` are the chosen labels, ``weight`` the product of their
+    coefficients, and q**e_q * t**e_t the product of the kinks' framing
+    factors, one per kink, applied before the cabling map.
     """
     if len(decorations) != spec.L:
         raise LabelCountMismatch(f"{len(decorations)} decorations for {spec.L} components")
@@ -276,22 +269,66 @@ def torus_framed(spec, decorations):
         if a in spec.reversed_:
             dec = {pair.swap(): c for pair, c in dec.items()}
         comps.append(list(dec.items()))
-    return RationalQT.sum(_decorated_terms(spec, comps, 0, [], 1))
+    return _decorated_terms(spec, comps, 0, (), 1, 0, 0)
 
 
-def _decorated_terms(spec, comps, a, pairs, coeff):
-    """coeff times the bracket of each choice of one basis term per component from a on.
+def _decorated_terms(spec, comps, a, pairs, coeff, e_q, e_t):
+    """The leaves of ``_leaves`` for each choice of one basis term per component from a on.
 
-    Each prefix of choices multiplies its coefficient once, so integer
-    weights multiply as ints and meet a RationalQT only at the leaf.  It
-    lives at module level because a nested recursive closure is a reference
-    cycle that only the cyclic collector frees.
+    Each prefix of choices multiplies its coefficient and adds its kink
+    exponents once, so integer weights multiply as ints.  It lives at module
+    level because a nested recursive closure is a reference cycle that only
+    the cyclic collector frees.
     """
     if a == spec.L:
-        yield coeff * _bracket_basis(spec, tuple(pairs))
+        yield pairs, coeff, e_q, e_t
         return
+    f = spec.framing[a]
     for pair, c in comps[a]:
-        yield from _decorated_terms(spec, comps, a + 1, pairs + [pair], coeff * c)
+        d_q, d_t = _framing_exponents(pair, f)
+        yield from _decorated_terms(
+            spec, comps, a + 1, pairs + (pair,), coeff * c, e_q + d_q, e_t + d_t
+        )
+
+
+def torus_framed(spec, decorations):
+    """Framed bracket of the link decorated by elements of the annulus skein.
+
+    Each decoration is a composite-basis term table {PartitionPair: coeff},
+    the element sum of coeff * Q_pair; coefficients are ints or RationalQT.
+    """
+    return RationalQT.sum(
+        coeff * (RationalQT(LaurentQT.monomial(1, e_q, e_t)) * _core(spec, pairs))
+        for pairs, coeff, e_q, e_t in _leaves(spec, decorations)
+    )
+
+
+def framed_numerators(spec, decoration_vectors):
+    """Framed brackets of many decoration vectors over one common denominator.
+
+    Returns ``common_denominator``'s form (c, exps, [(num, k), ...]), one
+    pair per vector in order: its bracket is k * num / (c * prod phi_d**e).
+    The coefficients must be ints.  Each distinct core -- the surface
+    bracket, or the unknot value -- is lifted once; a leaf adds its integer
+    weight times its lifted core shifted by its kink exponents, so no
+    monomial product is formed and no bracket is canonicalised.
+    """
+    vectors = [list(_leaves(spec, decorations)) for decorations in decoration_vectors]
+    cores = {}
+    for leaves in vectors:
+        for pairs, _, _, _ in leaves:
+            if pairs not in cores:
+                cores[pairs] = _core(spec, pairs)
+    c, exps, lifted = common_denominator(cores.values())
+    lifted = dict(zip(cores, lifted))
+    nums = []
+    for leaves in vectors:
+        terms = []
+        for pairs, w, e_q, e_t in leaves:
+            num, k = lifted[pairs]
+            terms.append((num, w * k, e_q, e_t))
+        nums.append((shifted_sum(terms), 1))
+    return c, exps, nums
 
 
 def torus_full_invariant(spec, pairs):
@@ -301,7 +338,9 @@ def torus_full_invariant(spec, pairs):
     result does not depend on the framing vector at all.
     """
     labels = _validated_pairs(spec, pairs)
-    value = _bracket_basis(spec.with_framing(-spec.m * spec.n), labels)
+    # the labels are already swapped for reversed components
+    unreversed = spec.with_framing(-spec.m * spec.n).with_reversed(())
+    value = torus_framed(unreversed, [{pair: 1} for pair in labels])
     return InvariantResult(value=value, normalized=True, labels=labels)
 
 

@@ -22,6 +22,9 @@ quantity the engine also computes, by a different formula:
   by truncated powers of u, the Adams layers and the inversion through
   characters degree by degree, and fhat_B = sum_A f_A prod_a T_{A^a B^a},
   against the power-sum route of ``lmov``;
+* ``log_series_via_common_denominator`` -- the normalised log Z with each
+  Zhat_nu combined from the canonical H_A of ``lmov.cs_partition``, against
+  ``lmov.log_partition_series``, which lifts each bracket core once;
 * ``free_energy_entries`` -- every nonzero f_A of a ``lmov.FreeEnergyTable``,
   read one label vector at a time;
 * ``reassembled_log`` -- log Z rebuilt from a free-energy table by the Schur
@@ -40,8 +43,15 @@ from math import comb
 
 from skeinlab.chars import character, lr_coeff
 from skeinlab.composite import z_reform
-from skeinlab.exactring import LaurentQT, RationalQT, q_brace, q_bracket
-from skeinlab.lmov import _labels_upto, congruence_check, cs_partition, t_transform
+from skeinlab.exactring import LaurentQT, RationalQT, common_denominator, q_brace, q_bracket
+from skeinlab.lmov import (
+    _labels_upto,
+    _log_of_zhat,
+    _zhat_terms,
+    congruence_check,
+    cs_partition,
+    t_transform,
+)
 from skeinlab.partitions import EMPTY, Partition, PartitionPair, partitions_of
 from skeinlab.skein import power_value
 from skeinlab.symfun import (
@@ -320,6 +330,24 @@ def log_series_via_powers(spec, D):
         if i < D:
             power = _series_mul(power, u, D)
     return sum_terms(pieces)
+
+
+def log_series_via_common_denominator(spec, D):
+    """The normalised log Z from the canonical H_A: {mu vector: {mu} * log Z[mu]}.
+
+    The nonzero signed H_A of one size vector are brought to their least
+    common denominator (``common_denominator``), and every Zhat_nu is an
+    integer combination of those numerators.
+    """
+    by_sizes = {}
+    for labels, value in cs_partition(spec, D).items():
+        if value and any(labels):
+            by_sizes.setdefault(tuple(A.size for A in labels), []).append((labels, value))
+    zseries = [{} for _ in range(D + 1)]
+    for sizes, group in by_sizes.items():
+        lifted = common_denominator(value for _, value in group)
+        zseries[sum(sizes)].update(_zhat_terms(sizes, [labels for labels, _ in group], lifted))
+    return _log_of_zhat(zseries, D)
 
 
 def free_energy_via_schur(spec, D):

@@ -155,7 +155,8 @@ def test_malformed_label_exit_2(capsys, argv):
 # three-component products and mixed-orientation labels.  The reform case uses
 # p = 1: with p = 2 the same link runs ~35 s (degree-18 LR products).  The
 # unframed composite cases pin H_A, reversed component and kinked unknot
-# included; reform-rhat pins the halving in integrality_2z.  The congruence
+# included; reform-rhat pins the halving in integrality_2z.  The lmov cases
+# add a three-component link and a torus link with n = 2 to the Hopf links.  The congruence
 # cases pin two all-true ranges (p = 3 and p = 5) and one all-false range
 # (p = 4), each with its exit code.
 PINNED_JSON_SHA256 = [
@@ -239,6 +240,21 @@ PINNED_JSON_SHA256 = [
         0,
         "0dd6653cb9a2fed865486e0a03b53363dbdf65e8c8292db498d6142206a0630b",
         id="lmov-reversed",
+    ),
+    pytest.param(
+        (
+            "lmov", "--torus", "1", "1", "3", "--framing=-1,-1,-1",
+            "--B", "[[2],[1],[1]]", "--D", "5",
+        ),
+        0,
+        "d6df90636844265667aefeae5801955e69737ca292b6992d601d3b317e90ac9f",
+        id="lmov-three-components",
+    ),
+    pytest.param(
+        ("lmov", "--torus", "1", "2", "2", "--B", "[[2],[1]]", "--D", "5"),
+        0,
+        "7d60365e2c0fb11f86ae623893a1c12049fb14986f8961306345250a54ee8589",
+        id="lmov-torus-n2",
     ),
     pytest.param(
         ("congruence", "--p", "3", "--k", "0..8"),

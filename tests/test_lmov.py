@@ -1,14 +1,25 @@
 """Free-energy pipeline, transform tables, congruences, special polynomials."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import skeinlab.lmov as lmov
 from skeinlab.chars import SizeMismatch
 from skeinlab.composite import framed_composite, r_reform
-from skeinlab.exactring import LaurentQT, RationalQT, q_bracket, q_brace, t_bracket
+from skeinlab.exactring import (
+    LaurentQT,
+    RationalQT,
+    common_denominator,
+    cyclotomic_factor,
+    q_bracket,
+    q_brace,
+    t_bracket,
+)
 from skeinlab.lmov import (
     _labels_upto,
     congruence_check,
@@ -28,6 +39,7 @@ from oracles import (
     free_energy_entries,
     free_energy_via_schur,
     hat_h_via_t_transform,
+    log_series_via_common_denominator,
     log_series_via_powers,
     reassembled_log,
 )
@@ -131,14 +143,25 @@ class TestFreeEnergy:
         # H_A + c/{3} leaves {nu} Z_nu with a phi_3 for every nu with no part 3:
         # the normalised series must carry it exactly, not assume integrality
         extra = RationalQT(LaurentQT({(1, 1): 1, (0, 0): 2}), q_bracket(3))
-        original = lmov.cs_partition
+        original_numerators, original_partition = lmov.framed_numerators, lmov.cs_partition
+        target = lmov._signed_decorations(spec, perturbed)
+
+        def framed_numerators_with_pole(spec, decoration_vectors):
+            # the signed H_A of one size vector, the perturbed one shifted by extra
+            c, exps, nums = original_numerators(spec, decoration_vectors)
+            den = prod((cyclotomic_factor(d) ** e for d, e in exps.items()), start=LaurentQT.one())
+            values = [RationalQT(num * k, den * c) for num, k in nums]
+            for i, decorations in enumerate(decoration_vectors):
+                if decorations == target:
+                    values[i] = values[i] + extra
+            return common_denominator(values)
 
         def cs_partition_with_pole(spec, D):
-            coeffs = dict(original(spec, D))
+            coeffs = dict(original_partition(spec, D))
             coeffs[perturbed] = coeffs[perturbed] + extra
             return coeffs
 
-        monkeypatch.setattr(lmov, "cs_partition", cs_partition_with_pole)
+        monkeypatch.setattr(lmov, "framed_numerators", framed_numerators_with_pole)
         monkeypatch.setattr(oracles, "cs_partition", cs_partition_with_pole)
         assert any(3 in dict(v._exps) for v in log_partition_series(spec, D).values())
         table = plethystic_h(spec, D)
@@ -170,6 +193,42 @@ class TestFreeEnergy:
         for key in ((P([2]),), (P([1, 1]),)):
             expected = normalised(rebuilt.get(key, RationalQT(0)), key)
             assert direct.get(key, RationalQT(0)) == expected
+
+
+def assert_same_log_series(spec, D):
+    """log_partition_series against the route through canonical H_A, key by key."""
+    direct, canonical = log_partition_series(spec, D), log_series_via_common_denominator(spec, D)
+    assert sorted(direct) == sorted(canonical)
+    for key, value in canonical.items():
+        assert direct[key] == value, key
+
+
+class TestLogSeriesNumerators:
+    # the lifted bracket cores of framed_numerators against common_denominator
+    # of the canonical H_A, the route they replace
+    @pytest.mark.parametrize(
+        "spec, D",
+        [pytest.param(LinkSpec.unknot(f), 5, id=f"unknot({f})") for f in (-2, 2)]
+        + [
+            pytest.param(LinkSpec.torus(1, 1, 2, framing=(a, b)), 4, id=f"hopf({a},{b})")
+            for a in (-1, 0, 1)
+            for b in (-1, 0, 1)
+        ]
+        + [
+            pytest.param(
+                LinkSpec.torus(1, 1, 2, framing=(1, -1), reversed_=(1,)), 4, id="hopf-reversed"
+            ),
+            pytest.param(LinkSpec.torus(1, 2, 2), 3, id="T(1,2,2)"),
+            pytest.param(LinkSpec.torus(1, 1, 3), 3, id="T(1,1,3)"),
+        ],
+    )
+    def test_matches_common_denominator_route(self, spec, D):
+        assert_same_log_series(spec, D)
+
+    @given(st.integers(-3, 3), st.integers(-3, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_hopf_framings_degree_four(self, a, b):
+        assert_same_log_series(LinkSpec.torus(1, 1, 2, framing=(a, b)), 4)
 
 
 class TestTransform:
