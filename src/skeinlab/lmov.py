@@ -168,23 +168,28 @@ def log_partition_series(spec, D):
     """The bracket-normalised log Z: {mu vector: {mu} * log Z[mu]}, total degree <= D.
 
     {mu} is the product of q**m - q**-m over all parts of mu.  Z's degree-0
-    part, H of the empty label vector, is 1.  The signed H_A of one size
-    vector come from ``framed_numerators`` as numerators over one common
-    denominator, never canonicalised one by one, and each Zhat_nu = {nu} Z_nu
-    is an integer combination of them with {nu} cancelled by phi_d exponents.
+    part, H of the empty label vector, is 1.  The signed H_A of every size
+    vector with one multiset of sizes, such as (a, b) and (b, a), come from
+    one ``framed_numerators`` call as numerators over one common denominator,
+    never canonicalised one by one: their cores are keyed by label multiset,
+    so one lift serves every permutation.  Each Zhat_nu = {nu} Z_nu is an
+    integer combination of them with {nu} cancelled by phi_d exponents;
+    chi_A(nu) is 0 unless A and nu have equal sizes, so the other size
+    vectors' H_A carry weight 0.
     Since {mu}{nu} = {mu u nu}, the normalised values Fhat_mu = {mu} log Z[mu]
     and Zhat_nu obey the recursion of F = log Z unchanged:
     n Fhat_n = n Zhat_n - sum_{k<n} k Fhat_k Zhat_{n-k}.  Every value stays an
     exact RationalQT; a pole that survives the normalisation is carried, not
     dropped.
     """
-    by_sizes = {}
+    by_size_set = {}
     for labels in _labels_upto(spec.L, D)[1:]:
-        by_sizes.setdefault(tuple(A.size for A in labels), []).append(labels)
+        by_size_set.setdefault(tuple(sorted(A.size for A in labels)), []).append(labels)
     zseries = [{} for _ in range(D + 1)]
-    for sizes, group in by_sizes.items():
+    for size_set, group in by_size_set.items():
         lifted = framed_numerators(spec, [_signed_decorations(spec, labels) for labels in group])
-        zseries[sum(sizes)].update(_zhat_terms(sizes, group, lifted))
+        for sizes in dict.fromkeys(tuple(A.size for A in labels) for labels in group):
+            zseries[sum(size_set)].update(_zhat_terms(sizes, group, lifted))
     return _log_of_zhat(zseries, D)
 
 
@@ -192,7 +197,8 @@ def _zhat_terms(sizes, group, lifted):
     """(nu vector, Zhat_nu) for every nonzero Zhat_nu of one size vector.
 
     ``lifted`` holds the signed H_A of the label vectors ``group`` in
-    ``common_denominator``'s form.
+    ``common_denominator``'s form; label vectors of other sizes in ``group``
+    get weight chi_A(nu) = 0.
     """
     for nus in _partition_vectors(sizes):
         weights = [_chi(labels, nus) for labels in group]

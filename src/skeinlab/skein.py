@@ -312,20 +312,29 @@ def framed_numerators(spec, decoration_vectors):
     bracket, or the unknot value -- is lifted once; a leaf adds its integer
     weight times its lifted core shifted by its kink exponents, so no
     monomial product is formed and no bracket is canonicalised.
+
+    Cores are keyed by the multiset of their labels: the annulus skein is
+    commutative, so a core does not depend on the order of its labels, and
+    each leaf's kink exponents are fixed by ``_leaves`` before the key is
+    sorted.  Decoration vectors that permute one another's labels therefore
+    share their cores and one lift.
     """
-    vectors = [list(_leaves(spec, decorations)) for decorations in decoration_vectors]
+    vectors = [
+        [(tuple(sorted(pairs)), w, e_q, e_t) for pairs, w, e_q, e_t in _leaves(spec, decorations)]
+        for decorations in decoration_vectors
+    ]
     cores = {}
     for leaves in vectors:
-        for pairs, _, _, _ in leaves:
-            if pairs not in cores:
-                cores[pairs] = _core(spec, pairs)
+        for key, _, _, _ in leaves:
+            if key not in cores:
+                cores[key] = _core(spec, key)
     c, exps, lifted = common_denominator(cores.values())
     lifted = dict(zip(cores, lifted))
     nums = []
     for leaves in vectors:
         terms = []
-        for pairs, w, e_q, e_t in leaves:
-            num, k = lifted[pairs]
+        for key, w, e_q, e_t in leaves:
+            num, k = lifted[key]
             terms.append((num, w * k, e_q, e_t))
         nums.append((shifted_sum(terms), 1))
     return c, exps, nums

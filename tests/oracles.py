@@ -17,6 +17,9 @@ quantity the engine also computes, by a different formula:
 * ``conj_q`` -- the substitution q -> -1/q, for the conjugation symmetry
   W_{lam^t}(q) = W_lam(-1/q);
 * ``meridian_eigenvalue`` -- the meridian map's eigenvalue on [lam, mu];
+* ``hopf_bracket`` -- the Hopf link's surface bracket by the Morton-Lukac
+  formula (meridian power sums on one component), against
+  ``skeinlab.skein._surface_bracket(1, 1, 2, ...)``;
 * ``log_series_via_powers``, ``free_energy_via_schur`` and
   ``hat_h_via_t_transform`` -- the free energy by the Schur route: log(1 + u)
   by truncated powers of u, the Adams layers and the inversion through
@@ -245,11 +248,46 @@ def meridian_eigenvalue(lam, mu=()):
     (q - 1/q) * (t * sum over lam cells of q**(2c) - 1/t * sum over mu cells
     of q**(-2c)) + the unknot scalar, c the cell content.
     """
-    lam, mu = Partition(lam), Partition(mu)
-    terms = [((2 * c, 1), 1) for c in lam.contents()]
-    terms += [((-2 * c, -1), -1) for c in mu.contents()]
-    finite = q_bracket(1) * LaurentQT(terms)
-    return RationalQT(finite) + power_value(1)
+    return meridian_power(PartitionPair(Partition(lam), Partition(mu)), 1)
+
+
+def meridian_power(pair, k):
+    """E_k(lam, mu): P_k on a meridian loop around a component decorated by [lam, mu].
+
+    {k} (t**k * sum over lam cells of q**(2kc) - t**-k * sum over mu cells of
+    q**(-2kc)) + (t**k - t**-k)/{k}, c the cell content and {k} = q**k - q**-k;
+    k = 1 is ``meridian_eigenvalue``.  P*_k sees the swapped label.
+    """
+    terms = [((2 * k * c, k), 1) for c in pair.pos.contents()]
+    terms += [((-2 * k * c, -k), -1) for c in pair.neg.contents()]
+    return RationalQT(q_bracket(k) * LaurentQT(terms)) + power_value(k)
+
+
+@lru_cache(maxsize=None)
+def _plane_value(pair):
+    return evaluate(to_power_pairs({pair: 1}))
+
+
+def hopf_bracket(A, B):
+    """The surface-framed Hopf link decorated by Q_A and Q_B, by Morton and Lukac.
+
+    H. R. Morton, S. G. Lukac, "The HOMFLY polynomial of the decorated Hopf
+    link", JKTR 12 (2003): tau_A tau_B <Q_A> Q_B(P_k -> E_k(A), P*_k -> E_k(A
+    swapped)), with tau_P = q**kappa_P * t**|P| and E_k = ``meridian_power``.
+    Q_B is expanded over power pairs and <Q_A> is the plane evaluation of its
+    power-pair table, so neither the annulus product nor the closed-form
+    unknot enters.  The engine's route is ``skein._surface_bracket(1, 1, 2, (A, B))``.
+    """
+    pieces = []
+    for (eta, pi), coeff in to_power_pairs({B: 1}).items():
+        value = RationalQT.from_fraction(Fraction(coeff))
+        for k in eta:
+            value = value * meridian_power(A, k)
+        for k in pi:
+            value = value * meridian_power(A.swap(), k)
+        pieces.append(value)
+    tau = LaurentQT.monomial(1, A.kappa + B.kappa, A.size + B.size)
+    return RationalQT(tau) * _plane_value(A) * RationalQT.sum(pieces)
 
 
 def conj_q(x):

@@ -242,6 +242,21 @@ PINNED_JSON_SHA256 = [
         id="lmov-reversed",
     ),
     pytest.param(
+        ("lmov", "--torus", "1", "1", "3", "--framing=1,0,-1", "--B", "[[1],[1],[1]]", "--D", "4"),
+        0,
+        "9a9c45448b23ae98f09af88828df8d9dd60bf9423a9b177cc0384db393eaad5e",
+        id="lmov-three-framings",
+    ),
+    pytest.param(
+        (
+            "lmov", "--torus", "1", "1", "3", "--reversed", "2", "--framing=1,0,-1",
+            "--B", "[[2],[1],[]]", "--D", "4",
+        ),
+        0,
+        "79e2631b6a4d0706cd75be4a8b6cb7eef8a81a66b0536bd4eb9c3fb4e495a003",
+        id="lmov-three-framings-reversed",
+    ),
+    pytest.param(
         (
             "lmov", "--torus", "1", "1", "3", "--framing=-1,-1,-1",
             "--B", "[[2],[1],[1]]", "--D", "5",

@@ -220,6 +220,14 @@ class TestLogSeriesNumerators:
             ),
             pytest.param(LinkSpec.torus(1, 2, 2), 3, id="T(1,2,2)"),
             pytest.param(LinkSpec.torus(1, 1, 3), 3, id="T(1,1,3)"),
+            # permuted size vectors share one lift but carry different framings
+            pytest.param(LinkSpec.torus(1, 1, 3, framing=(1, 0, -1)), 4, id="T(1,1,3)(1,0,-1)"),
+            pytest.param(
+                LinkSpec.torus(1, 1, 3, framing=(1, 0, -1), reversed_=(2,)),
+                4,
+                id="T(1,1,3)(1,0,-1)-reversed",
+            ),
+            pytest.param(LinkSpec.torus(1, 1, 2, framing=(2, -1)), 5, id="hopf(2,-1)"),
         ],
     )
     def test_matches_common_denominator_route(self, spec, D):

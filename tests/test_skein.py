@@ -1,8 +1,11 @@
 """Bracket evaluation, framing factors, torus invariants, symmetries."""
 
 import gc
+from itertools import combinations_with_replacement, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skeinlab.chars import skew_terms
 from skeinlab.exactring import LaurentQT, RationalQT, q_bracket, t_bracket
@@ -11,6 +14,7 @@ from skeinlab.skein import (
     LabelCountMismatch,
     LinkSpec,
     _framing_power,
+    _surface_bracket,
     full_invariant_value,
     torus_framed,
     torus_full_invariant,
@@ -18,7 +22,7 @@ from skeinlab.skein import (
 )
 from skeinlab.symfun import adams_composite
 
-from oracles import conj_q, evaluate, meridian_eigenvalue, to_power_pairs
+from oracles import conj_q, evaluate, hopf_bracket, meridian_eigenvalue, to_power_pairs
 
 P = Partition
 
@@ -30,6 +34,11 @@ def pair(a, b=()):
 def framing_factor(lam, mu=()):
     """tau_{lam,mu} = q**(kappa_lam + kappa_mu) * t**(|lam| + |mu|)."""
     return _framing_power(PartitionPair(P(lam), P(mu)), 1)
+
+
+def labels_upto(total):
+    """Every composite label of total size <= total."""
+    return [pr for n in range(total + 1) for pr in pairs_of_total(n)]
 
 
 def mono(eq, et, c=1):
@@ -251,3 +260,54 @@ class TestFullInvariant:
     def test_label_count(self):
         with pytest.raises(LabelCountMismatch):
             torus_full_invariant(LinkSpec.torus(2, 3, 1), [pair([1]), pair([1])])
+
+
+class TestLabelOrder:
+    # the annulus skein is commutative, so a surface bracket depends only on the
+    # multiset of its labels: framed_numerators keys its cores by that multiset
+    @pytest.mark.parametrize("L, max_total", [(2, 5), (3, 4)], ids=["hopf", "T(1,1,3)"])
+    def test_permuted_labels_give_one_bracket(self, L, max_total):
+        for combo in combinations_with_replacement(labels_upto(max_total), L):
+            if sum(pr.size for pr in combo) > max_total:
+                continue
+            orders = sorted(set(permutations(combo)))
+            first = _surface_bracket.__wrapped__(1, 1, L, orders[0])
+            for order in orders[1:]:
+                assert _surface_bracket.__wrapped__(1, 1, L, order) == first, order
+
+
+class TestHopfOracle:
+    # Morton-Lukac's decorated Hopf link, a route that forms no annulus product;
+    # total size 6 covers every bracket of Hopf lmov up to D = 6, and a sample
+    # reaches D = 8
+    def test_surface_bracket(self):
+        for A in labels_upto(6):
+            for B in labels_upto(6 - A.size):
+                assert _surface_bracket(1, 1, 2, (A, B)) == hopf_bracket(A, B), (A, B)
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_surface_bracket_sizes_seven_and_eight(self, data):
+        total = data.draw(st.sampled_from((7, 8)))
+        A = data.draw(st.sampled_from(labels_upto(total)))
+        B = data.draw(st.sampled_from(pairs_of_total(total - A.size)))
+        assert _surface_bracket(1, 1, 2, (A, B)) == hopf_bracket(A, B)
+
+    def test_reversed_components_swap_labels(self):
+        plain = LinkSpec.torus(1, 1, 2)
+        for A in labels_upto(4):
+            for B in labels_upto(4 - A.size):
+                decorations = [{A: 1}, {B: 1}]
+                assert torus_framed(plain.with_reversed({1}), decorations) == hopf_bracket(
+                    A, B.swap()
+                ), (A, B)
+                assert torus_framed(plain.with_reversed({0}), decorations) == hopf_bracket(
+                    A.swap(), B
+                ), (A, B)
+
+    def test_kinks(self):
+        spec = LinkSpec.torus(1, 1, 2, framing=(2, -1))
+        for A in labels_upto(4):
+            for B in labels_upto(4 - A.size):
+                kinks = RationalQT(_framing_power(A, 2) * _framing_power(B, -1))
+                assert torus_framed(spec, [{A: 1}, {B: 1}]) == kinks * hopf_bracket(A, B), (A, B)
