@@ -24,8 +24,13 @@ q**m - q**-m over all parts of mu.  Two identities keep them exact:
 {mu}{nu} = {mu u nu}, so Fhat_mu = {mu} log Z[mu] and Zhat_nu = {nu} Z_nu
 obey the degree recursion unchanged; and {nu/d}(q**d) = {nu}, so
 G_nu = {nu} F~_nu obeys the Adams recursion with Fhat in place of log Z.
-These values have integer denominators in practice, so their products and
-sums test no phi_d; a phi_d that does survive is carried exactly.
+The degree recursion runs fraction-free, on T_n = n Fhat_n =
+n Zhat_n - sum_{k<n} T_k Zhat_{n-k}: each T_mu is an integer term dict over
+its own integer denominator, every product is added into it with an integer
+weight, and n is divided out once, when Fhat_mu is canonicalised.  The Zhat
+have integer denominators in practice, so nothing tests a phi_d before that
+step; a phi_d that does survive is carried exactly, as a power of the common
+phi-part of the Zhat.
 
 The transformed coefficients
 
@@ -46,17 +51,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, product as iproduct
-from math import gcd, prod
+from itertools import product as iproduct
+from math import gcd, lcm, prod
 
 from .chars import SizeMismatch, character
 from .composite import r_reform
 from .exactring import (
     LaurentQT,
     RationalQT,
+    _canonical,
+    _laurent,
     bracket_combination,
     bracket_quotient,
     bracket_scaled,
+    common_denominator,
+    cyclotomic_factor,
     exact_div,
     q_bracket,
     q_brace,
@@ -66,7 +75,7 @@ from .exactring import (
 from .partitions import Partition, partitions_of
 from .skein import LabelCountMismatch, LinkSpec, framed_numerators, full_invariant_value
 from .skein import torus_framed, unknot_full
-from .symfun import pair_weights, power_to_schur_terms, sum_terms
+from .symfun import pair_weights, power_to_schur_terms
 
 
 def _labels_upto(L, D):
@@ -178,10 +187,15 @@ def log_partition_series(spec, D):
     vectors' H_A carry weight 0.
     Since {mu}{nu} = {mu u nu}, the normalised values Fhat_mu = {mu} log Z[mu]
     and Zhat_nu obey the recursion of F = log Z unchanged:
-    n Fhat_n = n Zhat_n - sum_{k<n} k Fhat_k Zhat_{n-k}.  Every value stays an
-    exact RationalQT; a pole that survives the normalisation is carried, not
-    dropped.
+    n Fhat_n = n Zhat_n - sum_{k<n} k Fhat_k Zhat_{n-k} (``_log_of_zhat``).
+    Every value stays exact; a pole that survives the normalisation is
+    carried, not dropped.
     """
+    return _log_of_zhat(_zhat_series(spec, D), D)
+
+
+def _zhat_series(spec, D):
+    """[{nu vector: Zhat_nu} for each total degree n <= D], the degree-0 entry empty."""
     by_size_set = {}
     for labels in _labels_upto(spec.L, D)[1:]:
         by_size_set.setdefault(tuple(sorted(A.size for A in labels)), []).append(labels)
@@ -190,7 +204,7 @@ def log_partition_series(spec, D):
         lifted = framed_numerators(spec, [_signed_decorations(spec, labels) for labels in group])
         for sizes in dict.fromkeys(tuple(A.size for A in labels) for labels in group):
             zseries[sum(size_set)].update(_zhat_terms(sizes, group, lifted))
-    return _log_of_zhat(zseries, D)
+    return zseries
 
 
 def _zhat_terms(sizes, group, lifted):
@@ -212,24 +226,68 @@ def _zhat_terms(sizes, group, lifted):
 def _log_of_zhat(zseries, D):
     """{mu vector: Fhat_mu} from zseries[n] = {nu vector: Zhat_nu} of total degree n.
 
-    The degree recursion n Fhat_n = n Zhat_n - sum_{k<n} k Fhat_k Zhat_{n-k}.
+    Fraction-free: T_n = n Fhat_n obeys T_n = n Zhat_n - sum_{k<n} T_k Zhat_{n-k},
+    and n is divided out once, at the end.  Phi, the common phi-part of all
+    the Zhat, comes from ``common_denominator``.  A Zhat_nu of degree m is held
+    as an integer term dict over a_nu Phi**m (its lifted numerator times
+    Phi**(m-1)), and T_mu of degree n as one over den_mu Phi**n, so every
+    product T_alpha Zhat_beta lands over den_alpha a_beta Phi**n; when Phi = 1,
+    the integer denominators met in practice, nothing is scaled.  A first pass
+    collects the pairs with alpha u beta = mu, so that den_mu, the lcm of a_mu
+    and of their den_alpha a_beta, is fixed before any product is formed; each
+    product is then added into mu's term dict with the integer weight
+    den_mu / (den_alpha a_beta).  Each degree ends with one content gcd per
+    key, and Fhat_mu is canonicalised once, over n den_mu Phi**n, testing the
+    phi_d of Phi.  The denominators are per key because one lcm over all keys
+    inflates every weight: it made the trefoil's log stage slower.
     """
-    # kf[k] = k Fhat_k, the degree operator applied to Fhat
-    kf = [None] * (D + 1)
+    keys = [(m, nus) for m, layer in enumerate(zseries) for nus in layer]
+    c, top, lifted = common_denominator(zseries[m][nus] for m, nus in keys)
+    phi = prod((cyclotomic_factor(d) ** e for d, e in top.items()), start=LaurentQT.one())
+    # zhat[m] = {nu vector: (term dict, a_nu)}; k * num over c * Phi is Zhat_nu, and k divides c
+    zhat = [{} for _ in range(D + 1)]
+    for (m, nus), (num, k) in zip(keys, lifted):
+        if top and m > 1:
+            num = num * phi ** (m - 1)
+        zhat[m][nus] = (num._terms, c // k)
+    one = LaurentQT.one()._terms
+    tees = [{} for _ in range(D + 1)]
     out = {}
     for n in range(1, D + 1):
-        scaled = ((nus, _times(value, n)) for nus, value in zseries[n].items())
-        products = (
-            (tuple(x.union(y) for x, y in zip(mus, nus)), -(a * b))
-            for k in range(1, n)
-            for mus, a in kf[k].items()
-            for nus, b in zseries[n - k].items()
-        )
-        kf[n] = sum_terms(chain(scaled, products))
-        inverse = Fraction(1, n)
-        for mus, value in kf[n].items():
-            out[mus] = value * inverse if n > 1 else value
+        # mu vector -> [(f, g, the integer denominator of f * g, sign)], n Zhat_mu first
+        pending = {nus: [(one, g, a, n)] for nus, (g, a) in zhat[n].items()}
+        for k in range(1, n):
+            for mus, (f, d) in tees[k].items():
+                for nus, (g, a) in zhat[n - k].items():
+                    key = tuple(x.union(y) for x, y in zip(mus, nus))
+                    pending.setdefault(key, []).append((f, g, d * a, -1))
+        exps = {d: e * n for d, e in top.items()}
+        for key, products in pending.items():
+            den = lcm(*(fg_den for _, _, fg_den, _ in products))
+            acc = {}
+            for f, g, fg_den, sign in products:
+                _multiply_add(acc, f, g, sign * (den // fg_den))
+            acc = {e: v for e, v in acc.items() if v}
+            if acc:
+                content = gcd(den, *acc.values())
+                if content > 1:
+                    acc, den = {e: v // content for e, v in acc.items()}, den // content
+                tees[n][key] = (acc, den)
+                out[key] = _canonical(_laurent(acc), n * den, dict(exps), list(exps))
     return out
+
+
+def _multiply_add(acc, f, g, w):
+    """acc += w * f * g over term dicts, the shorter of f and g outside; zero totals stay."""
+    if len(f) > len(g):
+        f, g = g, f
+    g = g.items()
+    get = acc.get
+    for (a, b), x in f.items():
+        x *= w
+        for (e_q, e_t), y in g:
+            key = (a + e_q, b + e_t)
+            acc[key] = get(key, 0) + x * y
 
 
 def plethystic_h(spec, D):

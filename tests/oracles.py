@@ -28,6 +28,9 @@ quantity the engine also computes, by a different formula:
 * ``log_series_via_common_denominator`` -- the normalised log Z with each
   Zhat_nu combined from the canonical H_A of ``lmov.cs_partition``, against
   ``lmov.log_partition_series``, which lifts each bracket core once;
+* ``log_of_zhat_by_rationals`` -- the degree recursion of log Z on canonical
+  RationalQT products and sums, against the fraction-free recursion over
+  integer term dicts of ``lmov._log_of_zhat``;
 * ``free_energy_entries`` -- every nonzero f_A of a ``lmov.FreeEnergyTable``,
   read one label vector at a time;
 * ``reassembled_log`` -- log Z rebuilt from a free-energy table by the Schur
@@ -49,7 +52,6 @@ from skeinlab.composite import z_reform
 from skeinlab.exactring import LaurentQT, RationalQT, common_denominator, q_brace, q_bracket
 from skeinlab.lmov import (
     _labels_upto,
-    _log_of_zhat,
     _zhat_terms,
     congruence_check,
     cs_partition,
@@ -385,7 +387,32 @@ def log_series_via_common_denominator(spec, D):
     for sizes, group in by_sizes.items():
         lifted = common_denominator(value for _, value in group)
         zseries[sum(sizes)].update(_zhat_terms(sizes, [labels for labels, _ in group], lifted))
-    return _log_of_zhat(zseries, D)
+    return log_of_zhat_by_rationals(zseries, D)
+
+
+def log_of_zhat_by_rationals(zseries, D):
+    """{mu vector: Fhat_mu} from zseries[n] = {nu vector: Zhat_nu} of total degree n.
+
+    The degree recursion n Fhat_n = n Zhat_n - sum_{k<n} k Fhat_k Zhat_{n-k}
+    with every product a canonical RationalQT and every key summed by
+    ``RationalQT.sum``.
+    """
+    # kf[k] = k Fhat_k, the degree operator applied to Fhat
+    kf = [None] * (D + 1)
+    out = {}
+    for n in range(1, D + 1):
+        scaled = [(nus, value * n) for nus, value in zseries[n].items()]
+        products = [
+            (tuple(x.union(y) for x, y in zip(mus, nus)), -(a * b))
+            for k in range(1, n)
+            for mus, a in kf[k].items()
+            for nus, b in zseries[n - k].items()
+        ]
+        kf[n] = sum_terms(scaled + products)
+        inverse = Fraction(1, n)
+        for mus, value in kf[n].items():
+            out[mus] = value * inverse
+    return out
 
 
 def free_energy_via_schur(spec, D):

@@ -156,9 +156,10 @@ def test_malformed_label_exit_2(capsys, argv):
 # p = 1: with p = 2 the same link runs ~35 s (degree-18 LR products).  The
 # unframed composite cases pin H_A, reversed component and kinked unknot
 # included; reform-rhat pins the halving in integrality_2z.  The lmov cases
-# add a three-component link and a torus link with n = 2 to the Hopf links.  The congruence
-# cases pin two all-true ranges (p = 3 and p = 5) and one all-false range
-# (p = 4), each with its exit code.
+# add a three-component link, a torus link with n = 2 and the trefoil at degree 6 (its
+# free energy has the largest numerators of the set) to the Hopf links.  The congruence
+# cases pin two all-true ranges (p = 3 and p = 5) and two all-false ranges
+# (p = 4 and p = 6), each with its exit code.
 PINNED_JSON_SHA256 = [
     pytest.param(
         ("bracket", "--torus", "1", "1", "2", "--pairs", "[[[1],[]],[[1],[]]]"),
@@ -233,6 +234,12 @@ PINNED_JSON_SHA256 = [
         id="lmov-trefoil",
     ),
     pytest.param(
+        ("lmov", "--torus", "2", "3", "1", "--B", "[[3,2,1]]"),
+        0,
+        "864bad320743abc0114657476abddc0d692e537269039ed4baa2b5466c086651",
+        id="lmov-trefoil-D6",
+    ),
+    pytest.param(
         (
             "lmov", "--torus", "1", "1", "2", "--reversed", "1", "--framing=1,-1",
             "--B", "[[2,1],[1]]", "--D", "5",
@@ -289,6 +296,12 @@ PINNED_JSON_SHA256 = [
         "63e2ed9536915bd4771ee1ee40bee6320e92e90c2613b361c81ec82299fa8d56",
         id="congruence-p5",
     ),
+    pytest.param(
+        ("congruence", "--p", "6", "--k", "0..1"),
+        1,
+        "f6fce4006b1d801568b87d651d949dc4b8d8f4f41c34609d96282f9b805279dd",
+        id="congruence-p6",
+    ),
 ]
 
 
@@ -298,7 +311,8 @@ def test_json_bytes_pinned(capsys, argv, exit_code, digest):
     assert code == exit_code
     document = out.strip().splitlines()[-1]
     if exit_code:
-        # the one false verdict, congruence p = 4: (A - B) / C is Laurent but C does not divide it
+        # the false verdicts, congruence p = 4 and p = 6: (A - B) / C is Laurent but C does
+        # not divide it
         stages = {stage for _, _, stage in json.loads(document)["results"]}
         assert stages == {"not-divisible"}
     assert hashlib.sha256(document.encode()).hexdigest() == digest

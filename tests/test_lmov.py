@@ -61,6 +61,20 @@ def normalised(value, mus):
     return value * RationalQT(brackets)
 
 
+# the links checked against the Schur route at degree 5
+SCHUR_ROUTE_LINKS = [
+    pytest.param(LinkSpec.unknot(1), id="unknot(1)"),
+    pytest.param(LinkSpec.unknot(-1), id="unknot(-1)"),
+    pytest.param(LinkSpec.torus(1, 1, 2, framing=(0, 0)), id="hopf(0,0)"),
+    pytest.param(LinkSpec.torus(1, 1, 2, framing=(1, -1)), id="hopf(1,-1)"),
+    pytest.param(LinkSpec.torus(1, 1, 2, framing=(-1, -1)), id="hopf(-1,-1)"),
+    pytest.param(
+        LinkSpec.torus(1, 1, 2, framing=(-1, -1), reversed_=(1,)), id="hopf(-1,-1)-reversed"
+    ),
+    pytest.param(LinkSpec.torus(2, 3, 1), id="T(2,3)"),
+]
+
+
 class TestPartitionFunction:
     def test_unknot_degree_one(self):
         coeffs = cs_partition(LinkSpec.unknot(0), 1)
@@ -99,20 +113,7 @@ class TestFreeEnergy:
                 expected = normalised(rebuilt.get(key, RationalQT(0)), key)
                 assert direct.get(key, RationalQT(0)) == expected
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            pytest.param(LinkSpec.unknot(1), id="unknot(1)"),
-            pytest.param(LinkSpec.unknot(-1), id="unknot(-1)"),
-            pytest.param(LinkSpec.torus(1, 1, 2, framing=(0, 0)), id="hopf(0,0)"),
-            pytest.param(LinkSpec.torus(1, 1, 2, framing=(1, -1)), id="hopf(1,-1)"),
-            pytest.param(LinkSpec.torus(1, 1, 2, framing=(-1, -1)), id="hopf(-1,-1)"),
-            pytest.param(
-                LinkSpec.torus(1, 1, 2, framing=(-1, -1), reversed_=(1,)), id="hopf(-1,-1)-reversed"
-            ),
-            pytest.param(LinkSpec.torus(2, 3, 1), id="T(2,3)"),
-        ],
-    )
+    @pytest.mark.parametrize("spec", SCHUR_ROUTE_LINKS)
     def test_power_sum_route_matches_schur_route(self, spec):
         # {mu} log Z by the degree recursion against log(1 + u) by powers,
         # f_A against the per-degree Schur inversion, and the character sum
@@ -379,3 +380,87 @@ class TestSpecialPolynomial:
         a = special_polynomial(LinkSpec.torus(2, 3, 1), [pair([2])])
         b = special_polynomial(LinkSpec.torus_diagram(2, 3), [pair([2])])
         assert a == b
+
+
+def assert_same_log_of_zhat(zseries, D):
+    """lmov._log_of_zhat against the RationalQT recursion of the oracle, key by key.
+
+    Returns the fraction-free result.
+    """
+    fast, slow = lmov._log_of_zhat(zseries, D), oracles.log_of_zhat_by_rationals(zseries, D)
+    assert sorted(fast) == sorted(slow)
+    for key, value in slow.items():
+        assert fast[key] == value, key
+        assert fast[key].to_json() == value.to_json(), key
+    return fast
+
+
+# every vector of partitions of total size 1..5 with L components
+SYNTHETIC_KEYS = {L: _labels_upto(L, 5)[1:] for L in (1, 2, 3)}
+
+
+@st.composite
+def integer_denominator_values(draw):
+    """A nonzero value with an integer denominator; its numerator's content may share primes."""
+    terms = draw(
+        st.dictionaries(
+            st.tuples(st.integers(-4, 4), st.integers(-2, 2)),
+            st.integers(-30, 30).filter(bool),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    content = draw(st.sampled_from([1, 2, 3, 6]))
+    return RationalQT(LaurentQT(terms) * content, draw(st.sampled_from([1, 2, 3, 4, 6, 12])))
+
+
+@st.composite
+def synthetic_zhat_series(draw):
+    """(zseries, D, cancelled): a sparse Zhat series of L <= 3 components and degree D <= 5.
+
+    One value may be divided by phi_3, and ``cancelled`` names a key whose
+    Zhat was chosen so that its T_mu cancels to 0, or is None.
+    """
+    L, D = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    candidates = [key for key in SYNTHETIC_KEYS[L] if sum(A.size for A in key) <= D]
+    keys = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=10, unique=True))
+    zseries = [{} for _ in range(D + 1)]
+    for key in keys:
+        zseries[sum(A.size for A in key)][key] = draw(integer_denominator_values())
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(keys))
+        layer = zseries[sum(A.size for A in key)]
+        layer[key] = layer[key] * RationalQT(1, cyclotomic_factor(3))
+    cancelled = None
+    pairs = [(a, b) for a in keys for b in keys if sum(A.size for A in a + b) <= D]
+    if pairs and draw(st.booleans()):
+        alpha, beta = draw(st.sampled_from(pairs))
+        mu = tuple(x.union(y) for x, y in zip(alpha, beta))
+        layer = zseries[sum(A.size for A in mu)]
+        layer.pop(mu, None)
+        # with Zhat_mu absent, Fhat_mu = -(the products) / n; Zhat_mu = -Fhat_mu cancels them
+        rest = oracles.log_of_zhat_by_rationals(zseries, D).get(mu)
+        if rest:
+            layer[mu], cancelled = -rest, mu
+    return zseries, D, cancelled
+
+
+class TestLogOfZhat:
+    # the fraction-free recursion against the RationalQT recursion it replaced
+    @pytest.mark.parametrize(
+        "spec, D",
+        [pytest.param(spec.values[0], 5, id=spec.id) for spec in SCHUR_ROUTE_LINKS]
+        + [pytest.param(LinkSpec.torus(1, 1, 2, framing=(-1, -1)), 7, id="hopf(-1,-1)-D7")],
+    )
+    def test_matches_rational_recursion(self, spec, D):
+        assert_same_log_of_zhat(lmov._zhat_series(spec, D), D)
+
+    @given(synthetic_zhat_series())
+    @settings(max_examples=80, deadline=None)
+    def test_synthetic_series(self, case):
+        # integer denominators sharing primes with the numerators' content,
+        # negative coefficients, a phi_3 pole and a key whose total cancels
+        zseries, D, cancelled = case
+        fast = assert_same_log_of_zhat(zseries, D)
+        if cancelled is not None:
+            assert cancelled not in fast
