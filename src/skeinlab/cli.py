@@ -407,7 +407,7 @@ def build_parser():
         "congruence",
         help="congruent skein relation instances",
         description="Test the congruent skein relation for Rh_p on the t2 torus family.  "
-        "The verdicts pinned by the tests are true for p = 2, 3 and 5 and FALSE "
+        "The verdicts pinned by the tests are true for p = 2, 3, 5 and 7 and FALSE "
         "(not-divisible, exit 1) for p = 4 and 6: a FALSE at a composite p is data about the "
         "conjecture, not a defect of the program.",
     )

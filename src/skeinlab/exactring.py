@@ -20,6 +20,16 @@ Two value types, both immutable:
   with a scalar (one numerator term, no ``phi_d``) only cancels integers,
   and a product with brackets (``bracket_scaled``) only moves exponents.
 
+Large products are Kronecker substitutions (``packed_product``): each
+operand becomes one signed integer, a q-step per slot of w bits and a
+t-row per run of slots, with w wide enough for every product coefficient;
+one big-integer product then replaces the loop over term pairs, and the
+slots are read back in one pass.  ``LaurentQT.__mul__`` and
+``lmov._multiply_add`` take it only above a gate on size and density,
+because packing a short or sparse product costs more than the loop, and
+``tq_bracket_product`` builds the colored unknot's numerator on one packed
+integer, a shift and a subtraction per factor.
+
 ``q_one_leading`` gives the exact leading term of either type under
 ``q = exp(h)``, which is how ``q -> 1`` limits are taken.
 
@@ -29,10 +39,12 @@ threads.
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from sys import byteorder
 
 
 class LaurentQT:
@@ -151,6 +163,10 @@ class LaurentQT:
             return _ZERO
         if len(a) > len(b):
             a, b = b, a
+        if len(a) >= _PACK_MIN_TERMS and len(a) * len(b) >= _PACK_MIN_PAIRS:
+            data = packed_product(a, b)
+            if data is not None:
+                return _laurent(data)
         data = {}
         for (eq1, et1), c1 in a.items():
             for (eq2, et2), c2 in b.items():
@@ -274,6 +290,105 @@ _ZERO = LaurentQT()
 _ONE = LaurentQT({(0, 0): 1})
 
 
+# -- the packed product ---------------------------------------------------------------
+
+# the gate of ``packed_product``, measured on the products of the benchmark workloads
+_PACK_MIN_TERMS = 6
+_PACK_MIN_PAIRS = 200
+
+# an unsigned array typecode for each slot width of a packed value
+_SLOT_CODES = {8 * array(code).itemsize: code for code in "HILQ"}
+
+
+def _slot_width(bound):
+    """The slot width in bits that holds every integer of absolute value <= bound, or None."""
+    bits = bound.bit_length() + 1
+    for w in (16, 32, 64):
+        if bits <= w:
+            return w
+    return None
+
+
+def _bias(w, n):
+    """2**(w - 1) in each of n slots of w bits."""
+    return int.from_bytes((1 << w - 1).to_bytes(w >> 3, byteorder) * n, byteorder)
+
+
+def _box(terms):
+    """(lowest e_q, q-span, lowest e_t, t-span, shared q-parity, shared t-parity) of a term dict."""
+    qs, ts = zip(*terms)
+    lo_q, lo_t = min(qs), min(ts)
+    return (
+        lo_q, max(qs) - lo_q, lo_t, max(ts) - lo_t,
+        len({e & 1 for e in qs}) == 1, len({e & 1 for e in ts}) == 1,
+    )
+
+
+def _pack(terms, lo_q, hq, lo_t, ht, width, w, n):
+    """The term dict as sum c * X**i over n slots of w bits, X = 2**w.
+
+    A term q**e_q * t**e_t sits in slot ((e_q - lo_q) >> hq) + width * ((e_t - lo_t) >> ht).
+    The slots are filled biased by 2**(w - 1), so that each is an unsigned
+    w-bit integer, and the bias is taken off the packed whole.
+    """
+    bias = 1 << w - 1
+    slots = array(_SLOT_CODES[w], [bias]) * n
+    for (eq, et), c in terms.items():
+        slots[(eq - lo_q >> hq) + width * (et - lo_t >> ht)] = c + bias
+    return int.from_bytes(slots, byteorder) - _bias(w, n)
+
+
+def _unpack(value, lo_q, hq, lo_t, ht, width, w, n):
+    """The term dict of a value packed as by ``_pack``, each slot below 2**(w - 1) in size.
+
+    Adding the bias to every slot makes each slot a nonnegative w-bit digit,
+    so no slot borrows from the next and the digits are read in one pass.
+    """
+    bias = 1 << w - 1
+    slots = array(_SLOT_CODES[w])
+    slots.frombytes((value + _bias(w, n)).to_bytes(n * (w >> 3), byteorder))
+    return {
+        (lo_q + (i % width << hq), lo_t + (i // width << ht)): c - bias
+        for i, c in enumerate(slots)
+        if c != bias
+    }
+
+
+def packed_product(a, b, gate=True):
+    """The term dict of the product of two nonempty term dicts by one big-integer product.
+
+    Kronecker substitution: q and t are replaced by powers of X = 2**w, so
+    each q-step is one w-bit slot and each t-row is a run of slots as wide as
+    the product's q-span.  A stride is halved when each operand's exponents
+    share a parity.  No product coefficient exceeds
+    min(sum|a| * max|b|, max|a| * sum|b|) in size, and w is that bound's
+    length plus a sign bit, rounded up to 16, 32 or 64.  Returns None when the
+    bound is wider than 64 bits and, with ``gate``, when the product is too
+    small or too sparse to pay for packing and reading its dense slots: fewer
+    than 6 terms in the shorter operand, fewer than 200 term pairs, or fewer
+    pairs than 1.5 times the terms and slots.
+    """
+    la, lb = len(a), len(b)
+    pairs = la * lb
+    if gate and (min(la, lb) < _PACK_MIN_TERMS or pairs < _PACK_MIN_PAIRS):
+        return None
+    qa, sqa, ta, sta, pqa, pta = _box(a)
+    qb, sqb, tb, stb, pqb, ptb = _box(b)
+    hq, ht = int(pqa and pqb), int(pta and ptb)
+    width = (sqa + sqb >> hq) + 1
+    n = width * ((sta + stb >> ht) + 1)
+    if gate and 2 * pairs < 3 * (la + lb + n):
+        return None
+    abs_a, abs_b = [abs(c) for c in a.values()], [abs(c) for c in b.values()]
+    w = _slot_width(min(sum(abs_a) * max(abs_b), max(abs_a) * sum(abs_b)))
+    if w is None:
+        return None
+    na = (sqa >> hq) + 1 + width * (sta >> ht)
+    nb = (sqb >> hq) + 1 + width * (stb >> ht)
+    value = _pack(a, qa, hq, ta, ht, width, w, na) * _pack(b, qb, hq, tb, ht, width, w, nb)
+    return _unpack(value, qa + qb, hq, ta + tb, ht, width, w, n)
+
+
 def _format_power(sym, e):
     if e == 0:
         return ""
@@ -328,6 +443,36 @@ def t_bracket(k):
 def q_brace(p):
     """(q**p - q**-p)/(q - q**-1) as a Laurent polynomial."""
     return LaurentQT({(p - 1 - 2 * j, 0): 1 for j in range(p)})
+
+
+def tq_bracket_product(powers):
+    """prod over (a, e) in ``powers`` of [a]**e, with [a] = t*q**a - t**-1*q**-a and e >= 0.
+
+    [a] = t**-1 * q**-|a| * (T * Q**max(a, 0) - Q**max(-a, 0)) with T = t**2
+    and Q = q**2, so the product is a monomial times a polynomial in Q and T,
+    packed as in ``packed_product``: each factor is one shift and one
+    subtraction of the packed integer.  The coefficients of a product of E
+    factors sum to at most 2**E in size, so up to 62 factors fit 64-bit
+    slots; more are multiplied as Laurent polynomials.
+    """
+    powers = [(a, e) for a, e in powers if e]
+    if any(e < 0 for _, e in powers):
+        raise ValueError("only nonnegative powers of t*q**a - t**-1*q**-a")
+    count = sum(e for _, e in powers)
+    span = sum(abs(a) * e for a, e in powers)
+    w = _slot_width(1 << count)
+    if w is None:
+        out = _ONE
+        for a, e in powers:
+            out = out * LaurentQT({(a, 1): 1, (-a, -1): -1}) ** e
+        return out
+    width = span + 1
+    value = 1
+    for a, e in powers:
+        high, low = w * (width + max(a, 0)), w * max(-a, 0)
+        for _ in range(e):
+            value = (value << high) - (value << low)
+    return _laurent(_unpack(value, -span, 1, -count, 1, width, w, width * (count + 1)))
 
 
 _Z2_CACHE = [_ONE]

@@ -67,6 +67,7 @@ from .exactring import (
     common_denominator,
     cyclotomic_factor,
     exact_div,
+    packed_product,
     q_bracket,
     q_brace,
     q_one_leading,
@@ -278,7 +279,17 @@ def _log_of_zhat(zseries, D):
 
 
 def _multiply_add(acc, f, g, w):
-    """acc += w * f * g over term dicts, the shorter of f and g outside; zero totals stay."""
+    """acc += w * f * g over term dicts; zero totals stay.
+
+    A product dense enough for ``packed_product`` is formed whole and added
+    term by term; any other runs the shorter of f and g outside.
+    """
+    fg = packed_product(f, g)
+    if fg is not None:
+        get = acc.get
+        for key, x in fg.items():
+            acc[key] = get(key, 0) + w * x
+        return
     if len(f) > len(g):
         f, g = g, f
     g = g.items()

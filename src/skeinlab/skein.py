@@ -34,6 +34,7 @@ from math import gcd
 
 from .exactring import LaurentQT, RationalQT, _rational, bracket_exponents
 from .exactring import bracket_quotient, common_denominator, shifted_sum, t_bracket
+from .exactring import tq_bracket_product
 from .partitions import Partition, PartitionPair
 from .symfun import (
     adams_schurpair,
@@ -189,9 +190,7 @@ def unknot_full(lam, mu=()):
         for j, mj in enumerate(mu, 1):
             for a, e in ((li + mj, 1), (0, 1), (li, -1), (mj, -1)):
                 powers[a + 1 - i - j] += e
-    num = LaurentQT.one()
-    for a, e in powers.items():
-        num = num * LaurentQT({(a, 1): 1, (-a, -1): -1}) ** e
+    num = tq_bracket_product(powers.items())
     # num is primitive in t over ZZ[q**+-1], so by Gauss's lemma no phi_d divides it
     exps = bracket_exponents(lam.hook_lengths() + mu.hook_lengths())
     return _rational(num, 1, tuple(sorted(exps.items())))

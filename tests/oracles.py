@@ -36,12 +36,21 @@ quantity the engine also computes, by a different formula:
 * ``reassembled_log`` -- log Z rebuilt from a free-energy table by the Schur
   route, against ``lmov.log_partition_series``;
 * ``corollary_congruence`` -- the power-substitution congruence of Zh_p;
+* ``dict_product`` -- a product of two term dicts by the plain double loop
+  over term pairs, against the packed product ``exactring.packed_product``
+  that ``LaurentQT.__mul__`` and ``lmov._multiply_add`` take above its gate;
+* ``binomial_product`` and ``unknot_full_by_products`` -- products of the
+  binomials t*q**a - t**-1*q**-a, and the closed-form unknot over them,
+  multiplied one binomial at a time by ``dict_product``, against
+  ``exactring.tq_bracket_product`` and ``skeinlab.skein.unknot_full``, which
+  pack the whole product at once;
 * ``splittings`` and ``splitting_weight`` -- the part-multiset splittings of
   nu and their z-ratio weights.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
@@ -49,7 +58,16 @@ from math import comb
 
 from skeinlab.chars import character, lr_coeff
 from skeinlab.composite import z_reform
-from skeinlab.exactring import LaurentQT, RationalQT, common_denominator, q_brace, q_bracket
+from skeinlab.exactring import (
+    LaurentQT,
+    RationalQT,
+    _laurent,
+    _rational,
+    bracket_exponents,
+    common_denominator,
+    q_brace,
+    q_bracket,
+)
 from skeinlab.lmov import (
     _labels_upto,
     _zhat_terms,
@@ -499,3 +517,52 @@ def corollary_congruence(spec, p):
         b = -b
     verdict, stage, _ = congruence_check(a, b, q_brace(p) * q_brace(p))
     return verdict
+
+
+# -- products ----------------------------------------------------------------------------
+
+
+def dict_product(a, b):
+    """The term dict of the product of term dicts a and b, one term pair at a time."""
+    if len(a) > len(b):
+        a, b = b, a
+    data = {}
+    for (eq1, et1), c1 in a.items():
+        for (eq2, et2), c2 in b.items():
+            key = (eq1 + eq2, et1 + et2)
+            c = data.get(key)
+            if c is None:
+                data[key] = c1 * c2
+            else:
+                c += c1 * c2
+                if c:
+                    data[key] = c
+                else:
+                    del data[key]
+    return data
+
+
+def binomial_product(powers):
+    """The term dict of prod over (a, e) of [a]**e, [a] = t*q**a - t**-1*q**-a, one factor at a time."""
+    out = {(0, 0): 1}
+    for a, e in powers:
+        assert e >= 0
+        for _ in range(e):
+            out = dict_product(out, {(a, 1): 1, (-a, -1): -1})
+    return out
+
+
+def unknot_full_by_products(lam, mu=()):
+    """The unknot [lam, mu] by Koike's product, its numerator multiplied binomial by binomial.
+
+    The formula of ``skeinlab.skein.unknot_full``: prod [a]**e over prod {h},
+    with the numerator from ``binomial_product``.
+    """
+    lam, mu = Partition(lam), Partition(mu)
+    powers = Counter(lam.contents() + mu.contents())
+    for i, li in enumerate(lam, 1):
+        for j, mj in enumerate(mu, 1):
+            for a, e in ((li + mj, 1), (0, 1), (li, -1), (mj, -1)):
+                powers[a + 1 - i - j] += e
+    exps = bracket_exponents(lam.hook_lengths() + mu.hook_lengths())
+    return _rational(_laurent(binomial_product(powers.items())), 1, tuple(sorted(exps.items())))

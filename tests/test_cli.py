@@ -302,6 +302,12 @@ PINNED_JSON_SHA256 = [
         "f6fce4006b1d801568b87d651d949dc4b8d8f4f41c34609d96282f9b805279dd",
         id="congruence-p6",
     ),
+    pytest.param(
+        ("congruence", "--p", "7", "--family", "t2", "--k", "1"),
+        0,
+        "68ecaf141318dd1a6f144aab67fd8f87e0642c2ecd3ca90383d080b86d26453b",
+        id="congruence-p7",
+    ),
 ]
 
 

@@ -11,22 +11,25 @@ from skeinlab.exactring import (
     LaurentQT,
     RationalQT,
     _phi_cancel,
+    _slot_width,
     bracket_factors,
     bracket_quotient,
     bracket_scaled,
     cyclotomic_factor,
     exact_div,
     format_laurent,
+    packed_product,
     q_bracket,
     q_brace,
     q_one_leading,
     t_bracket,
     t_power,
+    tq_bracket_product,
     zsquare_decompose,
     zsquare_recompose,
 )
 
-from oracles import conj_q
+from oracles import binomial_product, conj_q, dict_product
 
 
 def q_power(e):
@@ -189,6 +192,127 @@ class TestExactDiv:
     def test_brace(self):
         assert q_brace(3) == LaurentQT({(2, 0): 1, (0, 0): 1, (-2, 0): 1})
         assert exact_div(q_bracket(3), q_bracket(1)) == q_brace(3)
+
+
+# coefficients at the edges of the 16-, 32- and 64-bit slots of the packed product
+EDGE_COEFFS = sorted({s * (2**k + d) for k in (15, 31, 63) for d in (-1, 0, 1) for s in (1, -1)})
+
+
+def coefficients():
+    return st.one_of(st.integers(-9, 9).filter(bool), st.sampled_from(EDGE_COEFFS))
+
+
+@st.composite
+def term_dicts(draw, dense=False):
+    """Term dicts on a lattice of exponents: a box, one t-row, one q-column or a monomial.
+
+    The q- and t-steps are 1 or 2, so an operand has mixed or shared parity.
+    ``dense`` fills most of a box of 20 to 28 q-steps with small coefficients
+    and at most one edge coefficient below 2**31 + 2 in size, which puts a
+    product of two of them above the gate of ``packed_product`` and within
+    64-bit slots.
+    """
+    q0, t0 = draw(st.integers(-6, 6)), draw(st.integers(-4, 4))
+    q_step, t_step = draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2]))
+    if dense:
+        nq, nt = draw(st.integers(20, 28)), draw(st.integers(1, 3))
+        cells = [(i, j) for i in range(nq) for j in range(nt)]
+        drop = draw(st.sets(st.sampled_from(cells), max_size=len(cells) // 4))
+        cells = [cell for cell in cells if cell not in drop]
+        terms = {(q0 + q_step * i, t0 + t_step * j): draw(st.integers(-9, 9).filter(bool))
+                 for i, j in cells}
+        edge = draw(st.one_of(st.none(), st.sampled_from([c for c in EDGE_COEFFS if abs(c) < 2**32])))
+        if edge is not None:
+            terms[draw(st.sampled_from(sorted(terms)))] = edge
+        return terms
+    shape = draw(st.sampled_from(["box", "row", "column", "monomial"]))
+    nq = 1 if shape in ("column", "monomial") else draw(st.integers(1, 9))
+    nt = 1 if shape in ("row", "monomial") else draw(st.integers(1, 4))
+    size = 1 if shape == "monomial" else draw(st.integers(1, nq * nt))
+    cells = draw(st.lists(st.tuples(st.integers(0, nq - 1), st.integers(0, nt - 1)),
+                          min_size=1, max_size=size, unique=True))
+    return {(q0 + q_step * i, t0 + t_step * j): draw(coefficients()) for i, j in cells}
+
+
+def _bound(a, b):
+    abs_a, abs_b = [abs(c) for c in a.values()], [abs(c) for c in b.values()]
+    return min(sum(abs_a) * max(abs_b), max(abs_a) * sum(abs_b))
+
+
+class TestPackedProduct:
+    """The packed product against the plain double loop over term pairs."""
+
+    def test_slot_widths(self):
+        assert [_slot_width(b) for b in (1, 2**15 - 1, 2**15, 2**31 - 1, 2**31)] == [16, 16, 32, 32, 64]
+        assert _slot_width(2**63 - 1) == 64
+        assert _slot_width(2**63) is None
+
+    @pytest.mark.parametrize("c", EDGE_COEFFS)
+    def test_edge_coefficients_fill_their_slot(self, c):
+        # a monomial times b: the bound is |c| itself, and c and -c both reach it
+        a, b = {(2, 1): 1}, {(0, 0): c, (4, 0): -c, (2, 3): c}
+        result = packed_product(a, b, gate=False)
+        if abs(c) > 2**63 - 1:
+            assert result is None
+        else:
+            assert result == dict_product(a, b)
+
+    @given(term_dicts(), term_dicts())
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_below_the_gate(self, a, b):
+        expected = dict_product(a, b)
+        result = packed_product(a, b, gate=False)
+        if _slot_width(_bound(a, b)) is None:
+            assert result is None
+        else:
+            assert result == expected
+        assert (LaurentQT(a) * LaurentQT(b))._terms == expected
+
+    @given(term_dicts(dense=True), term_dicts(dense=True))
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_above_the_gate(self, a, b):
+        expected = dict_product(a, b)
+        assert packed_product(a, b) == expected
+        assert (LaurentQT(a) * LaurentQT(b))._terms == expected
+
+    def test_gate(self):
+        row = {(i, 0): 1 for i in range(30)}
+        assert packed_product(row, row) is not None
+        # a k x 1 monomial shift, and a sparse product whose slots outnumber its term pairs
+        assert packed_product(row, {(5, 2): 3}) is None
+        sparse = {(40 * i, 0): 1 for i in range(20)}
+        assert packed_product(sparse, sparse) is None
+        assert packed_product(sparse, sparse, gate=False) == dict_product(sparse, sparse)
+
+    def test_cancelling_totals_are_dropped(self):
+        # the coefficient of q**k sums (-1)**j over i + j = k, which is 0 for every odd k < 20
+        ones = {(i, j): 1 for i in range(20) for j in range(2)}
+        signs = {(i, j): (-1) ** i for i in range(20) for j in range(2)}
+        result = packed_product(ones, signs)
+        assert result is not None and all(result.values())
+        assert result == dict_product(ones, signs)
+        assert (1, 0) not in result
+
+    @pytest.mark.parametrize(
+        "powers",
+        [
+            [],
+            [(0, 1)],
+            [(3, 2), (-2, 1), (0, 0)],
+            [(0, 62)],
+            [(0, 40), (3, 12), (-5, 10)],
+            [(0, 63)],
+            [(0, 40), (3, 12), (-5, 11)],
+        ],
+        ids=["empty", "one", "signed", "62-binomials", "62-mixed", "63-binomials", "63-mixed"],
+    )
+    def test_tq_bracket_product(self, powers):
+        # more than 62 factors take the wide fallback
+        assert tq_bracket_product(powers)._terms == binomial_product(powers)
+
+    def test_tq_bracket_product_rejects_negative_powers(self):
+        with pytest.raises(ValueError):
+            tq_bracket_product([(1, -1)])
 
 
 class TestZSquare:

@@ -445,6 +445,32 @@ def synthetic_zhat_series(draw):
     return zseries, D, cancelled
 
 
+class TestMultiplyAdd:
+    ONES = {(i, j): 1 for i in range(20) for j in range(2)}
+    SIGNS = {(2 * i - 7, j - 1): (-1) ** i * (i + 1) for i in range(18) for j in range(3)}
+    SMALL = {(1, 0): 2, (-1, 0): -1, (0, 1): 3}
+
+    @pytest.mark.parametrize(
+        "f, g",
+        [(ONES, SIGNS), (SIGNS, ONES), (ONES, SMALL), (SMALL, SMALL)],
+        ids=["packed", "packed-swapped", "below-gate", "small"],
+    )
+    @pytest.mark.parametrize("w", [1, -3, 10**30])
+    def test_matches_dict_product(self, f, g, w):
+        fg = oracles.dict_product(f, g)
+        start = {(0, 0): 5, (3, 1): -2}
+        # a key of fg that acc already holds at -w times its value totals 0
+        first = next(iter(fg))
+        start[first] = -w * fg[first]
+        acc = dict(start)
+        lmov._multiply_add(acc, f, g, w)
+        expected = dict(start)
+        for key, c in fg.items():
+            expected[key] = expected.get(key, 0) + w * c
+        assert {k: v for k, v in acc.items() if v} == {k: v for k, v in expected.items() if v}
+        assert first not in {k for k, v in acc.items() if v}
+
+
 class TestLogOfZhat:
     # the fraction-free recursion against the RationalQT recursion it replaced
     @pytest.mark.parametrize(

@@ -22,7 +22,14 @@ from skeinlab.skein import (
 )
 from skeinlab.symfun import adams_composite
 
-from oracles import conj_q, evaluate, hopf_bracket, meridian_eigenvalue, to_power_pairs
+from oracles import (
+    conj_q,
+    evaluate,
+    hopf_bracket,
+    meridian_eigenvalue,
+    to_power_pairs,
+    unknot_full_by_products,
+)
 
 P = Partition
 
@@ -98,6 +105,12 @@ class TestUnknot:
         for n in range(9):
             for pr in pairs_of_total(n):
                 assert unknot_full(pr.pos, pr.neg) == evaluate(to_power_pairs({pr: 1}))
+
+    def test_packed_numerator_matches_binomial_products(self):
+        for n in range(9):
+            for pr in pairs_of_total(n):
+                value, expected = unknot_full(pr.pos, pr.neg), unknot_full_by_products(pr.pos, pr.neg)
+                assert (value.num, value._c, value._exps) == (expected.num, expected._c, expected._exps)
 
 
 class TestFraming:
