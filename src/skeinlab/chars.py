@@ -4,16 +4,17 @@ Characters chi_lambda(C_mu) are computed by the Murnaghan-Nakayama border-strip
 recursion on beta-numbers, memoised in memory for the life of the process.
 
 Littlewood-Richardson coefficients come from one tableau search per skew
-shape: `skew_terms(outer, inner)` expands s_{outer/inner} over the Schur basis,
-and `lr_coeff` reads one coefficient from it; the tests check both against the
-character-sum formula.
+shape: `skew_terms(outer, inner)` expands s_{outer/inner} over the Schur basis.
+A product of Schur functions is the skew Schur function of the disjoint union
+of its factors, so `schur_expand_product` is one such search; the tests check
+both against the character-sum formula.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .partitions import Partition, partitions_of
+from .partitions import Partition
 
 
 class SizeMismatch(ValueError):
@@ -125,13 +126,17 @@ def lr_coeff(nu, lam, mu):
     return skew_terms(nu, lam).get(mu, 0)
 
 
-@lru_cache(maxsize=None)
-def schur_expand_product(lam, mu):
-    """s_lam * s_mu in the Schur basis: {nu: c^nu_{lam,mu}} over nu of the right size."""
-    lam, mu = Partition(lam), Partition(mu)
-    out = {}
-    for nu in partitions_of(lam.size + mu.size):
-        c = lr_coeff(nu, lam, mu)
-        if c:
-            out[nu] = c
-    return out
+def schur_expand_product(*factors):
+    """s_{f_1} s_{f_2} ... in the Schur basis: {nu: coefficient}, largest nu first.
+
+    The product is the skew Schur function of the disjoint union of the
+    factors (Macdonald I.5, I.9): each factor sits below and to the left of
+    the one before it, so one ``skew_terms`` search expands it.
+    """
+    factors = [Partition(f) for f in factors]
+    outer, inner = [], []
+    for i, lam in enumerate(factors):
+        shift = sum(mu[0] for mu in factors[i + 1 :] if mu)
+        outer += [part + shift for part in lam]
+        inner += [shift] * len(lam)
+    return skew_terms(Partition(outer), Partition(inner))

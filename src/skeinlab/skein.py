@@ -209,11 +209,6 @@ def _framing_exponents(pair, e, m=1):
     return e_q, e_t
 
 
-def _framing_power(pair, e, m=1):
-    """tau_{pair}**(e/m) as a monomial."""
-    return LaurentQT.monomial(1, *_framing_exponents(pair, e, m))
-
-
 # -- torus-link brackets ----------------------------------------------------------------
 
 
@@ -228,7 +223,8 @@ def _surface_bracket(m, n, L, pairs):
     tables = [adams_schurpair(pair, m) for pair in pairs]
     product = reduce(lambda a, b: multiply_terms(a, b, schurpair_mult), tables)
     return RationalQT.sum(
-        RationalQT(_framing_power(pair, n, m) * c) * unknot_full(pair.pos, pair.neg)
+        RationalQT(LaurentQT.monomial(c, *_framing_exponents(pair, n, m)))
+        * unknot_full(pair.pos, pair.neg)
         for pair, c in expand_terms(product, schurpair_to_composite_terms).items()
     )
 
@@ -307,9 +303,9 @@ def framed_numerators(spec, decoration_vectors):
 
     Returns ``common_denominator``'s form (c, exps, [(num, k), ...]), one
     pair per vector in order: its bracket is k * num / (c * prod phi_d**e).
-    The coefficients must be ints.  Each distinct core -- the surface
-    bracket, or the unknot value -- is lifted once; a leaf adds its integer
-    weight times its lifted core shifted by its kink exponents, so no
+    The coefficients must be ints, else TypeError.  Each distinct core -- the
+    surface bracket, or the unknot value -- is lifted once; a leaf adds its
+    integer weight times its lifted core shifted by its kink exponents, so no
     monomial product is formed and no bracket is canonicalised.
 
     Cores are keyed by the multiset of their labels: the annulus skein is
@@ -324,7 +320,9 @@ def framed_numerators(spec, decoration_vectors):
     ]
     cores = {}
     for leaves in vectors:
-        for key, _, _, _ in leaves:
+        for key, w, _, _ in leaves:
+            if type(w) is not int:
+                raise TypeError(f"decoration weight {w!r} is not an int")
             if key not in cores:
                 cores[key] = _core(spec, key)
     c, exps, lifted = common_denominator(cores.values())

@@ -33,7 +33,7 @@ from functools import lru_cache
 
 from .chars import character, schur_expand_product, skew_terms
 from .exactring import RationalQT
-from .partitions import EMPTY, Partition, PartitionPair, partitions_of
+from .partitions import Partition, PartitionPair, partitions_of
 
 def sum_terms(pairs):
     """Sum (key, value) pairs into {key: total}, leaving out zero totals.
@@ -265,17 +265,9 @@ def _det_monomials(rows, cols, matrix):
     return sum_terms(out)
 
 
-@lru_cache(maxsize=None)
 def _h_monomial_schur(indices):
-    """prod_i h_{m_i} expanded in the Schur basis (h_m = s_(m))."""
-    acc = {EMPTY: 1}
-    for m in indices:
-        acc = sum_terms(
-            (target, c * k)
-            for lam, c in acc.items()
-            for target, k in schur_expand_product(lam, Partition([m])).items()
-        )
-    return acc
+    """prod_i h_{m_i} expanded in the Schur basis: h_m = s_(m), one row per factor."""
+    return schur_expand_product(*[(m,) for m in indices])
 
 
 def q_determinant(lam, mu):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from skeinlab import chars
 from skeinlab.chars import SizeMismatch, character, lr_coeff, schur_expand_product, skew_terms
 from skeinlab.partitions import Partition, partitions_of
+from skeinlab.symfun import _h_monomial_schur
 
 from oracles import lr_via_chars
 
@@ -247,6 +248,84 @@ class TestLR:
     def test_schur_expand_product(self):
         table = schur_expand_product(P([2]), P([1]))
         assert table == {P([3]): 1, P([2, 1]): 1}
+
+
+def product_via_chars(lam, mu):
+    """{nu: c^nu_{lam, mu}} with every coefficient from the character sum."""
+    terms = {}
+    for nu in partitions_of(lam.size + mu.size):
+        c = lr_via_chars(nu, lam, mu)
+        if c:
+            terms[nu] = c
+    return terms
+
+
+def kostka(lam, alpha):
+    """Semistandard tableaux of shape lam and content alpha, peeled off as horizontal strips."""
+    if not alpha:
+        return 1 if not lam else 0
+    *rest, k = alpha
+    rows = list(lam) + [0]
+    count = 0
+    # mu with lam_{i+1} <= mu_i <= lam_i and |lam| - |mu| = k: lam/mu is a horizontal strip
+    for mu in itertools.product(*(range(rows[i + 1], rows[i] + 1) for i in range(len(lam)))):
+        if lam.size - sum(mu) == k:
+            count += kostka(P(mu), rest)
+    return count
+
+
+class TestProducts:
+    """s_lam * s_mu * ... as one skew search over the disjoint union of the factors."""
+
+    def test_pairs_vs_characters(self):
+        for n in range(8):
+            for k in range(n + 1):
+                for lam in partitions_of(k):
+                    for mu in partitions_of(n - k):
+                        got = schur_expand_product(lam, mu)
+                        assert got == product_via_chars(lam, mu), (lam, mu)
+                        assert list(got) == sorted(got, reverse=True)
+
+    @given(st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_pairs_vs_characters_to_size_ten(self, data):
+        n = data.draw(st.integers(8, 10))
+        k = data.draw(st.integers(0, n))
+        lam = data.draw(st.sampled_from(partitions_of(k)))
+        mu = data.draw(st.sampled_from(partitions_of(n - k)))
+        assert schur_expand_product(lam, mu) == product_via_chars(lam, mu)
+
+    def test_three_factors_vs_iterated_pairs(self):
+        for n in range(7):
+            for a, b in itertools.product(range(n + 1), repeat=2):
+                if a + b > n:
+                    continue
+                for lam, mu, nu in itertools.product(
+                    partitions_of(a), partitions_of(b), partitions_of(n - a - b)
+                ):
+                    iterated = {}
+                    for rho, c in schur_expand_product(lam, mu).items():
+                        for sigma, d in schur_expand_product(rho, nu).items():
+                            iterated[sigma] = iterated.get(sigma, 0) + c * d
+                    assert schur_expand_product(lam, mu, nu) == iterated, (lam, mu, nu)
+
+    def test_h_monomials_vs_kostka(self):
+        # h_alpha = sum_lam K_{lam, alpha} s_lam, for every composition alpha, zeros included
+        for n in range(7):
+            for length in range(1, 5):
+                for alpha in itertools.product(range(n + 1), repeat=length):
+                    if sum(alpha) != n:
+                        continue
+                    expected = {lam: kostka(lam, alpha) for lam in partitions_of(n)}
+                    expected = {lam: c for lam, c in expected.items() if c}
+                    assert _h_monomial_schur(alpha) == expected, alpha
+
+    def test_empty_product_and_empty_factors(self):
+        assert schur_expand_product() == {P(): 1}
+        assert schur_expand_product(P()) == {P(): 1}
+        assert schur_expand_product(P(), P([2, 1]), P()) == {P([2, 1]): 1}
+        assert schur_expand_product(P([2]), P(), P([1])) == schur_expand_product(P([2]), P([1]))
+        assert _h_monomial_schur(()) == {P(): 1}
 
 
 class TestCache:

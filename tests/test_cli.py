@@ -152,8 +152,8 @@ def test_malformed_label_exit_2(capsys, argv):
 
 # sha256 of the --json document, so that a change of the algebra kernels cannot
 # move an output byte unnoticed; together these cover Adams m = 3,
-# three-component products and mixed-orientation labels.  The reform case uses
-# p = 1: with p = 2 the same link runs ~35 s (degree-18 LR products).  The
+# three-component products and mixed-orientation labels.  The reform cases run
+# the same link at p = 1 and at p = 2 (~5 s, degree-18 LR products).  The
 # unframed composite cases pin H_A, reversed component and kinked unknot
 # included; reform-rhat pins the halving in integrality_2z.  The lmov cases
 # add a three-component link, a torus link with n = 2 and the trefoil at degree 6 (its
@@ -178,6 +178,12 @@ PINNED_JSON_SHA256 = [
         0,
         "f33ecb73b1499e95894e3ac30fed8a229d419ce2f05b529be897ee363ae4f61e",
         id="reform",
+    ),
+    pytest.param(
+        ("reform", "--torus", "3", "1", "3", "--blackboard", "--p", "2"),
+        0,
+        "2cf69e29eaf910b495f1d3034dae703003459aa5bf76b4c1f29623df0da3dbd5",
+        id="reform-p2",
     ),
     pytest.param(
         ("lmov", "--torus", "1", "1", "2", "--framing=-1,-1", "--B", "[[2],[1,1]]"),
