@@ -409,7 +409,8 @@ def build_parser():
         description="Test the congruent skein relation for Rh_p on the t2 torus family.  "
         "The verdicts pinned by the tests are true for p = 2, 3, 5 and 7 and FALSE "
         "(not-divisible, exit 1) for p = 4 and 6: a FALSE at a composite p is data about the "
-        "conjecture, not a defect of the program.",
+        "conjecture, not a defect of the program.  p = 7 with --k 0..2 is true at every k and "
+        "takes about 11 s on a 2-core machine.",
     )
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--family", default="t2")

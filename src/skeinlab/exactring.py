@@ -14,11 +14,12 @@ Two value types, both immutable:
   this engine comes from.  Each value is kept in one canonical factored form
   over the centred cyclotomic factors ``phi_d`` (``{k} = prod_{d|k} phi_d``),
   so equality, hashing and serialisation agree.  Cancellation splits a
-  numerator once into dense rows in ``x = q**2`` and divides every row by
-  ``Phi_d(x)``, for every tested ``phi_d`` and every power, in that one
-  pass; a division is kept only when no row leaves a remainder.  A product
-  with a scalar (one numerator term, no ``phi_d``) only cancels integers,
-  and a product with brackets (``bracket_scaled``) only moves exponents.
+  numerator once into rows in ``x = q**2``, one per t-exponent and
+  q-parity, and divides every row by ``Phi_d(x)``, for every tested
+  ``phi_d`` and every power, in that one pass; a division is kept only
+  when no row leaves a remainder.  A product with a scalar (one numerator
+  term, no ``phi_d``) only cancels integers, and a product with brackets
+  (``bracket_scaled``) only moves exponents.
 
 Large products are Kronecker substitutions (``packed_product``): each
 operand becomes one signed integer, a q-step per slot of w bits and a
@@ -29,6 +30,24 @@ slots are read back in one pass.  ``LaurentQT.__mul__`` and
 because packing a short or sparse product costs more than the loop, and
 ``tq_bracket_product`` builds the colored unknot's numerator on one packed
 integer, a shift and a subtraction per factor.
+
+The rows are packed the same way, one integer per row with a 64-bit slot
+per x-step.  ``RationalQT.sum`` packs each group's numerator into the rows
+of the common denominator, lifts all groups that miss the same ``phi_d``
+product P with one big-integer product by P(2**64) (the factor
+``q**-deg P`` only moves slots), adds them with their integer weights,
+takes the content as one gcd over the digits and divides each row by
+``Phi_d(2**64)`` with ``divmod``; the term dict is read once, at the end.
+A nonzero remainder proves that ``phi_d`` does not divide, but a zero one
+proves nothing alone, so a quotient q' is kept only under a certificate:
+``||prod Phi||_1 * max|q'_i| < 2**63``, which makes ``prod Phi * q'``
+equal the row digit for digit, because balanced base-2**64 digits are
+unique.  A quotient that fails it leaves the rows to the division of dense
+lists.  The gates are constants measured on the workloads: the sum packs
+from 64 terms on, when some group misses a ``phi_d`` (integer lifts are
+cheaper in term dicts), when the slot bound is below 2**62 and when the
+rows take at most 4 slots per term; ``_phi_cancel`` packs from 40 terms
+on.  Below a gate the term-dict route runs.
 
 ``q_one_leading`` gives the exact leading term of either type under
 ``q = exp(h)``, which is how ``q -> 1`` limits are taken.
@@ -43,6 +62,7 @@ from array import array
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from itertools import compress, count
 from math import gcd, lcm
 from sys import byteorder
 
@@ -653,12 +673,30 @@ def _phi_cancel(f, exps, test):
 
     Lowers exps[d] in place by the number of divisions and returns the
     quotient; the exponents of d outside ``test`` are left alone.  phi_d is
-    q**-phi(d) times the monic Phi_d(x) in x = q**2.  So f is split once into
-    dense rows in x, one per t-exponent and parity of the q-exponent, with f
-    the sum of the rows times monomials; phi_d divides f exactly when Phi_d
-    divides every row.  Each division by Phi_d is kept only when every row
-    leaves a zero remainder, the factors q**phi(d) add up to one shift of all
-    rows, and the term dict is rebuilt once at the end.
+    q**-phi(d) times the monic Phi_d(x) in x = q**2, so phi_d divides f
+    exactly when Phi_d divides every row of f in x, one row per t-exponent
+    and parity of the q-exponent.  From 40 terms on, the rows are packed
+    integers (``_row_layout``) divided by ``_cancel_rows``.  Fewer terms, a
+    coefficient of 2**62 or more in size, or a quotient that fails the
+    certificate leave the decision to the division of dense lists
+    (``_phi_cancel_by_lists``).
+    """
+    terms = f._terms
+    if len(terms) < _PACKED_ROWS_MIN_TERMS or max(map(abs, terms.values())) >> _ROW_BOUND_BITS:
+        return _phi_cancel_by_lists(f, exps, test)
+    layout = _row_layout([(terms, 0)])
+    rows = _split_rows(_packed_total({(): [(terms, 1)]}, *layout), *layout)
+    out = _cancel_rows(rows, layout[1], exps, test)
+    if out is None:
+        return _phi_cancel_by_lists(f, exps, test)
+    return f if out is True else _laurent(out)
+
+
+def _phi_cancel_by_lists(f, exps, test):
+    """``_phi_cancel`` on dense lists: each row in x a list, divided by ``_divmod_monic``.
+
+    f is split once into rows, the factors q**phi(d) add up to one shift of
+    all rows, and the term dict is rebuilt once at the end.
     """
     classes = {}
     for (eq, et), c in f._terms.items():
@@ -701,6 +739,171 @@ def _phi_cancel(f, exps, test):
             if c:
                 out[(base + 2 * i, et)] = c
     return _laurent(out)
+
+
+# -- packed rows in x = q**2 -------------------------------------------------------------
+
+# the gate of ``_phi_cancel``'s packed rows, measured on the cancellations of the workloads
+_PACKED_ROWS_MIN_TERMS = 40
+
+# one x-step per slot of a packed row, and every row coefficient below 2**62 in size
+_ROW_BITS = 64
+_ROW_BOUND_BITS = 62
+
+
+@lru_cache(maxsize=4096)
+def _packed_phi(exps):
+    """prod Phi_d(x)**e over a sorted tuple of (d, e) pairs, packed.
+
+    Returns (its value at x = 2**64, its degree, the sum and the largest of
+    its coefficients in size).
+    """
+    deg = sum(_totient(d) * e for d, e in exps)
+    terms = _phi_product(exps)._terms
+    coeffs = [terms.get((2 * i - deg, 0), 0) for i in range(deg + 1)]
+    value = 0
+    for c in reversed(coeffs):
+        value = (value << _ROW_BITS) + c
+    sizes = [abs(c) for c in coeffs]
+    return value, deg, sum(sizes), max(sizes)
+
+
+def _row_layout(shifted):
+    """The rows in x that hold term dicts shifted by q**-s, over (terms, s) pairs.
+
+    Returns (lo, width, ts, parities), ts the sorted t-exponents: a shifted
+    q-exponent e sits in slot (e - lo) >> 1 of the row of its t-exponent
+    and, when ``parities`` is 2, of the parity of e - lo; ``width`` slots
+    hold every row and a lift by s more x-steps.
+    """
+    lo = hi = None
+    ts, parity = set(), set()
+    for terms, s in shifted:
+        qs, t_exps = zip(*terms)
+        q_lo, q_hi = min(qs) - s, max(qs) + s
+        lo = q_lo if lo is None or q_lo < lo else lo
+        hi = q_hi if hi is None or q_hi > hi else hi
+        ts.update(t_exps)
+        parity.update((e - s) & 1 for e in set(qs))
+    return lo, (hi - lo >> 1) + 1, sorted(ts), len(parity)
+
+
+def _packed_total(packs, lo, width, ts, parities):
+    """sum of w * q**-s * P(q**2) * f over ``packs``, packed in the rows of ``_row_layout``.
+
+    packs maps a sorted tuple of (d, e) pairs, P = prod Phi_d**e of degree
+    s, to the (f, w) pairs it lifts, f a term dict and w an integer.  Each f
+    fills its own slots, its packed integer is weighted by w and added to
+    the others of its P, and each sum is then one big-integer product with
+    P(2**64).  The caller bounds every slot of every partial sum below
+    2**63 in size.
+    """
+    stride = parities * width
+    n = len(ts) * stride
+    offsets = {et: i * stride for i, et in enumerate(ts)}
+    bias = _bias(_ROW_BITS, n)
+    zeros = bytes(n * 8)
+    total = 0
+    for key, members in packs.items():
+        value, s = _packed_phi(key)[:2]
+        off = lo + s
+        acc = 0
+        for terms, w in members:
+            slots = array("q", zeros)
+            if parities == 1:
+                for (eq, et), c in terms.items():
+                    slots[offsets[et] + (eq - off >> 1)] = c
+            else:
+                for (eq, et), c in terms.items():
+                    e = eq - off
+                    slots[offsets[et] + (e & 1) * width + (e >> 1)] = c
+            # the slots are two's complement digits: flipping each top bit biases them
+            acc += ((int.from_bytes(slots, byteorder) ^ bias) - bias) * w
+        total += acc * value
+    return total
+
+
+def _split_rows(total, lo, width, ts, parities):
+    """The nonzero rows (t-exponent, lowest q-exponent, packed row) of a packed total."""
+    n = len(ts) * parities * width
+    data = (total + _bias(_ROW_BITS, n)).to_bytes(n * 8, byteorder)
+    bias, size = _bias(_ROW_BITS, width), width * 8
+    rows = []
+    i = 0
+    for et in ts:
+        for r in range(parities):
+            row = int.from_bytes(data[i : i + size], byteorder) - bias
+            if row:
+                rows.append((et, lo + r, row))
+            i += size
+    return rows
+
+
+def _read_rows(rows, width, shift=0):
+    """(term dict, largest coefficient in size) of packed rows times q**shift.
+
+    Each row is read in ``width`` balanced digits; a row that has no such
+    expansion returns None.
+    """
+    bias, size = _bias(_ROW_BITS, width), width * 8
+    slots = array("q")
+    try:
+        slots.frombytes(b"".join(((row + bias) ^ bias).to_bytes(size, byteorder) for _, _, row in rows))
+    except OverflowError:
+        return None
+    keys = [(base + shift, et) for et, base, _ in rows]
+    out = {}
+    for j, c in zip(compress(count(), slots), compress(slots, slots)):
+        r, i = divmod(j, width)
+        eq, et = keys[r]
+        out[(eq + 2 * i, et)] = c
+    return out, max(max(slots), -min(slots))
+
+
+def _cancel_rows(rows, width, exps, test):
+    """Packed rows divided by each phi_d as in ``_phi_cancel``: a term dict, True or None.
+
+    rows are (t-exponent, lowest q-exponent, packed row) triples of
+    ``width`` slots, each below 2**62 in size.  Each row is divided by
+    Phi_d(2**64) with ``divmod``: a nonzero remainder proves that Phi_d does
+    not divide the row, but a zero one proves nothing by itself.  So the
+    quotient q' of each row is read back in balanced digits and kept only
+    when ||prod Phi||_1 * max|q'_i| < 2**63, over the product of the Phi_d
+    divided out: then prod Phi * q' has digits below 2**63 in size and
+    equals the row digit for digit, because a balanced base-2**64 expansion
+    is unique.  Returns True when no phi_d divides, None when a quotient
+    fails the certificate (exps is then left as it was), and the quotient's
+    term dict otherwise, with exps lowered in place.
+    """
+    # the shortest row is the cheapest to divide, so it is tried first
+    rows.sort(key=lambda row: row[2].bit_length())
+    divided, shift, left = {}, 0, {}
+    for d in test:
+        e = k = exps[d]
+        # phi_d**e first, which mostly divides, then phi_d one at a time
+        while e:
+            m, deg = _packed_phi(((d, k),))[:2]
+            quos = []
+            for et, base, row in rows:
+                quo, rem = divmod(row, m)
+                if rem:
+                    break
+                quos.append((et, base, quo))
+            else:
+                rows, e, shift = quos, e - k, shift + deg
+                divided[d] = divided.get(d, 0) + k
+                continue
+            if k == 1:
+                break
+            k = 1
+        left[d] = e
+    if not shift:
+        return True
+    read = _read_rows(rows, width, shift)
+    if read is None or _packed_phi(tuple(sorted(divided.items())))[2] * read[1] >> 63:
+        return None
+    exps.update(left)
+    return read[0]
 
 
 def bracket_factors(f):
@@ -760,12 +963,12 @@ class RationalQT:
     only by its own missing factors; a product cancels each numerator
     against the other operand's denominator before multiplying.  Only the
     factors that may have become divisible are tested, all of them in one
-    pass of ``_phi_cancel`` over the numerator's rows in q**2.  A product
-    with a scalar n * q**a * t**b / c_s cancels only gcd(n, c) and
-    gcd(content(num), c_s): a monomial times an integer holds no part of a
-    phi_d.  An explicit denominator in ``RationalQT(num, den)`` is factored
-    once by ``bracket_factors``; one outside the bracket family raises
-    ValueError.
+    pass over the numerator's rows in q**2 (``_phi_cancel``, or
+    ``_cancel_rows`` inside a packed sum).  A product with a scalar
+    n * q**a * t**b / c_s cancels only gcd(n, c) and gcd(content(num),
+    c_s): a monomial times an integer holds no part of a phi_d.  An
+    explicit denominator in ``RationalQT(num, den)`` is factored once by
+    ``bracket_factors``; one outside the bracket family raises ValueError.
     """
 
     __slots__ = ("num", "_c", "_exps", "_den", "_hash")
@@ -911,7 +1114,9 @@ class RationalQT:
         only by its own missing factors.  A phi_d can divide the total only
         when two groups hold its top power, or when its one holder merged
         several values: every other group's term carries phi_d, and a single
-        value's numerator is canonical.  Only those phi_d are tested.
+        value's numerator is canonical.  Only those phi_d are tested.  From
+        64 terms on, the groups are added on packed rows (``_sum_packed``);
+        otherwise, and when that declines, in term dicts (``_sum_by_lift``).
         """
         groups = {}
         for x in items:
@@ -933,19 +1138,20 @@ class RationalQT:
         if len(parts) == 1 and type(parts[0][2]) is LaurentQT:
             c, exps, num = parts[0]
             return _rational(num, c, exps)
-        c, top, lifted = _lift(
-            [(x_c, exps, _laurent(num) if type(num) is dict else num) for x_c, exps, num in parts]
-        )
+        c, top, lifts = _common_plan(parts)
         # a merged group counts as two holders of each top power it holds
         holders = {}
         for _, exps, num in parts:
             for d, e in exps:
                 if e == top[d]:
                     holders[d] = holders.get(d, 0) + (2 if type(num) is dict else 1)
-        total = {}
-        for num, k in lifted:
-            _add_terms(total, num, k)
-        return _canonical(_laurent(total), c, top, [d for d, n in holders.items() if n > 1])
+        test = [d for d, n in holders.items() if n > 1]
+        size = sum([len(num) for _, _, num in parts])
+        if size >= _PACKED_SUM_MIN_TERMS:
+            value = _sum_packed(parts, c, top, lifts, test, size)
+            if value is not None:
+                return value
+        return _sum_by_lift(parts, c, top, lifts, test)
 
     def reduced(self):
         """The value itself: every RationalQT is already in canonical form."""
@@ -984,14 +1190,13 @@ class RationalQT:
         return f"RationalQT({format_laurent(self.num)!r} / {format_laurent(self.den)!r})"
 
 
-def _lift(parts):
-    """Numerators of (c, exps, num) parts over their least common denominator.
+def _common_plan(parts):
+    """The least common denominator of (c, exps, num) parts, and each part's lift to it.
 
-    Returns (c, top, lifted): c the lcm of the integers, top {d: e} the
+    Returns (c, top, lifts): c the lcm of the integers, top {d: e} the
     largest power of each phi_d, and, in the order of ``parts``, pairs
-    (f, k) with num over the common denominator equal to k * f: f is num
-    times its own missing phi_d, and k an integer left for the caller to
-    fold into its own weights.
+    (missing, k): num over the common denominator is k * num times the
+    product of phi_d**e over ``missing``, a sorted tuple of (d, e) pairs.
     """
     c = lcm(*(x_c for x_c, _, _ in parts))
     top = {}
@@ -999,18 +1204,107 @@ def _lift(parts):
         for d, e in exps:
             if e > top.get(d, 0):
                 top[d] = e
-    lifted = []
-    for x_c, exps, num in parts:
+    lifts = []
+    for x_c, exps, _ in parts:
         have = dict(exps)
         missing = tuple(
             (d, e - have.get(d, 0)) for d, e in sorted(top.items()) if e > have.get(d, 0)
         )
+        lifts.append((missing, c // x_c))
+    return c, top, lifts
+
+
+def _lift(parts, lifts):
+    """The numerators of (c, exps, num) parts lifted as ``_common_plan`` plans.
+
+    Returns pairs (f, k), in the order of ``parts``, with num over the
+    common denominator equal to k * f: f is num times its own missing phi_d,
+    and k an integer left for the caller to fold into its own weights.
+    """
+    lifted = []
+    for (_, _, num), (missing, k) in zip(parts, lifts):
+        if type(num) is dict:
+            num = _laurent(num)
         # the integer scales the cached phi_d product when there is one
-        k = c // x_c
         if missing:
             num, k = num * (_phi_product(missing) * k if k > 1 else _phi_product(missing)), 1
         lifted.append((num, k))
-    return c, top, lifted
+    return lifted
+
+
+def _sum_by_lift(parts, c, top, lifts, test):
+    """The sum of ``RationalQT.sum``'s parts by products and term dicts.
+
+    Each numerator is multiplied by its missing phi_d product (``_lift``),
+    the lifted numerators are added into one term dict and ``_canonical``
+    cancels the total.
+    """
+    total = {}
+    for num, k in _lift(parts, lifts):
+        _add_terms(total, num, k)
+    return _canonical(_laurent(total), c, top, test)
+
+
+# the gates of the packed sum, measured on the sums of the benchmark workloads
+_PACKED_SUM_MIN_TERMS = 64
+_PACKED_SUM_SLOTS_PER_TERM = 4
+
+
+def _sum_packed(parts, c, top, lifts, test, size):
+    """The sum of ``RationalQT.sum``'s parts on packed rows in x, or None.
+
+    ``parts`` hold ``size`` terms in all.  Each numerator's terms go into
+    the slots of rows in x = q**2, one row per t-exponent and q-parity
+    (``_row_layout``).  The numerators that miss the same phi_d product P
+    are added as packed integers with their integer weights, and lifted by
+    one big-integer product with P(2**64): the factor q**-deg P only moves
+    the slots.  The content is one gcd over the digits and one exact
+    division, and the tested phi_d are divided out of each row by
+    ``_cancel_rows``, whose certificate failing leaves the cancellation to
+    ``_phi_cancel_by_lists``.  The term dict is read once.
+
+    Returns None, before anything is packed, unless at least one part
+    misses a phi_d (a lift by integers alone is cheaper in term dicts), the
+    bound sum k * min(sum|num| * max|P|, max|num| * sum|P|) on every slot
+    is below 2**62, and the rows take at most 4 slots per term.  The caller
+    gates on 64 terms.
+    """
+    if not any(missing for missing, _ in lifts):
+        return None
+    bound = 0
+    shifted, packs = [], {}
+    for (_, _, num), (missing, k) in zip(parts, lifts):
+        terms = num if type(num) is dict else num._terms
+        sizes = list(map(abs, terms.values()))
+        _, s, norm, big = _packed_phi(missing)
+        bound += k * min(sum(sizes) * big, max(sizes) * norm)
+        shifted.append((terms, s))
+        packs.setdefault(missing, []).append((terms, k))
+    if bound >> _ROW_BOUND_BITS:
+        return None
+    layout = _row_layout(shifted)
+    lo, width, ts, parities = layout
+    n = len(ts) * parities * width
+    if n > _PACKED_SUM_SLOTS_PER_TERM * size:
+        return None
+    total = _packed_total(packs, *layout)
+    if not total:
+        return ZERO_RATIONAL
+    if c > 1:
+        bias = _bias(_ROW_BITS, n)
+        slots = array("q", ((total + bias) ^ bias).to_bytes(n * 8, byteorder))
+        g = gcd(gcd(*slots), c)
+        if g > 1:
+            total, c = total // g, c // g
+    rows = _split_rows(total, *layout)
+    out = _cancel_rows(rows, width, top, test)
+    if out is True:
+        num = _laurent(_read_rows(rows, width)[0])
+    elif out is None:
+        num = _phi_cancel_by_lists(_laurent(_read_rows(rows, width)[0]), top, test)
+    else:
+        num = _laurent(out)
+    return _rational(num, c, tuple(sorted((d, e) for d, e in top.items() if e)))
 
 
 def _fill(value, num, c, exps):
@@ -1107,7 +1401,9 @@ def common_denominator(values):
     Returns (c, exps, lifted) for the denominator c * prod phi_d**exps, exps
     a dict {d: e}; ``bracket_combination`` reads it.
     """
-    return _lift([(x._c, x._exps, x.num) for x in values])
+    parts = [(x._c, x._exps, x.num) for x in values]
+    c, top, lifts = _common_plan(parts)
+    return c, top, _lift(parts, lifts)
 
 
 def shifted_sum(terms):

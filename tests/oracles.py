@@ -44,6 +44,11 @@ quantity the engine also computes, by a different formula:
   multiplied one binomial at a time by ``dict_product``, against
   ``exactring.tq_bracket_product`` and ``skeinlab.skein.unknot_full``, which
   pack the whole product at once;
+* ``sum_by_lift`` -- a sum of RationalQT values by the term-dict route: each
+  numerator multiplied by its missing cyclotomic factors as a Laurent
+  polynomial, the lifted numerators added, and every phi_d of the common
+  denominator divided out by ``exact_div``, against ``RationalQT.sum``,
+  which adds and cancels on packed rows above its gates;
 * ``splittings`` and ``splitting_weight`` -- the part-multiset splittings of
   nu and their z-ratio weights.
 """
@@ -54,7 +59,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
-from math import comb
+from math import comb, gcd, lcm
 
 from skeinlab.chars import character, lr_coeff
 from skeinlab.composite import z_reform
@@ -65,6 +70,8 @@ from skeinlab.exactring import (
     _rational,
     bracket_exponents,
     common_denominator,
+    cyclotomic_factor,
+    exact_div,
     q_brace,
     q_bracket,
 )
@@ -540,6 +547,49 @@ def dict_product(a, b):
                 else:
                     del data[key]
     return data
+
+
+def sum_by_lift(values):
+    """sum of RationalQT values in canonical form, by Laurent products and exact division.
+
+    Values over one denominator are added, each group's numerator is lifted to
+    the lcm of the denominators by multiplying it with its missing phi_d one
+    factor at a time, and the content and every phi_d of the lcm are then
+    cancelled as often as they divide (``exact_div``).  The canonical form is
+    unique, so this needs none of the tests that ``RationalQT.sum`` saves.
+    """
+    groups = {}
+    for x in values:
+        x = RationalQT._coerce(x)
+        key = (x._c, x._exps)
+        groups[key] = groups.get(key, LaurentQT.zero()) + x.num
+    groups = {key: num for key, num in groups.items() if num}
+    if not groups:
+        return RationalQT(0)
+    c = lcm(*(x_c for x_c, _ in groups))
+    top = {}
+    for _, exps in groups:
+        for d, e in exps:
+            top[d] = max(top.get(d, 0), e)
+    total = LaurentQT.zero()
+    for (x_c, exps), num in groups.items():
+        have = dict(exps)
+        num = num * (c // x_c)
+        for d, e in top.items():
+            for _ in range(e - have.get(d, 0)):
+                num = num * cyclotomic_factor(d)
+        total = total + num
+    if not total:
+        return RationalQT(0)
+    g = gcd(total.content(), c)
+    total, c = _laurent({key: v // g for key, v in total._terms.items()}), c // g
+    for d in top:
+        while top[d]:
+            quo = exact_div(total, cyclotomic_factor(d))
+            if quo is None:
+                break
+            total, top[d] = quo, top[d] - 1
+    return _rational(total, c, tuple(sorted((d, e) for d, e in top.items() if e)))
 
 
 def binomial_product(powers):

@@ -153,13 +153,16 @@ def test_malformed_label_exit_2(capsys, argv):
 # sha256 of the --json document, so that a change of the algebra kernels cannot
 # move an output byte unnoticed; together these cover Adams m = 3,
 # three-component products and mixed-orientation labels.  The reform cases run
-# the same link at p = 1 and at p = 2 (~5 s, degree-18 LR products).  The
+# the same link at p = 1 and at p = 2 (~5 s, degree-18 LR products), and with
+# the size-4 labels [4], [1], [1] (~1.5 s), whose four largest bracket sums add
+# 87 k to 119 k terms on packed rows.  The
 # unframed composite cases pin H_A, reversed component and kinked unknot
 # included; reform-rhat pins the halving in integrality_2z.  The lmov cases
 # add a three-component link, a torus link with n = 2 and the trefoil at degree 6 (its
 # free energy has the largest numerators of the set) to the Hopf links.  The congruence
-# cases pin two all-true ranges (p = 3 and p = 5) and two all-false ranges
-# (p = 4 and p = 6), each with its exit code.
+# cases pin two all-true ranges (p = 3 and p = 5), two all-false ranges (p = 4
+# and p = 6) and p = 7 at k = 0 and k = 1 (true), each with its exit code; p = 7 at
+# k = 2 (true, 4.7-7.1 s) is left out.
 PINNED_JSON_SHA256 = [
     pytest.param(
         ("bracket", "--torus", "1", "1", "2", "--pairs", "[[[1],[]],[[1],[]]]"),
@@ -184,6 +187,12 @@ PINNED_JSON_SHA256 = [
         0,
         "2cf69e29eaf910b495f1d3034dae703003459aa5bf76b4c1f29623df0da3dbd5",
         id="reform-p2",
+    ),
+    pytest.param(
+        ("reform", "--torus", "3", "1", "3", "--blackboard", "--labels", "[[4],[1],[1]]"),
+        0,
+        "e31537f95914e7ded5647250ea30c912d487d77e1abc345dbb39d0274c6f64a3",
+        id="reform-labels-4-1-1",
     ),
     pytest.param(
         ("lmov", "--torus", "1", "1", "2", "--framing=-1,-1", "--B", "[[2],[1,1]]"),
@@ -307,6 +316,12 @@ PINNED_JSON_SHA256 = [
         1,
         "f6fce4006b1d801568b87d651d949dc4b8d8f4f41c34609d96282f9b805279dd",
         id="congruence-p6",
+    ),
+    pytest.param(
+        ("congruence", "--p", "7", "--family", "t2", "--k", "0"),
+        0,
+        "7cff81c1ad1769ac4b2c587b4b7df794a0c9d851a1ba5893b93cbef1f88f82b9",
+        id="congruence-p7-k0",
     ),
     pytest.param(
         ("congruence", "--p", "7", "--family", "t2", "--k", "1"),

@@ -4,13 +4,16 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from skeinlab import exactring
 from skeinlab.exactring import (
     LaurentQT,
     RationalQT,
+    _cancel_rows,
     _phi_cancel,
+    _phi_cancel_by_lists,
     _slot_width,
     bracket_factors,
     bracket_quotient,
@@ -29,7 +32,7 @@ from skeinlab.exactring import (
     zsquare_recompose,
 )
 
-from oracles import binomial_product, conj_q, dict_product
+from oracles import binomial_product, conj_q, dict_product, sum_by_lift
 
 
 def q_power(e):
@@ -610,6 +613,252 @@ class TestCanonicalForm:
         for d, e in exps:
             prod = prod * cyclotomic_factor(d) ** e
         assert den * inv_unit == prod
+
+
+# coefficients next to the 62-bit bound of the packed rows
+ROW_EDGE_COEFFS = [s * (2**k + d) for k in (58, 60, 61) for d in (-1, 0, 1) for s in (1, -1)]
+
+
+@st.composite
+def packed_sum_parts(draw):
+    """Parts for RationalQT.sum on both sides of every gate of the packed route.
+
+    Numerators fill boxes of up to 24 q-steps of 1 or 2 (mixed or shared
+    q-parity) and up to 3 t-rows, over one to three denominators c * prod {k} with
+    k <= 4 (d = 1, 2 lift by an odd phi(d)), integers only, or 1.  Repeated
+    denominators merge, negated copies cancel, minus the sum of the other
+    parts cancels the total, split pairs (f {k} + m) / D, -m / D cancel {k} only
+    after the merge, coefficients near 2**58 to 2**61 reach the 62-bit
+    decline, and a far q-shift makes a sparse layout.
+    """
+    dens = draw(st.lists(st.tuples(st.sampled_from([1, 1, 2, 3, 6]), st.lists(st.integers(1, 4), max_size=3)),
+                         min_size=1, max_size=3))
+    # one example in five is near the 62-bit decline, and one in five has a sparse layout
+    big = draw(st.integers(0, 4)) == 0
+
+    def numerator():
+        q0, t0 = draw(st.integers(-6, 6)), draw(st.integers(-2, 2))
+        q_step = draw(st.sampled_from([1, 2]))
+        nq, nt = draw(st.integers(1, 24)), draw(st.integers(1, 3))
+        coeff = st.sampled_from([0, *ROW_EDGE_COEFFS]) if big else st.integers(-9, 9)
+        coeffs = draw(st.lists(coeff, min_size=nq * nt, max_size=nq * nt))
+        terms = {(q0 + q_step * (i % nq), t0 + i // nq): c for i, c in enumerate(coeffs)}
+        return LaurentQT(terms) or LaurentQT.monomial(1, q0, t0)
+
+    parts = []
+    for _ in range(draw(st.integers(2, 6))):
+        c, ks = draw(st.sampled_from(dens))
+        parts.append(bracket_quotient(numerator(), c, ks))
+    if draw(st.integers(0, 4)) == 0:
+        parts.append(bracket_quotient(numerator() * LaurentQT.monomial(1, 400), *draw(st.sampled_from(dens))))
+    for f, m, k, (c, ks) in draw(st.lists(st.tuples(st.just(numerator()), st.just(numerator()),
+                                                    st.integers(1, 4), st.sampled_from(dens)), max_size=1)):
+        parts += [bracket_quotient(f * q_bracket(k) + m, c, [*ks, k]), bracket_quotient(-m, c, [*ks, k])]
+    negate = draw(st.sampled_from(["none", "some", "total"]))
+    if negate == "total":
+        parts.append(-sum_by_lift(parts))
+    elif negate == "some":
+        parts += [-x for x in draw(st.lists(st.sampled_from(parts), max_size=2))]
+    return draw(st.permutations(parts))
+
+
+def _count_routes(mp):
+    """Counters of RationalQT.sum's routes, set through the MonkeyPatch ``mp``.
+
+    packed and declined count the calls of the packed route by outcome
+    (declined: a gate of ``_sum_packed`` returned None), dict the sums added
+    in term dicts, and lists the cancellations decided on dense lists.
+    """
+    counts = {"packed": 0, "declined": 0, "dict": 0, "lists": 0}
+    packed, by_lift, lists = exactring._sum_packed, exactring._sum_by_lift, exactring._phi_cancel_by_lists
+
+    def count_packed(*args):
+        value = packed(*args)
+        counts["declined" if value is None else "packed"] += 1
+        return value
+
+    def count_dict(*args):
+        counts["dict"] += 1
+        return by_lift(*args)
+
+    def count_lists(*args):
+        counts["lists"] += 1
+        return lists(*args)
+
+    mp.setattr(exactring, "_sum_packed", count_packed)
+    mp.setattr(exactring, "_sum_by_lift", count_dict)
+    mp.setattr(exactring, "_phi_cancel_by_lists", count_lists)
+    return counts
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    return _count_routes(monkeypatch)
+
+
+def _gate_parts(a=40, b=24, c_a=1, start=0, c=1, ks=(1,)):
+    """A / (c * {k} over ks) and B: a + b input terms, B lifted by phi_1, a row of start + b + 1 slots.
+
+    A = c_a * sum of q**(2i), i < a, and B = sum of q**(2j + 1) over start <= j
+    < start + b.  Lifted, B starts at q**(2 * start) and ends at q**(2 * (start + b)),
+    so the slot bound is c_a + 2 and the layout one row of max(a, start + b + 1) slots.
+    """
+    num_a = LaurentQT({(2 * i, 0): c_a for i in range(a)})
+    num_b = LaurentQT({(2 * j + 1, 0): 1 for j in range(start, start + b)})
+    return [bracket_quotient(num_a, c, ks), RationalQT(num_b)]
+
+
+class TestPackedSum:
+    """RationalQT.sum on packed rows against the term-dict route, and its gates."""
+
+    @given(packed_sum_parts())
+    @settings(max_examples=300, deadline=None)
+    def test_sum_matches_the_dict_route(self, parts):
+        expected = sum_by_lift(parts)
+        with pytest.MonkeyPatch.context() as mp:
+            counts = _count_routes(mp)
+            total = RationalQT.sum(parts)
+        # --hypothesis-show-statistics shows how often each route ran
+        event(next((route for route in ("packed", "declined") if counts[route]), "dict or one part"))
+        assert total == expected
+        assert total.to_json() == expected.to_json()
+
+    @pytest.mark.parametrize(
+        "kwargs, route",
+        [
+            ({"a": 40, "b": 23}, "dict"),
+            ({"a": 40, "b": 24}, "packed"),
+            # integers alone lift the parts
+            ({"c": 3, "ks": ()}, "declined"),
+            # the slot bound c_a + 2 * 1 at 2**62 - 1 and at 2**62
+            ({"c_a": 2**62 - 3}, "packed"),
+            ({"c_a": 2**62 - 2}, "declined"),
+            # 4 * 64 slots and one more
+            ({"start": 231}, "packed"),
+            ({"start": 232}, "declined"),
+        ],
+        ids=["63-terms", "64-terms", "integer-lift", "bound-below-2**62", "bound-2**62",
+             "4-slots-per-term", "sparse"],
+    )
+    def test_gates(self, routes, kwargs, route):
+        parts = _gate_parts(**kwargs)
+        total, expected = RationalQT.sum(parts), sum_by_lift(parts)
+        assert total == expected
+        assert total.to_json() == expected.to_json()
+        assert routes[route] == 1
+        assert routes["packed"] + routes["declined"] == (route != "dict")
+
+    def test_content_cancels_against_the_integer(self, routes):
+        # f / (2 phi_1) + g / 2 with f = 2 u - g phi_1: both canonical, and the total
+        # 2 u / (2 phi_1) = u / phi_1 has content 2
+        u = LaurentQT({(2 * i, 0): i % 3 + 1 for i in range(40)})
+        g = LaurentQT({(2 * j + 1, 0): 1 for j in range(30)})
+        f = u * 2 - g * cyclotomic_factor(1)
+        parts = [bracket_quotient(f, 2, [1]), RationalQT(g, 2)]
+        assert [x._c for x in parts] == [2, 2]
+        total = RationalQT.sum(parts)
+        assert routes["packed"] == 1
+        assert total == sum_by_lift(parts) == bracket_quotient(u, 1, [1])
+        assert total._c == 1
+
+    def test_total_cancels_to_zero(self, routes):
+        # -(A + B) merges with A, and the lifted B cancels the merged group
+        g = LaurentQT({(2 * j + 1, 0): j % 3 + 1 for j in range(40)})
+        parts = [_gate_parts()[0], RationalQT(g)]
+        parts.append(-sum_by_lift(parts))
+        assert RationalQT.sum(parts) == 0
+        assert routes["packed"] == 1
+
+    def test_certificate_regression(self, monkeypatch, routes):
+        # as one integer over all rows, f is divisible by 2**64 - 1: the rows sum to
+        # a multiple of x - 1.  Row by row, phi_1 does not divide f, and phi_2 does once.
+        f = {(-5, -6): 1, (-5, -4): -1, (-3, -4): -1, (-3, -2): 1,
+             (5, -6): 1, (3, -4): -1, (5, -4): -1, (3, -2): 1}
+        one = sum(c << 64 * ((eq + 5) + 11 * ((et + 6) >> 1)) for (eq, et), c in f.items())
+        assert one % (2**64 - 1) == 0
+        monkeypatch.setattr(exactring, "_PACKED_ROWS_MIN_TERMS", 0)
+        exps = {1: 2, 2: 1}
+        quo = _phi_cancel(LaurentQT(f), exps, [1, 2])
+        assert exps == {1: 2, 2: 0}
+        assert quo * cyclotomic_factor(2) == LaurentQT(f)
+        # decided on the packed rows, without the fallback
+        assert routes["lists"] == 0
+
+    def test_spurious_integer_division_fails_the_certificate(self, routes):
+        # five coefficients (2**64 - 1) / 5 < 2**62: the row's value is divisible by
+        # Phi_1(2**64) = 2**64 - 1, but its coefficients sum to 2**64 - 1, not 0
+        c = (2**64 - 1) // 5
+        row = sum(c << 64 * i for i in range(5))
+        assert row % (2**64 - 1) == 0
+        exps = {1: 1}
+        assert _cancel_rows([(0, 0, row)], 5, exps, [1]) is None
+        assert exps == {1: 1}
+        f = LaurentQT({(2 * i, 0): c for i in range(5)}) * LaurentQT({(0, j): 1 for j in range(8)})
+        exps = {1: 1}
+        assert _phi_cancel(f, exps, [1]) is f and exps == {1: 1}
+        # the certificate failed, so the lists decided
+        assert routes["lists"] == 1
+
+    @given(
+        laurents(max_terms=40, span=8).filter(bool),
+        st.dictionaries(st.integers(1, 12), st.integers(0, 3), max_size=3),
+        st.sampled_from([1, 2**40, 2**61 - 1, 2**62]),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_packed_rows_agree_with_lists(self, f, powers, scale, data):
+        f = f * scale
+        for d, k in powers.items():
+            f = f * cyclotomic_factor(d) ** k
+        ds = sorted({1, 2, *powers})
+        exps = {d: data.draw(st.integers(0, 4)) for d in ds}
+        test = data.draw(st.lists(st.sampled_from(ds), unique=True))
+        want = dict(exps)
+        expected = _phi_cancel_by_lists(f, want, test)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exactring, "_PACKED_ROWS_MIN_TERMS", 0)
+            assert _phi_cancel(f, exps, test) == expected
+        assert exps == want
+
+
+class TestSumRoutes:
+    """The route each workload sum takes; a later change cannot flip one silently."""
+
+    def test_colored_torus_bracket_is_packed(self, routes):
+        from skeinlab.partitions import Partition, PartitionPair
+        from skeinlab.skein import _surface_bracket
+
+        pair = PartitionPair(Partition([2, 1]), Partition([2, 1]))
+        _surface_bracket.__wrapped__(2, 5, 1, (pair,))
+        assert routes == {"packed": 1, "declined": 0, "dict": 0, "lists": 0}
+
+    def test_integer_denominator_sums_of_hat_h_stay_in_term_dicts(self, routes):
+        from skeinlab.fixtures import hopf_with_kinks
+        from skeinlab.lmov import hat_h, plethystic_h
+        from skeinlab.partitions import partitions_of
+
+        spec = hopf_with_kinks(1, -1)
+        table = plethystic_h(spec, 5)
+        routes.update(dict.fromkeys(routes, 0))
+        labels = [p for n in range(6) for p in partitions_of(n)]
+        for B1 in labels:
+            for B2 in labels:
+                if 1 <= B1.size + B2.size <= 5:
+                    hat_h(spec, (B1, B2), table=table)
+        # 36 of the 70 sums over two or more denominators reach the size gate, but
+        # integers alone lift them: they decline, and every sum adds in term dicts
+        assert (routes["packed"], routes["declined"], routes["dict"]) == (0, 36, 70)
+
+    def test_largest_sums_of_the_size_4_torus_labels_are_packed(self, routes):
+        from skeinlab.partitions import Partition, PartitionPair
+        from skeinlab.skein import _surface_bracket
+
+        one = PartitionPair(Partition([1]), Partition())
+        for lam in ([4], [3, 1]):
+            pairs = (PartitionPair(Partition(lam), Partition()), one, one)
+            _surface_bracket.__wrapped__(3, 1, 3, pairs)
+        # 87 380 and 119 098 input terms over about 3 900 slots
+        assert routes == {"packed": 2, "declined": 0, "dict": 0, "lists": 0}
 
 
 def _lead_at_q_one(f):
