@@ -3,7 +3,8 @@
 Two value types, both immutable:
 
 * :class:`LaurentQT` -- sparse Laurent polynomials in ``q`` and ``t`` with
-  arbitrary-precision integer coefficients and integer exponents.  The one
+  arbitrary-precision integer coefficients and integer exponents, each
+  below 2**31 in size.  The one
   place a fraction could enter is the torus twist ``tau**(n/m)``, and it
   never does: every label (beta, gamma) in the image of the m-th Adams
   operation has legs with empty m-core, so each leg is tiled by m-ribbons,
@@ -20,6 +21,20 @@ Two value types, both immutable:
   when no row leaves a remainder.  A product with a scalar (one numerator
   term, no ``phi_d``) only cancels integers, and a product with brackets
   (``bracket_scaled``) only moves exponents.
+
+A term dict maps one int per exponent pair to a nonzero coefficient:
+q**e_q * t**e_t is the key ``e_t * _M + e_q`` with ``_M = 2**50 + 2 * 40503``,
+so shifting or multiplying a monomial is one integer addition, the keys sort
+in (e_t, e_q) order, ``key & 1`` is the parity of e_q and e_t reads back by
+one shift.  Every exponent is below 2**31 in size, so a sum of two of them
+still reads back uniquely, and each value carries a bound on its exponents
+(``_reach``) that products and shifts add up.  A bound of 2**31 or more
+makes the result measure its exponents, and an exponent there raises
+ArithmeticError, so no two exponent pairs ever share a key.  Keys are built from exponent pairs in
+the constructor, ``monomial``, ``from_records`` and ``exponent_key``, and
+read back only at the edges: ``sorted_terms``, ``to_records``,
+``exponent_box``, the packed layouts (``_box``, ``_row_layout``) and
+``zsquare_decompose``'s t-slices.
 
 Large products are Kronecker substitutions (``packed_product``): each
 operand becomes one signed integer, a q-step per slot of w bits and a
@@ -62,33 +77,103 @@ from array import array
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import compress, count
+from itertools import chain, compress
 from math import gcd, lcm
 from sys import byteorder
+
+# -- exponent keys ----------------------------------------------------------------------
+
+# every exponent of a stored term is below this in size
+_BOUND = 1 << 31
+# q**e_q * t**e_t is the key e_t * _M + e_q, _M = 2**50 + 2 * 40503.  The
+# term 2 * 40503 * e_t (40503 is 2**16 over the golden ratio) carries e_t into
+# the low bits that pick a dict slot, and keeps _M even, so that key & 1 is
+# the parity of e_q.  For |e_q|, |e_t| < 2**32, a sum of two exponents in
+# the bound, e_q + 2 * 40503 * e_t + 2**49 lies in [0, 2**50), so the shift
+# (key + 2**49) >> 50 reads e_t back; no division is needed.
+_SHIFT = 50
+_M = (1 << _SHIFT) + 2 * 40503
+_HALF = 1 << _SHIFT - 1
+
+
+def exponent_key(e_q, e_t):
+    """The term-dict key of q**e_q * t**e_t; ArithmeticError for an exponent of 2**31 or more in size."""
+    if -_BOUND < e_q < _BOUND and -_BOUND < e_t < _BOUND:
+        return e_t * _M + e_q
+    raise ArithmeticError(f"exponent pair ({e_q}, {e_t}) is beyond the bound 2**31")
+
+
+def _exponents(key):
+    """(e_q, e_t) of a key."""
+    e_t = key + _HALF >> _SHIFT
+    return key - e_t * _M, e_t
+
+
+def _split_keys(keys):
+    """(t-exponents, q-exponents) of the keys, two lists in key order."""
+    ts = [key + _HALF >> _SHIFT for key in keys]
+    return ts, [key - et * _M for key, et in zip(keys, ts)]
+
+
+def _exponent_lists(f):
+    """(t-exponents, q-exponents, coefficients) of the LaurentQT f, read back once and kept."""
+    lists = f._lists
+    if lists is None:
+        ts, qs = _split_keys(f._terms)
+        lists = f._lists = ts, qs, f._terms.values()
+    return lists
+
+
+def _measured_reach(terms):
+    """The largest exponent of a term dict in size; ArithmeticError at 2**31 or more."""
+    if not terms:
+        return 0
+    ts, qs = _split_keys(terms)
+    reach = max(max(ts), -min(ts), max(qs), -min(qs))
+    if reach >= _BOUND:
+        raise ArithmeticError(f"an exponent of {reach} in size is beyond the bound 2**31")
+    return reach
+
+
+def _reach_of(f):
+    """A bound on the exponents of the LaurentQT f in size, measured once when unknown."""
+    reach = f._reach
+    if reach is None:
+        reach = f._reach = _measured_reach(f._terms)
+    return reach
 
 
 class LaurentQT:
     """Sparse integer Laurent polynomial in ``q`` and ``t``.
 
-    Terms map integer exponent pairs ``(e_q, e_t)`` to nonzero integer
-    coefficients.  Zero coefficients are never stored, so equality is plain
-    term-set equality.  An exponent whose type is not ``int`` (a fraction, a
-    float or a bool) raises TypeError.
+    Terms map the key of an exponent pair (``exponent_key``: one int,
+    ``e_t * _M + e_q``) to a nonzero integer coefficient.  Zero coefficients
+    are never stored, so equality is plain term-set equality.  The
+    constructor, ``monomial`` and ``from_records`` take exponent pairs; an
+    exponent or a coefficient whose type is not ``int`` (a fraction, a float
+    or a bool) raises TypeError, and an exponent of 2**31 or more in size
+    raises ArithmeticError, as does any product, shift or substitution that
+    would reach one.  ``_reach`` bounds every exponent in size, or is None
+    until it is first needed; ``_lists`` holds the exponents read back from
+    the keys (``_exponent_lists``) once a layout has needed them.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_hash", "_reach", "_lists")
 
     def __init__(self, terms=None):
         data = {}
+        reach = 0
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for (eq, et), c in items:
                 if type(eq) is not int or type(et) is not int:
                     raise TypeError(f"exponents must be int, not {eq!r}, {et!r}")
-                c = int(c)
+                if type(c) is not int:
+                    raise TypeError(f"coefficients must be int, not {c!r}")
                 if not c:
                     continue
-                key = (eq, et)
+                key = exponent_key(eq, et)
+                reach = max(reach, abs(eq), abs(et))
                 c0 = data.get(key)
                 if c0 is None:
                     data[key] = c
@@ -100,6 +185,8 @@ class LaurentQT:
                         del data[key]
         self._terms = data
         self._hash = None
+        self._reach = reach
+        self._lists = None
 
     # -- constructors ------------------------------------------------------
 
@@ -140,8 +227,8 @@ class LaurentQT:
         return self._hash
 
     def sorted_terms(self):
-        """Terms sorted by (e_t, e_q); the canonical output order."""
-        return sorted(self._terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+        """((e_q, e_t), coefficient) pairs in key order, which is (e_t, e_q) order: the output order."""
+        return [(_exponents(key), c) for key, c in sorted(self._terms.items())]
 
     # -- ring operations ----------------------------------------------------
 
@@ -156,12 +243,12 @@ class LaurentQT:
             return self
         data = dict(self._terms)
         _add_terms(data, other)
-        return _laurent(data)
+        return _laurent(data, max(_reach_of(self), _reach_of(other)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _laurent({k: -c for k, c in self._terms.items()})
+        return _laurent({k: -c for k, c in self._terms.items()}, self._reach)
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -175,32 +262,31 @@ class LaurentQT:
         if isinstance(other, int):
             if not other:
                 return _ZERO
-            return _laurent({k: c * other for k, c in self._terms.items()})
+            return _laurent({k: c * other for k, c in self._terms.items()}, self._reach)
         if not isinstance(other, LaurentQT):
             return NotImplemented
         a, b = self._terms, other._terms
         if not a or not b:
             return _ZERO
+        reach = _product_reach(self, other)
         if len(a) > len(b):
             a, b = b, a
         if len(a) >= _PACK_MIN_TERMS and len(a) * len(b) >= _PACK_MIN_PAIRS:
-            data = packed_product(a, b)
+            data = packed_product(self, other)
             if data is not None:
-                return _laurent(data)
+                return _laurent(data, reach)
         data = {}
-        for (eq1, et1), c1 in a.items():
-            for (eq2, et2), c2 in b.items():
-                key = (eq1 + eq2, et1 + et2)
-                c = data.get(key)
-                if c is None:
-                    data[key] = c1 * c2
+        get = data.get
+        b = b.items()
+        for k1, c1 in a.items():
+            for k2, c2 in b:
+                key = k1 + k2
+                c = c1 * c2 + get(key, 0)
+                if c:
+                    data[key] = c
                 else:
-                    c += c1 * c2
-                    if c:
-                        data[key] = c
-                    else:
-                        del data[key]
-        return _laurent(data)
+                    del data[key]
+        return _laurent(data, reach)
 
     __rmul__ = __mul__
 
@@ -228,19 +314,19 @@ class LaurentQT:
         return g
 
     def leading(self):
-        """(exponent pair, coefficient) of the lex-largest term."""
+        """(exponent pair, coefficient) of the term with the largest (e_t, e_q)."""
         key = max(self._terms)
-        return key, self._terms[key]
+        return _exponents(key), self._terms[key]
 
     def trailing(self):
+        """(exponent pair, coefficient) of the term with the smallest (e_t, e_q)."""
         key = min(self._terms)
-        return key, self._terms[key]
+        return _exponents(key), self._terms[key]
 
     def exponent_box(self):
         """((min_eq, max_eq), (min_et, max_et)) over the support."""
-        eqs = [k[0] for k in self._terms]
-        ets = [k[1] for k in self._terms]
-        return (min(eqs), max(eqs)), (min(ets), max(ets))
+        ts, qs, _ = _exponent_lists(self)
+        return (min(qs), max(qs)), (min(ts), max(ts))
 
     # -- substitutions -------------------------------------------------------
 
@@ -248,11 +334,17 @@ class LaurentQT:
         """q -> q**d, t -> t**d for a positive integer d."""
         if type(d) is not int or d < 1:
             raise ValueError("the substitution power must be a positive integer")
-        return _laurent({(eq * d, et * d): c for (eq, et), c in self._terms.items()})
+        # d times a key is the key of d times its exponents, inside the bound
+        reach = _reach_of(self) * d
+        if reach >= _BOUND:
+            reach = _measured_reach(self._terms) * d
+            if reach >= _BOUND:
+                raise ArithmeticError(f"q -> q**{d} takes an exponent of {reach} in size beyond 2**31")
+        return _laurent({key * d: c for key, c in self._terms.items()}, reach)
 
     def mirror(self):
         """q -> 1/q, t -> 1/t."""
-        return _laurent({(-eq, -et): c for (eq, et), c in self._terms.items()})
+        return _laurent({-key: c for key, c in self._terms.items()}, self._reach)
 
     # -- serialization -------------------------------------------------------
 
@@ -282,28 +374,49 @@ class LaurentQT:
 
 
 def _add_terms(data, f, w=1):
-    """Add w times the terms of the LaurentQT f into the term dict data in place."""
-    items = f._terms.items()
-    if w != 1:
-        items = [(key, c * w) for key, c in items]
-    for key, c in items:
-        c0 = data.get(key)
-        if c0 is None:
+    """Add w times the terms of the LaurentQT f, w a nonzero int, into the term dict data in place."""
+    get = data.get
+    # w * c is nonzero, so a zero total means the key was there
+    for key, c in f._terms.items():
+        c = c * w + get(key, 0)
+        if c:
             data[key] = c
         else:
-            c = c0 + c
-            if c:
-                data[key] = c
-            else:
-                del data[key]
+            del data[key]
 
 
-def _laurent(data):
-    """A LaurentQT over a normalised term dict, taken as is."""
+def _laurent(data, reach=None):
+    """A LaurentQT over a normalised term dict, taken as is.
+
+    ``reach`` bounds its exponents in size, or is None when unknown.  A bound
+    of 2**31 or more is replaced by the measured one, which raises
+    ArithmeticError beyond it: the keys of a product or shift of values in
+    the bound still read back.
+    """
+    if reach is not None and reach >= _BOUND:
+        reach = _measured_reach(data)
     out = LaurentQT.__new__(LaurentQT)
     out._terms = data
     out._hash = None
+    out._reach = reach
+    out._lists = None
     return out
+
+
+def _product_reach(a, b):
+    """A bound on the exponents of the product of LaurentQT a and b, which raises at 2**31.
+
+    The extreme exponents of a product are the sums of its factors', so a
+    sum of the factors' bounds that reaches 2**31 is settled by their boxes.
+    """
+    reach = _reach_of(a) + _reach_of(b)
+    if reach >= _BOUND:
+        (qa, hqa), (ta, hta) = a.exponent_box()
+        (qb, hqb), (tb, htb) = b.exponent_box()
+        reach = max(-qa - qb, hqa + hqb, -ta - tb, hta + htb)
+        if reach >= _BOUND:
+            raise ArithmeticError(f"a product has an exponent of {reach} in size, beyond 2**31")
+    return reach
 
 
 _ZERO = LaurentQT()
@@ -316,8 +429,8 @@ _ONE = LaurentQT({(0, 0): 1})
 _PACK_MIN_TERMS = 6
 _PACK_MIN_PAIRS = 200
 
-# an unsigned array typecode for each slot width of a packed value
-_SLOT_CODES = {8 * array(code).itemsize: code for code in "HILQ"}
+# a signed array typecode for each slot width of a packed value
+_SLOT_CODES = {8 * array(code).itemsize: code for code in "hilq"}
 
 
 def _slot_width(bound):
@@ -334,9 +447,12 @@ def _bias(w, n):
     return int.from_bytes((1 << w - 1).to_bytes(w >> 3, byteorder) * n, byteorder)
 
 
-def _box(terms):
-    """(lowest e_q, q-span, lowest e_t, t-span, shared q-parity, shared t-parity) of a term dict."""
-    qs, ts = zip(*terms)
+def _box(part):
+    """(lowest e_q, q-span, lowest e_t, t-span, shared q-parity, shared t-parity) of a part.
+
+    The part is ``_exponent_lists`` of a term dict.
+    """
+    ts, qs, _ = part
     lo_q, lo_t = min(qs), min(ts)
     return (
         lo_q, max(qs) - lo_q, lo_t, max(ts) - lo_t,
@@ -344,38 +460,40 @@ def _box(terms):
     )
 
 
-def _pack(terms, lo_q, hq, lo_t, ht, width, w, n):
-    """The term dict as sum c * X**i over n slots of w bits, X = 2**w.
+def _pack(part, lo_q, hq, lo_t, ht, width, w, n):
+    """An ``_exponent_lists`` part as sum c * X**i over n slots of w bits, X = 2**w.
 
     A term q**e_q * t**e_t sits in slot ((e_q - lo_q) >> hq) + width * ((e_t - lo_t) >> ht).
-    The slots are filled biased by 2**(w - 1), so that each is an unsigned
-    w-bit integer, and the bias is taken off the packed whole.
+    The slots hold two's complement digits; flipping the top bit of each
+    biases it by 2**(w - 1), and the bias is taken off the packed whole.
     """
-    bias = 1 << w - 1
-    slots = array(_SLOT_CODES[w], [bias]) * n
-    for (eq, et), c in terms.items():
-        slots[(eq - lo_q >> hq) + width * (et - lo_t >> ht)] = c + bias
-    return int.from_bytes(slots, byteorder) - _bias(w, n)
+    slots = array(_SLOT_CODES[w], bytes(n * (w >> 3)))
+    for et, eq, c in zip(*part):
+        slots[(eq - lo_q >> hq) + width * (et - lo_t >> ht)] = c
+    bias = _bias(w, n)
+    return (int.from_bytes(slots, byteorder) ^ bias) - bias
 
 
 def _unpack(value, lo_q, hq, lo_t, ht, width, w, n):
     """The term dict of a value packed as by ``_pack``, each slot below 2**(w - 1) in size.
 
     Adding the bias to every slot makes each slot a nonnegative w-bit digit,
-    so no slot borrows from the next and the digits are read in one pass.
+    so no slot borrows from the next, and flipping each top bit back reads
+    the digits as signed slots in one pass.  Row by row the keys step by
+    2**hq and the rows by _M * 2**ht.
     """
-    bias = 1 << w - 1
+    bias = _bias(w, n)
     slots = array(_SLOT_CODES[w])
-    slots.frombytes((value + _bias(w, n)).to_bytes(n * (w >> 3), byteorder))
-    return {
-        (lo_q + (i % width << hq), lo_t + (i // width << ht)): c - bias
-        for i, c in enumerate(slots)
-        if c != bias
-    }
+    slots.frombytes(((value + bias) ^ bias).to_bytes(n * (w >> 3), byteorder))
+    step, row_step = 1 << hq, _M << ht
+    lo = lo_t * _M + lo_q
+    rows = range(lo, lo + n // width * row_step, row_step)
+    keys = chain.from_iterable(range(base, base + width * step, step) for base in rows)
+    return dict(zip(compress(keys, slots), compress(slots, slots)))
 
 
 def packed_product(a, b, gate=True):
-    """The term dict of the product of two nonempty term dicts by one big-integer product.
+    """The term dict of the product of two nonzero LaurentQT by one big-integer product.
 
     Kronecker substitution: q and t are replaced by powers of X = 2**w, so
     each q-step is one w-bit slot and each t-row is a run of slots as wide as
@@ -392,8 +510,10 @@ def packed_product(a, b, gate=True):
     pairs = la * lb
     if gate and (min(la, lb) < _PACK_MIN_TERMS or pairs < _PACK_MIN_PAIRS):
         return None
-    qa, sqa, ta, sta, pqa, pta = _box(a)
-    qb, sqb, tb, stb, pqb, ptb = _box(b)
+    part_a, part_b = _exponent_lists(a), _exponent_lists(b)
+    a, b = a._terms, b._terms
+    qa, sqa, ta, sta, pqa, pta = _box(part_a)
+    qb, sqb, tb, stb, pqb, ptb = _box(part_b)
     hq, ht = int(pqa and pqb), int(pta and ptb)
     width = (sqa + sqb >> hq) + 1
     n = width * ((sta + stb >> ht) + 1)
@@ -405,8 +525,35 @@ def packed_product(a, b, gate=True):
         return None
     na = (sqa >> hq) + 1 + width * (sta >> ht)
     nb = (sqb >> hq) + 1 + width * (stb >> ht)
-    value = _pack(a, qa, hq, ta, ht, width, w, na) * _pack(b, qb, hq, tb, ht, width, w, nb)
+    value = _pack(part_a, qa, hq, ta, ht, width, w, na) * _pack(part_b, qb, hq, tb, ht, width, w, nb)
     return _unpack(value, qa + qb, hq, ta + tb, ht, width, w, n)
+
+
+def _multiply_add(acc, f, g, w):
+    """acc += w * f * g for LaurentQT f and g and a term dict acc; zero totals stay.
+
+    A product dense enough for ``packed_product`` is formed whole and added
+    term by term; any other runs the shorter of f and g outside.  Returns a
+    bound on the exponents of f * g (``_product_reach``).
+    """
+    reach = _product_reach(f, g)
+    fg = packed_product(f, g)
+    f, g = f._terms, g._terms
+    if fg is not None:
+        get = acc.get
+        for key, x in fg.items():
+            acc[key] = get(key, 0) + w * x
+        return reach
+    if len(f) > len(g):
+        f, g = g, f
+    g = g.items()
+    get = acc.get
+    for k1, x in f.items():
+        x *= w
+        for k2, y in g:
+            key = k1 + k2
+            acc[key] = get(key, 0) + x * y
+    return reach
 
 
 def _format_power(sym, e):
@@ -480,6 +627,9 @@ def tq_bracket_product(powers):
         raise ValueError("only nonnegative powers of t*q**a - t**-1*q**-a")
     count = sum(e for _, e in powers)
     span = sum(abs(a) * e for a, e in powers)
+    # q**span * t**count and its mirror are terms of the product
+    if max(span, count) >= _BOUND:
+        raise ArithmeticError(f"the product has an exponent of {max(span, count)} in size, beyond 2**31")
     w = _slot_width(1 << count)
     if w is None:
         out = _ONE
@@ -492,7 +642,7 @@ def tq_bracket_product(powers):
         high, low = w * (width + max(a, 0)), w * max(-a, 0)
         for _ in range(e):
             value = (value << high) - (value << low)
-    return _laurent(_unpack(value, -span, 1, -count, 1, width, w, width * (count + 1)))
+    return _laurent(_unpack(value, -span, 1, -count, 1, width, w, width * (count + 1)), max(span, count))
 
 
 _Z2_CACHE = [_ONE]
@@ -514,7 +664,8 @@ def exact_div(a, b):
     Monomials are units here, so the only obstructions are coefficient
     divisibility and support geometry; the candidate quotient support is
     confined to the exponent box derived from the factor boxes, which also
-    bounds the division loop.
+    bounds the division loop.  The division runs in key order, largest
+    (e_t, e_q) first; any monomial order gives the same exact quotient.
     """
     if not isinstance(a, LaurentQT) or not isinstance(b, LaurentQT):
         raise TypeError("exact_div expects LaurentQT operands")
@@ -528,40 +679,42 @@ def exact_div(a, b):
     lo_t, hi_t = at_ - bt, AT - BT
     if lo_q > hi_q or lo_t > hi_t:
         return None
-    (lead_exp, lead_c) = b.leading()
+    lead = max(b._terms)
+    lead_c = b._terms[lead]
     b_terms = list(b._terms.items())
     rem = dict(a._terms)
-    # the remainder's lex-largest key, through a max-heap of negated keys;
-    # entries whose key has since cancelled out of rem are skipped when popped
-    heap = [(-eq, -et) for eq, et in rem]
+    # the remainder's largest key, through a max-heap of negated keys; entries
+    # whose key has since cancelled out of rem are skipped when popped.  Every
+    # key of rem stays in a's box, and every quotient key in the box above.
+    heap = [-key for key in rem]
     heapify(heap)
     quo = {}
     while rem:
-        neq, net = heappop(heap)
-        key = (-neq, -net)
+        key = -heappop(heap)
         c = rem.get(key)
         if c is None:
             continue
-        weq, wet = key[0] - lead_exp[0], key[1] - lead_exp[1]
-        if not (lo_q <= weq <= hi_q and lo_t <= wet <= hi_t):
+        wkey = key - lead
+        wet = wkey + _HALF >> _SHIFT
+        if not (lo_q <= wkey - wet * _M <= hi_q and lo_t <= wet <= hi_t):
             return None
         if c % lead_c:
             return None
         w = c // lead_c
-        quo[(weq, wet)] = w
-        for (eq, et), bc in b_terms:
-            k2 = (eq + weq, et + wet)
+        quo[wkey] = w
+        for bkey, bc in b_terms:
+            k2 = bkey + wkey
             r = rem.get(k2)
             if r is None:
                 rem[k2] = -w * bc
-                heappush(heap, (-k2[0], -k2[1]))
+                heappush(heap, -k2)
             else:
                 r -= w * bc
                 if r:
                     rem[k2] = r
                 else:
                     del rem[k2]
-    return _laurent(quo)
+    return _laurent(quo, max(-lo_q, hi_q, -lo_t, hi_t))
 
 
 def zsquare_decompose(f):
@@ -578,7 +731,7 @@ def zsquare_decompose(f):
     if not f:
         return {}
     slices = {}
-    for (eq, et), c in f._terms.items():
+    for et, eq, c in zip(*_exponent_lists(f)):
         slices.setdefault(et, {})[eq] = c
     table = {}
     for Q, poly in sorted(slices.items()):
@@ -588,7 +741,8 @@ def zsquare_decompose(f):
                 return None
             g = d // 2
             c = poly[d]
-            for (eq, _), zc in z_square_power(g)._terms.items():
+            # the key of q**eq * t**0 is eq
+            for eq, zc in z_square_power(g)._terms.items():
                 r = poly.get(eq, 0) - c * zc
                 if r:
                     poly[eq] = r
@@ -684,12 +838,14 @@ def _phi_cancel(f, exps, test):
     terms = f._terms
     if len(terms) < _PACKED_ROWS_MIN_TERMS or max(map(abs, terms.values())) >> _ROW_BOUND_BITS:
         return _phi_cancel_by_lists(f, exps, test)
-    layout = _row_layout([(terms, 0)])
-    rows = _split_rows(_packed_total({(): [(terms, 1)]}, *layout), *layout)
+    part = _exponent_lists(f)
+    layout = _row_layout([(part, 0)])
+    rows = _split_rows(_packed_total({(): [(part, 1)]}, *layout), *layout)
     out = _cancel_rows(rows, layout[1], exps, test)
     if out is None:
         return _phi_cancel_by_lists(f, exps, test)
-    return f if out is True else _laurent(out)
+    # a quotient by phi_d lies inside the q-range of f
+    return f if out is True else _laurent(out, f._reach)
 
 
 def _phi_cancel_by_lists(f, exps, test):
@@ -698,33 +854,36 @@ def _phi_cancel_by_lists(f, exps, test):
     f is split once into rows, the factors q**phi(d) add up to one shift of
     all rows, and the term dict is rebuilt once at the end.
     """
+    # one row per t-exponent and q-parity, numbered 2 * e_t + parity; along
+    # a row the key steps by 2 per x-step, so no q-exponent is read back
     classes = {}
-    for (eq, et), c in f._terms.items():
-        terms = classes.get((et, eq & 1))
-        if terms is None:
-            classes[(et, eq & 1)] = [(eq >> 1, c)]
+    for key, c in f._terms.items():
+        row_id = key + _HALF >> _SHIFT << 1 | key & 1
+        cls = classes.get(row_id)
+        if cls is None:
+            classes[row_id] = [(key, c)]
         else:
-            terms.append((eq >> 1, c))
+            cls.append((key, c))
     rows = []
-    for (et, r), terms in classes.items():
-        lo = min(terms)[0]
-        row = [0] * (max(terms)[0] - lo + 1)
-        for i, c in terms:
-            row[i - lo] = c
-        rows.append((et, 2 * lo + r, row))  # row times q**(2 * lo + r) * t**et
+    for cls in classes.values():
+        lo = min(cls)[0]
+        row = [0] * ((max(cls)[0] - lo >> 1) + 1)
+        for key, c in cls:
+            row[key - lo >> 1] = c
+        rows.append((lo, row))  # the key of the row's first entry
     # the shortest row is the cheapest to divide, so it is tried first
-    rows.sort(key=lambda entry: len(entry[2]))
+    rows.sort(key=lambda entry: len(entry[1]))
     shift = 0
     for d in test:
         m = _cyclotomic(d)
         e = exps[d]
         while e:
             quos = []
-            for et, base, row in rows:
+            for base, row in rows:
                 quo, rem = _divmod_monic(row[:], m)
                 if any(rem):
                     break
-                quos.append((et, base, quo))
+                quos.append((base, quo))
             else:
                 rows, e, shift = quos, e - 1, shift + len(m) - 1
                 continue
@@ -733,12 +892,10 @@ def _phi_cancel_by_lists(f, exps, test):
     if not shift:
         return f
     out = {}
-    for et, base, row in rows:
+    for base, row in rows:
         base += shift
-        for i, c in enumerate(row):
-            if c:
-                out[(base + 2 * i, et)] = c
-    return _laurent(out)
+        out.update(zip(compress(range(base, base + 2 * len(row), 2), row), compress(row, row)))
+    return _laurent(out, f._reach)
 
 
 # -- packed rows in x = q**2 -------------------------------------------------------------
@@ -760,7 +917,8 @@ def _packed_phi(exps):
     """
     deg = sum(_totient(d) * e for d, e in exps)
     terms = _phi_product(exps)._terms
-    coeffs = [terms.get((2 * i - deg, 0), 0) for i in range(deg + 1)]
+    # the key of q**e * t**0 is e
+    coeffs = [terms.get(2 * i - deg, 0) for i in range(deg + 1)]
     value = 0
     for c in reversed(coeffs):
         value = (value << _ROW_BITS) + c
@@ -769,7 +927,7 @@ def _packed_phi(exps):
 
 
 def _row_layout(shifted):
-    """The rows in x that hold term dicts shifted by q**-s, over (terms, s) pairs.
+    """The rows in x that hold parts shifted by q**-s, over (``_exponent_lists`` part, s) pairs.
 
     Returns (lo, width, ts, parities), ts the sorted t-exponents: a shifted
     q-exponent e sits in slot (e - lo) >> 1 of the row of its t-exponent
@@ -778,8 +936,7 @@ def _row_layout(shifted):
     """
     lo = hi = None
     ts, parity = set(), set()
-    for terms, s in shifted:
-        qs, t_exps = zip(*terms)
+    for (t_exps, qs, _), s in shifted:
         q_lo, q_hi = min(qs) - s, max(qs) + s
         lo = q_lo if lo is None or q_lo < lo else lo
         hi = q_hi if hi is None or q_hi > hi else hi
@@ -792,11 +949,11 @@ def _packed_total(packs, lo, width, ts, parities):
     """sum of w * q**-s * P(q**2) * f over ``packs``, packed in the rows of ``_row_layout``.
 
     packs maps a sorted tuple of (d, e) pairs, P = prod Phi_d**e of degree
-    s, to the (f, w) pairs it lifts, f a term dict and w an integer.  Each f
-    fills its own slots, its packed integer is weighted by w and added to
-    the others of its P, and each sum is then one big-integer product with
-    P(2**64).  The caller bounds every slot of every partial sum below
-    2**63 in size.
+    s, to the (f, w) pairs it lifts, f a part from ``_exponent_lists`` and w
+    an integer.  Each f fills its own slots, its packed integer is weighted
+    by w and added to the others of its P, and each sum is then one
+    big-integer product with P(2**64).  The caller bounds every slot of
+    every partial sum below 2**63 in size.
     """
     stride = parities * width
     n = len(ts) * stride
@@ -808,13 +965,13 @@ def _packed_total(packs, lo, width, ts, parities):
         value, s = _packed_phi(key)[:2]
         off = lo + s
         acc = 0
-        for terms, w in members:
+        for part, w in members:
             slots = array("q", zeros)
             if parities == 1:
-                for (eq, et), c in terms.items():
+                for et, eq, c in zip(*part):
                     slots[offsets[et] + (eq - off >> 1)] = c
             else:
-                for (eq, et), c in terms.items():
+                for et, eq, c in zip(*part):
                     e = eq - off
                     slots[offsets[et] + (e & 1) * width + (e >> 1)] = c
             # the slots are two's complement digits: flipping each top bit biases them
@@ -824,7 +981,7 @@ def _packed_total(packs, lo, width, ts, parities):
 
 
 def _split_rows(total, lo, width, ts, parities):
-    """The nonzero rows (t-exponent, lowest q-exponent, packed row) of a packed total."""
+    """The nonzero rows (key of the first slot, packed row) of a packed total."""
     n = len(ts) * parities * width
     data = (total + _bias(_ROW_BITS, n)).to_bytes(n * 8, byteorder)
     bias, size = _bias(_ROW_BITS, width), width * 8
@@ -834,7 +991,7 @@ def _split_rows(total, lo, width, ts, parities):
         for r in range(parities):
             row = int.from_bytes(data[i : i + size], byteorder) - bias
             if row:
-                rows.append((et, lo + r, row))
+                rows.append((et * _M + lo + r, row))
             i += size
     return rows
 
@@ -843,28 +1000,23 @@ def _read_rows(rows, width, shift=0):
     """(term dict, largest coefficient in size) of packed rows times q**shift.
 
     Each row is read in ``width`` balanced digits; a row that has no such
-    expansion returns None.
+    expansion returns None.  Slot i of a row is its first key plus 2 * i.
     """
     bias, size = _bias(_ROW_BITS, width), width * 8
     slots = array("q")
     try:
-        slots.frombytes(b"".join(((row + bias) ^ bias).to_bytes(size, byteorder) for _, _, row in rows))
+        slots.frombytes(b"".join(((row + bias) ^ bias).to_bytes(size, byteorder) for _, row in rows))
     except OverflowError:
         return None
-    keys = [(base + shift, et) for et, base, _ in rows]
-    out = {}
-    for j, c in zip(compress(count(), slots), compress(slots, slots)):
-        r, i = divmod(j, width)
-        eq, et = keys[r]
-        out[(eq + 2 * i, et)] = c
-    return out, max(max(slots), -min(slots))
+    keys = chain.from_iterable(range(base + shift, base + shift + 2 * width, 2) for base, _ in rows)
+    return dict(zip(compress(keys, slots), compress(slots, slots))), max(max(slots), -min(slots))
 
 
 def _cancel_rows(rows, width, exps, test):
     """Packed rows divided by each phi_d as in ``_phi_cancel``: a term dict, True or None.
 
-    rows are (t-exponent, lowest q-exponent, packed row) triples of
-    ``width`` slots, each below 2**62 in size.  Each row is divided by
+    rows are (key of the first slot, packed row) pairs of ``width`` slots,
+    each below 2**62 in size.  Each row is divided by
     Phi_d(2**64) with ``divmod``: a nonzero remainder proves that Phi_d does
     not divide the row, but a zero one proves nothing by itself.  So the
     quotient q' of each row is read back in balanced digits and kept only
@@ -876,7 +1028,7 @@ def _cancel_rows(rows, width, exps, test):
     term dict otherwise, with exps lowered in place.
     """
     # the shortest row is the cheapest to divide, so it is tried first
-    rows.sort(key=lambda row: row[2].bit_length())
+    rows.sort(key=lambda row: row[1].bit_length())
     divided, shift, left = {}, 0, {}
     for d in test:
         e = k = exps[d]
@@ -884,11 +1036,11 @@ def _cancel_rows(rows, width, exps, test):
         while e:
             m, deg = _packed_phi(((d, k),))[:2]
             quos = []
-            for et, base, row in rows:
+            for base, row in rows:
                 quo, rem = divmod(row, m)
                 if rem:
                     break
-                quos.append((et, base, quo))
+                quos.append((base, quo))
             else:
                 rows, e, shift = quos, e - k, shift + deg
                 divided[d] = divided.get(d, 0) + k
@@ -913,7 +1065,7 @@ def bracket_factors(f):
     are found by trial division over the phi_d that fit the degree of f.
     Raises ValueError when f is not of this form.
     """
-    if len({et for _, et in f._terms}) != 1:
+    if len(set(_exponent_lists(f)[0])) != 1:
         raise ValueError(f"denominator {f} is not an integer times q-brackets")
     (hi, et), lead = f.leading()
     (lo, _), _ = f.trailing()
@@ -944,7 +1096,7 @@ def _div_int(f, g):
     """f with every coefficient divided by g, which divides them all."""
     if g == 1:
         return f
-    return _laurent({k: c // g for k, c in f._terms.items()})
+    return _laurent({k: c // g for k, c in f._terms.items()}, f._reach)
 
 
 # -- rational functions --------------------------------------------------------
@@ -1071,26 +1223,9 @@ class RationalQT:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.reciprocal()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def reciprocal(self):
-        """1 / self; raises ValueError when num is not in the bracket family."""
-        if not self.num:
-            raise ZeroDivisionError("reciprocal of zero")
-        return RationalQT(self.den, self.num)
-
     def __pow__(self, k):
-        if not isinstance(k, int):
-            raise ValueError("integer powers only")
-        if k < 0:
-            return self.reciprocal() ** (-k)
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("only nonnegative integer powers")
         # neither a prime of c nor all of a phi_d can divide num**k when it misses num
         return _rational(self.num**k, self._c**k, tuple((d, e * k) for d, e in self._exps if k))
 
@@ -1118,7 +1253,7 @@ class RationalQT:
         64 terms on, the groups are added on packed rows (``_sum_packed``);
         otherwise, and when that declines, in term dicts (``_sum_by_lift``).
         """
-        groups = {}
+        groups, merged = {}, {}
         for x in items:
             x = cls._coerce(x)
             if not x.num:
@@ -1128,23 +1263,29 @@ class RationalQT:
             if num is None:
                 groups[key] = x.num
             else:
+                # a merged group holds a term dict and a bound on its exponents
                 if type(num) is LaurentQT:
+                    merged[key] = _reach_of(num)
                     num = groups[key] = dict(num._terms)
+                merged[key] = max(merged[key], _reach_of(x.num))
                 _add_terms(num, x.num)
-        # a merged group holds a term dict, a single value its LaurentQT
-        parts = [(c, exps, num) for (c, exps), num in groups.items() if num]
+        parts = [
+            (c, exps, _laurent(num, merged[c, exps]) if type(num) is dict else num)
+            for (c, exps), num in groups.items()
+            if num
+        ]
         if not parts:
             return ZERO_RATIONAL
-        if len(parts) == 1 and type(parts[0][2]) is LaurentQT:
+        if len(parts) == 1 and parts[0][:2] not in merged:
             c, exps, num = parts[0]
             return _rational(num, c, exps)
         c, top, lifts = _common_plan(parts)
         # a merged group counts as two holders of each top power it holds
         holders = {}
-        for _, exps, num in parts:
+        for x_c, exps, _ in parts:
             for d, e in exps:
                 if e == top[d]:
-                    holders[d] = holders.get(d, 0) + (2 if type(num) is dict else 1)
+                    holders[d] = holders.get(d, 0) + (2 if (x_c, exps) in merged else 1)
         test = [d for d, n in holders.items() if n > 1]
         size = sum([len(num) for _, _, num in parts])
         if size >= _PACKED_SUM_MIN_TERMS:
@@ -1223,8 +1364,6 @@ def _lift(parts, lifts):
     """
     lifted = []
     for (_, _, num), (missing, k) in zip(parts, lifts):
-        if type(num) is dict:
-            num = _laurent(num)
         # the integer scales the cached phi_d product when there is one
         if missing:
             num, k = num * (_phi_product(missing) * k if k > 1 else _phi_product(missing)), 1
@@ -1239,10 +1378,11 @@ def _sum_by_lift(parts, c, top, lifts, test):
     the lifted numerators are added into one term dict and ``_canonical``
     cancels the total.
     """
-    total = {}
+    total, reach = {}, 0
     for num, k in _lift(parts, lifts):
         _add_terms(total, num, k)
-    return _canonical(_laurent(total), c, top, test)
+        reach = max(reach, _reach_of(num))
+    return _canonical(_laurent(total, reach), c, top, test)
 
 
 # the gates of the packed sum, measured on the sums of the benchmark workloads
@@ -1266,26 +1406,29 @@ def _sum_packed(parts, c, top, lifts, test, size):
     Returns None, before anything is packed, unless at least one part
     misses a phi_d (a lift by integers alone is cheaper in term dicts), the
     bound sum k * min(sum|num| * max|P|, max|num| * sum|P|) on every slot
-    is below 2**62, and the rows take at most 4 slots per term.  The caller
-    gates on 64 terms.
+    is below 2**62, the rows take at most 4 slots per term and their
+    exponents stay below 2**31 in size.  The caller gates on 64 terms.
     """
     if not any(missing for missing, _ in lifts):
         return None
     bound = 0
     shifted, packs = [], {}
     for (_, _, num), (missing, k) in zip(parts, lifts):
-        terms = num if type(num) is dict else num._terms
-        sizes = list(map(abs, terms.values()))
+        sizes = list(map(abs, num._terms.values()))
         _, s, norm, big = _packed_phi(missing)
         bound += k * min(sum(sizes) * big, max(sizes) * norm)
-        shifted.append((terms, s))
-        packs.setdefault(missing, []).append((terms, k))
     if bound >> _ROW_BOUND_BITS:
         return None
+    for (_, _, num), (missing, k) in zip(parts, lifts):
+        part = _exponent_lists(num)
+        shifted.append((part, _packed_phi(missing)[1]))
+        packs.setdefault(missing, []).append((part, k))
     layout = _row_layout(shifted)
     lo, width, ts, parities = layout
     n = len(ts) * parities * width
-    if n > _PACKED_SUM_SLOTS_PER_TERM * size:
+    # every lifted exponent, and so every key of the rows, is within this
+    reach = max(-lo, lo + 2 * width, -ts[0], ts[-1])
+    if n > _PACKED_SUM_SLOTS_PER_TERM * size or reach >= _BOUND:
         return None
     total = _packed_total(packs, *layout)
     if not total:
@@ -1299,11 +1442,11 @@ def _sum_packed(parts, c, top, lifts, test, size):
     rows = _split_rows(total, *layout)
     out = _cancel_rows(rows, width, top, test)
     if out is True:
-        num = _laurent(_read_rows(rows, width)[0])
+        num = _laurent(_read_rows(rows, width)[0], reach)
     elif out is None:
-        num = _phi_cancel_by_lists(_laurent(_read_rows(rows, width)[0]), top, test)
+        num = _phi_cancel_by_lists(_laurent(_read_rows(rows, width)[0], reach), top, test)
     else:
-        num = _laurent(out)
+        num = _laurent(out, reach)
     return _rational(num, c, tuple(sorted((d, e) for d, e in top.items() if e)))
 
 
@@ -1332,14 +1475,19 @@ def _scaled(x, s):
     integer denominator are coprime, and a monomial times an integer holds no
     part of a primitive phi_d.
     """
-    ((a, b), n), = s.num._terms.items()
+    (shift, n), = s.num._terms.items()
     g1 = gcd(n, x._c)
     g2 = gcd(x.num.content(), s._c) if s._c > 1 else 1
     n //= g1
-    if a == b == 0 and n == 1 and g2 == 1:
+    if shift == 0 and n == 1 and g2 == 1:
         num = x.num
     else:
-        num = _laurent({(eq + a, et + b): c // g2 * n for (eq, et), c in x.num._terms.items()})
+        items = x.num._terms.items()
+        if g2 > 1:
+            data = {key + shift: c // g2 * n for key, c in items}
+        else:
+            data = {key + shift: c * n for key, c in items}
+        num = _laurent(data, _reach_of(x.num) + _reach_of(s.num))
     return _rational(num, x._c // g1 * (s._c // g2), x._exps)
 
 
@@ -1407,28 +1555,28 @@ def common_denominator(values):
 
 
 def shifted_sum(terms):
-    """sum of w * q**e_q * t**e_t * f over (f, w, e_q, e_t), f a LaurentQT and w an int.
+    """sum of w * q**e_q * t**e_t * f over (f, w, shift), f a LaurentQT, w an int and shift
+    the key of q**e_q * t**e_t (``exponent_key``).
 
-    Every shifted, weighted term goes into one term dict: no monomial
-    product is formed and nothing is canonicalised.
+    Every shifted, weighted term goes into one term dict: a shift is one
+    addition of keys, no monomial product is formed and nothing is
+    canonicalised.
     """
-    data = {}
-    for f, w, e_q, e_t in terms:
+    data, reach = {}, 0
+    get = data.get
+    for f, w, shift in terms:
         if not w:
             continue
-        for (a, b), c in f._terms.items():
-            key = (a + e_q, b + e_t)
-            c *= w
-            c0 = data.get(key)
-            if c0 is None:
+        e_q, e_t = _exponents(shift)
+        reach = max(reach, _reach_of(f) + max(abs(e_q), abs(e_t)))
+        for key, c in f._terms.items():
+            key += shift
+            c = c * w + get(key, 0)
+            if c:
                 data[key] = c
             else:
-                c += c0
-                if c:
-                    data[key] = c
-                else:
-                    del data[key]
-    return _laurent(data)
+                del data[key]
+    return _laurent(data, reach)
 
 
 def bracket_combination(lifted, weights, c, ks):
@@ -1440,11 +1588,12 @@ def bracket_combination(lifted, weights, c, ks):
     left in it are tested.
     """
     lc, exps, nums = lifted
-    data = {}
+    data, reach = {}, 0
     for (num, k), w in zip(nums, weights):
         if w:
             _add_terms(data, num, w * k)
-    return _bracket_fold(_laurent(data), lc * c, dict(exps), bracket_exponents(ks), list(exps))
+            reach = max(reach, _reach_of(num))
+    return _bracket_fold(_laurent(data, reach), lc * c, dict(exps), bracket_exponents(ks), list(exps))
 
 
 def _bracket_fold(num, c, exps, gain, test):
@@ -1499,7 +1648,7 @@ def q_one_leading(f):
     if not f:
         raise ValueError("the zero polynomial has no leading term at q = 1")
     slices = {}
-    for (eq, et), c in f._terms.items():
+    for et, eq, c in zip(*_exponent_lists(f)):
         slices.setdefault(et, []).append([eq, c])
     k, den = 0, 1
     while True:

@@ -17,7 +17,7 @@ coefficient ring.  The sets are addressable from the command line through
 
 from __future__ import annotations
 
-from .exactring import LaurentQT, RationalQT, q_bracket, q_brace
+from .exactring import LaurentQT, RationalQT, bracket_scaled, q_bracket, q_brace
 from .lmov import congruence_check, congruent_skein_case, hat_h, plethystic_h
 from .partitions import Partition, PartitionPair
 from .composite import z_reform
@@ -232,12 +232,14 @@ HOPF_HAT_TABLE = {
 
 
 def hopf_hat_expected(rows):
-    z2 = RationalQT(q_bracket(1) * q_bracket(1))
+    """sum over g of (t**2 - 1) * row_g(t) * z**(2g - 2), z = q - 1/q = {1}."""
+    z2 = q_bracket(1) * q_bracket(1)
     t2m1 = LaurentQT({(0, 2): 1, (0, 0): -1})
-    return RationalQT.sum(
-        RationalQT(t2m1 * LaurentQT({(0, e): c for e, c in row.items()})) * z2 ** (g - 1)
+    total = RationalQT.sum(
+        RationalQT(t2m1 * LaurentQT({(0, e): c for e, c in row.items()}) * z2**g)
         for g, row in rows.items()
     )
+    return bracket_scaled(total, (1, 1), divide=True)
 
 
 def check_hopf_hat_table():

@@ -61,13 +61,13 @@ from .exactring import (
     RationalQT,
     _canonical,
     _laurent,
+    _multiply_add,
     bracket_combination,
     bracket_quotient,
     bracket_scaled,
     common_denominator,
     cyclotomic_factor,
     exact_div,
-    packed_product,
     q_bracket,
     q_brace,
     q_one_leading,
@@ -230,13 +230,14 @@ def _log_of_zhat(zseries, D):
     Fraction-free: T_n = n Fhat_n obeys T_n = n Zhat_n - sum_{k<n} T_k Zhat_{n-k},
     and n is divided out once, at the end.  Phi, the common phi-part of all
     the Zhat, comes from ``common_denominator``.  A Zhat_nu of degree m is held
-    as an integer term dict over a_nu Phi**m (its lifted numerator times
-    Phi**(m-1)), and T_mu of degree n as one over den_mu Phi**n, so every
+    as an integer Laurent polynomial over a_nu Phi**m (its lifted numerator
+    times Phi**(m-1)), and T_mu of degree n as one over den_mu Phi**n, so every
     product T_alpha Zhat_beta lands over den_alpha a_beta Phi**n; when Phi = 1,
     the integer denominators met in practice, nothing is scaled.  A first pass
     collects the pairs with alpha u beta = mu, so that den_mu, the lcm of a_mu
     and of their den_alpha a_beta, is fixed before any product is formed; each
-    product is then added into mu's term dict with the integer weight
+    product is added into mu's term dict (``exactring._multiply_add``, whose
+    keys this function never reads) with the integer weight
     den_mu / (den_alpha a_beta).  Each degree ends with one content gcd per
     key, and Fhat_mu is canonicalised once, over n den_mu Phi**n, testing the
     phi_d of Phi.  The denominators are per key because one lcm over all keys
@@ -245,13 +246,13 @@ def _log_of_zhat(zseries, D):
     keys = [(m, nus) for m, layer in enumerate(zseries) for nus in layer]
     c, top, lifted = common_denominator(zseries[m][nus] for m, nus in keys)
     phi = prod((cyclotomic_factor(d) ** e for d, e in top.items()), start=LaurentQT.one())
-    # zhat[m] = {nu vector: (term dict, a_nu)}; k * num over c * Phi is Zhat_nu, and k divides c
+    # zhat[m] = {nu vector: (num, a_nu)}; k * num over c * Phi is Zhat_nu, and k divides c
     zhat = [{} for _ in range(D + 1)]
     for (m, nus), (num, k) in zip(keys, lifted):
         if top and m > 1:
             num = num * phi ** (m - 1)
-        zhat[m][nus] = (num._terms, c // k)
-    one = LaurentQT.one()._terms
+        zhat[m][nus] = (num, c // k)
+    one = LaurentQT.one()
     tees = [{} for _ in range(D + 1)]
     out = {}
     for n in range(1, D + 1):
@@ -265,40 +266,18 @@ def _log_of_zhat(zseries, D):
         exps = {d: e * n for d, e in top.items()}
         for key, products in pending.items():
             den = lcm(*(fg_den for _, _, fg_den, _ in products))
-            acc = {}
+            acc, reach = {}, 0
             for f, g, fg_den, sign in products:
-                _multiply_add(acc, f, g, sign * (den // fg_den))
+                reach = max(reach, _multiply_add(acc, f, g, sign * (den // fg_den)))
             acc = {e: v for e, v in acc.items() if v}
             if acc:
                 content = gcd(den, *acc.values())
                 if content > 1:
                     acc, den = {e: v // content for e, v in acc.items()}, den // content
-                tees[n][key] = (acc, den)
-                out[key] = _canonical(_laurent(acc), n * den, dict(exps), list(exps))
+                tee = _laurent(acc, reach)
+                tees[n][key] = (tee, den)
+                out[key] = _canonical(tee, n * den, dict(exps), list(exps))
     return out
-
-
-def _multiply_add(acc, f, g, w):
-    """acc += w * f * g over term dicts; zero totals stay.
-
-    A product dense enough for ``packed_product`` is formed whole and added
-    term by term; any other runs the shorter of f and g outside.
-    """
-    fg = packed_product(f, g)
-    if fg is not None:
-        get = acc.get
-        for key, x in fg.items():
-            acc[key] = get(key, 0) + w * x
-        return
-    if len(f) > len(g):
-        f, g = g, f
-    g = g.items()
-    get = acc.get
-    for (a, b), x in f.items():
-        x *= w
-        for (e_q, e_t), y in g:
-            key = (a + e_q, b + e_t)
-            acc[key] = get(key, 0) + x * y
 
 
 def plethystic_h(spec, D):

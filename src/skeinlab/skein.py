@@ -33,7 +33,7 @@ from functools import lru_cache, reduce
 from math import gcd
 
 from .exactring import LaurentQT, RationalQT, _rational, bracket_exponents
-from .exactring import bracket_quotient, common_denominator, shifted_sum, t_bracket
+from .exactring import bracket_quotient, common_denominator, exponent_key, shifted_sum, t_bracket
 from .exactring import tq_bracket_product
 from .partitions import Partition, PartitionPair
 from .symfun import (
@@ -305,8 +305,9 @@ def framed_numerators(spec, decoration_vectors):
     pair per vector in order: its bracket is k * num / (c * prod phi_d**e).
     The coefficients must be ints, else TypeError.  Each distinct core -- the
     surface bracket, or the unknot value -- is lifted once; a leaf adds its
-    integer weight times its lifted core shifted by its kink exponents, so no
-    monomial product is formed and no bracket is canonicalised.
+    integer weight times its lifted core shifted by its kink exponents, which
+    are encoded once per leaf as one term-dict key, so no monomial product is
+    formed and no bracket is canonicalised.
 
     Cores are keyed by the multiset of their labels: the annulus skein is
     commutative, so a core does not depend on the order of its labels, and
@@ -315,12 +316,15 @@ def framed_numerators(spec, decoration_vectors):
     share their cores and one lift.
     """
     vectors = [
-        [(tuple(sorted(pairs)), w, e_q, e_t) for pairs, w, e_q, e_t in _leaves(spec, decorations)]
+        [
+            (tuple(sorted(pairs)), w, exponent_key(e_q, e_t))
+            for pairs, w, e_q, e_t in _leaves(spec, decorations)
+        ]
         for decorations in decoration_vectors
     ]
     cores = {}
     for leaves in vectors:
-        for key, w, _, _ in leaves:
+        for key, w, _ in leaves:
             if type(w) is not int:
                 raise TypeError(f"decoration weight {w!r} is not an int")
             if key not in cores:
@@ -330,9 +334,9 @@ def framed_numerators(spec, decoration_vectors):
     nums = []
     for leaves in vectors:
         terms = []
-        for key, w, e_q, e_t in leaves:
+        for key, w, shift in leaves:
             num, k = lifted[key]
-            terms.append((num, w * k, e_q, e_t))
+            terms.append((num, w * k, shift))
         nums.append((shifted_sum(terms), 1))
     return c, exps, nums
 

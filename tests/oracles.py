@@ -36,9 +36,16 @@ quantity the engine also computes, by a different formula:
 * ``reassembled_log`` -- log Z rebuilt from a free-energy table by the Schur
   route, against ``lmov.log_partition_series``;
 * ``corollary_congruence`` -- the power-substitution congruence of Zh_p;
-* ``dict_product`` -- a product of two term dicts by the plain double loop
-  over term pairs, against the packed product ``exactring.packed_product``
-  that ``LaurentQT.__mul__`` and ``lmov._multiply_add`` take above its gate;
+* ``dict_product`` -- a product of two term dicts keyed by exponent pairs,
+  by the plain double loop over term pairs, against the packed product
+  ``exactring.packed_product`` that ``LaurentQT.__mul__`` and
+  ``exactring._multiply_add`` take above its gate;
+* ``exact_div_by_pairs`` -- exact division on term dicts keyed by exponent
+  pairs, in lex (e_q, e_t) order, against ``exactring.exact_div``, which
+  divides on int keys in (e_t, e_q) order;
+* ``reciprocal`` -- 1 / x for a RationalQT, which the package no longer
+  needs: its one use, the pole z**-2 of ``fixtures.hopf_hat_expected``, is
+  a division by brackets;
 * ``binomial_product`` and ``unknot_full_by_products`` -- products of the
   binomials t*q**a - t**-1*q**-a, and the closed-form unknot over them,
   multiplied one binomial at a time by ``dict_product``, against
@@ -58,6 +65,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import product as iproduct
 from math import comb, gcd, lcm
 
@@ -549,6 +557,58 @@ def dict_product(a, b):
     return data
 
 
+def exact_div_by_pairs(a, b):
+    """a / b for LaurentQT a and b by division on exponent pairs, or None when b does not divide a.
+
+    The division before term dicts were keyed by one int: the remainder's
+    lex-largest (e_q, e_t) term is divided by b's, through a max-heap of
+    negated pairs, within the quotient's exponent box.
+    """
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if not a:
+        return LaurentQT.zero()
+    (aq, AQ), (at_, AT) = a.exponent_box()
+    (bq, BQ), (bt, BT) = b.exponent_box()
+    lo_q, hi_q, lo_t, hi_t = aq - bq, AQ - BQ, at_ - bt, AT - BT
+    if lo_q > hi_q or lo_t > hi_t:
+        return None
+    b_terms = b.sorted_terms()
+    lead_exp, lead_c = max(b_terms)
+    rem = dict(a.sorted_terms())
+    heap = [(-eq, -et) for eq, et in rem]
+    heapify(heap)
+    quo = {}
+    while rem:
+        neq, net = heappop(heap)
+        key = (-neq, -net)
+        c = rem.get(key)
+        if c is None:
+            continue
+        weq, wet = key[0] - lead_exp[0], key[1] - lead_exp[1]
+        if not (lo_q <= weq <= hi_q and lo_t <= wet <= hi_t) or c % lead_c:
+            return None
+        w = c // lead_c
+        quo[(weq, wet)] = w
+        for (eq, et), bc in b_terms:
+            k2 = (eq + weq, et + wet)
+            r = rem.get(k2, 0) - w * bc
+            if k2 not in rem:
+                heappush(heap, (-k2[0], -k2[1]))
+            if r:
+                rem[k2] = r
+            else:
+                rem.pop(k2, None)
+    return LaurentQT(quo)
+
+
+def reciprocal(x):
+    """1 / x for a nonzero RationalQT x; ValueError when x.num is not in the bracket family."""
+    if not x:
+        raise ZeroDivisionError("reciprocal of zero")
+    return RationalQT(x.den, x.num)
+
+
 def sum_by_lift(values):
     """sum of RationalQT values in canonical form, by Laurent products and exact division.
 
@@ -615,4 +675,4 @@ def unknot_full_by_products(lam, mu=()):
             for a, e in ((li + mj, 1), (0, 1), (li, -1), (mj, -1)):
                 powers[a + 1 - i - j] += e
     exps = bracket_exponents(lam.hook_lengths() + mu.hook_lengths())
-    return _rational(_laurent(binomial_product(powers.items())), 1, tuple(sorted(exps.items())))
+    return _rational(LaurentQT(binomial_product(powers.items())), 1, tuple(sorted(exps.items())))

@@ -20,9 +20,11 @@ from skeinlab.exactring import (
     bracket_scaled,
     cyclotomic_factor,
     exact_div,
+    exponent_key,
     format_laurent,
     packed_product,
     q_bracket,
+    shifted_sum,
     q_brace,
     q_one_leading,
     t_bracket,
@@ -32,11 +34,23 @@ from skeinlab.exactring import (
     zsquare_recompose,
 )
 
-from oracles import binomial_product, conj_q, dict_product, sum_by_lift
+from oracles import (
+    binomial_product,
+    conj_q,
+    dict_product,
+    exact_div_by_pairs,
+    reciprocal,
+    sum_by_lift,
+)
 
 
 def q_power(e):
     return LaurentQT.monomial(1, e, 0)
+
+
+def keyed(terms):
+    """A term dict on exponent pairs as the LaurentQT term dict, one int key per pair."""
+    return LaurentQT(terms)._terms
 
 
 def laurents(max_terms=4, span=3, coeff=6):
@@ -254,17 +268,17 @@ class TestPackedProduct:
     def test_edge_coefficients_fill_their_slot(self, c):
         # a monomial times b: the bound is |c| itself, and c and -c both reach it
         a, b = {(2, 1): 1}, {(0, 0): c, (4, 0): -c, (2, 3): c}
-        result = packed_product(a, b, gate=False)
+        result = packed_product(LaurentQT(a), LaurentQT(b), gate=False)
         if abs(c) > 2**63 - 1:
             assert result is None
         else:
-            assert result == dict_product(a, b)
+            assert result == keyed(dict_product(a, b))
 
     @given(term_dicts(), term_dicts())
     @settings(max_examples=300, deadline=None)
     def test_kernel_below_the_gate(self, a, b):
-        expected = dict_product(a, b)
-        result = packed_product(a, b, gate=False)
+        expected = keyed(dict_product(a, b))
+        result = packed_product(LaurentQT(a), LaurentQT(b), gate=False)
         if _slot_width(_bound(a, b)) is None:
             assert result is None
         else:
@@ -274,27 +288,28 @@ class TestPackedProduct:
     @given(term_dicts(dense=True), term_dicts(dense=True))
     @settings(max_examples=100, deadline=None)
     def test_kernel_above_the_gate(self, a, b):
-        expected = dict_product(a, b)
-        assert packed_product(a, b) == expected
+        expected = keyed(dict_product(a, b))
+        assert packed_product(LaurentQT(a), LaurentQT(b)) == expected
         assert (LaurentQT(a) * LaurentQT(b))._terms == expected
 
     def test_gate(self):
-        row = {(i, 0): 1 for i in range(30)}
+        row = LaurentQT({(i, 0): 1 for i in range(30)})
         assert packed_product(row, row) is not None
         # a k x 1 monomial shift, and a sparse product whose slots outnumber its term pairs
-        assert packed_product(row, {(5, 2): 3}) is None
+        assert packed_product(row, LaurentQT({(5, 2): 3})) is None
         sparse = {(40 * i, 0): 1 for i in range(20)}
-        assert packed_product(sparse, sparse) is None
-        assert packed_product(sparse, sparse, gate=False) == dict_product(sparse, sparse)
+        assert packed_product(LaurentQT(sparse), LaurentQT(sparse)) is None
+        expected = keyed(dict_product(sparse, sparse))
+        assert packed_product(LaurentQT(sparse), LaurentQT(sparse), gate=False) == expected
 
     def test_cancelling_totals_are_dropped(self):
         # the coefficient of q**k sums (-1)**j over i + j = k, which is 0 for every odd k < 20
         ones = {(i, j): 1 for i in range(20) for j in range(2)}
         signs = {(i, j): (-1) ** i for i in range(20) for j in range(2)}
-        result = packed_product(ones, signs)
+        result = packed_product(LaurentQT(ones), LaurentQT(signs))
         assert result is not None and all(result.values())
-        assert result == dict_product(ones, signs)
-        assert (1, 0) not in result
+        assert result == keyed(dict_product(ones, signs))
+        assert exponent_key(1, 0) not in result
 
     @pytest.mark.parametrize(
         "powers",
@@ -311,7 +326,7 @@ class TestPackedProduct:
     )
     def test_tq_bracket_product(self, powers):
         # more than 62 factors take the wide fallback
-        assert tq_bracket_product(powers)._terms == binomial_product(powers)
+        assert tq_bracket_product(powers)._terms == keyed(binomial_product(powers))
 
     def test_tq_bracket_product_rejects_negative_powers(self):
         with pytest.raises(ValueError):
@@ -402,7 +417,9 @@ class TestRational:
     def test_power(self):
         f = RationalQT(t_power(1), q_bracket(1))
         assert f**2 == RationalQT(t_power(2), q_bracket(1) * q_bracket(1))
-        assert f**-1 == RationalQT(q_bracket(1), t_power(1))
+        assert reciprocal(f) == RationalQT(q_bracket(1), t_power(1))
+        with pytest.raises(ValueError):
+            f**-1
 
 
 class TestCanonicalForm:
@@ -567,7 +584,7 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             RationalQT(q_power(1), den)
         with pytest.raises(ValueError):
-            RationalQT(den).reciprocal()
+            reciprocal(RationalQT(den))
 
     @given(
         laurents(), st.integers(0, 4), st.integers(1, 12), st.lists(st.integers(1, 6), max_size=3)
@@ -791,7 +808,7 @@ class TestPackedSum:
         row = sum(c << 64 * i for i in range(5))
         assert row % (2**64 - 1) == 0
         exps = {1: 1}
-        assert _cancel_rows([(0, 0, row)], 5, exps, [1]) is None
+        assert _cancel_rows([(0, row)], 5, exps, [1]) is None
         assert exps == {1: 1}
         f = LaurentQT({(2 * i, 0): c for i in range(5)}) * LaurentQT({(0, j): 1 for j in range(8)})
         exps = {1: 1}
@@ -892,7 +909,7 @@ class TestQOneLeading:
 
     def test_unknot_scalar(self):
         f = RationalQT(t_bracket(1), q_bracket(1))
-        assert q_one_leading(f) == (-1, RationalQT(t_bracket(1)) / 2)
+        assert q_one_leading(f) == (-1, RationalQT(t_bracket(1)) * Fraction(1, 2))
 
     def test_constant(self):
         assert q_one_leading(t_power(2)) == (0, t_power(2))
@@ -911,7 +928,7 @@ class TestQOneLeading:
         if not x:
             return
         (v, a), (w, b) = q_one_leading(x.num), q_one_leading(x.den)
-        assert q_one_leading(x) == (v - w, a / b)
+        assert q_one_leading(x) == (v - w, a * reciprocal(b))
 
     def test_zero_has_no_leading_term(self):
         with pytest.raises(ValueError):
@@ -962,3 +979,124 @@ class TestQOneLeading:
         f = q_bracket(1) ** k * g
         v, lead = q_one_leading(f)
         assert (v, _to_sympy(lead)) == _lead_at_q_one(f)
+
+
+BOUND = 2**31
+EXPONENTS = st.integers(-(BOUND - 1), BOUND - 1)
+
+
+class TestExponentKeys:
+    """Term dicts keyed by one int per exponent pair, every exponent below 2**31 in size."""
+
+    @given(EXPONENTS, EXPONENTS)
+    @example(BOUND - 1, BOUND - 1)
+    @example(-(BOUND - 1), -(BOUND - 1))
+    @example(BOUND - 1, -(BOUND - 1))
+    @example(-(BOUND - 1), BOUND - 1)
+    @example(-1, 0)
+    @settings(max_examples=300, deadline=None)
+    def test_round_trip(self, e_q, e_t):
+        f = LaurentQT.monomial(-3, e_q, e_t)
+        assert list(f._terms) == [exponent_key(e_q, e_t)]
+        assert f.sorted_terms() == [((e_q, e_t), -3)]
+        assert f.exponent_box() == ((e_q, e_q), (e_t, e_t))
+        assert f.to_records() == [[e_q, 1, e_t, 1, "-3"]]
+        assert LaurentQT.from_records(f.to_records()) == f
+        assert f.mirror() == LaurentQT.monomial(-3, -e_q, -e_t)
+        assert f.leading() == f.trailing() == ((e_q, e_t), -3)
+
+    @given(st.lists(st.tuples(EXPONENTS, EXPONENTS), min_size=1, max_size=12, unique=True))
+    @example([(BOUND - 1, 0), (-(BOUND - 1), 1), (0, 0), (1, -(BOUND - 1))])
+    @settings(max_examples=200, deadline=None)
+    def test_keys_sort_in_record_order(self, pairs):
+        f = LaurentQT({pair: i + 1 for i, pair in enumerate(pairs)})
+        by_t = sorted(pairs, key=lambda pair: (pair[1], pair[0]))
+        assert [pair for pair, _ in f.sorted_terms()] == by_t
+        assert [[r[0], r[2]] for r in f.to_records()] == [list(pair) for pair in by_t]
+        assert sorted(f._terms) == [exponent_key(*pair) for pair in by_t]
+        # the q-parity is the parity of the key
+        assert all(key & 1 == pair[0] & 1 for key, pair in zip(sorted(f._terms), by_t))
+
+    @given(st.lists(st.tuples(EXPONENTS, EXPONENTS, st.integers(-5, 5)), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_equality_and_hash_agree_across_constructions(self, terms):
+        f = LaurentQT([((eq, et), c) for eq, et, c in terms])
+        g = LaurentQT([((eq, et), c) for eq, et, c in reversed(terms)])
+        assert f == g and hash(f) == hash(g)
+        assert f + LaurentQT.zero() == f and hash(f * 1) == hash(f)
+        assert LaurentQT.from_records(f.to_records()) == f
+
+    @pytest.mark.parametrize(
+        "e_q, e_t", [(BOUND, 0), (-BOUND, 0), (0, BOUND), (0, -BOUND), (-BOUND, BOUND), (2**40, 1)]
+    )
+    def test_bound_where_exponents_enter(self, e_q, e_t):
+        with pytest.raises(ArithmeticError):
+            exponent_key(e_q, e_t)
+        with pytest.raises(ArithmeticError):
+            LaurentQT({(e_q, e_t): 1, (0, 0): 2})
+        with pytest.raises(ArithmeticError):
+            LaurentQT.monomial(1, e_q, e_t)
+        with pytest.raises(ArithmeticError):
+            LaurentQT.from_records([[0, 1, 0, 1, "2"], [e_q, 1, e_t, 1, "1"]])
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_operations_that_reach_the_bound_raise(self, sign):
+        edge = sign * (BOUND - 1)
+        step = LaurentQT.monomial(1, sign, 0)
+        top = LaurentQT.monomial(1, edge, 0)
+        with pytest.raises(ArithmeticError):
+            top * step
+        with pytest.raises(ArithmeticError):
+            LaurentQT({(edge, 0): 1, (0, 0): 1}) * (step + LaurentQT.one())
+        with pytest.raises(ArithmeticError):
+            LaurentQT.monomial(1, 0, edge) * LaurentQT.monomial(1, 0, sign)
+        # the dense product goes through the packed route
+        row = LaurentQT({(edge - sign * i, 0): 1 for i in range(30)})
+        with pytest.raises(ArithmeticError):
+            row * LaurentQT({(sign * i, 0): 1 for i in range(1, 31)})
+        with pytest.raises(ArithmeticError):
+            LaurentQT.monomial(1, sign * 2**30, 1).substitute_power(2)
+        with pytest.raises(ArithmeticError):
+            shifted_sum([(top, 1, exponent_key(sign, 0))])
+        with pytest.raises(ArithmeticError):
+            RationalQT(top, q_bracket(1)) * RationalQT(step)
+        with pytest.raises(ArithmeticError):
+            tq_bracket_product([(sign * 2**30, 2)])
+        with pytest.raises(ArithmeticError):
+            top.substitute_power(2)
+        # one step back inside, the same operations succeed
+        assert (top * step.mirror()).sorted_terms() == [((edge - sign, 0), 1)]
+        assert top.mirror().sorted_terms() == [((-edge, 0), 1)]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_products_across_the_bound_agree_with_pairs(self, sign):
+        # the factors' bounds add past 2**31, the product's exponents do not
+        edge = sign * (BOUND - 1)
+        a = {(edge - sign * i, j): i + 2 * j + 1 for i in range(20) for j in range(2)}
+        b = {(-edge + sign * i, -j): (-1) ** i * (j + 1) for i in range(20) for j in range(2)}
+        expected = LaurentQT(dict_product(a, b))
+        assert LaurentQT(a) * LaurentQT(b) == expected
+        assert packed_product(LaurentQT(a), LaurentQT(b)) == expected._terms
+        small, back = {(edge, 0): 1, (0, 1): 2}, {(-edge, 0): 3}
+        assert LaurentQT(small) * LaurentQT(back) == LaurentQT(dict_product(small, back))
+        assert exact_div(expected, LaurentQT(b)) == LaurentQT(a)
+
+    @given(
+        laurents(max_terms=5, span=4), laurents(max_terms=4, span=3).filter(bool), laurents(max_terms=2)
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_exact_div_agrees_with_division_on_pairs(self, f, g, r):
+        divisible = f * g
+        assert exact_div(divisible, g) == exact_div_by_pairs(divisible, g) == f
+        other = divisible + r
+        expected = exact_div_by_pairs(other, g)
+        assert exact_div(other, g) == expected
+        if expected is not None:
+            assert expected * g == other
+
+    @pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(4, 2), 2.7, 2.0, True])
+    def test_coefficients_must_be_int(self, c):
+        with pytest.raises(TypeError):
+            LaurentQT({(0, 0): c})
+        with pytest.raises(TypeError):
+            LaurentQT.monomial(c, 1, 1)

@@ -14,8 +14,10 @@ from skeinlab.composite import framed_composite, r_reform
 from skeinlab.exactring import (
     LaurentQT,
     RationalQT,
+    _multiply_add,
     common_denominator,
     cyclotomic_factor,
+    exponent_key,
     q_bracket,
     q_brace,
     t_bracket,
@@ -462,13 +464,15 @@ class TestMultiplyAdd:
         # a key of fg that acc already holds at -w times its value totals 0
         first = next(iter(fg))
         start[first] = -w * fg[first]
-        acc = dict(start)
-        lmov._multiply_add(acc, f, g, w)
+        acc = {exponent_key(*pair): c for pair, c in start.items()}
+        _multiply_add(acc, LaurentQT(f), LaurentQT(g), w)
         expected = dict(start)
-        for key, c in fg.items():
-            expected[key] = expected.get(key, 0) + w * c
-        assert {k: v for k, v in acc.items() if v} == {k: v for k, v in expected.items() if v}
-        assert first not in {k for k, v in acc.items() if v}
+        for pair, c in fg.items():
+            expected[pair] = expected.get(pair, 0) + w * c
+        assert {k: v for k, v in acc.items() if v} == {
+            exponent_key(*pair): v for pair, v in expected.items() if v
+        }
+        assert exponent_key(*first) not in {k for k, v in acc.items() if v}
 
 
 class TestLogOfZhat:

@@ -28,6 +28,7 @@ from oracles import (
     evaluate,
     hopf_bracket,
     meridian_eigenvalue,
+    reciprocal,
     to_power_pairs,
     unknot_full_by_products,
 )
@@ -172,7 +173,8 @@ class TestFramedBrackets:
             for pr in pairs_of_total(2):
                 dec = {pr: 1}
                 tau = RationalQT(framing_factor(pr.pos, pr.neg))
-                assert torus_framed(spec, [dec]) == tau**f * unknot_full(pr.pos, pr.neg)
+                kinks = tau**f if f >= 0 else reciprocal(tau) ** -f
+                assert torus_framed(spec, [dec]) == kinks * unknot_full(pr.pos, pr.neg)
 
     def test_trefoil_diagram_bracket(self):
         # writhe-3 planar diagram: t^3 * (2 t^-2 - t^-4 + t^-2 z^2) * unknot scalar,

@@ -8,7 +8,9 @@ by name.  The same holds for the methods of the classes in src/: a method
 other than a dunder must be referenced by attribute name outside its own
 body, unless the tracer patches it as ``Class.method``.  The tracer's
 exemption is pinned: the boundaries that no code in src/ calls are listed
-below, and that list may only shrink.
+below, and that list may only shrink.  Term dicts are keyed by packed
+exponent pairs, so the modules other than ``exactring`` never read them;
+that set of readers is pinned too.
 """
 
 import ast
@@ -123,3 +125,26 @@ def test_traced_names_without_a_caller_only_shrink():
 
     new = {path for path in _traced_names() if uncalled(path)} - TRACED_WITHOUT_CALLER
     assert not new, f"tracer boundaries with no caller in src/, not pinned: {sorted(new)}"
+
+
+# functions in src/ outside exactring.py that read a LaurentQT's term dict (``._terms``);
+# its keys pack exponent pairs, and only exactring reads them
+TERM_DICT_READERS_OUTSIDE_EXACTRING = set()
+
+
+def test_term_dicts_are_read_only_in_exactring():
+    readers = set()
+    for path in SRC:
+        if path.name == "exactring.py":
+            continue
+        tree = ast.parse(path.read_text())
+        scopes = [("<module>", stmt) for stmt in tree.body]
+        while scopes:
+            name, node = scopes.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = node.name if name == "<module>" else f"{name}.{node.name}"
+                scopes.extend((inner, sub) for sub in node.body)
+                continue
+            if any(isinstance(sub, ast.Attribute) and sub.attr == "_terms" for sub in ast.walk(node)):
+                readers.add(f"{path.stem}.{name}")
+    assert readers == TERM_DICT_READERS_OUTSIDE_EXACTRING, f"._terms read in {sorted(readers)}"
