@@ -120,7 +120,7 @@ def _exponent_lists(f):
     lists = f._lists
     if lists is None:
         ts, qs = _split_keys(f._terms)
-        lists = f._lists = ts, qs, f._terms.values()
+        lists = f._lists = ts, qs, list(f._terms.values())
     return lists
 
 
@@ -829,8 +829,8 @@ def _phi_cancel(f, exps, test):
     quotient; the exponents of d outside ``test`` are left alone.  phi_d is
     q**-phi(d) times the monic Phi_d(x) in x = q**2, so phi_d divides f
     exactly when Phi_d divides every row of f in x, one row per t-exponent
-    and parity of the q-exponent.  From 40 terms on, the rows are packed
-    integers (``_row_layout``) divided by ``_cancel_rows``.  Fewer terms, a
+    and parity of the q-exponent (``_rows_in_x``).  From 40 terms on, each
+    row is one packed integer, divided by ``_cancel_rows``.  Fewer terms, a
     coefficient of 2**62 or more in size, or a quotient that fails the
     certificate leave the decision to the division of dense lists
     (``_phi_cancel_by_lists``).
@@ -838,24 +838,25 @@ def _phi_cancel(f, exps, test):
     terms = f._terms
     if len(terms) < _PACKED_ROWS_MIN_TERMS or max(map(abs, terms.values())) >> _ROW_BOUND_BITS:
         return _phi_cancel_by_lists(f, exps, test)
-    part = _exponent_lists(f)
-    layout = _row_layout([(part, 0)])
-    rows = _split_rows(_packed_total({(): [(part, 1)]}, *layout), *layout)
-    out = _cancel_rows(rows, layout[1], exps, test)
+    rows = _rows_in_x(f)
+    width = max(len(row) for _, row in rows)
+    bias = _bias(_ROW_BITS, width)
+    # each row's two's complement digits, biased by flipping their top bits;
+    # the zero digits above a shorter row flip and unbias to zero
+    packed = [(base, (int.from_bytes(array("q", row), byteorder) ^ bias) - bias) for base, row in rows]
+    out = _cancel_rows(packed, width, exps, test)
     if out is None:
         return _phi_cancel_by_lists(f, exps, test)
     # a quotient by phi_d lies inside the q-range of f
     return f if out is True else _laurent(out, f._reach)
 
 
-def _phi_cancel_by_lists(f, exps, test):
-    """``_phi_cancel`` on dense lists: each row in x a list, divided by ``_divmod_monic``.
+def _rows_in_x(f):
+    """The rows of f in x = q**2: (key of the first entry, dense list of coefficients) pairs.
 
-    f is split once into rows, the factors q**phi(d) add up to one shift of
-    all rows, and the term dict is rebuilt once at the end.
+    One row per t-exponent and q-parity, numbered 2 * e_t + parity; along a
+    row the key steps by 2 per x-step, so no q-exponent is read back.
     """
-    # one row per t-exponent and q-parity, numbered 2 * e_t + parity; along
-    # a row the key steps by 2 per x-step, so no q-exponent is read back
     classes = {}
     for key, c in f._terms.items():
         row_id = key + _HALF >> _SHIFT << 1 | key & 1
@@ -870,7 +871,17 @@ def _phi_cancel_by_lists(f, exps, test):
         row = [0] * ((max(cls)[0] - lo >> 1) + 1)
         for key, c in cls:
             row[key - lo >> 1] = c
-        rows.append((lo, row))  # the key of the row's first entry
+        rows.append((lo, row))
+    return rows
+
+
+def _phi_cancel_by_lists(f, exps, test):
+    """``_phi_cancel`` on dense lists: each row in x a list, divided by ``_divmod_monic``.
+
+    f is split once into rows, the factors q**phi(d) add up to one shift of
+    all rows, and the term dict is rebuilt once at the end.
+    """
+    rows = _rows_in_x(f)
     # the shortest row is the cheapest to divide, so it is tried first
     rows.sort(key=lambda entry: len(entry[1]))
     shift = 0

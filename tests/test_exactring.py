@@ -1,5 +1,6 @@
 """Exact-arithmetic layer: ring laws, division, membership, leading terms at q = 1."""
 
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -1025,6 +1026,10 @@ class TestExponentKeys:
         assert f == g and hash(f) == hash(g)
         assert f + LaurentQT.zero() == f and hash(f * 1) == hash(f)
         assert LaurentQT.from_records(f.to_records()) == f
+        # a value that has read its exponents back still pickles
+        if f:
+            f.exponent_box()
+        assert pickle.loads(pickle.dumps(f)) == f
 
     @pytest.mark.parametrize(
         "e_q, e_t", [(BOUND, 0), (-BOUND, 0), (0, BOUND), (0, -BOUND), (-BOUND, BOUND), (2**40, 1)]
