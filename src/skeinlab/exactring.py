@@ -358,12 +358,16 @@ class LaurentQT:
 
     @classmethod
     def from_records(cls, recs):
-        """Inverse of to_records; an exponent denominator other than 1 raises ValueError."""
+        """Inverse of to_records; an exponent denominator other than 1 raises ValueError.
+
+        A coefficient is an int or the decimal string of one: a string that
+        is not raises ValueError, and any other type TypeError.
+        """
         terms = []
         for a, b, n, d, c in recs:
             if b != 1 or d != 1:
                 raise ValueError(f"exponent denominator in record {[a, b, n, d, c]} is not 1")
-            terms.append(((a, n), int(c)))
+            terms.append(((a, n), int(c) if type(c) is str else c))
         return cls(terms)
 
     def __repr__(self):

@@ -329,6 +329,12 @@ PINNED_JSON_SHA256 = [
         "68ecaf141318dd1a6f144aab67fd8f87e0642c2ecd3ca90383d080b86d26453b",
         id="congruence-p7",
     ),
+    pytest.param(
+        ("congruence", "--p", "7", "--family", "t2", "--k", "2"),
+        0,
+        "472653c6262891d3348f9e01de115e3e039ff550d2a6c88928207c6254d38907",
+        id="congruence-p7-k2",
+    ),
 ]
 
 

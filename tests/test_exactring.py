@@ -1105,3 +1105,12 @@ class TestExponentKeys:
             LaurentQT({(0, 0): c})
         with pytest.raises(TypeError):
             LaurentQT.monomial(c, 1, 1)
+        with pytest.raises(TypeError):
+            LaurentQT.from_records([[0, 1, 0, 1, c]])
+
+    def test_record_coefficients_are_int_strings_or_ints(self):
+        recs = [[1, 1, 2, 1, "-3"], [0, 1, 0, 1, 4]]
+        assert LaurentQT.from_records(recs) == LaurentQT({(1, 2): -3, (0, 0): 4})
+        for c in ("2.7", "1/2", ""):
+            with pytest.raises(ValueError):
+                LaurentQT.from_records([[0, 1, 0, 1, c]])
