@@ -115,13 +115,10 @@ def _split_keys(keys):
     return ts, [key - et * _M for key, et in zip(keys, ts)]
 
 
-def _exponent_lists(f):
-    """(t-exponents, q-exponents, coefficients) of the LaurentQT f, read back once and kept."""
-    lists = f._lists
-    if lists is None:
-        ts, qs = _split_keys(f._terms)
-        lists = f._lists = ts, qs, list(f._terms.values())
-    return lists
+def _exponent_lists(terms):
+    """(t-exponents, q-exponents, coefficients) of a term dict, read back once for a layout."""
+    ts, qs = _split_keys(terms)
+    return ts, qs, terms.values()
 
 
 def _measured_reach(terms):
@@ -154,11 +151,10 @@ class LaurentQT:
     or a bool) raises TypeError, and an exponent of 2**31 or more in size
     raises ArithmeticError, as does any product, shift or substitution that
     would reach one.  ``_reach`` bounds every exponent in size, or is None
-    until it is first needed; ``_lists`` holds the exponents read back from
-    the keys (``_exponent_lists``) once a layout has needed them.
+    until it is first needed.
     """
 
-    __slots__ = ("_terms", "_hash", "_reach", "_lists")
+    __slots__ = ("_terms", "_hash", "_reach")
 
     def __init__(self, terms=None):
         data = {}
@@ -186,7 +182,6 @@ class LaurentQT:
         self._terms = data
         self._hash = None
         self._reach = reach
-        self._lists = None
 
     # -- constructors ------------------------------------------------------
 
@@ -272,7 +267,7 @@ class LaurentQT:
         if len(a) > len(b):
             a, b = b, a
         if len(a) >= _PACK_MIN_TERMS and len(a) * len(b) >= _PACK_MIN_PAIRS:
-            data = packed_product(self, other)
+            data = packed_product(a, b)
             if data is not None:
                 return _laurent(data, reach)
         data = {}
@@ -325,7 +320,7 @@ class LaurentQT:
 
     def exponent_box(self):
         """((min_eq, max_eq), (min_et, max_et)) over the support."""
-        ts, qs, _ = _exponent_lists(self)
+        ts, qs = _split_keys(self._terms)
         return (min(qs), max(qs)), (min(ts), max(ts))
 
     # -- substitutions -------------------------------------------------------
@@ -403,7 +398,6 @@ def _laurent(data, reach=None):
     out._terms = data
     out._hash = None
     out._reach = reach
-    out._lists = None
     return out
 
 
@@ -497,7 +491,7 @@ def _unpack(value, lo_q, hq, lo_t, ht, width, w, n):
 
 
 def packed_product(a, b, gate=True):
-    """The term dict of the product of two nonzero LaurentQT by one big-integer product.
+    """The term dict of the product of two nonempty term dicts by one big-integer product.
 
     Kronecker substitution: q and t are replaced by powers of X = 2**w, so
     each q-step is one w-bit slot and each t-row is a run of slots as wide as
@@ -515,7 +509,6 @@ def packed_product(a, b, gate=True):
     if gate and (min(la, lb) < _PACK_MIN_TERMS or pairs < _PACK_MIN_PAIRS):
         return None
     part_a, part_b = _exponent_lists(a), _exponent_lists(b)
-    a, b = a._terms, b._terms
     qa, sqa, ta, sta, pqa, pta = _box(part_a)
     qb, sqb, tb, stb, pqb, ptb = _box(part_b)
     hq, ht = int(pqa and pqb), int(pta and ptb)
@@ -541,8 +534,8 @@ def _multiply_add(acc, f, g, w):
     bound on the exponents of f * g (``_product_reach``).
     """
     reach = _product_reach(f, g)
-    fg = packed_product(f, g)
     f, g = f._terms, g._terms
+    fg = packed_product(f, g)
     if fg is not None:
         get = acc.get
         for key, x in fg.items():
@@ -735,7 +728,7 @@ def zsquare_decompose(f):
     if not f:
         return {}
     slices = {}
-    for et, eq, c in zip(*_exponent_lists(f)):
+    for et, eq, c in zip(*_exponent_lists(f._terms)):
         slices.setdefault(et, {})[eq] = c
     table = {}
     for Q, poly in sorted(slices.items()):
@@ -1080,7 +1073,7 @@ def bracket_factors(f):
     are found by trial division over the phi_d that fit the degree of f.
     Raises ValueError when f is not of this form.
     """
-    if len(set(_exponent_lists(f)[0])) != 1:
+    if len(set(_split_keys(f._terms)[0])) != 1:
         raise ValueError(f"denominator {f} is not an integer times q-brackets")
     (hi, et), lead = f.leading()
     (lo, _), _ = f.trailing()
@@ -1435,7 +1428,7 @@ def _sum_packed(parts, c, top, lifts, test, size):
     if bound >> _ROW_BOUND_BITS:
         return None
     for (_, _, num), (missing, k) in zip(parts, lifts):
-        part = _exponent_lists(num)
+        part = _exponent_lists(num._terms)
         shifted.append((part, _packed_phi(missing)[1]))
         packs.setdefault(missing, []).append((part, k))
     layout = _row_layout(shifted)
@@ -1663,7 +1656,7 @@ def q_one_leading(f):
     if not f:
         raise ValueError("the zero polynomial has no leading term at q = 1")
     slices = {}
-    for et, eq, c in zip(*_exponent_lists(f)):
+    for et, eq, c in zip(*_exponent_lists(f._terms)):
         slices.setdefault(et, []).append([eq, c])
     k, den = 0, 1
     while True:

@@ -269,7 +269,7 @@ class TestPackedProduct:
     def test_edge_coefficients_fill_their_slot(self, c):
         # a monomial times b: the bound is |c| itself, and c and -c both reach it
         a, b = {(2, 1): 1}, {(0, 0): c, (4, 0): -c, (2, 3): c}
-        result = packed_product(LaurentQT(a), LaurentQT(b), gate=False)
+        result = packed_product(keyed(a), keyed(b), gate=False)
         if abs(c) > 2**63 - 1:
             assert result is None
         else:
@@ -279,7 +279,7 @@ class TestPackedProduct:
     @settings(max_examples=300, deadline=None)
     def test_kernel_below_the_gate(self, a, b):
         expected = keyed(dict_product(a, b))
-        result = packed_product(LaurentQT(a), LaurentQT(b), gate=False)
+        result = packed_product(keyed(a), keyed(b), gate=False)
         if _slot_width(_bound(a, b)) is None:
             assert result is None
         else:
@@ -290,24 +290,24 @@ class TestPackedProduct:
     @settings(max_examples=100, deadline=None)
     def test_kernel_above_the_gate(self, a, b):
         expected = keyed(dict_product(a, b))
-        assert packed_product(LaurentQT(a), LaurentQT(b)) == expected
+        assert packed_product(keyed(a), keyed(b)) == expected
         assert (LaurentQT(a) * LaurentQT(b))._terms == expected
 
     def test_gate(self):
-        row = LaurentQT({(i, 0): 1 for i in range(30)})
+        row = keyed({(i, 0): 1 for i in range(30)})
         assert packed_product(row, row) is not None
         # a k x 1 monomial shift, and a sparse product whose slots outnumber its term pairs
-        assert packed_product(row, LaurentQT({(5, 2): 3})) is None
+        assert packed_product(row, keyed({(5, 2): 3})) is None
         sparse = {(40 * i, 0): 1 for i in range(20)}
-        assert packed_product(LaurentQT(sparse), LaurentQT(sparse)) is None
+        assert packed_product(keyed(sparse), keyed(sparse)) is None
         expected = keyed(dict_product(sparse, sparse))
-        assert packed_product(LaurentQT(sparse), LaurentQT(sparse), gate=False) == expected
+        assert packed_product(keyed(sparse), keyed(sparse), gate=False) == expected
 
     def test_cancelling_totals_are_dropped(self):
         # the coefficient of q**k sums (-1)**j over i + j = k, which is 0 for every odd k < 20
         ones = {(i, j): 1 for i in range(20) for j in range(2)}
         signs = {(i, j): (-1) ** i for i in range(20) for j in range(2)}
-        result = packed_product(LaurentQT(ones), LaurentQT(signs))
+        result = packed_product(keyed(ones), keyed(signs))
         assert result is not None and all(result.values())
         assert result == keyed(dict_product(ones, signs))
         assert exponent_key(1, 0) not in result
@@ -1026,9 +1026,6 @@ class TestExponentKeys:
         assert f == g and hash(f) == hash(g)
         assert f + LaurentQT.zero() == f and hash(f * 1) == hash(f)
         assert LaurentQT.from_records(f.to_records()) == f
-        # a value that has read its exponents back still pickles
-        if f:
-            f.exponent_box()
         assert pickle.loads(pickle.dumps(f)) == f
 
     @pytest.mark.parametrize(
@@ -1081,7 +1078,7 @@ class TestExponentKeys:
         b = {(-edge + sign * i, -j): (-1) ** i * (j + 1) for i in range(20) for j in range(2)}
         expected = LaurentQT(dict_product(a, b))
         assert LaurentQT(a) * LaurentQT(b) == expected
-        assert packed_product(LaurentQT(a), LaurentQT(b)) == expected._terms
+        assert packed_product(keyed(a), keyed(b)) == expected._terms
         small, back = {(edge, 0): 1, (0, 1): 2}, {(-edge, 0): 3}
         assert LaurentQT(small) * LaurentQT(back) == LaurentQT(dict_product(small, back))
         assert exact_div(expected, LaurentQT(b)) == LaurentQT(a)
