@@ -410,8 +410,8 @@ def build_parser():
         "The verdicts pinned by the tests are true for p = 2, 3, 5 and 7 and FALSE "
         "(not-divisible, exit 1) for p = 4 and 6: a FALSE at a composite p is data about the "
         "conjecture, not a defect of the program.  p = 7 with --k 0..2 is true at every k and "
-        "takes 6-9 s on a 2-core machine; p = 11 with --k 0, the first verdict at a prime "
-        "above 7, is true and takes about a minute and 320 MB.",
+        "takes 2-3 s on a 2-core machine; p = 11 with --k 0, the first verdict at a prime "
+        "above 7, is true and takes about 20 s and 160 MB.",
     )
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--family", default="t2")

@@ -181,8 +181,9 @@ def log_partition_series(spec, D):
     part, H of the empty label vector, is 1.  The signed H_A of every size
     vector with one multiset of sizes, such as (a, b) and (b, a), come from
     one ``framed_numerators`` call as numerators over one common denominator,
-    never canonicalised one by one: their cores are keyed by label multiset,
-    so one lift serves every permutation.  Each Zhat_nu = {nu} Z_nu is an
+    never canonicalised one by one: their cores are keyed by the orbit of
+    their labels under permutation and the global swap, so one lift serves
+    every permutation and swap.  Each Zhat_nu = {nu} Z_nu is an
     integer combination of them with {nu} cancelled by phi_d exponents;
     chi_A(nu) is 0 unless A and nu have equal sizes, so the other size
     vectors' H_A carry weight 0.

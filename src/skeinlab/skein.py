@@ -241,11 +241,26 @@ def _validated_pairs(spec, pairs):
     return tuple(out)
 
 
+def _core_key(spec, pairs):
+    """The labels that a core depends on; pairs are swap-adjusted.
+
+    A surface bracket depends only on the orbit of its labels under
+    permutation and the global swap: the annulus skein is commutative, and the
+    involution * (Q_{lam,mu} -> Q_{mu,lam}) is an algebra automorphism that
+    commutes with the Adams operations, keeps the twist eigenvalue and keeps
+    the plane evaluation.  The orbit is keyed by the smaller of the sorted
+    labels and the sorted swapped labels.  An unknot keeps its one label.
+    """
+    if spec.family == UNKNOT:
+        return pairs
+    return min(tuple(sorted(pairs)), tuple(sorted(pair.swap() for pair in pairs)))
+
+
 def _core(spec, pairs):
     """Bracket of the basis-decorated link before its kinks; pairs are swap-adjusted."""
     if spec.family == UNKNOT:
         return unknot_full(pairs[0].pos, pairs[0].neg)
-    return _surface_bracket(spec.m, spec.n, spec.L, pairs)
+    return _surface_bracket(spec.m, spec.n, spec.L, _core_key(spec, pairs))
 
 
 def _leaves(spec, decorations):
@@ -309,15 +324,15 @@ def framed_numerators(spec, decoration_vectors):
     are encoded once per leaf as one term-dict key, so no monomial product is
     formed and no bracket is canonicalised.
 
-    Cores are keyed by the multiset of their labels: the annulus skein is
-    commutative, so a core does not depend on the order of its labels, and
-    each leaf's kink exponents are fixed by ``_leaves`` before the key is
-    sorted.  Decoration vectors that permute one another's labels therefore
+    Cores are keyed by ``_core_key``, the orbit of their labels under
+    permutation and the global swap.  Each leaf's kink exponents are fixed by
+    ``_leaves``, from its own components' framings, before the key is formed.
+    Decoration vectors whose labels permute or swap one another's therefore
     share their cores and one lift.
     """
     vectors = [
         [
-            (tuple(sorted(pairs)), w, exponent_key(e_q, e_t))
+            (_core_key(spec, pairs), w, exponent_key(e_q, e_t))
             for pairs, w, e_q, e_t in _leaves(spec, decorations)
         ]
         for decorations in decoration_vectors

@@ -153,16 +153,15 @@ def test_malformed_label_exit_2(capsys, argv):
 # sha256 of the --json document, so that a change of the algebra kernels cannot
 # move an output byte unnoticed; together these cover Adams m = 3,
 # three-component products and mixed-orientation labels.  The reform cases run
-# the same link at p = 1 and at p = 2 (~5 s, degree-18 LR products), and with
-# the size-4 labels [4], [1], [1] (~1.5 s), whose four largest bracket sums add
-# 87 k to 119 k terms on packed rows.  The
-# unframed composite cases pin H_A, reversed component and kinked unknot
+# the same link at p = 1 and at p = 2 (~1 s, degree-18 LR products), Rh at p = 2
+# (~2 s, every orientation-reversal subset), and the size-4 labels [4], [1], [1]
+# (~1.5 s), whose four largest bracket sums add 87 k to 119 k terms on packed rows.
+# The unframed composite cases pin H_A, reversed component and kinked unknot
 # included; reform-rhat pins the halving in integrality_2z.  The lmov cases
 # add a three-component link, a torus link with n = 2 and the trefoil at degree 6 (its
 # free energy has the largest numerators of the set) to the Hopf links.  The congruence
 # cases pin two all-true ranges (p = 3 and p = 5), two all-false ranges (p = 4
-# and p = 6) and p = 7 at k = 0 and k = 1 (true), each with its exit code; p = 7 at
-# k = 2 (true, 4.7-7.1 s) is left out.
+# and p = 6) and p = 7 at k = 0, 1 and 2 (true), each with its exit code.
 PINNED_JSON_SHA256 = [
     pytest.param(
         ("bracket", "--torus", "1", "1", "2", "--pairs", "[[[1],[]],[[1],[]]]"),
@@ -187,6 +186,12 @@ PINNED_JSON_SHA256 = [
         0,
         "2cf69e29eaf910b495f1d3034dae703003459aa5bf76b4c1f29623df0da3dbd5",
         id="reform-p2",
+    ),
+    pytest.param(
+        ("reform", "--torus", "3", "1", "3", "--blackboard", "--p", "2", "--rhat"),
+        0,
+        "26beca2afe46ab537909bbbfeaa244b415e32f978a1e1d018dae1c9c9d7c38eb",
+        id="reform-p2-rhat",
     ),
     pytest.param(
         ("reform", "--torus", "3", "1", "3", "--blackboard", "--labels", "[[4],[1],[1]]"),

@@ -1,18 +1,21 @@
 """Bracket evaluation, framing factors, torus invariants, symmetries."""
 
 import gc
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skeinlab import skein
 from skeinlab.chars import skew_terms
-from skeinlab.exactring import LaurentQT, RationalQT, q_bracket, t_bracket
-from skeinlab.partitions import EMPTY, Partition, PartitionPair, pairs_of_total
+from skeinlab.composite import power_decoration, z_reform
+from skeinlab.exactring import LaurentQT, RationalQT, common_denominator, q_bracket, t_bracket
+from skeinlab.partitions import EMPTY, Partition, PartitionPair, pairs_of_total, partitions_of
 from skeinlab.skein import (
     LabelCountMismatch,
     LinkSpec,
+    _core,
     _framing_exponents,
     _surface_bracket,
     framed_numerators,
@@ -21,7 +24,7 @@ from skeinlab.skein import (
     torus_full_invariant,
     unknot_full,
 )
-from skeinlab.symfun import adams_composite
+from skeinlab.symfun import adams_composite, pair_weights
 
 from oracles import (
     conj_q,
@@ -287,18 +290,78 @@ class TestFullInvariant:
             torus_full_invariant(LinkSpec.torus(2, 3, 1), [pair([1]), pair([1])])
 
 
+def orbit(pairs):
+    """Every reordering of the labels and of the swapped labels, as one set."""
+    return frozenset(permutations(pairs)) | frozenset(permutations(p.swap() for p in pairs))
+
+
 class TestLabelOrder:
-    # the annulus skein is commutative, so a surface bracket depends only on the
-    # multiset of its labels: framed_numerators keys its cores by that multiset
-    @pytest.mark.parametrize("L, max_total", [(2, 5), (3, 4)], ids=["hopf", "T(1,1,3)"])
-    def test_permuted_labels_give_one_bracket(self, L, max_total):
+    # the annulus skein is commutative and the involution * (Q_{lam,mu} -> Q_{mu,lam}) is an
+    # algebra automorphism that keeps the twist and the plane evaluation, so a surface bracket
+    # depends only on the orbit of its labels under permutation and the global swap: _core
+    # and framed_numerators key their cores by that orbit
+    @pytest.mark.parametrize(
+        "m, n, L, max_total",
+        [(1, 1, 2, 5), (1, 1, 3, 4), (2, 3, 1, 4), (2, 3, 2, 4), (3, 1, 3, 3), (2, 1, 2, 4)],
+        ids=["hopf", "T(1,1,3)", "T(2,3,1)", "T(2,3,2)", "T(3,1,3)", "T(2,1,2)"],
+    )
+    def test_permuted_labels_give_one_bracket(self, m, n, L, max_total):
+        # mixed labels included; the cached route must give every member of an orbit the
+        # same value, so a key that swaps only some of the labels fails here
+        spec = LinkSpec.torus(m, n, L)
         for combo in combinations_with_replacement(labels_upto(max_total), L):
             if sum(pr.size for pr in combo) > max_total:
                 continue
-            orders = sorted(set(permutations(combo)))
-            first = _surface_bracket.__wrapped__(1, 1, L, orders[0])
-            for order in orders[1:]:
-                assert _surface_bracket.__wrapped__(1, 1, L, order) == first, order
+            orders = sorted(orbit(combo))
+            first = _surface_bracket.__wrapped__(m, n, L, orders[0])
+            for order in orders:
+                assert _surface_bracket.__wrapped__(m, n, L, order) == first, order
+                assert _core(spec, order) == first, order
+
+    def test_one_bracket_per_orbit(self):
+        # T(3,3) at the size vector (2, 1, 1), in every order and under every reversal
+        # subset: Zh computes one surface bracket per orbit of its leaves' labels
+        spec = LinkSpec.torus_diagram(3, 3)
+        calls = [
+            (spec.with_reversed(subset), labels)
+            for A in partitions_of(2)
+            for labels in set(permutations((A, P([1]), P([1]))))
+            for k in range(spec.L + 1)
+            for subset in combinations(range(spec.L), k)
+        ]
+        leaves = {
+            tuple(pr.swap() if a in rev.reversed_ else pr for a, pr in enumerate(pairs))
+            for rev, labels in calls
+            for pairs in product(*(power_decoration(mu) for mu in labels))
+        }
+        orbits = {orbit(pairs) for pairs in leaves}
+        assert len(orbits) < len(leaves)
+        _surface_bracket.cache_clear()
+        for rev, labels in calls:
+            z_reform(rev, labels)
+        assert _surface_bracket.cache_info().currsize == len(orbits)
+
+    def test_one_lift_per_orbit(self, monkeypatch):
+        # every order of the labels [2], [1], [1] of H_A: framed_numerators lifts one core
+        # per orbit of the leaves' labels, and pair_weights holds both [lam, mu] and [mu, lam]
+        spec = LinkSpec.torus(1, 1, 3, framing=(1, 0, -1))
+        vectors = [
+            [pair_weights(A) for A in labels]
+            for labels in sorted(set(permutations((P([2]), P([1]), P([1])))))
+        ]
+        leaves = {pairs for decorations in vectors for pairs in product(*decorations)}
+        orbits = {orbit(pairs) for pairs in leaves}
+        assert len(orbits) < len(leaves)
+        lifted = []
+
+        def counting(values):
+            values = list(values)
+            lifted.append(len(values))
+            return common_denominator(values)
+
+        monkeypatch.setattr(skein, "common_denominator", counting)
+        framed_numerators(spec, vectors)
+        assert lifted == [len(orbits)]
 
 
 class TestHopfOracle:
