@@ -6,8 +6,9 @@ checks, congruent skein relations, and q -> 1 special-polynomial limits,
 all in exact arithmetic over ZZ[q^{+-1}, t^{+-1}] with bracket denominators.
 
 A decoration of a link component, an element of the skein of the annulus, is
-a composite-basis term table {PartitionPair: coeff}: the element
-sum of coeff * Q_pair (see ``skeinlab.symfun`` and ``skein.torus_framed``).
+a composite-basis term table {PartitionPair: coeff} with int coefficients:
+the element sum of coeff * Q_pair (see ``skeinlab.symfun``).  Every framed
+bracket is one vector of ``skein.framed_numerators`` (``skein.torus_framed``).
 """
 
 from .exactring import LaurentQT, RationalQT

@@ -74,6 +74,7 @@ threads.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
@@ -1254,12 +1255,10 @@ class RationalQT:
 
         Numerators over one denominator are added first.  The groups are then
         brought to their least common denominator, each numerator multiplied
-        only by its own missing factors.  A phi_d can divide the total only
-        when two groups hold its top power, or when its one holder merged
-        several values: every other group's term carries phi_d, and a single
-        value's numerator is canonical.  Only those phi_d are tested.  From
-        64 terms on, the groups are added on packed rows (``_sum_packed``);
-        otherwise, and when that declines, in term dicts (``_sum_by_lift``).
+        only by its own missing factors.  Only the phi_d of ``_tested_phi``
+        are tested, a merged group counting as two values.  From 64 terms
+        on, the groups are added on packed rows (``_sum_packed``); otherwise,
+        and when that declines, in term dicts (``_sum_by_lift``).
         """
         groups, merged = {}, {}
         for x in items:
@@ -1288,13 +1287,7 @@ class RationalQT:
             c, exps, num = parts[0]
             return _rational(num, c, exps)
         c, top, lifts = _common_plan(parts)
-        # a merged group counts as two holders of each top power it holds
-        holders = {}
-        for x_c, exps, _ in parts:
-            for d, e in exps:
-                if e == top[d]:
-                    holders[d] = holders.get(d, 0) + (2 if (x_c, exps) in merged else 1)
-        test = [d for d, n in holders.items() if n > 1]
+        test = _tested_phi(top, [exps for _, exps, _ in parts] + [exps for _, exps in merged])
         size = sum([len(num) for _, _, num in parts])
         if size >= _PACKED_SUM_MIN_TERMS:
             value = _sum_packed(parts, c, top, lifts, test, size)
@@ -1361,6 +1354,18 @@ def _common_plan(parts):
         )
         lifts.append((missing, c // x_c))
     return c, top, lifts
+
+
+def _tested_phi(top, held):
+    """The phi_d that can divide a sum of values over their common denominator, top {d: e}.
+
+    ``held`` lists the phi_d exponents of each value added.  A phi_d can
+    divide the total only when two values hold its top power: every other
+    lifted numerator carries it, and it divides no canonical numerator times
+    an integer and a monomial.
+    """
+    count = Counter(d for exps in held for d, e in exps if e == top.get(d))
+    return [d for d, n in count.items() if n > 1]
 
 
 def _lift(parts, lifts):
@@ -1562,29 +1567,40 @@ def common_denominator(values):
     return c, top, _lift(parts, lifts)
 
 
-def shifted_sum(terms):
-    """sum of w * q**e_q * t**e_t * f over (f, w, shift), f a LaurentQT, w an int and shift
-    the key of q**e_q * t**e_t (``exponent_key``).
+def shifted_sums(values, vectors):
+    """Sums of w * q**e_q * t**e_t * values[key] over one common denominator, one per vector.
 
-    Every shifted, weighted term goes into one term dict: a shift is one
-    addition of keys, no monomial product is formed and nothing is
-    canonicalised.
+    A vector lists leaves (key, w, shift): w a nonzero int, shift the
+    ``exponent_key`` of q**e_q * t**e_t.  Each RationalQT value is lifted
+    once (``common_denominator``, whose form is returned with (num, 1) per
+    vector); a leaf adds it into its vector's term dict by key additions.
     """
-    data, reach = {}, 0
-    get = data.get
-    for f, w, shift in terms:
-        if not w:
-            continue
-        e_q, e_t = _exponents(shift)
-        reach = max(reach, _reach_of(f) + max(abs(e_q), abs(e_t)))
-        for key, c in f._terms.items():
-            key += shift
-            c = c * w + get(key, 0)
-            if c:
-                data[key] = c
-            else:
-                del data[key]
-    return _laurent(data, reach)
+    c, top, lifted = common_denominator(values.values())
+    lifted = dict(zip(values, lifted))
+    nums = []
+    for leaves in vectors:
+        data, reach = {}, 0
+        get = data.get
+        for key, w, shift in leaves:
+            f, k = lifted[key]
+            w *= k
+            reach = max(reach, _reach_of(f) + max(map(abs, _exponents(shift))))
+            for term, coeff in f._terms.items():
+                term += shift
+                coeff = coeff * w + get(term, 0)
+                if coeff:
+                    data[term] = coeff
+                else:
+                    del data[term]
+        nums.append((_laurent(data, reach), 1))
+    return c, top, nums
+
+
+def shifted_value(values, vectors):
+    """``shifted_sums`` of one vector in canonical form, testing only ``_tested_phi``'s phi_d."""
+    values = {key: values[key] for key, _, _ in vectors[0]}
+    c, top, [(num, _)] = shifted_sums(values, vectors)
+    return _canonical(num, c, top, _tested_phi(top, [values[key]._exps for key, _, _ in vectors[0]]))
 
 
 def bracket_combination(lifted, weights, c, ks):

@@ -32,9 +32,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from math import gcd
 
-from .exactring import LaurentQT, RationalQT, _rational, bracket_exponents
-from .exactring import bracket_quotient, common_denominator, exponent_key, shifted_sum, t_bracket
-from .exactring import tq_bracket_product
+from .exactring import LaurentQT, RationalQT, _rational, bracket_exponents, bracket_quotient
+from .exactring import exponent_key, shifted_sums, shifted_value, t_bracket, tq_bracket_product
 from .partitions import Partition, PartitionPair
 from .symfun import (
     adams_schurpair,
@@ -82,6 +81,8 @@ class LinkSpec:
         else:
             if self.L != 1:
                 raise ValueError("a framed unknot has one component")
+        if not all(type(x) is int for x in (*self.framing, *self.reversed_)):
+            raise TypeError(f"framing {self.framing} and reversed {set(self.reversed_)} take ints")
         if len(self.framing) != self.L:
             raise ValueError("framing vector length must equal L")
         if not set(self.reversed_) <= set(range(self.L)):
@@ -91,12 +92,8 @@ class LinkSpec:
 
     @classmethod
     def torus(cls, m, n, L, framing=None, reversed_=()):
-        if framing is None:
-            framing = (0,) * L
-        elif isinstance(framing, int):
-            framing = (framing,) * L
-        else:
-            framing = tuple(framing)
+        framing = 0 if framing is None else framing
+        framing = (framing,) * L if isinstance(framing, int) else tuple(framing)
         return cls(TORUS, m, n, L, framing, frozenset(reversed_))
 
     @classmethod
@@ -248,12 +245,13 @@ def _core_key(spec, pairs):
     permutation and the global swap: the annulus skein is commutative, and the
     involution * (Q_{lam,mu} -> Q_{mu,lam}) is an algebra automorphism that
     commutes with the Adams operations, keeps the twist eigenvalue and keeps
-    the plane evaluation.  The orbit is keyed by the smaller of the sorted
-    labels and the sorted swapped labels.  An unknot keeps its one label.
+    the plane evaluation.  The orbit is keyed by the larger of the sorted
+    labels and the sorted swapped labels, so [lam, ()] stays unswapped (the
+    empty partition sorts first).  An unknot keeps its one label.
     """
     if spec.family == UNKNOT:
         return pairs
-    return min(tuple(sorted(pairs)), tuple(sorted(pair.swap() for pair in pairs)))
+    return max(tuple(sorted(pairs)), tuple(sorted(pair.swap() for pair in pairs)))
 
 
 def _core(spec, pairs):
@@ -301,16 +299,31 @@ def _decorated_terms(spec, comps, a, pairs, coeff, e_q, e_t):
         )
 
 
+def _shifted_leaves(spec, decoration_vectors):
+    """The cores {``_core_key``: value} and, per vector, leaves (key, int w != 0, shift key)."""
+    cores, vectors = {}, []
+    for decorations in decoration_vectors:
+        leaves = []
+        for pairs, w, e_q, e_t in _leaves(spec, decorations):
+            if type(w) is not int:
+                raise TypeError(f"decoration weight {w!r} is not an int")
+            if w:
+                key = _core_key(spec, pairs)
+                if key not in cores:
+                    cores[key] = _core(spec, key)
+                leaves.append((key, w, exponent_key(e_q, e_t)))
+        vectors.append(leaves)
+    return cores, vectors
+
+
 def torus_framed(spec, decorations):
     """Framed bracket of the link decorated by elements of the annulus skein.
 
     Each decoration is a composite-basis term table {PartitionPair: coeff},
-    the element sum of coeff * Q_pair; coefficients are ints or RationalQT.
+    the element sum of coeff * Q_pair, coeff an int (else TypeError): one
+    vector of ``framed_numerators``, canonicalised once (``shifted_value``).
     """
-    return RationalQT.sum(
-        coeff * (RationalQT(LaurentQT.monomial(1, e_q, e_t)) * _core(spec, pairs))
-        for pairs, coeff, e_q, e_t in _leaves(spec, decorations)
-    )
+    return shifted_value(*_shifted_leaves(spec, [decorations]))
 
 
 def framed_numerators(spec, decoration_vectors):
@@ -322,7 +335,7 @@ def framed_numerators(spec, decoration_vectors):
     surface bracket, or the unknot value -- is lifted once; a leaf adds its
     integer weight times its lifted core shifted by its kink exponents, which
     are encoded once per leaf as one term-dict key, so no monomial product is
-    formed and no bracket is canonicalised.
+    formed and no bracket is canonicalised.  ``torus_framed`` is one vector.
 
     Cores are keyed by ``_core_key``, the orbit of their labels under
     permutation and the global swap.  Each leaf's kink exponents are fixed by
@@ -330,30 +343,7 @@ def framed_numerators(spec, decoration_vectors):
     Decoration vectors whose labels permute or swap one another's therefore
     share their cores and one lift.
     """
-    vectors = [
-        [
-            (_core_key(spec, pairs), w, exponent_key(e_q, e_t))
-            for pairs, w, e_q, e_t in _leaves(spec, decorations)
-        ]
-        for decorations in decoration_vectors
-    ]
-    cores = {}
-    for leaves in vectors:
-        for key, w, _ in leaves:
-            if type(w) is not int:
-                raise TypeError(f"decoration weight {w!r} is not an int")
-            if key not in cores:
-                cores[key] = _core(spec, key)
-    c, exps, lifted = common_denominator(cores.values())
-    lifted = dict(zip(cores, lifted))
-    nums = []
-    for leaves in vectors:
-        terms = []
-        for key, w, shift in leaves:
-            num, k = lifted[key]
-            terms.append((num, w * k, shift))
-        nums.append((shifted_sum(terms), 1))
-    return c, exps, nums
+    return shifted_sums(*_shifted_leaves(spec, decoration_vectors))
 
 
 def torus_full_invariant(spec, pairs):

@@ -14,6 +14,9 @@ quantity the engine also computes, by a different formula:
   back, through the schur pair basis;
 * ``evaluate`` -- plane evaluation of a power-pair table, against the
   closed-form unknot (``skeinlab.skein.unknot_full``);
+* ``framed_bracket_by_sum`` -- a framed bracket as the canonical sum of one
+  monomial product per leaf, against ``skeinlab.skein.torus_framed``, which
+  lifts each distinct core once and adds every leaf as a key shift;
 * ``conj_q`` -- the substitution q -> -1/q, for the conjugation symmetry
   W_{lam^t}(q) = W_lam(-1/q);
 * ``meridian_eigenvalue`` -- the meridian map's eigenvalue on [lam, mu];
@@ -91,7 +94,7 @@ from skeinlab.lmov import (
     t_transform,
 )
 from skeinlab.partitions import EMPTY, Partition, PartitionPair, partitions_of
-from skeinlab.skein import power_value
+from skeinlab.skein import _core, _leaves, power_value
 from skeinlab.symfun import (
     composite_to_schurpair_terms,
     expand_terms,
@@ -323,6 +326,21 @@ def hopf_bracket(A, B):
         pieces.append(value)
     tau = LaurentQT.monomial(1, A.kappa + B.kappa, A.size + B.size)
     return RationalQT(tau) * _plane_value(A) * RationalQT.sum(pieces)
+
+
+def framed_bracket_by_sum(spec, decorations):
+    """The framed bracket as ``RationalQT.sum`` of coeff * (kink monomial * core) over the leaves.
+
+    One ``RationalQT`` monomial product per leaf, then one canonical sum
+    that tests the phi_d by its own rule.  The engine's route,
+    ``skein.torus_framed``, lifts each distinct core once to the cores'
+    common denominator and adds every leaf as a key shift; both read the
+    leaves of ``skein._leaves`` and the cores of ``skein._core``.
+    """
+    return RationalQT.sum(
+        coeff * (RationalQT(LaurentQT.monomial(1, e_q, e_t)) * _core(spec, pairs))
+        for pairs, coeff, e_q, e_t in _leaves(spec, decorations)
+    )
 
 
 def conj_q(x):

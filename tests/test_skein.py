@@ -1,6 +1,7 @@
 """Bracket evaluation, framing factors, torus invariants, symmetries."""
 
 import gc
+import random
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
@@ -10,12 +11,13 @@ from hypothesis import strategies as st
 from skeinlab import skein
 from skeinlab.chars import skew_terms
 from skeinlab.composite import power_decoration, z_reform
-from skeinlab.exactring import LaurentQT, RationalQT, common_denominator, q_bracket, t_bracket
+from skeinlab.exactring import LaurentQT, RationalQT, q_bracket, shifted_sums, t_bracket
 from skeinlab.partitions import EMPTY, Partition, PartitionPair, pairs_of_total, partitions_of
 from skeinlab.skein import (
     LabelCountMismatch,
     LinkSpec,
     _core,
+    _core_key,
     _framing_exponents,
     _surface_bracket,
     framed_numerators,
@@ -29,6 +31,7 @@ from skeinlab.symfun import adams_composite, pair_weights
 from oracles import (
     conj_q,
     evaluate,
+    framed_bracket_by_sum,
     hopf_bracket,
     meridian_eigenvalue,
     reciprocal,
@@ -68,6 +71,19 @@ class TestSpec:
             LinkSpec.torus(2, 3, 2, framing=(0,))
         with pytest.raises(ValueError):
             LinkSpec.torus(1, 1, 2, reversed_={5})
+
+    @pytest.mark.parametrize(
+        "framing, reversed_",
+        [((1.5,), ()), ((2.0,), ()), ((True,), ()), ((0,), (0.0,))],
+        ids=["fractional-framing", "float-framing", "bool-framing", "float-reversed"],
+    )
+    def test_fields_take_ints(self, framing, reversed_):
+        # a float framing used to surface as an internal error or deep in LaurentQT, a bool
+        # framing was silently 1, and a float reversed index reached to_json as 0.0
+        with pytest.raises(TypeError, match="take ints"):
+            LinkSpec.torus(2, 3, 1, framing=framing, reversed_=reversed_)
+        with pytest.raises(TypeError, match="take ints"):
+            LinkSpec.unknot(framing[0], reversed_=reversed_)
 
     def test_writhes(self):
         assert LinkSpec.torus(2, 3, 1).writhes == (6,)
@@ -194,7 +210,7 @@ class TestFramedBrackets:
 
     def test_decoration_linearity(self):
         spec = LinkSpec.torus(2, 3, 1)
-        dec = {pair([1]): 1, pair([], [1]): RationalQT(3)}
+        dec = {pair([1]): 1, pair([], [1]): 3}
         got = torus_framed(spec, [dec])
         split = torus_framed(spec, [{pair([1]): 1}]) + torus_framed(spec, [{pair([], [1]): 1}]) * 3
         assert got == split
@@ -205,8 +221,66 @@ class TestFramedBrackets:
         spec = LinkSpec.torus(2, 3, 1)
         with pytest.raises(TypeError, match="not an int"):
             framed_numerators(spec, [[{pair([1]): 1, pair([], [1]): RationalQT(3)}]])
+        with pytest.raises(TypeError, match="not an int"):
+            torus_framed(spec, [{pair([1]): 1, pair([], [1]): RationalQT(3)}])
         _, _, [(num, _)] = framed_numerators(spec, [[{pair([1]): 1, pair([], [1]): 3}]])
         assert all(type(c) is int for _, c in num.sorted_terms())
+
+    @pytest.mark.parametrize(
+        "spec, max_size",
+        [
+            (LinkSpec.torus(1, 1, 2), 2),
+            (LinkSpec.torus(1, 1, 2, framing=(2, -1)), 2),
+            (LinkSpec.torus(1, 1, 2, framing=(1, 0), reversed_={1}), 2),
+            (LinkSpec.torus(2, 3, 1), 3),
+            (LinkSpec.torus_diagram(2, 3, reversed_={0}), 3),
+            (LinkSpec.torus(2, 1, 2, framing=(0, 1)), 2),
+            (LinkSpec.torus_diagram(3, 3), 2),
+            (LinkSpec.torus_diagram(3, 3, reversed_={1}), 2),
+            (LinkSpec.unknot(-2), 2),
+        ],
+        ids=["hopf", "hopf-kinks", "hopf-reversed", "T(2,3)", "T(2,3)-diagram-reversed",
+             "T(2,1,2)-kinks", "T(3,3)-diagram", "T(3,3)-diagram-reversed", "unknot-kinks"],
+    )
+    def test_matches_sum_of_products(self, spec, max_size):
+        # one lift per distinct core and one key shift per leaf, against the canonical sum of
+        # one monomial product per leaf; the int weights include cancelling pairs
+        rng = random.Random(spec.describe())
+        labels = [pr for pr in labels_upto(max_size) if pr.size]
+        for _ in range(25):
+            decorations = [
+                {pr: rng.choice((-2, -1, 1, 3)) for pr in rng.sample(labels, rng.randint(1, min(3, len(labels))))}
+                for _ in range(spec.L)
+            ]
+            expected = framed_bracket_by_sum(spec, decorations)
+            assert torus_framed(spec, decorations) == expected, decorations
+
+    @pytest.mark.parametrize(
+        "spec, decorations",
+        [
+            (
+                LinkSpec.torus(1, 1, 2, framing=(-1, -1)),
+                [{pair([2]): 1, pair([], [2]): -1}, {pair([1], [1]): -1, pair([], [1]): -1}],
+            ),
+            (
+                LinkSpec.torus(2, 1, 2),
+                [{pair([1, 1]): 1, pair([], [1, 1]): -1}, {pair([1], [1]): 1, pair([], [1]): -1}],
+            ),
+            (
+                LinkSpec.torus(1, 1, 2, framing=(1, 1)),
+                [{pair([2]): 1, pair([1, 1]): -1}, {pair([2]): 1, pair([1, 1]): 1}],
+            ),
+        ],
+        ids=["hopf-swap-orbit", "T(2,1,2)-swap-orbit", "hopf-permuted-orbit"],
+    )
+    def test_leaves_sharing_a_core(self, spec, decorations):
+        # two leaves of one vector share a core (their labels are one orbit) and cancel: in the
+        # first two cases that core alone held the top phi_1 power, so the sum is divisible by
+        # it although no two cores hold that power, and a fold that counts the shared core as
+        # one holder leaves phi_1**4 in place of phi_1 in the denominator
+        cores, [leaves] = skein._shifted_leaves(spec, [decorations])
+        assert len(cores) < len(leaves)
+        assert torus_framed(spec, decorations) == framed_bracket_by_sum(spec, decorations)
 
     def test_leaves_no_cyclic_garbage(self):
         # what a call allocates is freed by reference counting alone, so peak
@@ -354,14 +428,21 @@ class TestLabelOrder:
         assert len(orbits) < len(leaves)
         lifted = []
 
-        def counting(values):
-            values = list(values)
+        def counting(values, leaf_vectors):
             lifted.append(len(values))
-            return common_denominator(values)
+            return shifted_sums(values, leaf_vectors)
 
-        monkeypatch.setattr(skein, "common_denominator", counting)
+        monkeypatch.setattr(skein, "shifted_sums", counting)
         framed_numerators(spec, vectors)
         assert lifted == [len(orbits)]
+
+    def test_core_key_keeps_a_positive_label(self):
+        # the larger of the sorted labels and the sorted swapped labels: the empty partition
+        # sorts first, so [lam, ()] is evaluated as itself, not through the unknot labels
+        # of its swap
+        spec = LinkSpec.torus(2, 3, 1)
+        assert _core_key(spec, (pair([2]),)) == (pair([2]),)
+        assert _core_key(spec, (pair([], [2]),)) == (pair([2]),)
 
 
 class TestHopfOracle:

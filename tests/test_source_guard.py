@@ -10,7 +10,8 @@ body, unless the tracer patches it as ``Class.method``.  The tracer's
 exemption is pinned: the boundaries that no code in src/ calls are listed
 below, and that list may only shrink.  Term dicts are keyed by packed
 exponent pairs, so the modules other than ``exactring`` never read them;
-that set of readers is pinned too.
+that set of readers is pinned too, and so is the set of readers of the other
+fields behind a value (``_c``, ``_exps``, ``_den``, ``_hash``, ``_reach``).
 """
 
 import ast
@@ -130,9 +131,15 @@ def test_traced_names_without_a_caller_only_shrink():
 # functions in src/ outside exactring.py that read a LaurentQT's term dict (``._terms``);
 # its keys pack exponent pairs, and only exactring reads them
 TERM_DICT_READERS_OUTSIDE_EXACTRING = set()
+# functions in src/ outside exactring.py that read the other fields behind a value: a
+# RationalQT's integer, phi_d exponents, cached denominator and hash, and a LaurentQT's
+# exponent bound and hash; the rules that read them, such as which phi_d a sum must test,
+# live in exactring
+REPRESENTATION_READERS_OUTSIDE_EXACTRING = set()
 
 
-def test_term_dicts_are_read_only_in_exactring():
+def _readers_outside_exactring(fields):
+    """Functions (module.qualname) of src/ outside exactring.py that read any of ``fields``."""
     readers = set()
     for path in SRC:
         if path.name == "exactring.py":
@@ -145,6 +152,16 @@ def test_term_dicts_are_read_only_in_exactring():
                 inner = node.name if name == "<module>" else f"{name}.{node.name}"
                 scopes.extend((inner, sub) for sub in node.body)
                 continue
-            if any(isinstance(sub, ast.Attribute) and sub.attr == "_terms" for sub in ast.walk(node)):
+            if any(isinstance(sub, ast.Attribute) and sub.attr in fields for sub in ast.walk(node)):
                 readers.add(f"{path.stem}.{name}")
+    return readers
+
+
+def test_term_dicts_are_read_only_in_exactring():
+    readers = _readers_outside_exactring({"_terms"})
     assert readers == TERM_DICT_READERS_OUTSIDE_EXACTRING, f"._terms read in {sorted(readers)}"
+
+
+def test_value_fields_are_read_only_in_exactring():
+    readers = _readers_outside_exactring({"_c", "_exps", "_den", "_hash", "_reach"})
+    assert readers == REPRESENTATION_READERS_OUTSIDE_EXACTRING, f"fields read in {sorted(readers)}"
