@@ -58,11 +58,19 @@ proves nothing alone, so a quotient q' is kept only under a certificate:
 ``||prod Phi||_1 * max|q'_i| < 2**63``, which makes ``prod Phi * q'``
 equal the row digit for digit, because balanced base-2**64 digits are
 unique.  A quotient that fails it leaves the rows to the division of dense
-lists.  The gates are constants measured on the workloads: the sum packs
-from 64 terms on, when some group misses a ``phi_d`` (integer lifts are
-cheaper in term dicts), when the slot bound is below 2**62 and when the
-rows take at most 4 slots per term; ``_phi_cancel`` packs from 40 terms
-on.  Below a gate the term-dict route runs.
+lists.  ``combination_basis`` packs the same rows for many integer
+combinations of shifted sums (the free energy's H_A): it reads each value
+once into the rows of the whole call, lifts it by one big-integer product,
+and makes each vector one integer, a weighted sum of whole-slot shifts of
+the lifted values; ``bracket_combination`` then adds vectors as integers,
+takes the content and cancels the rows as the sum does.  The gates are
+constants measured on the workloads: the sum packs from 64 terms on, when
+some group misses a ``phi_d`` (integer lifts are cheaper in term dicts),
+when the slot bound is below 2**62 and when the rows take at most 4 slots
+per term; a combination basis packs when the slot bound is below 2**62
+and its vectors take at most 16 slots per term of their values;
+``_phi_cancel`` packs from 40 terms on.  Below a gate the term-dict route
+runs.
 
 ``q_one_leading`` gives the exact leading term of either type under
 ``q = exp(h)``, which is how ``q -> 1`` limits are taken.
@@ -968,25 +976,32 @@ def _packed_total(packs, lo, width, ts, parities):
     n = len(ts) * stride
     offsets = {et: i * stride for i, et in enumerate(ts)}
     bias = _bias(_ROW_BITS, n)
-    zeros = bytes(n * 8)
     total = 0
     for key, members in packs.items():
         value, s = _packed_phi(key)[:2]
-        off = lo + s
         acc = 0
         for part, w in members:
-            slots = array("q", zeros)
-            if parities == 1:
-                for et, eq, c in zip(*part):
-                    slots[offsets[et] + (eq - off >> 1)] = c
-            else:
-                for et, eq, c in zip(*part):
-                    e = eq - off
-                    slots[offsets[et] + (e & 1) * width + (e >> 1)] = c
-            # the slots are two's complement digits: flipping each top bit biases them
-            acc += ((int.from_bytes(slots, byteorder) ^ bias) - bias) * w
+            acc += _packed_rows(part, lo + s, offsets, width, parities, n, bias) * w
         total += acc * value
     return total
+
+
+def _packed_rows(part, off, offsets, width, parities, n, bias):
+    """An ``_exponent_lists`` part as one integer over n slots of 64 bits, bias = ``_bias(64, n)``.
+
+    The term q**e_q * t**e_t sits in slot offsets[e_t] + ((e_q - off) >> 1),
+    and width slots further up when ``parities`` is 2 and e_q - off is odd.
+    """
+    slots = array("q", bytes(n * 8))
+    if parities == 1:
+        for et, eq, c in zip(*part):
+            slots[offsets[et] + (eq - off >> 1)] = c
+    else:
+        for et, eq, c in zip(*part):
+            e = eq - off
+            slots[offsets[et] + (e & 1) * width + (e >> 1)] = c
+    # the slots are two's complement digits: flipping each top bit biases them
+    return (int.from_bytes(slots, byteorder) ^ bias) - bias
 
 
 def _split_rows(total, lo, width, ts, parities):
@@ -1411,10 +1426,8 @@ def _sum_packed(parts, c, top, lifts, test, size):
     (``_row_layout``).  The numerators that miss the same phi_d product P
     are added as packed integers with their integer weights, and lifted by
     one big-integer product with P(2**64): the factor q**-deg P only moves
-    the slots.  The content is one gcd over the digits and one exact
-    division, and the tested phi_d are divided out of each row by
-    ``_cancel_rows``, whose certificate failing leaves the cancellation to
-    ``_phi_cancel_by_lists``.  The term dict is read once.
+    the slots.  The total is canonicalised on its rows
+    (``_canonical_packed``).
 
     Returns None, before anything is packed, unless at least one part
     misses a phi_d (a lift by integers alone is cheaper in term dicts), the
@@ -1443,24 +1456,7 @@ def _sum_packed(parts, c, top, lifts, test, size):
     reach = max(-lo, lo + 2 * width, -ts[0], ts[-1])
     if n > _PACKED_SUM_SLOTS_PER_TERM * size or reach >= _BOUND:
         return None
-    total = _packed_total(packs, *layout)
-    if not total:
-        return ZERO_RATIONAL
-    if c > 1:
-        bias = _bias(_ROW_BITS, n)
-        slots = array("q", ((total + bias) ^ bias).to_bytes(n * 8, byteorder))
-        g = gcd(gcd(*slots), c)
-        if g > 1:
-            total, c = total // g, c // g
-    rows = _split_rows(total, *layout)
-    out = _cancel_rows(rows, width, top, test)
-    if out is True:
-        num = _laurent(_read_rows(rows, width)[0], reach)
-    elif out is None:
-        num = _phi_cancel_by_lists(_laurent(_read_rows(rows, width)[0], reach), top, test)
-    else:
-        num = _laurent(out, reach)
-    return _rational(num, c, tuple(sorted((d, e) for d, e in top.items() if e)))
+    return _canonical_packed(_packed_total(packs, *layout), c, top, test, (*layout, reach))
 
 
 def _fill(value, num, c, exps):
@@ -1549,7 +1545,8 @@ def bracket_scaled(x, ks, divide=False):
         return ZERO_RATIONAL
     exps, gain = dict(x._exps), bracket_exponents(ks)
     if not divide:
-        return _bracket_fold(x.num, x._c, exps, gain, ())
+        extra = _fold_gain(exps, gain)
+        return _times_phi(_canonical(x.num, x._c, exps, ()), extra)
     test = [d for d in gain if d not in exps]
     for d, e in gain.items():
         exps[d] = exps.get(d, 0) + e
@@ -1560,7 +1557,7 @@ def common_denominator(values):
     """RationalQT values brought once to their least common denominator.
 
     Returns (c, exps, lifted) for the denominator c * prod phi_d**exps, exps
-    a dict {d: e}; ``bracket_combination`` reads it.
+    a dict {d: e}; the log series reads it (``lmov._log_of_zhat``).
     """
     parts = [(x._c, x._exps, x.num) for x in values]
     c, top, lifts = _common_plan(parts)
@@ -1572,11 +1569,17 @@ def shifted_sums(values, vectors):
 
     A vector lists leaves (key, w, shift): w a nonzero int, shift the
     ``exponent_key`` of q**e_q * t**e_t.  Each RationalQT value is lifted
-    once (``common_denominator``, whose form is returned with (num, 1) per
-    vector); a leaf adds it into its vector's term dict by key additions.
+    once (``_common_plan``); a leaf adds it into its vector's term dict by
+    key additions.  Returns (c, exps, nums): vector i sums to nums[i] / (c *
+    prod phi_d**exps), exps a dict {d: e}.
     """
-    c, top, lifted = common_denominator(values.values())
-    lifted = dict(zip(values, lifted))
+    parts = [(x._c, x._exps, x.num) for x in values.values()]
+    c, top, lifts = _common_plan(parts)
+    return c, top, _shifted_nums(dict(zip(values, _lift(parts, lifts))), vectors)
+
+
+def _shifted_nums(lifted, vectors):
+    """The term-dict numerator of each vector of leaves, over {key: (f, k)} lifted as by ``_lift``."""
     nums = []
     for leaves in vectors:
         data, reach = {}, 0
@@ -1592,42 +1595,204 @@ def shifted_sums(values, vectors):
                     data[term] = coeff
                 else:
                     del data[term]
-        nums.append((_laurent(data, reach), 1))
-    return c, top, nums
+        nums.append(_laurent(data, reach))
+    return nums
 
 
 def shifted_value(values, vectors):
     """``shifted_sums`` of one vector in canonical form, testing only ``_tested_phi``'s phi_d."""
     values = {key: values[key] for key, _, _ in vectors[0]}
-    c, top, [(num, _)] = shifted_sums(values, vectors)
+    c, top, [num] = shifted_sums(values, vectors)
     return _canonical(num, c, top, _tested_phi(top, [values[key]._exps for key, _, _ in vectors[0]]))
 
 
-def bracket_combination(lifted, weights, c, ks):
-    """sum_i weights[i] * values[i] / c times prod over k in ks of {k}, canonical.
+# the density gate of the packed combination basis, measured on the free energy of the workloads
+_BASIS_SLOTS_PER_TERM = 16
 
-    ``lifted`` is ``common_denominator(values)`` and the weights are integers,
-    so the values are brought to one denominator once for many combinations.
-    The brackets cancel against that denominator by exponents; only the phi_d
-    left in it are tested.
+
+def combination_basis(values, vectors):
+    """The vectors of ``shifted_sums`` as a basis for ``bracket_combination``, lifted once.
+
+    values maps keys to RationalQT values and each vector lists leaves (key,
+    w, shift) as in ``shifted_sums``.  Returns (c, exps, vectors, layout)
+    over the common denominator c * prod phi_d**exps, exps a dict {d: e},
+    in one of the two forms of ``RationalQT.sum``:
+
+    * packed (``_packed_basis``): each vector is one integer in the rows in
+      x = q**2 of the whole call, with a bound on its slots, and ``layout``
+      places the rows;
+    * term dicts, when a gate of ``_packed_basis`` declines: each vector is
+      its numerator from ``shifted_sums`` and ``layout`` is None.
     """
-    lc, exps, nums = lifted
+    parts = [(x._c, x._exps, x.num) for x in values.values()]
+    c, top, lifts = _common_plan(parts)
+    plans = dict(zip(values, zip(parts, lifts)))
+    if not all(values.values()):
+        # a zero value adds nothing, and has no rows to place
+        vectors = [[leaf for leaf in leaves if values[leaf[0]]] for leaves in vectors]
+    packed = _packed_basis(plans, vectors)
+    if packed is not None:
+        return (c, top, *packed)
+    return c, top, _shifted_nums(dict(zip(values, _lift(parts, lifts))), vectors), None
+
+
+def _packed_basis(plans, vectors):
+    """(vectors, layout) of ``combination_basis`` on packed rows, or None.
+
+    plans maps each key to its part (c, exps, num) and its lift (missing, k)
+    from ``_common_plan``.  Each core that a leaf uses is packed once into
+    the rows in x = q**2 of the whole call (``_packed_rows``), from its own
+    lowest row and slot, and lifted by one big-integer product with
+    k * P(2**64), P its missing phi_d product; the factor q**-deg P only
+    moves slots.  The rows are one per t-exponent, every second one when
+    every shifted t-exponent has one parity, and one per q-parity when both
+    occur.  A kink shifts q by an even exponent (kappa is twice a content
+    sum), so each leaf (key, w, shift) keeps its q-parity row and adds
+    w * (lifted core << 64 * offset), offset the slot of its shifted core's
+    lowest row and slot.  No leaf touches a term.
+
+    Returns None, before any core is packed, when a shift is odd in q, when
+    the slot bound sum |w * k| * min(sum|num| * max|P|, max|num| * sum|P|)
+    of a vector reaches 2**62, when the vectors take more than 16 slots
+    per term of their leaves' cores, or when an exponent of the rows reaches
+    2**31.  Each vector is returned with its slot bound.
+    """
+    # key -> (part, s, slot bound, lowest and highest lifted e_q, lowest and highest e_t,
+    # the parities of e_t)
+    boxes, placed, size = {}, [], 0
+    for leaves in vectors:
+        bound, shifted = 0, []
+        for key, w, shift in leaves:
+            if shift & 1:
+                return None
+            box = boxes.get(key)
+            if box is None:
+                (_, _, num), (missing, k) = plans[key]
+                part = _exponent_lists(num._terms)
+                ts, qs, coeffs = part
+                sizes = list(map(abs, coeffs))
+                _, s, norm, big = _packed_phi(missing)
+                box = boxes[key] = (
+                    part, s, k * min(sum(sizes) * big, max(sizes) * norm),
+                    min(qs) - s, max(qs) + s, min(ts), max(ts), {e & 1 for e in ts},
+                )
+            e_q, e_t = _exponents(shift)
+            bound += abs(w) * box[2]
+            size += len(box[0][2])
+            shifted.append((key, w, e_q, e_t))
+        if bound >> _ROW_BOUND_BITS:
+            return None
+        placed.append((shifted, bound))
+    if not boxes:
+        return None
+    leaves = [(boxes[key], e_q, e_t) for shifted, _ in placed for key, _, e_q, e_t in shifted]
+    lo = min(box[3] + e_q for box, e_q, _ in leaves)
+    hi = max(box[4] + e_q for box, e_q, _ in leaves)
+    t_lo = min(box[5] + e_t for box, _, e_t in leaves)
+    t_hi = max(box[6] + e_t for box, _, e_t in leaves)
+    parities = len({e - s & 1 for (_, qs, _), s, *_ in boxes.values() for e in qs})
+    t_step = 3 - len({p + e_t & 1 for box, _, e_t in leaves for p in box[7]})
+    width = (hi - lo >> 1) + 1
+    stride = parities * width
+    ts = list(range(t_lo, t_hi + 1, t_step))
+    reach = max(-lo, hi, -t_lo, t_hi)
+    if len(ts) * stride * len(vectors) > _BASIS_SLOTS_PER_TERM * size or reach >= _BOUND:
+        return None
+    lifted = {}
+    for key, (part, s, _, q_lo, _, row_lo, row_hi, _) in boxes.items():
+        missing, k = plans[key][1]
+        # the core's own rows, from its lowest row and its lowest slot
+        first = q_lo - lo >> 1
+        offsets = {et: (et - row_lo) // t_step * stride - first for et in set(part[0])}
+        n = ((row_hi - row_lo) // t_step + 1) * stride
+        core = _packed_rows(part, lo + s, offsets, width, parities, n, _bias(_ROW_BITS, n))
+        lifted[key] = core * (_packed_phi(missing)[0] * k), row_lo - t_lo, first
+    out = []
+    for shifted, bound in placed:
+        total = 0
+        for key, w, e_q, e_t in shifted:
+            core, row, first = lifted[key]
+            total += core * w << _ROW_BITS * ((row + e_t) // t_step * stride + first + (e_q >> 1))
+        out.append((total, bound))
+    return out, (lo, width, ts, parities, reach)
+
+
+def bracket_combination(basis, weights, c, ks):
+    """sum_i weights[i] * vector_i / c times prod over k in ks of {k}, canonical.
+
+    ``basis`` is ``combination_basis(values, vectors)`` and the weights are
+    integers, so the values are brought to one denominator once for many
+    combinations.  The brackets cancel against that denominator by exponents
+    (``_fold_gain``); only the phi_d left in it are tested.  On a packed
+    basis the vectors are added as big integers and the total is
+    canonicalised on its rows (``_canonical_packed``: the content as one gcd
+    over the slots, the phi_d divided out of each row, one term dict read).
+    A total whose slot bound reaches 2**62, and a basis of term dicts, are
+    added term by term.
+    """
+    lc, top, vectors, layout = basis
+    exps, c = dict(top), lc * c
+    extra = _fold_gain(exps, bracket_exponents(ks))
+    test = [d for d in top if exps[d]]
+    if layout is not None:
+        total = bound = 0
+        for (value, b), w in zip(vectors, weights):
+            if w:
+                total += value * w
+                bound += abs(w) * b
+        if not bound >> _ROW_BOUND_BITS:
+            return _times_phi(_canonical_packed(total, c, exps, test, layout), extra)
+        # each vector's own slots are below 2**62 in size, so it reads back alone
+        width, reach = layout[1], layout[4]
+        vectors = [
+            _laurent(_read_rows(_split_rows(value, *layout[:4]), width)[0], reach) if value and w else _ZERO
+            for (value, _), w in zip(vectors, weights)
+        ]
     data, reach = {}, 0
-    for (num, k), w in zip(nums, weights):
+    for num, w in zip(vectors, weights):
         if w:
-            _add_terms(data, num, w * k)
+            _add_terms(data, num, w)
             reach = max(reach, _reach_of(num))
-    return _bracket_fold(_laurent(data, reach), lc * c, dict(exps), bracket_exponents(ks), list(exps))
+    return _times_phi(_canonical(_laurent(data, reach), c, exps, test), extra)
 
 
-def _bracket_fold(num, c, exps, gain, test):
-    """num / (c * prod phi_d**exps) times prod phi_d**gain, in canonical form.
+def _canonical_packed(total, c, exps, test, layout):
+    """total / (c * prod phi_d**exps) in canonical form, total packed in the rows of ``layout``.
 
-    exps and gain are dicts {d: e}; exps is lowered in place.  A phi_d in both
-    cancels; what is left of gain multiplies num after the cancellation, which
-    tests only the phi_d in ``test`` that stay in the denominator.  A product
-    of primitive phi_d keeps num's content, and shares no factor with a phi_d
-    of the denominator, so the result is canonical.
+    layout is (lo, width, ts, parities), the rows as ``_row_layout`` places
+    them, and a bound on the exponents of the rows; every slot of total is
+    below 2**62 in size.
+    exps is a dict {d: e}, lowered in place, and only the phi_d in ``test``
+    are tested.  The content is one gcd over the slots and one exact
+    division, the phi_d are divided out of each row by ``_cancel_rows``, and
+    a quotient that fails its certificate leaves them to
+    ``_phi_cancel_by_lists``.  The term dict is read once.
+    """
+    if not total:
+        return ZERO_RATIONAL
+    lo, width, ts, parities, reach = layout
+    if c > 1:
+        n = len(ts) * parities * width
+        bias = _bias(_ROW_BITS, n)
+        g = gcd(gcd(*array("q", ((total + bias) ^ bias).to_bytes(n * 8, byteorder))), c)
+        if g > 1:
+            total, c = total // g, c // g
+    rows = _split_rows(total, lo, width, ts, parities)
+    out = _cancel_rows(rows, width, exps, test)
+    if out is True:
+        num = _laurent(_read_rows(rows, width)[0], reach)
+    elif out is None:
+        num = _phi_cancel_by_lists(_laurent(_read_rows(rows, width)[0], reach), exps, test)
+    else:
+        num = _laurent(out, reach)
+    return _rational(num, c, tuple(sorted((d, e) for d, e in exps.items() if e)))
+
+
+def _fold_gain(exps, gain):
+    """Cancel prod phi_d**gain against the denominator prod phi_d**exps, both dicts {d: e}.
+
+    exps is lowered in place; returns what is left of gain, a sorted tuple of
+    (d, e) pairs that multiplies the numerator.
     """
     extra = []
     for d, g in gain.items():
@@ -1635,9 +1800,17 @@ def _bracket_fold(num, c, exps, gain, test):
         if g > e:
             extra.append((d, g - e))
         exps[d] = max(e - g, 0)
-    value = _canonical(num, c, exps, [d for d in test if exps.get(d)])
+    return tuple(sorted(extra))
+
+
+def _times_phi(value, extra):
+    """The canonical value times prod phi_d**e over ``extra``, sorted (d, e) pairs.
+
+    A product of primitive phi_d keeps num's content, and shares no factor
+    with a phi_d of the denominator, so the result is canonical.
+    """
     if extra and value.num:
-        return _rational(value.num * _phi_product(tuple(sorted(extra))), value._c, value._exps)
+        return _rational(value.num * _phi_product(extra), value._c, value._exps)
     return value
 
 

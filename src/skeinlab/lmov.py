@@ -180,11 +180,12 @@ def log_partition_series(spec, D):
     {mu} is the product of q**m - q**-m over all parts of mu.  Z's degree-0
     part, H of the empty label vector, is 1.  The signed H_A of every size
     vector with one multiset of sizes, such as (a, b) and (b, a), come from
-    one ``framed_numerators`` call as numerators over one common denominator,
-    never canonicalised one by one: their cores are keyed by the orbit of
-    their labels under permutation and the global swap, so one lift serves
-    every permutation and swap.  Each Zhat_nu = {nu} Z_nu is an
-    integer combination of them with {nu} cancelled by phi_d exponents;
+    one ``framed_numerators`` call as one combination basis over one common
+    denominator, never canonicalised one by one: their cores are keyed by the
+    orbit of their labels under permutation and the global swap, so one lift
+    serves every permutation and swap, and on packed rows each H_A is one big
+    integer.  Each Zhat_nu = {nu} Z_nu is an integer combination of them
+    (``bracket_combination``) with {nu} cancelled by phi_d exponents;
     chi_A(nu) is 0 unless A and nu have equal sizes, so the other size
     vectors' H_A carry weight 0.
     Since {mu}{nu} = {mu u nu}, the normalised values Fhat_mu = {mu} log Z[mu]
@@ -203,24 +204,24 @@ def _zhat_series(spec, D):
         by_size_set.setdefault(tuple(sorted(A.size for A in labels)), []).append(labels)
     zseries = [{} for _ in range(D + 1)]
     for size_set, group in by_size_set.items():
-        lifted = framed_numerators(spec, [_signed_decorations(spec, labels) for labels in group])
+        basis = framed_numerators(spec, [_signed_decorations(spec, labels) for labels in group])
         for sizes in dict.fromkeys(tuple(A.size for A in labels) for labels in group):
-            zseries[sum(size_set)].update(_zhat_terms(sizes, group, lifted))
+            zseries[sum(size_set)].update(_zhat_terms(sizes, group, basis))
     return zseries
 
 
-def _zhat_terms(sizes, group, lifted):
+def _zhat_terms(sizes, group, basis):
     """(nu vector, Zhat_nu) for every nonzero Zhat_nu of one size vector.
 
-    ``lifted`` holds the signed H_A of the label vectors ``group`` in
-    ``common_denominator``'s form; label vectors of other sizes in ``group``
-    get weight chi_A(nu) = 0.
+    ``basis`` holds the signed H_A of the label vectors ``group`` as one
+    ``combination_basis``; label vectors of other sizes in ``group`` get
+    weight chi_A(nu) = 0.
     """
     for nus in _partition_vectors(sizes):
         weights = [_chi(labels, nus) for labels in group]
         if any(weights):
             parts = [m for nu in nus for m in nu]
-            total = bracket_combination(lifted, weights, prod(nu.z for nu in nus), parts)
+            total = bracket_combination(basis, weights, prod(nu.z for nu in nus), parts)
             if total:
                 yield nus, total
 

@@ -33,7 +33,7 @@ from functools import lru_cache, reduce
 from math import gcd
 
 from .exactring import LaurentQT, RationalQT, _rational, bracket_exponents, bracket_quotient
-from .exactring import exponent_key, shifted_sums, shifted_value, t_bracket, tq_bracket_product
+from .exactring import combination_basis, exponent_key, shifted_value, t_bracket, tq_bracket_product
 from .partitions import Partition, PartitionPair
 from .symfun import (
     adams_schurpair,
@@ -268,7 +268,8 @@ def _leaves(spec, decorations):
     Reversed components see the orientation involution (label rows swapped).
     ``pairs`` are the chosen labels, ``weight`` the product of their
     coefficients, and q**e_q * t**e_t the product of the kinks' framing
-    factors, one per kink, applied before the cabling map.
+    factors, one per kink, applied before the cabling map.  Each term's kink
+    exponents are computed once, from its own component's framing.
     """
     if len(decorations) != spec.L:
         raise LabelCountMismatch(f"{len(decorations)} decorations for {spec.L} components")
@@ -276,41 +277,43 @@ def _leaves(spec, decorations):
     for a, dec in enumerate(decorations):
         if a in spec.reversed_:
             dec = {pair.swap(): c for pair, c in dec.items()}
-        comps.append(list(dec.items()))
-    return _decorated_terms(spec, comps, 0, (), 1, 0, 0)
+        f = spec.framing[a]
+        comps.append([(pair, c, *_framing_exponents(pair, f)) for pair, c in dec.items()])
+    return _decorated_terms(comps, 0, (), 1, 0, 0)
 
 
-def _decorated_terms(spec, comps, a, pairs, coeff, e_q, e_t):
-    """The leaves of ``_leaves`` for each choice of one basis term per component from a on.
+def _decorated_terms(comps, a, pairs, coeff, e_q, e_t):
+    """The leaves of ``_leaves`` for each choice of one term (pair, c, d_q, d_t) per component from a on.
 
     Each prefix of choices multiplies its coefficient and adds its kink
     exponents once, so integer weights multiply as ints.  It lives at module
     level because a nested recursive closure is a reference cycle that only
     the cyclic collector frees.
     """
-    if a == spec.L:
+    if a == len(comps):
         yield pairs, coeff, e_q, e_t
         return
-    f = spec.framing[a]
-    for pair, c in comps[a]:
-        d_q, d_t = _framing_exponents(pair, f)
-        yield from _decorated_terms(
-            spec, comps, a + 1, pairs + (pair,), coeff * c, e_q + d_q, e_t + d_t
-        )
+    for pair, c, d_q, d_t in comps[a]:
+        yield from _decorated_terms(comps, a + 1, pairs + (pair,), coeff * c, e_q + d_q, e_t + d_t)
 
 
 def _shifted_leaves(spec, decoration_vectors):
-    """The cores {``_core_key``: value} and, per vector, leaves (key, int w != 0, shift key)."""
-    cores, vectors = {}, []
+    """The cores {``_core_key``: value} and, per vector, leaves (key, int w != 0, shift key).
+
+    Each label tuple's core key is formed once per call.
+    """
+    cores, vectors, keys = {}, [], {}
     for decorations in decoration_vectors:
         leaves = []
         for pairs, w, e_q, e_t in _leaves(spec, decorations):
             if type(w) is not int:
                 raise TypeError(f"decoration weight {w!r} is not an int")
             if w:
-                key = _core_key(spec, pairs)
-                if key not in cores:
-                    cores[key] = _core(spec, key)
+                key = keys.get(pairs)
+                if key is None:
+                    key = keys[pairs] = _core_key(spec, pairs)
+                    if key not in cores:
+                        cores[key] = _core(spec, key)
                 leaves.append((key, w, exponent_key(e_q, e_t)))
         vectors.append(leaves)
     return cores, vectors
@@ -327,15 +330,18 @@ def torus_framed(spec, decorations):
 
 
 def framed_numerators(spec, decoration_vectors):
-    """Framed brackets of many decoration vectors over one common denominator.
+    """Framed brackets of many decoration vectors as one ``combination_basis``.
 
-    Returns ``common_denominator``'s form (c, exps, [(num, k), ...]), one
-    pair per vector in order: its bracket is k * num / (c * prod phi_d**e).
-    The coefficients must be ints, else TypeError.  Each distinct core -- the
-    surface bracket, or the unknot value -- is lifted once; a leaf adds its
-    integer weight times its lifted core shifted by its kink exponents, which
-    are encoded once per leaf as one term-dict key, so no monomial product is
-    formed and no bracket is canonicalised.  ``torus_framed`` is one vector.
+    Returns the basis over the vectors' common denominator, one vector per
+    decoration vector in order; ``bracket_combination(basis, weights, c,
+    ks)`` forms integer combinations of the brackets.  The coefficients must
+    be ints, else TypeError.  Each distinct core -- the surface bracket, or
+    the unknot value -- is read and lifted once; a leaf adds its integer
+    weight times its lifted core shifted by its kink exponents, which are
+    encoded once per leaf as one term-dict key: on packed rows a whole-slot
+    shift of one big integer, else key additions into a term dict.  No
+    monomial product is formed and no bracket is canonicalised.
+    ``torus_framed`` is one vector, canonicalised by ``shifted_value``.
 
     Cores are keyed by ``_core_key``, the orbit of their labels under
     permutation and the global swap.  Each leaf's kink exponents are fixed by
@@ -343,7 +349,7 @@ def framed_numerators(spec, decoration_vectors):
     Decoration vectors whose labels permute or swap one another's therefore
     share their cores and one lift.
     """
-    return shifted_sums(*_shifted_leaves(spec, decoration_vectors))
+    return combination_basis(*_shifted_leaves(spec, decoration_vectors))
 
 
 def torus_full_invariant(spec, pairs):

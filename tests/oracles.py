@@ -31,6 +31,11 @@ quantity the engine also computes, by a different formula:
 * ``log_series_via_common_denominator`` -- the normalised log Z with each
   Zhat_nu combined from the canonical H_A of ``lmov.cs_partition``, against
   ``lmov.log_partition_series``, which lifts each bracket core once;
+* ``combination_by_dicts`` -- an integer combination of shifted sums of
+  values, over {k} brackets, by term dicts: each vector summed by
+  ``exactring.shifted_sums``, the weighted vectors added term by term and
+  the total canonicalised with every phi_d tested, against
+  ``exactring.bracket_combination`` on a packed ``combination_basis``;
 * ``log_of_zhat_by_rationals`` -- the degree recursion of log Z on canonical
   RationalQT products and sums, against the fraction-free recursion over
   integer term dicts of ``lmov._log_of_zhat``;
@@ -80,11 +85,13 @@ from skeinlab.exactring import (
     _laurent,
     _rational,
     bracket_exponents,
-    common_denominator,
+    bracket_scaled,
+    combination_basis,
     cyclotomic_factor,
     exact_div,
     q_brace,
     q_bracket,
+    shifted_sums,
 )
 from skeinlab.lmov import (
     _labels_upto,
@@ -427,8 +434,8 @@ def log_series_via_common_denominator(spec, D):
     """The normalised log Z from the canonical H_A: {mu vector: {mu} * log Z[mu]}.
 
     The nonzero signed H_A of one size vector are brought to their least
-    common denominator (``common_denominator``), and every Zhat_nu is an
-    integer combination of those numerators.
+    common denominator as a ``combination_basis`` with one unshifted leaf
+    per vector, and every Zhat_nu is an integer combination of them.
     """
     by_sizes = {}
     for labels, value in cs_partition(spec, D).items():
@@ -436,9 +443,35 @@ def log_series_via_common_denominator(spec, D):
             by_sizes.setdefault(tuple(A.size for A in labels), []).append((labels, value))
     zseries = [{} for _ in range(D + 1)]
     for sizes, group in by_sizes.items():
-        lifted = common_denominator(value for _, value in group)
-        zseries[sum(sizes)].update(_zhat_terms(sizes, [labels for labels, _ in group], lifted))
+        basis = value_basis([value for _, value in group])
+        zseries[sum(sizes)].update(_zhat_terms(sizes, [labels for labels, _ in group], basis))
     return log_of_zhat_by_rationals(zseries, D)
+
+
+def value_basis(values):
+    """The ``combination_basis`` whose vector i is values[i] itself."""
+    return combination_basis(dict(enumerate(values)), [[(i, 1, 0)] for i in range(len(values))])
+
+
+def combination_by_dicts(values, vectors, weights, c, ks):
+    """sum_i weights[i] * vector_i / c times prod over k in ks of {k}, by term dicts.
+
+    Vector i is sum of w * q**e_q * t**e_t * values[key] over its leaves (key,
+    w, shift), shift the ``exponent_key`` of q**e_q * t**e_t.  The vectors
+    are lifted and summed by ``shifted_sums``, the weighted sum is formed as
+    one Laurent polynomial, divided by its integer and phi_d denominator
+    with every phi_d tested, and multiplied by the brackets as a canonical
+    value.
+    """
+    lc, exps, nums = shifted_sums(values, vectors)
+    total = LaurentQT.zero()
+    for num, w in zip(nums, weights):
+        if w:
+            total = total + num * w
+    den = LaurentQT.from_int(lc * c)
+    for d, e in exps.items():
+        den = den * cyclotomic_factor(d) ** e
+    return bracket_scaled(RationalQT(total, den), ks)
 
 
 def log_of_zhat_by_rationals(zseries, D):

@@ -16,9 +16,11 @@ from skeinlab.exactring import (
     _phi_cancel,
     _phi_cancel_by_lists,
     _slot_width,
+    bracket_combination,
     bracket_factors,
     bracket_quotient,
     bracket_scaled,
+    combination_basis,
     cyclotomic_factor,
     exact_div,
     exponent_key,
@@ -37,6 +39,7 @@ from skeinlab.exactring import (
 
 from oracles import (
     binomial_product,
+    combination_by_dicts,
     conj_q,
     dict_product,
     exact_div_by_pairs,
@@ -878,6 +881,207 @@ class TestSumRoutes:
         # 87 380 and 119 098 input terms over about 3 900 slots
         assert routes == {"packed": 2, "declined": 0, "dict": 0, "lists": 0}
 
+    def test_free_energy_bases_are_packed(self, monkeypatch):
+        from skeinlab import lmov
+        from skeinlab.fixtures import hopf_with_kinks
+
+        combinations = []
+        original = lmov.bracket_combination
+
+        def count_combination(*args):
+            combinations.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(lmov, "bracket_combination", count_combination)
+        counts = _count_bases(monkeypatch)
+        lmov.plethystic_h(hopf_with_kinks(1, -1), 5)
+        # one basis per size set (sizes summed over the two components, 1 to 5),
+        # and every Zhat_nu added as big integers
+        assert counts["packed"] == 11 and counts["declined"] == 0
+        assert counts["canonical"] - counts["sums"] == len(combinations) > 0
+
+    def test_huge_weights_decline_to_term_dicts(self, monkeypatch):
+        from skeinlab.partitions import Partition, PartitionPair
+        from skeinlab.skein import LinkSpec, framed_numerators, torus_framed
+
+        spec = LinkSpec.torus(1, 1, 2, framing=(1, -1))
+        one, two = PartitionPair(Partition([1]), Partition()), PartitionPair(Partition([2]), Partition())
+        decorations = [{one: 2**62, two: -1}, {one: 1}]
+        counts = _count_bases(monkeypatch)
+        basis = framed_numerators(spec, [decorations])
+        assert basis[3] is None
+        assert (counts["packed"], counts["declined"]) == (0, 1)
+        assert bracket_combination(basis, [1], 1, ()) == torus_framed(spec, decorations)
+
+
+def _count_bases(mp):
+    """Counters of the combination routes, set through the MonkeyPatch ``mp``.
+
+    packed and declined count the bases of ``combination_basis`` by outcome
+    (declined: a gate of ``_packed_basis`` returned None), canonical the
+    totals canonicalised on packed rows, sums the packed sums of
+    ``RationalQT.sum`` among them (the rest are combinations added as big
+    integers), and lists the cancellations decided on dense lists.
+    """
+    counts = {"packed": 0, "declined": 0, "canonical": 0, "sums": 0, "lists": 0}
+    basis, canonical, sums, lists = (
+        exactring._packed_basis, exactring._canonical_packed, exactring._sum_packed, exactring._phi_cancel_by_lists
+    )
+
+    def count_basis(*args):
+        out = basis(*args)
+        counts["declined" if out is None else "packed"] += 1
+        return out
+
+    def count_canonical(*args):
+        counts["canonical"] += 1
+        return canonical(*args)
+
+    def count_sums(*args):
+        value = sums(*args)
+        counts["sums"] += value is not None
+        return value
+
+    def count_lists(*args):
+        counts["lists"] += 1
+        return lists(*args)
+
+    mp.setattr(exactring, "_packed_basis", count_basis)
+    mp.setattr(exactring, "_canonical_packed", count_canonical)
+    mp.setattr(exactring, "_sum_packed", count_sums)
+    mp.setattr(exactring, "_phi_cancel_by_lists", count_lists)
+    return counts
+
+
+# a leaf weight this large takes a vector's slot bound past 2**62
+HUGE = 2**61 + 1
+
+
+@st.composite
+def framed_combinations(draw):
+    """(values, vectors, combinations) from the leaves of a drawn spec's decoration vectors.
+
+    Hopf, T(1,1,3), T(2,3,1) and the unknot, framings in [-3, 3] and reversed
+    components; decorations over composite labels with int weights in
+    [-3, 3], zero included; combination weights in [-4, 4] over the vectors,
+    with integers c and brackets {k}.  One draw in six gives a leaf weight
+    near 2**61, which declines the packed basis, one in six a combination
+    weight near 2**61, which adds that combination in term dicts, and one in
+    four appends a negated copy of a vector so that a combination cancels to 0.
+    """
+    from skeinlab.partitions import pairs_of_total
+    from skeinlab.skein import LinkSpec, _shifted_leaves
+
+    # (m, n, L) of the torus link, or m = 0 for the unknot, and the largest label size
+    (m, n, L), max_size = draw(st.sampled_from([((1, 1, 2), 2), ((1, 1, 3), 1), ((2, 3, 1), 2), ((0, 0, 1), 3)]))
+    framing = tuple(draw(st.integers(-3, 3)) for _ in range(L))
+    reversed_ = draw(st.sets(st.integers(0, L - 1)))
+    spec = LinkSpec.torus(m, n, L, framing, reversed_) if m else LinkSpec.unknot(framing[0], reversed_)
+    labels = [pr for n in range(1, max_size + 1) for pr in pairs_of_total(n)]
+    weight = st.integers(-3, 3)
+    if draw(st.integers(0, 5)) == 0:
+        weight = st.sampled_from([-HUGE, HUGE, 1])
+    decorations = st.lists(
+        st.dictionaries(st.sampled_from(labels), weight, min_size=1, max_size=3), min_size=L, max_size=L
+    )
+    decoration_vectors = draw(st.lists(decorations, min_size=1, max_size=4))
+    values, vectors = _shifted_leaves(spec, decoration_vectors)
+    cancel = draw(st.integers(0, 3)) == 0
+    if cancel:
+        vectors.append([(key, -w, shift) for key, w, shift in vectors[0]])
+    coefficient = st.integers(-4, 4)
+    if draw(st.integers(0, 5)) == 0:
+        coefficient = st.sampled_from([-HUGE, HUGE, 0, 1])
+    combinations = []
+    for _ in range(draw(st.integers(1, 3))):
+        weights = draw(st.lists(coefficient, min_size=len(vectors), max_size=len(vectors)))
+        if cancel:
+            weights[-1] = weights[0] = weights[0] or 1
+        combinations.append((weights, draw(st.sampled_from([1, 2, 6])), draw(st.lists(st.integers(1, 3), max_size=3))))
+    return values, vectors, combinations
+
+
+# N / phi_1 with N = c * (1 + x + ... + x**4), x = q**2: phi_1 does not divide N, but the
+# packed row c * (1 + X + ... + X**4) is divisible by Phi_1(X) at X = 2**64, so its
+# quotient must fail the certificate of ``_cancel_rows``
+SPURIOUS = RationalQT(LaurentQT({(2 * i, 0): (2**64 - 1) // 5 for i in range(5)}), q_bracket(1))
+
+
+@st.composite
+def value_combinations(draw):
+    """(values, vectors, combinations) over drawn values, both q-parities among them.
+
+    Values over one to three denominators c * prod {k}, k <= 3, zero values
+    and ``SPURIOUS`` included; leaves with even q-shifts, and one draw in
+    six with an odd one, which declines the packed basis.
+    """
+    dens = st.tuples(st.sampled_from([1, 2, 3]), st.lists(st.integers(1, 3), max_size=2))
+    values = {}
+    for key in range(draw(st.integers(1, 4))):
+        kind = draw(st.integers(0, 19))
+        if kind == 0:
+            values[key] = RationalQT(0)
+        elif kind == 1:
+            values[key] = SPURIOUS
+        else:
+            terms = st.tuples(st.integers(-6, 6), st.integers(-1, 1), st.integers(-9, 9))
+            num = LaurentQT({(eq, et): c for eq, et, c in draw(st.lists(terms, min_size=1, max_size=10))})
+            values[key] = bracket_quotient(num, *draw(dens))
+    q_shift = st.integers(-3, 3).map(lambda a: 2 * a)
+    if draw(st.integers(0, 5)) == 0:
+        q_shift = st.integers(-3, 3)
+    leaf = st.builds(
+        lambda key, w, e_q, e_t: (key, w, exponent_key(e_q, e_t)),
+        st.sampled_from(sorted(values)), st.sampled_from([-3, -2, -1, 1, 2, 3]), q_shift, st.integers(-2, 2),
+    )
+    vectors = draw(st.lists(st.lists(leaf, min_size=1, max_size=4), min_size=1, max_size=4))
+    combinations = [
+        (draw(st.lists(st.integers(-3, 3), min_size=len(vectors), max_size=len(vectors))),
+         draw(st.sampled_from([1, 2])), draw(st.lists(st.integers(1, 3), max_size=2)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return values, vectors, combinations
+
+
+class TestCombinationBasis:
+    """bracket_combination on combination_basis against the term-dict route of the oracle."""
+
+    @staticmethod
+    def _check(values, vectors, combinations):
+        with pytest.MonkeyPatch.context() as mp:
+            counts = _count_bases(mp)
+            basis = combination_basis(values, vectors)
+            got = [bracket_combination(basis, *combination) for combination in combinations]
+        # --hypothesis-show-statistics shows how often each route ran
+        event("packed" if counts["packed"] else "declined" if counts["declined"] else "no leaves")
+        if counts["packed"] and counts["canonical"] < len(combinations):
+            event("a combination past the slot bound, by dicts")
+        for value, combination in zip(got, combinations):
+            expected = combination_by_dicts(values, vectors, *combination)
+            assert value == expected
+            assert value.to_json() == expected.to_json()
+            if not expected:
+                event("cancels to 0")
+
+    @given(framed_combinations())
+    @settings(max_examples=150, deadline=None)
+    def test_framed_combinations_match_the_dict_route(self, drawn):
+        self._check(*drawn)
+
+    @given(value_combinations())
+    @settings(max_examples=150, deadline=None)
+    def test_value_combinations_match_the_dict_route(self, drawn):
+        self._check(*drawn)
+
+    def test_certificate_failure_falls_back_to_lists(self):
+        values, vectors = {0: SPURIOUS}, [[(0, 1, exponent_key(2, 0))]]
+        with pytest.MonkeyPatch.context() as mp:
+            counts = _count_bases(mp)
+            total = bracket_combination(combination_basis(values, vectors), [1], 1, ())
+        assert counts == {"packed": 1, "declined": 0, "canonical": 1, "sums": 0, "lists": 1}
+        assert total.to_json() == combination_by_dicts(values, vectors, [1], 1, ()).to_json()
+        assert total == SPURIOUS * LaurentQT.monomial(1, 2)
+
 
 def _lead_at_q_one(f):
     """The leading term of f(exp(h), t) as a sympy expression, from a series in h."""
@@ -1060,6 +1264,8 @@ class TestExponentKeys:
             LaurentQT.monomial(1, sign * 2**30, 1).substitute_power(2)
         with pytest.raises(ArithmeticError):
             shifted_sums({"top": RationalQT(top)}, [[("top", 1, exponent_key(sign, 0))]])
+        with pytest.raises(ArithmeticError):
+            combination_basis({"top": RationalQT(top)}, [[("top", 1, exponent_key(2 * sign, 0))]])
         with pytest.raises(ArithmeticError):
             RationalQT(top, q_bracket(1)) * RationalQT(step)
         with pytest.raises(ArithmeticError):

@@ -1,7 +1,6 @@
 """Free-energy pipeline, transform tables, congruences, special polynomials."""
 
 from fractions import Fraction
-from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +14,7 @@ from skeinlab.exactring import (
     LaurentQT,
     RationalQT,
     _multiply_add,
-    common_denominator,
+    bracket_combination,
     cyclotomic_factor,
     exponent_key,
     q_bracket,
@@ -44,6 +43,7 @@ from oracles import (
     log_series_via_common_denominator,
     log_series_via_powers,
     reassembled_log,
+    value_basis,
 )
 
 P = Partition
@@ -151,13 +151,13 @@ class TestFreeEnergy:
 
         def framed_numerators_with_pole(spec, decoration_vectors):
             # the signed H_A of one size vector, the perturbed one shifted by extra
-            c, exps, nums = original_numerators(spec, decoration_vectors)
-            den = prod((cyclotomic_factor(d) ** e for d, e in exps.items()), start=LaurentQT.one())
-            values = [RationalQT(num * k, den * c) for num, k in nums]
+            basis = original_numerators(spec, decoration_vectors)
+            units = [[int(i == j) for j in range(len(decoration_vectors))] for i in range(len(decoration_vectors))]
+            values = [bracket_combination(basis, unit, 1, ()) for unit in units]
             for i, decorations in enumerate(decoration_vectors):
                 if decorations == target:
                     values[i] = values[i] + extra
-            return common_denominator(values)
+            return value_basis(values)
 
         def cs_partition_with_pole(spec, D):
             coeffs = dict(original_partition(spec, D))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from skeinlab import skein
 from skeinlab.chars import skew_terms
 from skeinlab.composite import power_decoration, z_reform
-from skeinlab.exactring import LaurentQT, RationalQT, q_bracket, shifted_sums, t_bracket
+from skeinlab.exactring import LaurentQT, RationalQT, bracket_combination, combination_basis, q_bracket, t_bracket
 from skeinlab.partitions import EMPTY, Partition, PartitionPair, pairs_of_total, partitions_of
 from skeinlab.skein import (
     LabelCountMismatch,
@@ -223,7 +223,8 @@ class TestFramedBrackets:
             framed_numerators(spec, [[{pair([1]): 1, pair([], [1]): RationalQT(3)}]])
         with pytest.raises(TypeError, match="not an int"):
             torus_framed(spec, [{pair([1]): 1, pair([], [1]): RationalQT(3)}])
-        _, _, [(num, _)] = framed_numerators(spec, [[{pair([1]): 1, pair([], [1]): 3}]])
+        basis = framed_numerators(spec, [[{pair([1]): 1, pair([], [1]): 3}]])
+        num = bracket_combination(basis, [1], 1, ()).num
         assert all(type(c) is int for _, c in num.sorted_terms())
 
     @pytest.mark.parametrize(
@@ -430,9 +431,9 @@ class TestLabelOrder:
 
         def counting(values, leaf_vectors):
             lifted.append(len(values))
-            return shifted_sums(values, leaf_vectors)
+            return combination_basis(values, leaf_vectors)
 
-        monkeypatch.setattr(skein, "shifted_sums", counting)
+        monkeypatch.setattr(skein, "combination_basis", counting)
         framed_numerators(spec, vectors)
         assert lifted == [len(orbits)]
 
