@@ -95,14 +95,22 @@ def r_reform(spec, p):
 # -- integrality verdicts --------------------------------------------------------------
 
 
+def _as_laurent(f):
+    """f as a LaurentQT, an int coerced as ``RationalQT`` does, or None for a RationalQT with a pole."""
+    if isinstance(f, LaurentQT):
+        return f
+    if isinstance(f, int):
+        return LaurentQT.from_int(f)
+    if isinstance(f, RationalQT):
+        return f.as_laurent()
+    raise TypeError(f"expected a LaurentQT, RationalQT or int, not {type(f).__name__}")
+
+
 def zsquare_member(f):
     """(verdict, stage, table) for membership of f in ZZ[z^2, t^{+-1}]."""
-    if isinstance(f, LaurentQT):
-        lau = f
-    else:
-        lau = f.as_laurent()
-        if lau is None:
-            return False, "not-laurent", None
+    lau = _as_laurent(f)
+    if lau is None:
+        return False, "not-laurent", None
     table = zsquare_decompose(lau)
     if table is None:
         return False, "not-zsquare", None
@@ -116,7 +124,7 @@ def integrality_2z(f):
     halves it, and decomposes in powers of z**2; the certificate is the
     integer coefficient table of f/2.
     """
-    lau = f if isinstance(f, LaurentQT) else f.as_laurent()
+    lau = _as_laurent(f)
     if lau is None:
         return False, "not-laurent", None
     if lau.content() % 2:

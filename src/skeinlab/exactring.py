@@ -4,12 +4,11 @@ Two value types, both immutable:
 
 * :class:`LaurentQT` -- sparse Laurent polynomials in ``q`` and ``t`` with
   arbitrary-precision integer coefficients and integer exponents, each
-  below 2**31 in size.  The one
-  place a fraction could enter is the torus twist ``tau**(n/m)``, and it
-  never does: every label (beta, gamma) in the image of the m-th Adams
-  operation has legs with empty m-core, so each leg is tiled by m-ribbons,
-  whose m contents are consecutive; hence m divides both the size and kappa
-  (twice the content sum).
+  below 2**31 in size.  The one place a fraction could enter is the torus
+  twist ``tau**(n/m)``, and it never does: every label (beta, gamma) in the
+  image of the m-th Adams operation has legs with empty m-core, so each leg
+  is tiled by m-ribbons, whose m contents are consecutive; hence m divides
+  both the size and kappa (twice the content sum).
 * :class:`RationalQT` -- quotients whose denominator is an integer times a
   product of brackets ``q**k - q**-k``, which is where every denominator in
   this engine comes from.  Each value is kept in one canonical factored form
@@ -20,7 +19,9 @@ Two value types, both immutable:
   ``phi_d`` and every power, in that one pass; a division is kept only
   when no row leaves a remainder.  A product with a scalar (one numerator
   term, no ``phi_d``) only cancels integers, and a product with brackets
-  (``bracket_scaled``) only moves exponents.
+  (``bracket_scaled``) only moves exponents.  The same rows certify
+  membership in ``ZZ[z**2, t**+-1]``, ``z = q - 1/q``, in one pass
+  (``zsquare_decompose``): each row is even in q and a palindrome about q**0.
 
 A term dict maps one int per exponent pair to a nonzero coefficient:
 q**e_q * t**e_t is the key ``e_t * _M + e_q`` with ``_M = 2**50 + 2 * 40503``,
@@ -33,8 +34,8 @@ makes the result measure its exponents, and an exponent there raises
 ArithmeticError, so no two exponent pairs ever share a key.  Keys are built from exponent pairs in
 the constructor, ``monomial``, ``from_records`` and ``exponent_key``, and
 read back only at the edges: ``sorted_terms``, ``to_records``,
-``exponent_box``, the packed layouts (``_box``, ``_row_layout``) and
-``zsquare_decompose``'s t-slices.
+``exponent_box``, the packed layouts (``_box``, ``_row_layout``) and the
+first key of each row in x that ``zsquare_decompose`` certifies.
 
 Large products are Kronecker substitutions (``packed_product``): each
 operand becomes one signed integer, a q-step per slot of w bits and a
@@ -87,7 +88,8 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import chain, compress
-from math import gcd, lcm
+from math import comb, gcd, lcm
+from operator import mul
 from sys import byteorder
 
 # -- exponent keys ----------------------------------------------------------------------
@@ -652,6 +654,7 @@ def tq_bracket_product(powers):
 
 
 _Z2_CACHE = [_ONE]
+_Z2_COLUMNS = [[[1]]]  # the table of columns of ``zsquare_decompose``, which replaces it whole
 
 
 def z_square_power(g):
@@ -726,35 +729,32 @@ def exact_div(a, b):
 def zsquare_decompose(f):
     """Write f = sum c[g, Q] * (q - 1/q)**(2g) * t**Q with integer c and g >= 0.
 
-    Returns the coefficient table or None when no such expansion exists.  The
-    peel is greedy per t-power: the top q-degree term is matched against the
-    leading term of the corresponding z-power.  The expansion is unique, so
-    the table of z**(2k) f is that of f with g raised by k; ``lmov_check``
-    reads the pole z**-2 of fhat this way.
+    Returns the table (Q ascending, then g descending, no zero entry), or
+    None when a row of f in x = q**2 (``_rows_in_x``) is odd in q or no
+    palindrome centred on q**0, as z**2 = x - 2 + 1/x is.  Else c[g] is the
+    row's upper half from x**g on times column g of a table of
+    x**k + x**-k = sum_{g <= k} (2k / (k + g)) C(k + g, 2g) z**(2g), replaced
+    whole when a row is longer.  The table is unique, so z**(2k) f has f's
+    with g raised by k; ``lmov_check`` reads the pole z**-2 of fhat this way.
     """
     if not isinstance(f, LaurentQT):
         raise TypeError("zsquare_decompose expects a LaurentQT")
-    if not f:
-        return {}
-    slices = {}
-    for et, eq, c in zip(*_exponent_lists(f._terms)):
-        slices.setdefault(et, {})[eq] = c
     table = {}
-    for Q, poly in sorted(slices.items()):
-        while poly:
-            d = max(poly)
-            if d < 0 or d % 2:
-                return None
-            g = d // 2
-            c = poly[d]
-            # the key of q**eq * t**0 is eq
-            for eq, zc in z_square_power(g)._terms.items():
-                r = poly.get(eq, 0) - c * zc
-                if r:
-                    poly[eq] = r
-                else:
-                    poly.pop(eq, None)
-            table[(g, Q)] = c
+    # keys sort in (e_t, e_q) order, and an even f has one row per t-exponent
+    for lo, row in sorted(_rows_in_x(f)):
+        Q, n = lo + _HALF >> _SHIFT, len(row) >> 1
+        if lo & 1 or lo - Q * _M != 1 - len(row) or row != row[::-1]:
+            return None
+        cols = _Z2_COLUMNS[0]
+        if n >= len(cols):
+            cols = _Z2_COLUMNS[0] = [
+                col + [2 * k * comb(k + g, 2 * g) // (k + g) for k in range(max(g, len(cols)), n + 1)]
+                for g, col in enumerate(cols + [[]] * (n + 1 - len(cols)))
+            ]
+        for g in range(n, -1, -1):
+            c = sum(map(mul, row[n + g:], cols[g]))
+            if c:
+                table[(g, Q)] = c
     return table
 
 

@@ -51,6 +51,10 @@ quantity the engine also computes, by a different formula:
 * ``exact_div_by_pairs`` -- exact division on term dicts keyed by exponent
   pairs, in lex (e_q, e_t) order, against ``exactring.exact_div``, which
   divides on int keys in (e_t, e_q) order;
+* ``zsquare_by_peel`` -- the z**2 expansion of a Laurent polynomial by the
+  greedy peel per t-exponent, top q-degree first, against
+  ``exactring.zsquare_decompose``, which tests each row in q**2 for an even
+  palindrome and changes basis by a cached table of columns;
 * ``reciprocal`` -- 1 / x for a RationalQT, which the package no longer
   needs: its one use, the pole z**-2 of ``fixtures.hopf_hat_expected``, is
   a division by brackets;
@@ -92,6 +96,7 @@ from skeinlab.exactring import (
     q_brace,
     q_bracket,
     shifted_sums,
+    z_square_power,
 )
 from skeinlab.lmov import (
     _labels_upto,
@@ -651,6 +656,33 @@ def exact_div_by_pairs(a, b):
             else:
                 rem.pop(k2, None)
     return LaurentQT(quo)
+
+
+def zsquare_by_peel(f):
+    """The table of ``exactring.zsquare_decompose`` by the greedy peel on term dicts, or None.
+
+    Per t-exponent, ascending, the top q-degree 2g of what is left must be
+    even and nonnegative; its coefficient c is recorded and c * z**(2g)
+    (``z_square_power``) subtracted term by term, until nothing is left.
+    """
+    slices = {}
+    for (eq, et), c in f.sorted_terms():
+        slices.setdefault(et, {})[eq] = c
+    table = {}
+    for Q, poly in sorted(slices.items()):
+        while poly:
+            d = max(poly)
+            if d < 0 or d % 2:
+                return None
+            c = poly[d]
+            for (eq, _), zc in z_square_power(d // 2).sorted_terms():
+                r = poly.get(eq, 0) - c * zc
+                if r:
+                    poly[eq] = r
+                else:
+                    poly.pop(eq, None)
+            table[(d // 2, Q)] = c
+    return table
 
 
 def reciprocal(x):

@@ -201,3 +201,13 @@ class TestIntegrality2Z:
     def test_non_laurent(self):
         verdict, stage, _ = integrality_2z(RationalQT(LaurentQT.one(), q_bracket(1)))
         assert not verdict and stage == "not-laurent"
+
+    def test_ints_coerce_and_other_types_raise(self):
+        assert zsquare_member(3) == (True, None, {(0, 0): 3})
+        assert zsquare_member(0) == (True, None, {})
+        assert integrality_2z(-4) == (True, None, {(0, 0): -2})
+        assert integrality_2z(3) == (False, "not-even", None)
+        for verdict in (zsquare_member, integrality_2z):
+            for x in ("q", None, 1.5):
+                with pytest.raises(TypeError):
+                    verdict(x)

@@ -45,6 +45,7 @@ from oracles import (
     exact_div_by_pairs,
     reciprocal,
     sum_by_lift,
+    zsquare_by_peel,
 )
 
 
@@ -337,6 +338,47 @@ class TestPackedProduct:
             tq_bracket_product([(1, -1)])
 
 
+# nonzero integers up to 2**70 in size
+BIG_NONZERO = st.builds(lambda sign, c: sign * c, st.sampled_from([-1, 1]), st.integers(1, 2**70))
+
+
+def zsquare_tables(min_size=0):
+    """z**2 tables: g <= 40, |Q| <= 5, coefficients up to 2**70 in size, zero left out."""
+    return st.dictionaries(
+        st.tuples(st.integers(0, 40), st.integers(-5, 5)), BIG_NONZERO, min_size=min_size, max_size=6
+    )
+
+
+@st.composite
+def zsquare_near_misses(draw):
+    """A member of ZZ[z**2, t**+-1] made a non-member one way, with the way as its label.
+
+    odd: plus one term of odd q-degree, or that and its mirror image, a
+    palindrome centred on q**0; stray: plus one term of even nonzero
+    q-degree, which unbalances the palindrome inside its row or runs past it;
+    off-centre: the whole member times q**(2j), j != 0; negative: plus a
+    slice of its own whose q-exponents are all negative.
+    """
+    f = zsquare_recompose(draw(zsquare_tables(min_size=1)))
+    kind = draw(st.sampled_from(["odd", "stray", "off-centre", "negative"]))
+    c = draw(BIG_NONZERO)
+    Q = draw(st.integers(-5, 5))
+    if kind == "odd":
+        a = 2 * draw(st.integers(-42, 41)) + 1
+        f = f + LaurentQT.monomial(c, a, Q)
+        if draw(st.booleans()):
+            # a palindrome centred on q**0, odd all the same
+            f = f + LaurentQT.monomial(c, -a, Q)
+    elif kind == "stray":
+        f = f + LaurentQT.monomial(c, 2 * draw(st.sampled_from([-1, 1])) * draw(st.integers(1, 42)), Q)
+    elif kind == "off-centre":
+        f = f * LaurentQT.monomial(1, 2 * draw(st.sampled_from([-3, -2, -1, 1, 2, 3])), 0)
+    else:
+        exps = draw(st.lists(st.integers(-9, -1), min_size=1, max_size=4))
+        f = f + LaurentQT({(e, 6): c for e in exps})
+    return kind, f
+
+
 class TestZSquare:
     def test_z_square_itself(self):
         f = LaurentQT({(2, 0): 1, (-2, 0): 1, (0, 0): -2})
@@ -360,6 +402,63 @@ class TestZSquare:
     @settings(max_examples=60, deadline=None)
     def test_round_trip(self, table):
         assert zsquare_decompose(zsquare_recompose(table)) == table
+
+    @staticmethod
+    def _check_against_peel(f):
+        got, expected = zsquare_decompose(f), zsquare_by_peel(f)
+        assert got == expected
+        if expected is not None:
+            assert list(got) == list(expected)
+        return got
+
+    @given(zsquare_tables())
+    @example({(40, -5): 2**64 + 1, (0, -5): -(2**65), (39, 5): 3})
+    @settings(max_examples=120, deadline=None)
+    def test_members_match_the_peel(self, table):
+        got = self._check_against_peel(zsquare_recompose(table))
+        # Q ascending, then g descending
+        assert list(got) == sorted(table, key=lambda gQ: (gQ[1], -gQ[0]))
+        assert got == table
+
+    @given(zsquare_near_misses())
+    @example(("negative", LaurentQT({(-2, 0): 1})))
+    @example(("odd", q_bracket(1)))
+    @example(("stray", LaurentQT({(0, 0): 1, (2, 0): 1})))
+    @example(("off-centre", q_bracket(1) ** 2 * q_power(2)))
+    @settings(max_examples=120, deadline=None)
+    def test_near_misses_match_the_peel(self, drawn):
+        kind, f = drawn
+        event(kind)
+        assert self._check_against_peel(f) is None
+
+    def test_columns_expand_x_powers(self, monkeypatch):
+        # the table grows in steps from its first column, then expands x**n + x**-n for n <= 40
+        monkeypatch.setattr(exactring, "_Z2_COLUMNS", [[[1]]])
+        for g in (3, 17, 40):
+            assert zsquare_decompose(q_bracket(1) ** (2 * g)) == {(g, 0): 1}
+        cols = exactring._Z2_COLUMNS[0]
+        assert len(cols) == 41
+        for n in range(41):
+            expansion = sum((exactring.z_square_power(g) * cols[g][n - g] for g in range(n + 1)), LaurentQT.zero())
+            assert expansion == (q_power(2 * n) + q_power(-2 * n) if n else LaurentQT.one())
+
+    def test_production_route_does_not_expand_z_powers(self, monkeypatch):
+        members = [zsquare_recompose({(40, -1): 5, (2, 0): -(2**80), (0, 3): 7}), q_bracket(1) ** 6 * t_power(2)]
+        misses = [q_bracket(1), q_power(2) + q_power(-4), LaurentQT({(-2, 0): 1})]
+
+        def refuse(g):
+            raise AssertionError("zsquare_decompose expanded a z power")
+
+        monkeypatch.setattr(exactring, "z_square_power", refuse)
+        monkeypatch.setattr(exactring, "_Z2_COLUMNS", [[[1]]])
+        assert zsquare_decompose(members[0]) == {(40, -1): 5, (2, 0): -(2**80), (0, 3): 7}
+        assert zsquare_decompose(members[1]) == {(3, 2): 1}
+        assert [zsquare_decompose(f) for f in misses] == [None] * 3
+
+    def test_rejects_non_laurent_input(self):
+        for x in (5, RationalQT(5), None, "q"):
+            with pytest.raises(TypeError):
+                zsquare_decompose(x)
 
     def test_decomposes_per_t_power(self):
         f = t_power(1) * q_bracket(1) ** 2 + t_power(-2) * LaurentQT.from_int(5)
@@ -1072,6 +1171,30 @@ class TestCombinationBasis:
     @settings(max_examples=150, deadline=None)
     def test_value_combinations_match_the_dict_route(self, drawn):
         self._check(*drawn)
+
+    def test_integer_lifts_above_one_match_the_dict_route(self):
+        # over the common denominator 6 phi_1**2 phi_2 phi_3, value 0 (denominator
+        # 2 phi_1) lifts by 3 phi_1 phi_2 phi_3 and value 1 (3 {2}{3}) by the integer 2
+        num0 = LaurentQT({(eq, et): 1 + abs(eq) + 3 * et for eq in (-3, -1, 1, 3) for et in (0, 1)})
+        num1 = LaurentQT({(eq, et): 2 * eq - et + 1 for eq in (-2, 0, 2) for et in (0, 1)})
+        values = {0: bracket_quotient(num0, 2, [2]), 1: bracket_quotient(num1, 3, [2, 3])}
+        assert (values[0]._c, values[0]._exps) == (2, ((1, 1),))
+        assert (values[1]._c, values[1]._exps) == (3, ((1, 2), (2, 1), (3, 1)))
+        vectors = [
+            [(0, 1, exponent_key(0, 0)), (1, 2, exponent_key(2, 0))],
+            [(1, -3, exponent_key(-2, 0)), (0, 1, exponent_key(2, 0))],
+            [(0, 2, exponent_key(0, 0)), (1, 1, exponent_key(0, 0))],
+        ]
+        combinations = [([1, 0, 0], 1, ()), ([1, 2, -1], 5, (3,)), ([0, 1, 1], 1, (1, 2)), ([3, -1, 2], 2, ())]
+        with pytest.MonkeyPatch.context() as mp:
+            counts = _count_bases(mp)
+            basis = combination_basis(values, vectors)
+        assert counts["packed"] == 1
+        for combination in combinations:
+            value = bracket_combination(basis, *combination)
+            expected = combination_by_dicts(values, vectors, *combination)
+            assert value == expected
+            assert value.to_json() == expected.to_json()
 
     def test_certificate_failure_falls_back_to_lists(self):
         values, vectors = {0: SPURIOUS}, [[(0, 1, exponent_key(2, 0))]]
