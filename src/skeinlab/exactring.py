@@ -34,7 +34,7 @@ makes the result measure its exponents, and an exponent there raises
 ArithmeticError, so no two exponent pairs ever share a key.  Keys are built from exponent pairs in
 the constructor, ``monomial``, ``from_records`` and ``exponent_key``, and
 read back only at the edges: ``sorted_terms``, ``to_records``,
-``exponent_box``, the packed layouts (``_box``, ``_row_layout``) and the
+``exponent_box``, the packed layouts (``_box``, ``_packed_basis``) and the
 first key of each row in x that ``zsquare_decompose`` certifies.
 
 Large products are Kronecker substitutions (``packed_product``): each
@@ -47,31 +47,30 @@ because packing a short or sparse product costs more than the loop, and
 ``tq_bracket_product`` builds the colored unknot's numerator on one packed
 integer, a shift and a subtraction per factor.
 
-The rows are packed the same way, one integer per row with a 64-bit slot
-per x-step.  ``RationalQT.sum`` packs each group's numerator into the rows
-of the common denominator, lifts all groups that miss the same ``phi_d``
-product P with one big-integer product by P(2**64) (the factor
-``q**-deg P`` only moves slots), adds them with their integer weights,
-takes the content as one gcd over the digits and divides each row by
-``Phi_d(2**64)`` with ``divmod``; the term dict is read once, at the end.
-A nonzero remainder proves that ``phi_d`` does not divide, but a zero one
-proves nothing alone, so a quotient q' is kept only under a certificate:
-``||prod Phi||_1 * max|q'_i| < 2**63``, which makes ``prod Phi * q'``
-equal the row digit for digit, because balanced base-2**64 digits are
-unique.  A quotient that fails it leaves the rows to the division of dense
-lists.  ``combination_basis`` packs the same rows for many integer
-combinations of shifted sums (the free energy's H_A): it reads each value
-once into the rows of the whole call, lifts it by one big-integer product,
-and makes each vector one integer, a weighted sum of whole-slot shifts of
-the lifted values; ``bracket_combination`` then adds vectors as integers,
-takes the content and cancels the rows as the sum does.  The gates are
-constants measured on the workloads: the sum packs from 64 terms on, when
-some group misses a ``phi_d`` (integer lifts are cheaper in term dicts),
-when the slot bound is below 2**62 and when the rows take at most 4 slots
-per term; a combination basis packs when the slot bound is below 2**62
-and its vectors take at most 16 slots per term of their values;
-``_phi_cancel`` packs from 40 terms on.  Below a gate the term-dict route
-runs.
+The rows are packed the same way, one integer per row with a 64-bit slot per
+x-step.  Every sum of values is one lift-and-add kernel (``_combine``):
+vectors of leaves w * q**e_q * t**e_t * x_key over the common denominator of
+the values.  ``RationalQT.sum`` is one vector of unshifted leaves,
+``skein.torus_framed`` one of kink-shifted leaves (``combination_value``) and
+the free energy's H_A the vectors of one ``combination_basis``.  The kernel
+plans the lcm once, then either packs each value once into the rows of the
+whole call, lifts it by one big-integer product with k * P(2**64), P its
+missing ``phi_d`` product (``q**-deg P`` only moves slots), and makes each
+vector one integer of whole-slot shifts (``_packed_basis``), or lifts each
+value as a Laurent polynomial and adds each leaf by key additions
+(``_shifted_nums``).  A packed total (``_canonical_packed``) takes its content
+as one gcd over the digits and divides each row by ``Phi_d(2**64)`` with
+``divmod``; the term dict is read once, at the end.  A nonzero remainder
+proves that ``phi_d`` does not divide, but a zero one proves nothing alone, so
+a quotient q' is kept only under a certificate:
+``||prod Phi||_1 * max|q'_i| < 2**63``, which makes ``prod Phi * q'`` equal
+the row digit for digit, because balanced base-2**64 digits are unique.  A
+quotient that fails it leaves the rows to the division of dense lists.  The
+gates are constants measured on the workloads: the kernel packs 4 or more
+vectors, and fewer from 64 leaf terms on when their lifts add 2 x-steps per
+term on average, if the slot bound stays below 2**62 and the rows take at
+most 16 (4 for few vectors) slots per term; ``_phi_cancel`` packs from 40
+terms on.  Below a gate the term-dict route runs.
 
 ``q_one_leading`` gives the exact leading term of either type under
 ``q = exp(h)``, which is how ``q -> 1`` limits are taken.
@@ -229,7 +228,10 @@ class LaurentQT:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            terms = self._terms
+            # a constant equals its int, so it hashes as one; the key of q**0 * t**0 is 0
+            constant = len(terms) < 2 and not any(terms)
+            self._hash = hash(terms.get(0, 0) if constant else frozenset(terms.items()))
         return self._hash
 
     def sorted_terms(self):
@@ -259,9 +261,13 @@ class LaurentQT:
     def __sub__(self, other):
         if isinstance(other, int):
             other = LaurentQT.from_int(other)
+        if not isinstance(other, LaurentQT):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
         return LaurentQT.from_int(other) - self
 
     def __mul__(self, other):
@@ -943,49 +949,6 @@ def _packed_phi(exps):
     return value, deg, sum(sizes), max(sizes)
 
 
-def _row_layout(shifted):
-    """The rows in x that hold parts shifted by q**-s, over (``_exponent_lists`` part, s) pairs.
-
-    Returns (lo, width, ts, parities), ts the sorted t-exponents: a shifted
-    q-exponent e sits in slot (e - lo) >> 1 of the row of its t-exponent
-    and, when ``parities`` is 2, of the parity of e - lo; ``width`` slots
-    hold every row and a lift by s more x-steps.
-    """
-    lo = hi = None
-    ts, parity = set(), set()
-    for (t_exps, qs, _), s in shifted:
-        q_lo, q_hi = min(qs) - s, max(qs) + s
-        lo = q_lo if lo is None or q_lo < lo else lo
-        hi = q_hi if hi is None or q_hi > hi else hi
-        ts.update(t_exps)
-        parity.update((e - s) & 1 for e in set(qs))
-    return lo, (hi - lo >> 1) + 1, sorted(ts), len(parity)
-
-
-def _packed_total(packs, lo, width, ts, parities):
-    """sum of w * q**-s * P(q**2) * f over ``packs``, packed in the rows of ``_row_layout``.
-
-    packs maps a sorted tuple of (d, e) pairs, P = prod Phi_d**e of degree
-    s, to the (f, w) pairs it lifts, f a part from ``_exponent_lists`` and w
-    an integer.  Each f fills its own slots, its packed integer is weighted
-    by w and added to the others of its P, and each sum is then one
-    big-integer product with P(2**64).  The caller bounds every slot of
-    every partial sum below 2**63 in size.
-    """
-    stride = parities * width
-    n = len(ts) * stride
-    offsets = {et: i * stride for i, et in enumerate(ts)}
-    bias = _bias(_ROW_BITS, n)
-    total = 0
-    for key, members in packs.items():
-        value, s = _packed_phi(key)[:2]
-        acc = 0
-        for part, w in members:
-            acc += _packed_rows(part, lo + s, offsets, width, parities, n, bias) * w
-        total += acc * value
-    return total
-
-
 def _packed_rows(part, off, offsets, width, parities, n, bias):
     """An ``_exponent_lists`` part as one integer over n slots of 64 bits, bias = ``_bias(64, n)``.
 
@@ -1218,7 +1181,10 @@ class RationalQT:
         return self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -1261,7 +1227,13 @@ class RationalQT:
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.num, self._c, self._exps)))
+            # a value without phi_d may equal a LaurentQT, an int or a Fraction, and hashes as it
+            num, c, terms = self.num, self._c, self.num._terms
+            if self._exps or c > 1 and (len(terms) > 1 or 0 not in terms):
+                value = (num, c, self._exps)
+            else:
+                value = num if c == 1 else Fraction(terms[0], c)
+            object.__setattr__(self, "_hash", hash(value))
         return self._hash
 
     @classmethod
@@ -1269,11 +1241,10 @@ class RationalQT:
         """The sum of many values, canonicalised once.
 
         Numerators over one denominator are added first.  The groups are then
-        brought to their least common denominator, each numerator multiplied
-        only by its own missing factors.  Only the phi_d of ``_tested_phi``
-        are tested, a merged group counting as two values.  From 64 terms
-        on, the groups are added on packed rows (``_sum_packed``); otherwise,
-        and when that declines, in term dicts (``_sum_by_lift``).
+        one vector of unshifted leaves (key, 1, 0) of the lift-and-add kernel
+        (``_combine``), each numerator lifted only by its own missing factors,
+        and the total is canonicalised on its basis, testing only the phi_d
+        of ``_tested_phi``, a merged group counting as two values.
         """
         groups, merged = {}, {}
         for x in items:
@@ -1301,14 +1272,9 @@ class RationalQT:
         if len(parts) == 1 and parts[0][:2] not in merged:
             c, exps, num = parts[0]
             return _rational(num, c, exps)
-        c, top, lifts = _common_plan(parts)
-        test = _tested_phi(top, [exps for _, exps, _ in parts] + [exps for _, exps in merged])
-        size = sum([len(num) for _, _, num in parts])
-        if size >= _PACKED_SUM_MIN_TERMS:
-            value = _sum_packed(parts, c, top, lifts, test, size)
-            if value is not None:
-                return value
-        return _sum_by_lift(parts, c, top, lifts, test)
+        held = [exps for _, exps, _ in parts] + [exps for _, exps in merged]
+        # int keys: a key is hashed at every step of the kernel
+        return _vector_value(dict(enumerate(parts)), [(i, 1, 0) for i in range(len(parts))], held)
 
     def reduced(self):
         """The value itself: every RationalQT is already in canonical form."""
@@ -1348,26 +1314,26 @@ class RationalQT:
 
 
 def _common_plan(parts):
-    """The least common denominator of (c, exps, num) parts, and each part's lift to it.
+    """The least common denominator of the parts {key: (c, exps, num)}, and each part's lift to it.
 
     Returns (c, top, lifts): c the lcm of the integers, top {d: e} the
-    largest power of each phi_d, and, in the order of ``parts``, pairs
-    (missing, k): num over the common denominator is k * num times the
-    product of phi_d**e over ``missing``, a sorted tuple of (d, e) pairs.
+    largest power of each phi_d, and lifts {key: (missing, k)}: num over the
+    common denominator is k * num times the product of phi_d**e over
+    ``missing``, a sorted tuple of (d, e) pairs.
     """
-    c = lcm(*(x_c for x_c, _, _ in parts))
+    c = lcm(*(x_c for x_c, _, _ in parts.values()))
     top = {}
-    for _, exps, _ in parts:
+    for _, exps, _ in parts.values():
         for d, e in exps:
             if e > top.get(d, 0):
                 top[d] = e
-    lifts = []
-    for x_c, exps, _ in parts:
+    lifts = {}
+    for key, (x_c, exps, _) in parts.items():
         have = dict(exps)
         missing = tuple(
             (d, e - have.get(d, 0)) for d, e in sorted(top.items()) if e > have.get(d, 0)
         )
-        lifts.append((missing, c // x_c))
+        lifts[key] = (missing, c // x_c)
     return c, top, lifts
 
 
@@ -1384,79 +1350,20 @@ def _tested_phi(top, held):
 
 
 def _lift(parts, lifts):
-    """The numerators of (c, exps, num) parts lifted as ``_common_plan`` plans.
+    """The numerators of the parts {key: (c, exps, num)} lifted as ``_common_plan`` plans.
 
-    Returns pairs (f, k), in the order of ``parts``, with num over the
-    common denominator equal to k * f: f is num times its own missing phi_d,
-    and k an integer left for the caller to fold into its own weights.
+    Returns {key: (f, k)} with num over the common denominator equal to
+    k * f: f is num times its own missing phi_d, and k an integer left for
+    the caller to fold into its own weights.
     """
-    lifted = []
-    for (_, _, num), (missing, k) in zip(parts, lifts):
+    lifted = {}
+    for key, (_, _, num) in parts.items():
+        missing, k = lifts[key]
         # the integer scales the cached phi_d product when there is one
         if missing:
             num, k = num * (_phi_product(missing) * k if k > 1 else _phi_product(missing)), 1
-        lifted.append((num, k))
+        lifted[key] = (num, k)
     return lifted
-
-
-def _sum_by_lift(parts, c, top, lifts, test):
-    """The sum of ``RationalQT.sum``'s parts by products and term dicts.
-
-    Each numerator is multiplied by its missing phi_d product (``_lift``),
-    the lifted numerators are added into one term dict and ``_canonical``
-    cancels the total.
-    """
-    total, reach = {}, 0
-    for num, k in _lift(parts, lifts):
-        _add_terms(total, num, k)
-        reach = max(reach, _reach_of(num))
-    return _canonical(_laurent(total, reach), c, top, test)
-
-
-# the gates of the packed sum, measured on the sums of the benchmark workloads
-_PACKED_SUM_MIN_TERMS = 64
-_PACKED_SUM_SLOTS_PER_TERM = 4
-
-
-def _sum_packed(parts, c, top, lifts, test, size):
-    """The sum of ``RationalQT.sum``'s parts on packed rows in x, or None.
-
-    ``parts`` hold ``size`` terms in all.  Each numerator's terms go into
-    the slots of rows in x = q**2, one row per t-exponent and q-parity
-    (``_row_layout``).  The numerators that miss the same phi_d product P
-    are added as packed integers with their integer weights, and lifted by
-    one big-integer product with P(2**64): the factor q**-deg P only moves
-    the slots.  The total is canonicalised on its rows
-    (``_canonical_packed``).
-
-    Returns None, before anything is packed, unless at least one part
-    misses a phi_d (a lift by integers alone is cheaper in term dicts), the
-    bound sum k * min(sum|num| * max|P|, max|num| * sum|P|) on every slot
-    is below 2**62, the rows take at most 4 slots per term and their
-    exponents stay below 2**31 in size.  The caller gates on 64 terms.
-    """
-    if not any(missing for missing, _ in lifts):
-        return None
-    bound = 0
-    shifted, packs = [], {}
-    for (_, _, num), (missing, k) in zip(parts, lifts):
-        sizes = list(map(abs, num._terms.values()))
-        _, s, norm, big = _packed_phi(missing)
-        bound += k * min(sum(sizes) * big, max(sizes) * norm)
-    if bound >> _ROW_BOUND_BITS:
-        return None
-    for (_, _, num), (missing, k) in zip(parts, lifts):
-        part = _exponent_lists(num._terms)
-        shifted.append((part, _packed_phi(missing)[1]))
-        packs.setdefault(missing, []).append((part, k))
-    layout = _row_layout(shifted)
-    lo, width, ts, parities = layout
-    n = len(ts) * parities * width
-    # every lifted exponent, and so every key of the rows, is within this
-    reach = max(-lo, lo + 2 * width, -ts[0], ts[-1])
-    if n > _PACKED_SUM_SLOTS_PER_TERM * size or reach >= _BOUND:
-        return None
-    return _canonical_packed(_packed_total(packs, *layout), c, top, test, (*layout, reach))
 
 
 def _fill(value, num, c, exps):
@@ -1557,25 +1464,69 @@ def common_denominator(values):
     """RationalQT values brought once to their least common denominator.
 
     Returns (c, exps, lifted) for the denominator c * prod phi_d**exps, exps
-    a dict {d: e}; the log series reads it (``lmov._log_of_zhat``).
+    a dict {d: e}, and each value's (f, k), k * f its numerator over it.
     """
-    parts = [(x._c, x._exps, x.num) for x in values]
+    parts = {i: (x._c, x._exps, x.num) for i, x in enumerate(values)}
     c, top, lifts = _common_plan(parts)
-    return c, top, _lift(parts, lifts)
+    return c, top, list(_lift(parts, lifts).values())
 
 
-def shifted_sums(values, vectors):
-    """Sums of w * q**e_q * t**e_t * values[key] over one common denominator, one per vector.
+def combination_basis(values, vectors):
+    """Sums of w * q**e_q * t**e_t * values[key], one per vector, as a basis for ``bracket_combination``.
 
-    A vector lists leaves (key, w, shift): w a nonzero int, shift the
-    ``exponent_key`` of q**e_q * t**e_t.  Each RationalQT value is lifted
-    once (``_common_plan``); a leaf adds it into its vector's term dict by
-    key additions.  Returns (c, exps, nums): vector i sums to nums[i] / (c *
-    prod phi_d**exps), exps a dict {d: e}.
+    values maps keys to RationalQT values, and each vector lists leaves
+    (key, w, shift): w a nonzero int, shift the ``exponent_key`` of
+    q**e_q * t**e_t.  Each value is lifted once, by the lift-and-add kernel
+    (``_combine``).  Returns (c, exps, vectors, layout) over the common
+    denominator c * prod phi_d**exps, exps a dict {d: e}: on packed rows
+    (``_packed_basis``) each vector is one integer with a bound on its
+    slots and ``layout`` places the rows; in term dicts each vector is its
+    numerator, a LaurentQT, and ``layout`` is None.
     """
-    parts = [(x._c, x._exps, x.num) for x in values.values()]
+    return _combine(*_parts(values, vectors))
+
+
+def combination_value(values, leaves):
+    """The sum of w * q**e_q * t**e_t * values[key] over leaves (key, w, shift), canonical.
+
+    One vector of ``combination_basis`` over the values that the leaves use,
+    canonicalised on its basis, testing only the phi_d of ``_tested_phi``
+    with each leaf counting as one value added.
+    """
+    parts, [leaves] = _parts({key: values[key] for key, _, _ in leaves}, [leaves])
+    return _vector_value(parts, leaves, [values[key]._exps for key, _, _ in leaves])
+
+
+def _parts(values, vectors):
+    """The kernel's parts {key: (c, exps, num)} of the RationalQT values, and the vectors without zero values."""
+    if not all(values.values()):
+        # a zero value adds nothing, and has no rows to place
+        vectors = [[leaf for leaf in leaves if values[leaf[0]]] for leaves in vectors]
+    return {key: (x._c, x._exps, x.num) for key, x in values.items()}, vectors
+
+
+def _vector_value(parts, leaves, held):
+    """The kernel's one vector of leaves in canonical form, testing only ``_tested_phi(top, held)``."""
+    c, top, [vector], layout = _combine(parts, [leaves])
+    test = _tested_phi(top, held)
+    if layout is None:
+        return _canonical(vector, c, top, test)
+    return _canonical_packed(vector[0], c, top, test, layout)
+
+
+def _combine(parts, vectors):
+    """The lift-and-add kernel: ``combination_basis`` over the values num / (c * prod phi_d**e) of parts.
+
+    parts maps keys to canonical (c, exps, num).  The common denominator is
+    planned once; then the values are packed and lifted on rows
+    (``_packed_basis``, whose gate picks the route) or lifted as Laurent
+    polynomials and added into term dicts (``_shifted_nums``).
+    """
     c, top, lifts = _common_plan(parts)
-    return c, top, _shifted_nums(dict(zip(values, _lift(parts, lifts))), vectors)
+    packed = _packed_basis(parts, lifts, vectors)
+    if packed is not None:
+        return (c, top, *packed)
+    return c, top, _shifted_nums(_lift(parts, lifts), vectors), None
 
 
 def _shifted_nums(lifted, vectors):
@@ -1587,6 +1538,10 @@ def _shifted_nums(lifted, vectors):
         for key, w, shift in leaves:
             f, k = lifted[key]
             w *= k
+            if not shift:
+                _add_terms(data, f, w)
+                reach = max(reach, _reach_of(f))
+                continue
             reach = max(reach, _reach_of(f) + max(map(abs, _exponents(shift))))
             for term, coeff in f._terms.items():
                 term += shift
@@ -1599,122 +1554,107 @@ def _shifted_nums(lifted, vectors):
     return nums
 
 
-def shifted_value(values, vectors):
-    """``shifted_sums`` of one vector in canonical form, testing only ``_tested_phi``'s phi_d."""
-    values = {key: values[key] for key, _, _ in vectors[0]}
-    c, top, [num] = shifted_sums(values, vectors)
-    return _canonical(num, c, top, _tested_phi(top, [values[key]._exps for key, _, _ in vectors[0]]))
+# the gates of ``_packed_basis``, measured on the sums and bases of the benchmark workloads
+_MANY_VECTORS = 4
+_PACKED_MIN_TERMS = 64
+_PACKED_MIN_LIFT = 2
+_FEW_SLOTS_PER_TERM = 4
+_MANY_SLOTS_PER_TERM = 16
 
 
-# the density gate of the packed combination basis, measured on the free energy of the workloads
-_BASIS_SLOTS_PER_TERM = 16
-
-
-def combination_basis(values, vectors):
-    """The vectors of ``shifted_sums`` as a basis for ``bracket_combination``, lifted once.
-
-    values maps keys to RationalQT values and each vector lists leaves (key,
-    w, shift) as in ``shifted_sums``.  Returns (c, exps, vectors, layout)
-    over the common denominator c * prod phi_d**exps, exps a dict {d: e},
-    in one of the two forms of ``RationalQT.sum``:
-
-    * packed (``_packed_basis``): each vector is one integer in the rows in
-      x = q**2 of the whole call, with a bound on its slots, and ``layout``
-      places the rows;
-    * term dicts, when a gate of ``_packed_basis`` declines: each vector is
-      its numerator from ``shifted_sums`` and ``layout`` is None.
-    """
-    parts = [(x._c, x._exps, x.num) for x in values.values()]
-    c, top, lifts = _common_plan(parts)
-    plans = dict(zip(values, zip(parts, lifts)))
-    if not all(values.values()):
-        # a zero value adds nothing, and has no rows to place
-        vectors = [[leaf for leaf in leaves if values[leaf[0]]] for leaves in vectors]
-    packed = _packed_basis(plans, vectors)
-    if packed is not None:
-        return (c, top, *packed)
-    return c, top, _shifted_nums(dict(zip(values, _lift(parts, lifts))), vectors), None
-
-
-def _packed_basis(plans, vectors):
+def _packed_basis(parts, lifts, vectors):
     """(vectors, layout) of ``combination_basis`` on packed rows, or None.
 
-    plans maps each key to its part (c, exps, num) and its lift (missing, k)
-    from ``_common_plan``.  Each core that a leaf uses is packed once into
-    the rows in x = q**2 of the whole call (``_packed_rows``), from its own
-    lowest row and slot, and lifted by one big-integer product with
-    k * P(2**64), P its missing phi_d product; the factor q**-deg P only
-    moves slots.  The rows are one per t-exponent, every second one when
-    every shifted t-exponent has one parity, and one per q-parity when both
-    occur.  A kink shifts q by an even exponent (kappa is twice a content
-    sum), so each leaf (key, w, shift) keeps its q-parity row and adds
-    w * (lifted core << 64 * offset), offset the slot of its shifted core's
-    lowest row and slot.  No leaf touches a term.
+    parts {key: (c, exps, num)} and lifts {key: (missing, k)} are as in
+    ``_common_plan``.  Each core that a leaf uses is packed once into the
+    rows in x = q**2 of the whole call (``_packed_rows``), at the lowest q-
+    and t-shifts of its leaves, and lifted by one big-integer product with
+    P(2**64), P its missing phi_d product (q**-deg P only moves slots).  A
+    kink shifts q by an even exponent (kappa is twice a content sum), so each
+    leaf (key, w, shift) keeps its q-parity row and adds w * k * (lifted
+    core << 64 * offset), offset the slots between its shift and the core's;
+    no leaf touches a term.  The rows are the shifted t-exponents that occur
+    when each core has one leaf, else every t-exponent of the range (every
+    second one when all have one parity), so that a t-shift moves whole
+    rows; each q-parity that occurs gets its own rows.
 
-    Returns None, before any core is packed, when a shift is odd in q, when
-    the slot bound sum |w * k| * min(sum|num| * max|P|, max|num| * sum|P|)
-    of a vector reaches 2**62, when the vectors take more than 16 slots
-    per term of their leaves' cores, or when an exponent of the rows reaches
-    2**31.  Each vector is returned with its slot bound.
+    The one gate between packed rows and term dicts: it returns None, before
+    any core is packed, for 1 to 3 vectors with fewer than 64 leaf terms or
+    whose P add fewer than 2 x-steps per leaf term on average (a light lift
+    costs more to pack than it saves), when a shift is odd in q, when the
+    slot bound sum |w * k| * min(sum|num| * max|P|, max|num| * sum|P|) of a
+    vector reaches 2**62, when the rows times the vectors take more than 16
+    slots (4 for fewer than 4 vectors) per leaf term, or when an exponent of
+    the rows reaches 2**31.  Each vector is returned with its slot bound.
     """
+    many = len(vectors) >= _MANY_VECTORS
+    if not many:
+        size = sum([len(parts[key][2]) for leaves in vectors for key, _, _ in leaves])
+        if size < _PACKED_MIN_TERMS:
+            return None
+        # each part's terms times the x-steps of its lift, formed once per part, not per leaf
+        steps = {key: len(num) * _packed_phi(lifts[key][0])[1] for key, (_, _, num) in parts.items()}
+        if _PACKED_MIN_LIFT * size > sum([steps[key] for leaves in vectors for key, _, _ in leaves]):
+            return None
     # key -> (part, s, slot bound, lowest and highest lifted e_q, lowest and highest e_t,
-    # the parities of e_t)
-    boxes, placed, size = {}, [], 0
-    for leaves in vectors:
-        bound, shifted = 0, []
+    # t-exponents, the parities of e_t and of e_q), and key -> its leaves (vector, w, e_q, e_t)
+    boxes, uses, bounds, size = {}, {}, [], 0
+    for v, leaves in enumerate(vectors):
+        bound = 0
         for key, w, shift in leaves:
             if shift & 1:
                 return None
             box = boxes.get(key)
             if box is None:
-                (_, _, num), (missing, k) = plans[key]
+                (missing, k), num = lifts[key], parts[key][2]
                 part = _exponent_lists(num._terms)
-                ts, qs, coeffs = part
-                sizes = list(map(abs, coeffs))
+                ts, qs = set(part[0]), set(part[1])
+                sizes = list(map(abs, part[2]))
                 _, s, norm, big = _packed_phi(missing)
                 box = boxes[key] = (
                     part, s, k * min(sum(sizes) * big, max(sizes) * norm),
-                    min(qs) - s, max(qs) + s, min(ts), max(ts), {e & 1 for e in ts},
+                    min(qs) - s, max(qs) + s, min(ts), max(ts), ts, {e & 1 for e in ts}, {e - s & 1 for e in qs},
                 )
-            e_q, e_t = _exponents(shift)
+                uses[key] = []
+            uses[key].append((v, w, *(_exponents(shift) if shift else (0, 0))))
             bound += abs(w) * box[2]
             size += len(box[0][2])
-            shifted.append((key, w, e_q, e_t))
         if bound >> _ROW_BOUND_BITS:
             return None
-        placed.append((shifted, bound))
+        bounds.append(bound)
     if not boxes:
         return None
-    leaves = [(boxes[key], e_q, e_t) for shifted, _ in placed for key, _, e_q, e_t in shifted]
+    leaves = [(boxes[key], e_q, e_t) for key, use in uses.items() for _, _, e_q, e_t in use]
     lo = min(box[3] + e_q for box, e_q, _ in leaves)
     hi = max(box[4] + e_q for box, e_q, _ in leaves)
     t_lo = min(box[5] + e_t for box, _, e_t in leaves)
     t_hi = max(box[6] + e_t for box, _, e_t in leaves)
-    parities = len({e - s & 1 for (_, qs, _), s, *_ in boxes.values() for e in qs})
-    t_step = 3 - len({p + e_t & 1 for box, _, e_t in leaves for p in box[7]})
+    parities = len(set().union(*(box[9] for box in boxes.values())))
+    t_step = 3 - len({p + e_t & 1 for box, _, e_t in leaves for p in box[8]})
     width = (hi - lo >> 1) + 1
     stride = parities * width
-    ts = list(range(t_lo, t_hi + 1, t_step))
+    if all(len(use) == 1 for use in uses.values()):
+        # each core sits where its one leaf puts it, so only the rows that occur are needed
+        ts = sorted({et + use[0][3] for key, use in uses.items() for et in boxes[key][7]})
+    else:
+        ts = list(range(t_lo, t_hi + 1, t_step))
+    rows = {et: i * stride for i, et in enumerate(ts)}
     reach = max(-lo, hi, -t_lo, t_hi)
-    if len(ts) * stride * len(vectors) > _BASIS_SLOTS_PER_TERM * size or reach >= _BOUND:
+    n = len(ts) * stride
+    if n * len(vectors) > (_MANY_SLOTS_PER_TERM if many else _FEW_SLOTS_PER_TERM) * size or reach >= _BOUND:
         return None
-    lifted = {}
-    for key, (part, s, _, q_lo, _, row_lo, row_hi, _) in boxes.items():
-        missing, k = plans[key][1]
-        # the core's own rows, from its lowest row and its lowest slot
-        first = q_lo - lo >> 1
-        offsets = {et: (et - row_lo) // t_step * stride - first for et in set(part[0])}
-        n = ((row_hi - row_lo) // t_step + 1) * stride
-        core = _packed_rows(part, lo + s, offsets, width, parities, n, _bias(_ROW_BITS, n))
-        lifted[key] = core * (_packed_phi(missing)[0] * k), row_lo - t_lo, first
-    out = []
-    for shifted, bound in placed:
-        total = 0
-        for key, w, e_q, e_t in shifted:
-            core, row, first = lifted[key]
-            total += core * w << _ROW_BITS * ((row + e_t) // t_step * stride + first + (e_q >> 1))
-        out.append((total, bound))
-    return out, (lo, width, ts, parities, reach)
+    # each core is packed at the lowest q- and t-shifts of its leaves, lifted, and added
+    # into every vector that uses it before the next core is packed
+    bias, totals = _bias(_ROW_BITS, n), [0] * len(vectors)
+    for key, (part, s, _, _, _, _, _, row_ts, _, _) in boxes.items():
+        (missing, k), use = lifts[key], uses[key]
+        q0, t0 = min([leaf[2] for leaf in use]), min([leaf[3] for leaf in use])
+        offsets = {et: rows[et + t0] for et in row_ts} if t0 else rows
+        core = _packed_rows(part, lo + s - q0, offsets, width, parities, n, bias) * _packed_phi(missing)[0]
+        for v, w, e_q, e_t in use:
+            w *= k
+            totals[v] += (core if w == 1 else core * w) << _ROW_BITS * ((e_t - t0) // t_step * stride + (e_q - q0 >> 1))
+    return list(zip(totals, bounds)), (lo, width, ts, parities, reach)
 
 
 def bracket_combination(basis, weights, c, ks):
@@ -1759,8 +1699,8 @@ def bracket_combination(basis, weights, c, ks):
 def _canonical_packed(total, c, exps, test, layout):
     """total / (c * prod phi_d**exps) in canonical form, total packed in the rows of ``layout``.
 
-    layout is (lo, width, ts, parities), the rows as ``_row_layout`` places
-    them, and a bound on the exponents of the rows; every slot of total is
+    layout is (lo, width, ts, parities, reach), the rows as ``_packed_basis``
+    places them and a bound on their exponents; every slot of total is
     below 2**62 in size.
     exps is a dict {d: e}, lowered in place, and only the phi_d in ``test``
     are tested.  The content is one gcd over the slots and one exact

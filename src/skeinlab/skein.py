@@ -33,7 +33,7 @@ from functools import lru_cache, reduce
 from math import gcd
 
 from .exactring import LaurentQT, RationalQT, _rational, bracket_exponents, bracket_quotient
-from .exactring import combination_basis, exponent_key, shifted_value, t_bracket, tq_bracket_product
+from .exactring import combination_basis, combination_value, exponent_key, t_bracket, tq_bracket_product
 from .partitions import Partition, PartitionPair
 from .symfun import (
     adams_schurpair,
@@ -298,11 +298,12 @@ def _decorated_terms(comps, a, pairs, coeff, e_q, e_t):
 
 
 def _shifted_leaves(spec, decoration_vectors):
-    """The cores {``_core_key``: value} and, per vector, leaves (key, int w != 0, shift key).
+    """The cores {index: value} and, per vector, leaves (index, int w != 0, shift key).
 
-    Each label tuple's core key is formed once per call.
+    Each label tuple's core key (``_core_key``) is formed once per call, and
+    each distinct core gets the next int index, so the kernel hashes ints.
     """
-    cores, vectors, keys = {}, [], {}
+    cores, vectors, keys, index = {}, [], {}, {}
     for decorations in decoration_vectors:
         leaves = []
         for pairs, w, e_q, e_t in _leaves(spec, decorations):
@@ -311,9 +312,12 @@ def _shifted_leaves(spec, decoration_vectors):
             if w:
                 key = keys.get(pairs)
                 if key is None:
-                    key = keys[pairs] = _core_key(spec, pairs)
-                    if key not in cores:
-                        cores[key] = _core(spec, key)
+                    orbit = _core_key(spec, pairs)
+                    key = index.get(orbit)
+                    if key is None:
+                        key = index[orbit] = len(cores)
+                        cores[key] = _core(spec, orbit)
+                    keys[pairs] = key
                 leaves.append((key, w, exponent_key(e_q, e_t)))
         vectors.append(leaves)
     return cores, vectors
@@ -324,9 +328,11 @@ def torus_framed(spec, decorations):
 
     Each decoration is a composite-basis term table {PartitionPair: coeff},
     the element sum of coeff * Q_pair, coeff an int (else TypeError): one
-    vector of ``framed_numerators``, canonicalised once (``shifted_value``).
+    vector of the leaves of ``framed_numerators``, canonicalised once on its
+    basis (``exactring.combination_value``).
     """
-    return shifted_value(*_shifted_leaves(spec, [decorations]))
+    cores, [leaves] = _shifted_leaves(spec, [decorations])
+    return combination_value(cores, leaves)
 
 
 def framed_numerators(spec, decoration_vectors):
@@ -339,9 +345,10 @@ def framed_numerators(spec, decoration_vectors):
     the unknot value -- is read and lifted once; a leaf adds its integer
     weight times its lifted core shifted by its kink exponents, which are
     encoded once per leaf as one term-dict key: on packed rows a whole-slot
-    shift of one big integer, else key additions into a term dict.  No
-    monomial product is formed and no bracket is canonicalised.
-    ``torus_framed`` is one vector, canonicalised by ``shifted_value``.
+    shift of one big integer, else key additions into a term dict, as the
+    one gate of the lift-and-add kernel decides.  No monomial product is
+    formed and no bracket is canonicalised.  ``torus_framed`` is one vector
+    of the same leaves, canonicalised once on its basis.
 
     Cores are keyed by ``_core_key``, the orbit of their labels under
     permutation and the global swap.  Each leaf's kink exponents are fixed by

@@ -32,10 +32,13 @@ quantity the engine also computes, by a different formula:
   Zhat_nu combined from the canonical H_A of ``lmov.cs_partition``, against
   ``lmov.log_partition_series``, which lifts each bracket core once;
 * ``combination_by_dicts`` -- an integer combination of shifted sums of
-  values, over {k} brackets, by term dicts: each vector summed by
-  ``exactring.shifted_sums``, the weighted vectors added term by term and
-  the total canonicalised with every phi_d tested, against
-  ``exactring.bracket_combination`` on a packed ``combination_basis``;
+  values, over {k} brackets, by Laurent products: each vector summed by
+  ``shifted_sums``, which lifts each value by its missing phi_d one factor at
+  a time and adds each leaf as a monomial product, the weighted vectors
+  added and the total canonicalised with every phi_d tested, against
+  ``exactring.bracket_combination`` on a ``combination_basis`` and
+  ``exactring.combination_value``, the lift-and-add kernel on packed rows or
+  in term dicts;
 * ``log_of_zhat_by_rationals`` -- the degree recursion of log Z on canonical
   RationalQT products and sums, against the fraction-free recursion over
   integer term dicts of ``lmov._log_of_zhat``;
@@ -67,7 +70,7 @@ quantity the engine also computes, by a different formula:
   numerator multiplied by its missing cyclotomic factors as a Laurent
   polynomial, the lifted numerators added, and every phi_d of the common
   denominator divided out by ``exact_div``, against ``RationalQT.sum``,
-  which adds and cancels on packed rows above its gates;
+  one vector of the lift-and-add kernel, on packed rows above its gate;
 * ``splittings`` and ``splitting_weight`` -- the part-multiset splittings of
   nu and their z-ratio weights.
 """
@@ -86,6 +89,7 @@ from skeinlab.composite import z_reform
 from skeinlab.exactring import (
     LaurentQT,
     RationalQT,
+    _exponents,
     _laurent,
     _rational,
     bracket_exponents,
@@ -95,7 +99,6 @@ from skeinlab.exactring import (
     exact_div,
     q_brace,
     q_bracket,
-    shifted_sums,
     z_square_power,
 )
 from skeinlab.lmov import (
@@ -459,7 +462,7 @@ def value_basis(values):
 
 
 def combination_by_dicts(values, vectors, weights, c, ks):
-    """sum_i weights[i] * vector_i / c times prod over k in ks of {k}, by term dicts.
+    """sum_i weights[i] * vector_i / c times prod over k in ks of {k}, by Laurent products.
 
     Vector i is sum of w * q**e_q * t**e_t * values[key] over its leaves (key,
     w, shift), shift the ``exponent_key`` of q**e_q * t**e_t.  The vectors
@@ -706,22 +709,11 @@ def sum_by_lift(values):
         x = RationalQT._coerce(x)
         key = (x._c, x._exps)
         groups[key] = groups.get(key, LaurentQT.zero()) + x.num
-    groups = {key: num for key, num in groups.items() if num}
+    groups = {key: (*key, num) for key, num in groups.items() if num}
     if not groups:
         return RationalQT(0)
-    c = lcm(*(x_c for x_c, _ in groups))
-    top = {}
-    for _, exps in groups:
-        for d, e in exps:
-            top[d] = max(top.get(d, 0), e)
-    total = LaurentQT.zero()
-    for (x_c, exps), num in groups.items():
-        have = dict(exps)
-        num = num * (c // x_c)
-        for d, e in top.items():
-            for _ in range(e - have.get(d, 0)):
-                num = num * cyclotomic_factor(d)
-        total = total + num
+    c, top, lifted = _lifted_by_products(groups)
+    total = sum(lifted.values(), LaurentQT.zero())
     if not total:
         return RationalQT(0)
     g = gcd(total.content(), c)
@@ -733,6 +725,49 @@ def sum_by_lift(values):
                 break
             total, top[d] = quo, top[d] - 1
     return _rational(total, c, tuple(sorted((d, e) for d, e in top.items() if e)))
+
+
+def _lifted_by_products(parts):
+    """The lcm c * prod phi_d**top of parts {key: (c, exps, num)}, and each num lifted to it.
+
+    Each numerator is multiplied by the integer it misses and by its missing
+    phi_d one factor at a time, as Laurent polynomials.  Returns (c, top,
+    {key: lifted num}), top a dict {d: e}.
+    """
+    c = lcm(*(x_c for x_c, _, _ in parts.values()))
+    top = {}
+    for _, exps, _ in parts.values():
+        for d, e in exps:
+            top[d] = max(top.get(d, 0), e)
+    lifted = {}
+    for key, (x_c, exps, num) in parts.items():
+        have = dict(exps)
+        num = num * (c // x_c)
+        for d, e in top.items():
+            for _ in range(e - have.get(d, 0)):
+                num = num * cyclotomic_factor(d)
+        lifted[key] = num
+    return c, top, lifted
+
+
+def shifted_sums(values, vectors):
+    """Sums of w * q**e_q * t**e_t * values[key] over one common denominator, one per vector.
+
+    A vector lists leaves (key, w, shift), shift the ``exponent_key`` of
+    q**e_q * t**e_t.  Each RationalQT value is lifted to the lcm of the
+    denominators by Laurent products (``_lifted_by_products``), and each leaf
+    adds its lifted numerator times the monomial w * q**e_q * t**e_t.
+    Returns (c, exps, nums): vector i sums to nums[i] / (c * prod
+    phi_d**exps), exps a dict {d: e}.
+    """
+    c, top, lifted = _lifted_by_products({key: (x._c, x._exps, x.num) for key, x in values.items()})
+    nums = []
+    for leaves in vectors:
+        total = LaurentQT.zero()
+        for key, w, shift in leaves:
+            total = total + lifted[key] * LaurentQT.monomial(w, *_exponents(shift))
+        nums.append(total)
+    return c, top, nums
 
 
 def binomial_product(powers):

@@ -21,13 +21,13 @@ from skeinlab.exactring import (
     bracket_quotient,
     bracket_scaled,
     combination_basis,
+    combination_value,
     cyclotomic_factor,
     exact_div,
     exponent_key,
     format_laurent,
     packed_product,
     q_bracket,
-    shifted_sums,
     q_brace,
     q_one_leading,
     t_bracket,
@@ -92,6 +92,20 @@ def bracket_fractions():
 
 def _fields(x):
     return x.num, x._c, x._exps
+
+
+def _plain_forms(x):
+    """The LaurentQT, int, Fraction and constant LaurentQT equal to the RationalQT x, where they exist."""
+    if x._exps:
+        return []
+    forms = [] if x._c > 1 else [x.num]
+    terms = x.num.sorted_terms()
+    if not terms or (len(terms) == 1 and terms[0][0] == (0, 0)):
+        n = terms[0][1] if terms else 0
+        forms.append(Fraction(n, x._c))
+        if x._c == 1:
+            forms += [n, LaurentQT.from_int(n)]
+    return forms
 
 
 def scalars():
@@ -476,6 +490,32 @@ class TestZSquare:
                 LaurentQT.from_records([rec])
 
 
+class TestOperandTypes:
+    """Subtraction with an operand of another type: NotImplemented, so Python raises TypeError."""
+
+    @pytest.mark.parametrize("other", [2.0, "a", None, [1]])
+    @pytest.mark.parametrize("value", [LaurentQT({(1, 0): 1, (0, 1): -2}), RationalQT(LaurentQT.one(), q_bracket(1))])
+    def test_other_types_raise_type_error_in_both_orders(self, value, other):
+        with pytest.raises(TypeError):
+            value - other
+        with pytest.raises(TypeError):
+            other - value
+
+    def test_ints_and_mixed_values_subtract(self):
+        f, x = LaurentQT({(1, 0): 1, (0, 1): -2}), RationalQT(LaurentQT.one(), q_bracket(1))
+        assert 3 - f == LaurentQT.from_int(3) - f == -(f - 3)
+        assert f - x == -(x - f) == RationalQT(f) - x
+        assert Fraction(1, 2) - x == -(x - Fraction(1, 2))
+
+    def test_constants_hash_as_their_numbers(self):
+        for n in (0, 5, -1, 2**70):
+            assert hash(LaurentQT.from_int(n)) == hash(n) == hash(RationalQT(n))
+            assert len({LaurentQT.from_int(n), n, RationalQT(n)}) == 1
+        f = LaurentQT({(1, 0): 1, (0, 1): -2})
+        assert len({f, RationalQT(f)}) == 1
+        assert len({RationalQT.from_fraction(Fraction(-3, 4)), Fraction(-3, 4)}) == 1
+
+
 class TestRational:
     def test_equality_cross_multiplication(self):
         a = RationalQT(q_bracket(2), q_bracket(1))
@@ -600,6 +640,10 @@ class TestCanonicalForm:
 
     @given(bracket_fractions(), bracket_fractions(), bracket_dens())
     @settings(max_examples=150, deadline=None)
+    # values equal to an int, a Fraction and a LaurentQT, and zero
+    @example(RationalQT(-6, 4), RationalQT(5), LaurentQT.from_int(3))
+    @example(RationalQT(LaurentQT({(1, 0): 2, (0, 1): -1})), RationalQT(0), LaurentQT.from_int(-2))
+    @example(RationalQT(0), RationalQT(LaurentQT.monomial(3, 2, 1), 6), LaurentQT.one())
     def test_equality_json_and_hash_agree(self, x, y, extra):
         same = (x + y) - y
         scaled = RationalQT(x.num * extra, x.den * extra)
@@ -609,6 +653,12 @@ class TestCanonicalForm:
             # only this direction: hash(-1) == hash(-2) in CPython
             assert hash(a) == hash(b) or not equal
         assert {x: 1}[same] == 1
+        # cross-type pairs: a value without phi_d equals its LaurentQT, int or Fraction
+        for a in (x, y, same):
+            for b in _plain_forms(a):
+                assert a == b and b == a
+                assert hash(a) == hash(b)
+                assert len({a, b}) == 1
 
     @given(laurents(), bracket_dens(), st.integers(1, 6), st.sampled_from([1, -2, 3]))
     @settings(max_examples=150, deadline=None)
@@ -783,30 +833,25 @@ def packed_sum_parts(draw):
 
 
 def _count_routes(mp):
-    """Counters of RationalQT.sum's routes, set through the MonkeyPatch ``mp``.
+    """Counters of the lift-and-add kernel's outcomes, set through the MonkeyPatch ``mp``.
 
-    packed and declined count the calls of the packed route by outcome
-    (declined: a gate of ``_sum_packed`` returned None), dict the sums added
-    in term dicts, and lists the cancellations decided on dense lists.
+    packed and dicts count the calls of ``exactring._combine`` by the route
+    its gate chose, a basis on packed rows or in term dicts, and lists the
+    cancellations decided on dense lists.
     """
-    counts = {"packed": 0, "declined": 0, "dict": 0, "lists": 0}
-    packed, by_lift, lists = exactring._sum_packed, exactring._sum_by_lift, exactring._phi_cancel_by_lists
+    counts = {"packed": 0, "dicts": 0, "lists": 0}
+    combine, lists = exactring._combine, exactring._phi_cancel_by_lists
 
-    def count_packed(*args):
-        value = packed(*args)
-        counts["declined" if value is None else "packed"] += 1
-        return value
-
-    def count_dict(*args):
-        counts["dict"] += 1
-        return by_lift(*args)
+    def count_combine(*args):
+        basis = combine(*args)
+        counts["dicts" if basis[3] is None else "packed"] += 1
+        return basis
 
     def count_lists(*args):
         counts["lists"] += 1
         return lists(*args)
 
-    mp.setattr(exactring, "_sum_packed", count_packed)
-    mp.setattr(exactring, "_sum_by_lift", count_dict)
+    mp.setattr(exactring, "_combine", count_combine)
     mp.setattr(exactring, "_phi_cancel_by_lists", count_lists)
     return counts
 
@@ -816,12 +861,14 @@ def routes(monkeypatch):
     return _count_routes(monkeypatch)
 
 
-def _gate_parts(a=40, b=24, c_a=1, start=0, c=1, ks=(1,)):
-    """A / (c * {k} over ks) and B: a + b input terms, B lifted by phi_1, a row of start + b + 1 slots.
+def _gate_parts(a=40, b=24, c_a=1, start=0, c=1, ks=(7,)):
+    """A / (c * {k} over ks) and B: a + b input terms, B lifted by the phi_d of ks.
 
     A = c_a * sum of q**(2i), i < a, and B = sum of q**(2j + 1) over start <= j
-    < start + b.  Lifted, B starts at q**(2 * start) and ends at q**(2 * (start + b)),
-    so the slot bound is c_a + 2 and the layout one row of max(a, start + b + 1) slots.
+    < start + b.  With ks = (7,), B is lifted by {7} = phi_1 phi_7 = q**7 - q**-7,
+    7 x-steps per term: 7b of them, at least 2(a + b) when 5b >= 2a.  Lifted, B
+    starts at q**(2 * start - 6) and ends at q**(2 * (start + b) + 6), so the slot
+    bound is c_a + 2 and the layout, for start >= 3, one row of start + b + 4 slots.
     """
     num_a = LaurentQT({(2 * i, 0): c_a for i in range(a)})
     num_b = LaurentQT({(2 * j + 1, 0): 1 for j in range(start, start + b)})
@@ -839,26 +886,30 @@ class TestPackedSum:
             counts = _count_routes(mp)
             total = RationalQT.sum(parts)
         # --hypothesis-show-statistics shows how often each route ran
-        event(next((route for route in ("packed", "declined") if counts[route]), "dict or one part"))
+        event(next((route for route in ("packed", "dicts") if counts[route]), "one part"))
         assert total == expected
         assert total.to_json() == expected.to_json()
 
     @pytest.mark.parametrize(
         "kwargs, route",
         [
-            ({"a": 40, "b": 23}, "dict"),
+            ({"a": 40, "b": 23}, "dicts"),
             ({"a": 40, "b": 24}, "packed"),
-            # integers alone lift the parts
-            ({"c": 3, "ks": ()}, "declined"),
+            # integers alone lift the parts, and phi_1 alone lifts 24 of 64 terms by one x-step
+            ({"c": 3, "ks": ()}, "dicts"),
+            ({"ks": (1,)}, "dicts"),
+            # 7 * 20 x-steps of lift over 50 + 20 terms and over 51 + 20
+            ({"a": 50, "b": 20}, "packed"),
+            ({"a": 51, "b": 20}, "dicts"),
             # the slot bound c_a + 2 * 1 at 2**62 - 1 and at 2**62
             ({"c_a": 2**62 - 3}, "packed"),
-            ({"c_a": 2**62 - 2}, "declined"),
+            ({"c_a": 2**62 - 2}, "dicts"),
             # 4 * 64 slots and one more
-            ({"start": 231}, "packed"),
-            ({"start": 232}, "declined"),
+            ({"start": 228}, "packed"),
+            ({"start": 229}, "dicts"),
         ],
-        ids=["63-terms", "64-terms", "integer-lift", "bound-below-2**62", "bound-2**62",
-             "4-slots-per-term", "sparse"],
+        ids=["63-terms", "64-terms", "integer-lift", "light-lift", "lift-2-per-term", "lift-below-2",
+             "bound-below-2**62", "bound-2**62", "4-slots-per-term", "sparse"],
     )
     def test_gates(self, routes, kwargs, route):
         parts = _gate_parts(**kwargs)
@@ -866,19 +917,19 @@ class TestPackedSum:
         assert total == expected
         assert total.to_json() == expected.to_json()
         assert routes[route] == 1
-        assert routes["packed"] + routes["declined"] == (route != "dict")
+        assert routes["packed"] + routes["dicts"] == 1
 
     def test_content_cancels_against_the_integer(self, routes):
-        # f / (2 phi_1) + g / 2 with f = 2 u - g phi_1: both canonical, and the total
-        # 2 u / (2 phi_1) = u / phi_1 has content 2
+        # f / (2 {7}) + g / 2 with f = 2 u - g {7}: both canonical, and the total
+        # 2 u / (2 {7}) = u / {7} has content 2; g, 30 of the 73 terms, is lifted by 7 x-steps
         u = LaurentQT({(2 * i, 0): i % 3 + 1 for i in range(40)})
         g = LaurentQT({(2 * j + 1, 0): 1 for j in range(30)})
-        f = u * 2 - g * cyclotomic_factor(1)
-        parts = [bracket_quotient(f, 2, [1]), RationalQT(g, 2)]
+        f = u * 2 - g * q_bracket(7)
+        parts = [bracket_quotient(f, 2, [7]), RationalQT(g, 2)]
         assert [x._c for x in parts] == [2, 2]
         total = RationalQT.sum(parts)
         assert routes["packed"] == 1
-        assert total == sum_by_lift(parts) == bracket_quotient(u, 1, [1])
+        assert total == sum_by_lift(parts) == bracket_quotient(u, 1, [7])
         assert total._c == 1
 
     def test_total_cancels_to_zero(self, routes):
@@ -942,7 +993,7 @@ class TestPackedSum:
 
 
 class TestSumRoutes:
-    """The route each workload sum takes; a later change cannot flip one silently."""
+    """The route the kernel takes on each workload call; a later change cannot flip one silently."""
 
     def test_colored_torus_bracket_is_packed(self, routes):
         from skeinlab.partitions import Partition, PartitionPair
@@ -950,7 +1001,7 @@ class TestSumRoutes:
 
         pair = PartitionPair(Partition([2, 1]), Partition([2, 1]))
         _surface_bracket.__wrapped__(2, 5, 1, (pair,))
-        assert routes == {"packed": 1, "declined": 0, "dict": 0, "lists": 0}
+        assert routes == {"packed": 1, "dicts": 0, "lists": 0}
 
     def test_integer_denominator_sums_of_hat_h_stay_in_term_dicts(self, routes):
         from skeinlab.fixtures import hopf_with_kinks
@@ -965,9 +1016,9 @@ class TestSumRoutes:
             for B2 in labels:
                 if 1 <= B1.size + B2.size <= 5:
                     hat_h(spec, (B1, B2), table=table)
-        # 36 of the 70 sums over two or more denominators reach the size gate, but
-        # integers alone lift them: they decline, and every sum adds in term dicts
-        assert (routes["packed"], routes["declined"], routes["dict"]) == (0, 36, 70)
+        # 70 sums over two or more denominators, 36 of them from 64 terms on, but
+        # integers alone lift them: every sum adds in term dicts
+        assert (routes["packed"], routes["dicts"]) == (0, 70)
 
     def test_largest_sums_of_the_size_4_torus_labels_are_packed(self, routes):
         from skeinlab.partitions import Partition, PartitionPair
@@ -978,78 +1029,80 @@ class TestSumRoutes:
             pairs = (PartitionPair(Partition(lam), Partition()), one, one)
             _surface_bracket.__wrapped__(3, 1, 3, pairs)
         # 87 380 and 119 098 input terms over about 3 900 slots
-        assert routes == {"packed": 2, "declined": 0, "dict": 0, "lists": 0}
+        assert routes == {"packed": 2, "dicts": 0, "lists": 0}
 
-    def test_free_energy_bases_are_packed(self, monkeypatch):
+    def test_free_energy_bases_of_four_or_more_vectors_are_packed(self, monkeypatch):
         from skeinlab import lmov
         from skeinlab.fixtures import hopf_with_kinks
 
-        combinations = []
-        original = lmov.bracket_combination
+        numerators, combination, canonical = lmov.framed_numerators, lmov.bracket_combination, exactring._canonical_packed
+        bases, added, calls = [], [], [0]
 
-        def count_combination(*args):
-            combinations.append(args)
-            return original(*args)
+        def count_numerators(spec, decoration_vectors):
+            basis = numerators(spec, decoration_vectors)
+            bases.append((len(decoration_vectors), basis[3] is not None))
+            return basis
 
+        def count_canonical(*args):
+            calls[0] += 1
+            return canonical(*args)
+
+        def count_combination(basis, *args):
+            before = calls[0]
+            value = combination(basis, *args)
+            if basis[3] is not None:
+                added.append(calls[0] - before)
+            return value
+
+        monkeypatch.setattr(lmov, "framed_numerators", count_numerators)
         monkeypatch.setattr(lmov, "bracket_combination", count_combination)
-        counts = _count_bases(monkeypatch)
+        monkeypatch.setattr(exactring, "_canonical_packed", count_canonical)
         lmov.plethystic_h(hopf_with_kinks(1, -1), 5)
-        # one basis per size set (sizes summed over the two components, 1 to 5),
-        # and every Zhat_nu added as big integers
-        assert counts["packed"] == 11 and counts["declined"] == 0
-        assert counts["canonical"] - counts["sums"] == len(combinations) > 0
+        # one basis per size set (sizes summed over the two components, 1 to 5): the 9 of
+        # 4 or more vectors are packed and the 2 smaller ones in term dicts, and every
+        # Zhat_nu on a packed basis is added as big integers and cancelled on its rows
+        assert sorted(bases) == [(1, False), (2, False), *((n, True) for n in (4, 4, 4, 6, 6, 10, 10, 12, 14))]
+        assert added and set(added) == {1}
 
-    def test_huge_weights_decline_to_term_dicts(self, monkeypatch):
+    def test_huge_weights_decline_to_term_dicts(self, routes):
         from skeinlab.partitions import Partition, PartitionPair
         from skeinlab.skein import LinkSpec, framed_numerators, torus_framed
 
         spec = LinkSpec.torus(1, 1, 2, framing=(1, -1))
         one, two = PartitionPair(Partition([1]), Partition()), PartitionPair(Partition([2]), Partition())
         decorations = [{one: 2**62, two: -1}, {one: 1}]
-        counts = _count_bases(monkeypatch)
-        basis = framed_numerators(spec, [decorations])
+        # four vectors would pack, but the slot bound reaches 2**62
+        basis = framed_numerators(spec, [decorations] * 4)
         assert basis[3] is None
-        assert (counts["packed"], counts["declined"]) == (0, 1)
-        assert bracket_combination(basis, [1], 1, ()) == torus_framed(spec, decorations)
+        assert (routes["packed"], routes["dicts"]) == (0, 1)
+        assert bracket_combination(basis, [1, 0, 0, 0], 1, ()) == torus_framed(spec, decorations)
 
-
-def _count_bases(mp):
-    """Counters of the combination routes, set through the MonkeyPatch ``mp``.
-
-    packed and declined count the bases of ``combination_basis`` by outcome
-    (declined: a gate of ``_packed_basis`` returned None), canonical the
-    totals canonicalised on packed rows, sums the packed sums of
-    ``RationalQT.sum`` among them (the rest are combinations added as big
-    integers), and lists the cancellations decided on dense lists.
-    """
-    counts = {"packed": 0, "declined": 0, "canonical": 0, "sums": 0, "lists": 0}
-    basis, canonical, sums, lists = (
-        exactring._packed_basis, exactring._canonical_packed, exactring._sum_packed, exactring._phi_cancel_by_lists
+    @pytest.mark.parametrize(
+        "link, labels, cores",
+        [
+            # a big-colored item: one core, lifted by nothing
+            (("torus", 2, 5, 1), [[[2, 1], [2, 1]]], 1),
+            # a zh-sweep item of the T(3,3) diagram: the power sums p_(2,1), p_2 and p_1, many cores
+            (("torus_diagram", 3, 3), [[[2, 1]], [[2]], [[1]]], 4),
+        ],
+        ids=["big-colored", "zh-sweep"],
     )
+    def test_torus_framed_stays_in_term_dicts(self, monkeypatch, link, labels, cores):
+        from skeinlab.composite import power_decoration
+        from skeinlab.partitions import Partition, PartitionPair
+        from skeinlab.skein import LinkSpec, _shifted_leaves, torus_framed
 
-    def count_basis(*args):
-        out = basis(*args)
-        counts["declined" if out is None else "packed"] += 1
-        return out
-
-    def count_canonical(*args):
-        counts["canonical"] += 1
-        return canonical(*args)
-
-    def count_sums(*args):
-        value = sums(*args)
-        counts["sums"] += value is not None
-        return value
-
-    def count_lists(*args):
-        counts["lists"] += 1
-        return lists(*args)
-
-    mp.setattr(exactring, "_packed_basis", count_basis)
-    mp.setattr(exactring, "_canonical_packed", count_canonical)
-    mp.setattr(exactring, "_sum_packed", count_sums)
-    mp.setattr(exactring, "_phi_cancel_by_lists", count_lists)
-    return counts
+        kind, *args = link
+        spec = getattr(LinkSpec, kind)(*args)
+        decorations = [
+            power_decoration(Partition(lam)) if not mu else {PartitionPair(Partition(lam), Partition(mu[0])): 1}
+            for lam, *mu in labels
+        ]
+        expected = torus_framed(spec, decorations)  # the surface brackets, cached
+        counts = _count_routes(monkeypatch)
+        assert torus_framed(spec, decorations) == expected
+        assert (counts["packed"], counts["dicts"]) == (0, 1)
+        assert len(_shifted_leaves(spec, [decorations])[0]) == cores
 
 
 # a leaf weight this large takes a vector's slot bound past 2**62
@@ -1083,7 +1136,9 @@ def framed_combinations(draw):
     decorations = st.lists(
         st.dictionaries(st.sampled_from(labels), weight, min_size=1, max_size=3), min_size=L, max_size=L
     )
-    decoration_vectors = draw(st.lists(decorations, min_size=1, max_size=4))
+    # one to six vectors: the kernel packs a call of four or more
+    count = draw(st.integers(1, 6))
+    decoration_vectors = draw(st.lists(decorations, min_size=count, max_size=count))
     values, vectors = _shifted_leaves(spec, decoration_vectors)
     cancel = draw(st.integers(0, 3)) == 0
     if cancel:
@@ -1133,7 +1188,9 @@ def value_combinations(draw):
         lambda key, w, e_q, e_t: (key, w, exponent_key(e_q, e_t)),
         st.sampled_from(sorted(values)), st.sampled_from([-3, -2, -1, 1, 2, 3]), q_shift, st.integers(-2, 2),
     )
-    vectors = draw(st.lists(st.lists(leaf, min_size=1, max_size=4), min_size=1, max_size=4))
+    # one to six vectors: the kernel packs a call of four or more
+    count = draw(st.integers(1, 6))
+    vectors = draw(st.lists(st.lists(leaf, min_size=1, max_size=4), min_size=count, max_size=count))
     combinations = [
         (draw(st.lists(st.integers(-3, 3), min_size=len(vectors), max_size=len(vectors))),
          draw(st.sampled_from([1, 2])), draw(st.lists(st.integers(1, 3), max_size=2)))
@@ -1143,17 +1200,19 @@ def value_combinations(draw):
 
 
 class TestCombinationBasis:
-    """bracket_combination on combination_basis against the term-dict route of the oracle."""
+    """The kernel's bases and single vectors against the Laurent-product route of the oracle."""
 
     @staticmethod
     def _check(values, vectors, combinations):
         with pytest.MonkeyPatch.context() as mp:
-            counts = _count_bases(mp)
+            counts = _count_routes(mp)
             basis = combination_basis(values, vectors)
             got = [bracket_combination(basis, *combination) for combination in combinations]
         # --hypothesis-show-statistics shows how often each route ran
-        event("packed" if counts["packed"] else "declined" if counts["declined"] else "no leaves")
-        if counts["packed"] and counts["canonical"] < len(combinations):
+        event("packed" if counts["packed"] else "term dicts")
+        if basis[3] is not None and any(
+            sum(abs(w) * bound for (_, bound), w in zip(basis[2], weights)) >> 62 for weights, _, _ in combinations
+        ):
             event("a combination past the slot bound, by dicts")
         for value, combination in zip(got, combinations):
             expected = combination_by_dicts(values, vectors, *combination)
@@ -1161,6 +1220,10 @@ class TestCombinationBasis:
             assert value.to_json() == expected.to_json()
             if not expected:
                 event("cancels to 0")
+        # the first vector alone, canonicalised on its own basis as torus_framed is
+        value, expected = combination_value(values, vectors[0]), combination_by_dicts(values, vectors[:1], [1], 1, ())
+        assert value == expected
+        assert value.to_json() == expected.to_json()
 
     @given(framed_combinations())
     @settings(max_examples=150, deadline=None)
@@ -1180,14 +1243,18 @@ class TestCombinationBasis:
         values = {0: bracket_quotient(num0, 2, [2]), 1: bracket_quotient(num1, 3, [2, 3])}
         assert (values[0]._c, values[0]._exps) == (2, ((1, 1),))
         assert (values[1]._c, values[1]._exps) == (3, ((1, 2), (2, 1), (3, 1)))
+        # four vectors, so that the basis packs
         vectors = [
             [(0, 1, exponent_key(0, 0)), (1, 2, exponent_key(2, 0))],
             [(1, -3, exponent_key(-2, 0)), (0, 1, exponent_key(2, 0))],
             [(0, 2, exponent_key(0, 0)), (1, 1, exponent_key(0, 0))],
+            [(1, 1, exponent_key(4, -1)), (0, -2, exponent_key(-2, 1))],
         ]
-        combinations = [([1, 0, 0], 1, ()), ([1, 2, -1], 5, (3,)), ([0, 1, 1], 1, (1, 2)), ([3, -1, 2], 2, ())]
+        combinations = [
+            ([1, 0, 0, 0], 1, ()), ([1, 2, -1, 1], 5, (3,)), ([0, 1, 1, -2], 1, (1, 2)), ([3, -1, 2, 0], 2, ()),
+        ]
         with pytest.MonkeyPatch.context() as mp:
-            counts = _count_bases(mp)
+            counts = _count_routes(mp)
             basis = combination_basis(values, vectors)
         assert counts["packed"] == 1
         for combination in combinations:
@@ -1197,12 +1264,13 @@ class TestCombinationBasis:
             assert value.to_json() == expected.to_json()
 
     def test_certificate_failure_falls_back_to_lists(self):
-        values, vectors = {0: SPURIOUS}, [[(0, 1, exponent_key(2, 0))]]
+        # four vectors, so that the basis packs
+        values, vectors = {0: SPURIOUS}, [[(0, 1, exponent_key(2, 0))]] * 4
         with pytest.MonkeyPatch.context() as mp:
-            counts = _count_bases(mp)
-            total = bracket_combination(combination_basis(values, vectors), [1], 1, ())
-        assert counts == {"packed": 1, "declined": 0, "canonical": 1, "sums": 0, "lists": 1}
-        assert total.to_json() == combination_by_dicts(values, vectors, [1], 1, ()).to_json()
+            counts = _count_routes(mp)
+            total = bracket_combination(combination_basis(values, vectors), [1, 0, 0, 0], 1, ())
+        assert counts == {"packed": 1, "dicts": 0, "lists": 1}
+        assert total.to_json() == combination_by_dicts(values, vectors, [1, 0, 0, 0], 1, ()).to_json()
         assert total == SPURIOUS * LaurentQT.monomial(1, 2)
 
 
@@ -1385,10 +1453,11 @@ class TestExponentKeys:
             row * LaurentQT({(sign * i, 0): 1 for i in range(1, 31)})
         with pytest.raises(ArithmeticError):
             LaurentQT.monomial(1, sign * 2**30, 1).substitute_power(2)
+        # one vector in term dicts, and four that pass the packed gate, whose rows reach the bound
         with pytest.raises(ArithmeticError):
-            shifted_sums({"top": RationalQT(top)}, [[("top", 1, exponent_key(sign, 0))]])
+            combination_basis({"top": RationalQT(top)}, [[("top", 1, exponent_key(sign, 0))]])
         with pytest.raises(ArithmeticError):
-            combination_basis({"top": RationalQT(top)}, [[("top", 1, exponent_key(2 * sign, 0))]])
+            combination_basis({"top": RationalQT(top)}, [[("top", 1, exponent_key(2 * sign, 0))]] * 4)
         with pytest.raises(ArithmeticError):
             RationalQT(top, q_bracket(1)) * RationalQT(step)
         with pytest.raises(ArithmeticError):

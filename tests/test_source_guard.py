@@ -12,6 +12,8 @@ below, and that list may only shrink.  Term dicts are keyed by packed
 exponent pairs, so the modules other than ``exactring`` never read them;
 that set of readers is pinned too, and so is the set of readers of the other
 fields behind a value (``_c``, ``_exps``, ``_den``, ``_hash``, ``_reach``).
+Every sum of values goes through one lift-and-add kernel, so its packed row
+layout and its term-dict adder each have exactly one caller.
 """
 
 import ast
@@ -165,3 +167,24 @@ def test_term_dicts_are_read_only_in_exactring():
 def test_value_fields_are_read_only_in_exactring():
     readers = _readers_outside_exactring({"_c", "_exps", "_den", "_hash", "_reach"})
     assert readers == REPRESENTATION_READERS_OUTSIDE_EXACTRING, f"fields read in {sorted(readers)}"
+
+
+# the one slot-filling loop of the packed rows and the one term-dict adder of the lift-and-add
+# kernel (``exactring._combine``), each with its one caller: a second packed or term-dict sum
+# layout cannot come back unnoticed
+ONE_CALLER = {"_packed_rows": ["exactring._packed_basis"], "_shifted_nums": ["exactring._combine"]}
+
+
+def test_the_kernel_has_one_packed_layout_and_one_term_dict_adder():
+    callers = {name: [] for name in ONE_CALLER}
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for path in SRC:
+        scopes = [(getattr(stmt, "name", "<module>"), stmt) for stmt in ast.parse(path.read_text()).body]
+        for name, node in scopes:
+            if isinstance(node, ast.ClassDef):
+                scopes.extend((f"{name}.{fn.name}", fn) for fn in node.body if isinstance(fn, defs))
+                continue
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and sub.id in callers:
+                    callers[sub.id].append(f"{path.stem}.{name}")
+    assert callers == ONE_CALLER
