@@ -189,19 +189,19 @@ def cmd_reform(args):
     if args.p is not None and args.p < 1:
         raise SystemExit2("--p must be a positive integer")
     if args.rhat:
-        if args.p is None:
-            raise SystemExit2("--rhat needs --p")
+        if args.p is None or args.labels is not None:
+            raise SystemExit2("--rhat needs --p and takes no --labels")
         value = r_reform(spec, args.p)
         verdict, stage, table = integrality_2z(value)
         name = f"Rh_{args.p}"
         ring = "2Z[z^2, t^+-1]"
     else:
-        if args.labels:
+        if (args.labels is None) == (args.p is None):
+            raise SystemExit2("reform needs exactly one of --labels and --p")
+        if args.labels is not None:
             labels = _parse_labels(args.labels, spec.L)
-        elif args.p is not None:
-            labels = [Partition([args.p])] * spec.L
         else:
-            raise SystemExit2("reform needs --labels or --p")
+            labels = [Partition([args.p])] * spec.L
         value = z_reform(spec, labels)
         verdict, stage, table = zsquare_member(value)
         name = "Zh_" + "".join(x.text() for x in labels)
@@ -256,7 +256,10 @@ def _parse_krange(text):
         if not ks:
             raise SystemExit2(f"--k: the range {text} is empty")
         return ks
-    return [int(x) for x in text.split(",")]
+    ks = [int(x) for x in text.split(",")]
+    if len(set(ks)) < len(ks):
+        raise SystemExit2(f"--k: {text} lists a value twice")
+    return ks
 
 
 def _map_jobs(fn, items, jobs):
@@ -392,9 +395,9 @@ def build_parser():
 
     p = add_parser("reform", help="reformulated invariants Zh / Rh with integrality verdicts")
     _add_spec_arguments(p)
-    p.add_argument("--labels", help="JSON, one partition per component")
+    p.add_argument("--labels", help="JSON, one partition per component (not with --p or --rhat)")
     p.add_argument("--p", type=int, help="use the one-row partition (p) on every component")
-    p.add_argument("--rhat", action="store_true", help="orientation-summed Rh_p")
+    p.add_argument("--rhat", action="store_true", help="orientation-summed Rh_p (needs --p)")
     p.set_defaults(func=cmd_reform)
 
     p = add_parser("lmov", help="transformed free energy and integer table")

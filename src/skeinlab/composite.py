@@ -23,11 +23,10 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .chars import character
 from .exactring import LaurentQT, RationalQT, _div_int, bracket_scaled, zsquare_decompose
-from .partitions import Partition, PartitionPair, partitions_of
+from .partitions import Partition, PartitionPair
 from .skein import LabelCountMismatch, torus_framed
-from .symfun import pair_weights
+from .symfun import pair_weights, power_to_schur_terms
 
 
 def composite_invariant(spec, labels):
@@ -51,14 +50,9 @@ def framed_composite(spec, labels):
 
 @lru_cache(maxsize=None)
 def power_decoration(mu):
-    """P_mu in the composite basis: sum over A of chi_A(mu) Q_{A, empty}."""
-    mu = Partition(mu)
-    terms = {}
-    for A in partitions_of(mu.size):
-        chi = character(A, mu)
-        if chi:
-            terms[PartitionPair(A, Partition())] = chi
-    return terms
+    """P_mu in the composite basis: sum over A of chi_A(mu) Q_{A, empty}, chi from ``power_to_schur_terms``."""
+    empty = Partition()
+    return {PartitionPair(A, empty): chi for A, chi in power_to_schur_terms(Partition(mu)).items()}
 
 
 def z_reform(spec, labels):

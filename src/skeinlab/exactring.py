@@ -37,12 +37,14 @@ read back only at the edges: ``sorted_terms``, ``to_records``,
 ``exponent_box``, the packed layouts (``_box``, ``_packed_basis``) and the
 first key of each row in x that ``zsquare_decompose`` certifies.
 
-Large products are Kronecker substitutions (``packed_product``): each
-operand becomes one signed integer, a q-step per slot of w bits and a
-t-row per run of slots, with w wide enough for every product coefficient;
-one big-integer product then replaces the loop over term pairs, and the
-slots are read back in one pass.  ``LaurentQT.__mul__`` and
-``lmov._multiply_add`` take it only above a gate on size and density,
+Every Laurent product runs through one multiply-add loop, ``_multiply_add``
+(acc += w * f * g): ``LaurentQT.__mul__`` is one into an empty dict, and
+``lmov`` accumulates its log series with it.  Large products are Kronecker
+substitutions (``packed_product``): each operand becomes one signed
+integer, a q-step per slot of w bits and a t-row per run of slots, with w
+wide enough for every product coefficient; one big-integer product then
+replaces the loop over term pairs, and the slots are read back in one
+pass.  ``_multiply_add`` takes it only above a gate on size and density,
 because packing a short or sparse product costs more than the loop, and
 ``tq_bracket_product`` builds the colored unknot's numerator on one packed
 integer, a shift and a subtraction per factor.
@@ -69,8 +71,9 @@ quotient that fails it leaves the rows to the division of dense lists.  The
 gates are constants measured on the workloads: the kernel packs 4 or more
 vectors, and fewer from 64 leaf terms on when their lifts add 2 x-steps per
 term on average, if the slot bound stays below 2**62 and the rows take at
-most 16 (4 for few vectors) slots per term; ``_phi_cancel`` packs from 40
-terms on.  Below a gate the term-dict route runs.
+most 16 (4 for few vectors) slots per term.  Below a gate the term-dict
+route runs.  ``_phi_cancel`` packs every numerator whose coefficients are
+below 2**62 in size, and leaves wider ones to the dense lists.
 
 ``q_one_leading`` gives the exact leading term of either type under
 ``q = exp(h)``, which is how ``q -> 1`` limits are taken.
@@ -205,6 +208,9 @@ class LaurentQT:
 
     @classmethod
     def from_int(cls, n):
+        """The constant n; TypeError when n is not an int, a bool included."""
+        if type(n) is not int:
+            raise TypeError(f"a constant must be int, not {n!r}")
         return cls({(0, 0): n}) if n else _ZERO
 
     @classmethod
@@ -220,8 +226,9 @@ class LaurentQT:
         return len(self._terms)
 
     def __eq__(self, other):
+        # a bool compares as the int it equals, as 1 == True does
         if isinstance(other, int):
-            other = LaurentQT.from_int(other)
+            other = LaurentQT.from_int(int(other))
         if not isinstance(other, LaurentQT):
             return NotImplemented
         return self._terms == other._terms
@@ -250,7 +257,7 @@ class LaurentQT:
         if not other._terms:
             return self
         data = dict(self._terms)
-        _add_terms(data, other)
+        _add_terms(data, other._terms)
         return _laurent(data, max(_reach_of(self), _reach_of(other)))
 
     __radd__ = __add__
@@ -271,34 +278,16 @@ class LaurentQT:
         return LaurentQT.from_int(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        # a bool is no ring element: it falls through to NotImplemented, so Python raises TypeError
+        if type(other) is int:
             if not other:
                 return _ZERO
             return _laurent({k: c * other for k, c in self._terms.items()}, self._reach)
         if not isinstance(other, LaurentQT):
             return NotImplemented
-        a, b = self._terms, other._terms
-        if not a or not b:
+        if not self._terms or not other._terms:
             return _ZERO
-        reach = _product_reach(self, other)
-        if len(a) > len(b):
-            a, b = b, a
-        if len(a) >= _PACK_MIN_TERMS and len(a) * len(b) >= _PACK_MIN_PAIRS:
-            data = packed_product(a, b)
-            if data is not None:
-                return _laurent(data, reach)
-        data = {}
-        get = data.get
-        b = b.items()
-        for k1, c1 in a.items():
-            for k2, c2 in b:
-                key = k1 + k2
-                c = c1 * c2 + get(key, 0)
-                if c:
-                    data[key] = c
-                else:
-                    del data[key]
-        return _laurent(data, reach)
+        return _laurent(*_multiply_add({}, self, other, 1))
 
     __rmul__ = __mul__
 
@@ -389,11 +378,11 @@ class LaurentQT:
         return format_laurent(self)
 
 
-def _add_terms(data, f, w=1):
-    """Add w times the terms of the LaurentQT f, w a nonzero int, into the term dict data in place."""
+def _add_terms(data, terms, w=1):
+    """Add w times the term dict terms, w a nonzero int, into the term dict data in place."""
     get = data.get
     # w * c is nonzero, so a zero total means the key was there
-    for key, c in f._terms.items():
+    for key, c in terms.items():
         c = c * w + get(key, 0)
         if c:
             data[key] = c
@@ -440,7 +429,7 @@ _ONE = LaurentQT({(0, 0): 1})
 
 # -- the packed product ---------------------------------------------------------------
 
-# the gate of ``packed_product``, measured on the products of the benchmark workloads
+# the size gate of ``_multiply_add``'s packed route, measured on the products of the benchmark workloads
 _PACK_MIN_TERMS = 6
 _PACK_MIN_PAIRS = 200
 
@@ -517,14 +506,11 @@ def packed_product(a, b, gate=True):
     min(sum|a| * max|b|, max|a| * sum|b|) in size, and w is that bound's
     length plus a sign bit, rounded up to 16, 32 or 64.  Returns None when the
     bound is wider than 64 bits and, with ``gate``, when the product is too
-    small or too sparse to pay for packing and reading its dense slots: fewer
-    than 6 terms in the shorter operand, fewer than 200 term pairs, or fewer
-    pairs than 1.5 times the terms and slots.
+    sparse to pay for packing and reading its dense slots: fewer term pairs
+    than 1.5 times the terms and slots.  The size gate is ``_multiply_add``'s.
     """
     la, lb = len(a), len(b)
     pairs = la * lb
-    if gate and (min(la, lb) < _PACK_MIN_TERMS or pairs < _PACK_MIN_PAIRS):
-        return None
     part_a, part_b = _exponent_lists(a), _exponent_lists(b)
     qa, sqa, ta, sta, pqa, pta = _box(part_a)
     qb, sqb, tb, stb, pqb, ptb = _box(part_b)
@@ -544,30 +530,41 @@ def packed_product(a, b, gate=True):
 
 
 def _multiply_add(acc, f, g, w):
-    """acc += w * f * g for LaurentQT f and g and a term dict acc; zero totals stay.
+    """acc += w * f * g for LaurentQT f and g, a nonzero int w and a term dict acc.
 
-    A product dense enough for ``packed_product`` is formed whole and added
-    term by term; any other runs the shorter of f and g outside.  Returns a
-    bound on the exponents of f * g (``_product_reach``).
+    The one Laurent product loop: ``LaurentQT.__mul__`` is this into an
+    empty dict.  A zero total is deleted as it forms.  From 6 terms in the
+    shorter of f and g and 200 term pairs on, a product dense enough for
+    ``packed_product`` is formed whole; it becomes acc itself when acc is
+    empty and w = 1, and is added by ``_add_terms`` otherwise.  Any other
+    product runs the shorter of f and g outside.  Returns acc, which is
+    updated in place unless it was empty, and a bound on the exponents of
+    f * g (``_product_reach``).
     """
     reach = _product_reach(f, g)
     f, g = f._terms, g._terms
-    fg = packed_product(f, g)
-    if fg is not None:
-        get = acc.get
-        for key, x in fg.items():
-            acc[key] = get(key, 0) + w * x
-        return reach
     if len(f) > len(g):
         f, g = g, f
+    if len(f) >= _PACK_MIN_TERMS and len(f) * len(g) >= _PACK_MIN_PAIRS:
+        fg = packed_product(f, g)
+        if fg is not None:
+            if acc or w != 1:
+                _add_terms(acc, fg, w)
+                return acc, reach
+            return fg, reach
     g = g.items()
     get = acc.get
+    # x * y is nonzero, so a zero total means the key was there
     for k1, x in f.items():
         x *= w
         for k2, y in g:
             key = k1 + k2
-            acc[key] = get(key, 0) + x * y
-    return reach
+            c = x * y + get(key, 0)
+            if c:
+                acc[key] = c
+            else:
+                del acc[key]
+    return acc, reach
 
 
 def _format_power(sym, e):
@@ -746,8 +743,8 @@ def zsquare_decompose(f):
     if not isinstance(f, LaurentQT):
         raise TypeError("zsquare_decompose expects a LaurentQT")
     table = {}
-    # keys sort in (e_t, e_q) order, and an even f has one row per t-exponent
-    for lo, row in sorted(_rows_in_x(f)):
+    # the rows come in key order, which is (e_t, e_q) order, and an even f has one row per t-exponent
+    for lo, row in _rows_in_x(f):
         Q, n = lo + _HALF >> _SHIFT, len(row) >> 1
         if lo & 1 or lo - Q * _M != 1 - len(row) or row != row[::-1]:
             return None
@@ -841,14 +838,12 @@ def _phi_cancel(f, exps, test):
     quotient; the exponents of d outside ``test`` are left alone.  phi_d is
     q**-phi(d) times the monic Phi_d(x) in x = q**2, so phi_d divides f
     exactly when Phi_d divides every row of f in x, one row per t-exponent
-    and parity of the q-exponent (``_rows_in_x``).  From 40 terms on, each
-    row is one packed integer, divided by ``_cancel_rows``.  Fewer terms, a
-    coefficient of 2**62 or more in size, or a quotient that fails the
-    certificate leave the decision to the division of dense lists
-    (``_phi_cancel_by_lists``).
+    and parity of the q-exponent (``_rows_in_x``).  Each row is one packed
+    integer, divided by ``_cancel_rows``.  A coefficient of 2**62 or more in
+    size, or a quotient that fails the certificate, leaves the decision to
+    the division of dense lists (``_phi_cancel_by_lists``).
     """
-    terms = f._terms
-    if len(terms) < _PACKED_ROWS_MIN_TERMS or max(map(abs, terms.values())) >> _ROW_BOUND_BITS:
+    if max(map(abs, f._terms.values())) >> _ROW_BOUND_BITS:
         return _phi_cancel_by_lists(f, exps, test)
     rows = _rows_in_x(f)
     width = max(len(row) for _, row in rows)
@@ -867,22 +862,25 @@ def _rows_in_x(f):
     """The rows of f in x = q**2: (key of the first entry, dense list of coefficients) pairs.
 
     One row per t-exponent and q-parity, numbered 2 * e_t + parity; along a
-    row the key steps by 2 per x-step, so no q-exponent is read back.
+    row the key steps by 2 per x-step, so no q-exponent is read back.  The
+    keys are split in sorted order, so each row's keys run from its first to
+    its last, and the rows come out in the order of their first keys.
     """
+    terms = f._terms
     classes = {}
-    for key, c in f._terms.items():
+    for key in sorted(terms):
         row_id = key + _HALF >> _SHIFT << 1 | key & 1
-        cls = classes.get(row_id)
-        if cls is None:
-            classes[row_id] = [(key, c)]
+        keys = classes.get(row_id)
+        if keys is None:
+            classes[row_id] = [key]
         else:
-            cls.append((key, c))
+            keys.append(key)
     rows = []
-    for cls in classes.values():
-        lo = min(cls)[0]
-        row = [0] * ((max(cls)[0] - lo >> 1) + 1)
-        for key, c in cls:
-            row[key - lo >> 1] = c
+    for keys in classes.values():
+        lo = keys[0]
+        row = [0] * ((keys[-1] - lo >> 1) + 1)
+        for key in keys:
+            row[key - lo >> 1] = terms[key]
         rows.append((lo, row))
     return rows
 
@@ -890,6 +888,8 @@ def _rows_in_x(f):
 def _phi_cancel_by_lists(f, exps, test):
     """``_phi_cancel`` on dense lists: each row in x a list, divided by ``_divmod_monic``.
 
+    The fallback of the packed rows, for a coefficient of 2**62 or more in
+    size and for a quotient that fails the certificate of ``_cancel_rows``.
     f is split once into rows, the factors q**phi(d) add up to one shift of
     all rows, and the term dict is rebuilt once at the end.
     """
@@ -922,9 +922,6 @@ def _phi_cancel_by_lists(f, exps, test):
 
 
 # -- packed rows in x = q**2 -------------------------------------------------------------
-
-# the gate of ``_phi_cancel``'s packed rows, measured on the cancellations of the workloads
-_PACKED_ROWS_MIN_TERMS = 40
 
 # one x-step per slot of a packed row, and every row coefficient below 2**62 in size
 _ROW_BITS = 64
@@ -1220,7 +1217,8 @@ class RationalQT:
         return _rational(self.num**k, self._c**k, tuple((d, e * k) for d, e in self._exps if k))
 
     def __eq__(self, other):
-        other = self._coerce(other)
+        # a bool compares as the int it equals, as 1 == True does
+        other = self._coerce(int(other) if isinstance(other, int) else other)
         if other is None:
             return NotImplemented
         return self._c == other._c and self._exps == other._exps and self.num == other.num
@@ -1261,7 +1259,7 @@ class RationalQT:
                     merged[key] = _reach_of(num)
                     num = groups[key] = dict(num._terms)
                 merged[key] = max(merged[key], _reach_of(x.num))
-                _add_terms(num, x.num)
+                _add_terms(num, x.num._terms)
         parts = [
             (c, exps, _laurent(num, merged[c, exps]) if type(num) is dict else num)
             for (c, exps), num in groups.items()
@@ -1539,7 +1537,7 @@ def _shifted_nums(lifted, vectors):
             f, k = lifted[key]
             w *= k
             if not shift:
-                _add_terms(data, f, w)
+                _add_terms(data, f._terms, w)
                 reach = max(reach, _reach_of(f))
                 continue
             reach = max(reach, _reach_of(f) + max(map(abs, _exponents(shift))))
@@ -1691,7 +1689,7 @@ def bracket_combination(basis, weights, c, ks):
     data, reach = {}, 0
     for num, w in zip(vectors, weights):
         if w:
-            _add_terms(data, num, w)
+            _add_terms(data, num._terms, w)
             reach = max(reach, _reach_of(num))
     return _times_phi(_canonical(_laurent(data, reach), c, exps, test), extra)
 

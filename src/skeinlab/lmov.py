@@ -270,8 +270,8 @@ def _log_of_zhat(zseries, D):
             den = lcm(*(fg_den for _, _, fg_den, _ in products))
             acc, reach = {}, 0
             for f, g, fg_den, sign in products:
-                reach = max(reach, _multiply_add(acc, f, g, sign * (den // fg_den)))
-            acc = {e: v for e, v in acc.items() if v}
+                acc, fg_reach = _multiply_add(acc, f, g, sign * (den // fg_den))
+                reach = max(reach, fg_reach)
             if acc:
                 content = gcd(den, *acc.values())
                 if content > 1:

@@ -48,9 +48,9 @@ quantity the engine also computes, by a different formula:
   route, against ``lmov.log_partition_series``;
 * ``corollary_congruence`` -- the power-substitution congruence of Zh_p;
 * ``dict_product`` -- a product of two term dicts keyed by exponent pairs,
-  by the plain double loop over term pairs, against the packed product
-  ``exactring.packed_product`` that ``LaurentQT.__mul__`` and
-  ``exactring._multiply_add`` take above its gate;
+  by the plain double loop over term pairs, against the one product loop
+  ``exactring._multiply_add`` (``LaurentQT.__mul__`` runs it) and the packed
+  product ``exactring.packed_product`` that it takes above its gate;
 * ``exact_div_by_pairs`` -- exact division on term dicts keyed by exponent
   pairs, in lex (e_q, e_t) order, against ``exactring.exact_div``, which
   divides on int keys in (e_t, e_q) order;

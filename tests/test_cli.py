@@ -450,6 +450,27 @@ def test_empty_k_range_exit_2(capsys, k):
 
 
 @pytest.mark.parametrize(
+    "argv, flag",
+    [
+        # Zh takes its labels from --labels or from --p, never both
+        (("reform", "--torus", "2", "3", "1", "--p", "2", "--labels", "[[1]]"), "--labels"),
+        # Rh_p is summed over --p alone
+        (("reform", "--torus", "2", "3", "1", "--p", "2", "--rhat", "--labels", "[[5]]"), "--labels"),
+        # a k listed twice would be computed and reported twice
+        (("congruence", "--p", "2", "--k", "1,1"), "--k"),
+    ],
+    ids=["reform-p-and-labels", "rhat-with-labels", "congruence-repeated-k"],
+)
+def test_conflicting_inputs_exit_2(capsys, argv, flag):
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--json"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and flag in captured.err
+
+
+@pytest.mark.parametrize(
     "exc, code, message",
     [
         (ArithmeticError("a pole at q = 1"), 3, "internal error: a pole at q = 1"),

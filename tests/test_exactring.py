@@ -1,5 +1,6 @@
 """Exact-arithmetic layer: ring laws, division, membership, leading terms at q = 1."""
 
+import operator
 import pickle
 from fractions import Fraction
 from math import gcd
@@ -13,6 +14,7 @@ from skeinlab.exactring import (
     LaurentQT,
     RationalQT,
     _cancel_rows,
+    _multiply_add,
     _phi_cancel,
     _phi_cancel_by_lists,
     _slot_width,
@@ -314,12 +316,41 @@ class TestPackedProduct:
     def test_gate(self):
         row = keyed({(i, 0): 1 for i in range(30)})
         assert packed_product(row, row) is not None
-        # a k x 1 monomial shift, and a sparse product whose slots outnumber its term pairs
+        # the density gate: a k x 1 monomial shift, and a sparse product whose slots outnumber its term pairs
         assert packed_product(row, keyed({(5, 2): 3})) is None
         sparse = {(40 * i, 0): 1 for i in range(20)}
         assert packed_product(keyed(sparse), keyed(sparse)) is None
         expected = keyed(dict_product(sparse, sparse))
         assert packed_product(keyed(sparse), keyed(sparse), gate=False) == expected
+
+    @given(
+        st.booleans().flatmap(lambda dense: st.tuples(term_dicts(dense), term_dicts(dense))),
+        st.one_of(st.just(1), st.integers(-9, 9).filter(bool), st.sampled_from([2**40, -(10**30)])),
+        st.one_of(
+            st.just({}),
+            st.dictionaries(st.tuples(st.integers(-8, 8), st.integers(-6, 6)), coefficients(), max_size=6),
+        ),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_multiply_add_matches_dict_product(self, operands, w, start, data):
+        a, b = operands
+        fg = dict_product(a, b)
+        if start:
+            # a key that acc holds at -w times its product coefficient totals 0
+            pair = data.draw(st.sampled_from(sorted(fg)))
+            start[pair] = -w * fg[pair]
+        expected = dict(start)
+        for pair, c in fg.items():
+            expected[pair] = expected.get(pair, 0) + w * c
+        # dense operands pass the size gate and pack; an empty acc with w = 1 takes the packed dict
+        event("above the size gate" if min(len(a), len(b)) >= 6 and len(a) * len(b) >= 200 else "below it")
+        event("empty acc, w = 1" if not start and w == 1 else "acc or w")
+        acc, reach = _multiply_add(dict(keyed(start)), LaurentQT(a), LaurentQT(b), w)
+        # zero totals are deleted as they form, so acc is compared unfiltered
+        assert acc == keyed({pair: c for pair, c in expected.items() if c})
+        assert all(acc.values())
+        assert reach >= max(abs(e) for pair in fg for e in pair)
 
     def test_cancelling_totals_are_dropped(self):
         # the coefficient of q**k sums (-1)**j over i + j = k, which is 0 for every odd k < 20
@@ -506,6 +537,34 @@ class TestOperandTypes:
         assert 3 - f == LaurentQT.from_int(3) - f == -(f - 3)
         assert f - x == -(x - f) == RationalQT(f) - x
         assert Fraction(1, 2) - x == -(x - Fraction(1, 2))
+
+    @pytest.mark.parametrize("value", [LaurentQT.one(), RationalQT(1), LaurentQT.zero(), RationalQT(0)],
+                             ids=["laurent-one", "rational-one", "laurent-zero", "rational-zero"])
+    def test_bools_compare_as_the_ints_they_equal(self, value):
+        n = 1 if value else 0
+        for flag in (True, False):
+            assert (value == flag) is (flag == value) is (n == flag)
+            assert (value != flag) is (flag != value) is (n != flag)
+        flag = bool(n)
+        assert len({value, flag}) == len({flag, value}) == 1
+        assert {value: 0}[flag] == {flag: 0}[value] == 0
+
+    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    @pytest.mark.parametrize("value", [LaurentQT({(1, 0): 1, (0, 1): -2}), LaurentQT.one(),
+                                       RationalQT(LaurentQT.one(), q_bracket(1)), RationalQT(1)])
+    def test_arithmetic_with_bools_raises_type_error_in_both_orders(self, value, op, flag):
+        with pytest.raises(TypeError):
+            op(value, flag)
+        with pytest.raises(TypeError):
+            op(flag, value)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_from_int_rejects_bools(self, flag):
+        with pytest.raises(TypeError):
+            LaurentQT.from_int(flag)
+        with pytest.raises(TypeError):
+            RationalQT(flag)
 
     def test_constants_hash_as_their_numbers(self):
         for n in (0, 5, -1, 2**70):
@@ -940,14 +999,13 @@ class TestPackedSum:
         assert RationalQT.sum(parts) == 0
         assert routes["packed"] == 1
 
-    def test_certificate_regression(self, monkeypatch, routes):
+    def test_certificate_regression(self, routes):
         # as one integer over all rows, f is divisible by 2**64 - 1: the rows sum to
         # a multiple of x - 1.  Row by row, phi_1 does not divide f, and phi_2 does once.
         f = {(-5, -6): 1, (-5, -4): -1, (-3, -4): -1, (-3, -2): 1,
              (5, -6): 1, (3, -4): -1, (5, -4): -1, (3, -2): 1}
         one = sum(c << 64 * ((eq + 5) + 11 * ((et + 6) >> 1)) for (eq, et), c in f.items())
         assert one % (2**64 - 1) == 0
-        monkeypatch.setattr(exactring, "_PACKED_ROWS_MIN_TERMS", 0)
         exps = {1: 2, 2: 1}
         quo = _phi_cancel(LaurentQT(f), exps, [1, 2])
         assert exps == {1: 2, 2: 0}
@@ -986,9 +1044,7 @@ class TestPackedSum:
         test = data.draw(st.lists(st.sampled_from(ds), unique=True))
         want = dict(exps)
         expected = _phi_cancel_by_lists(f, want, test)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(exactring, "_PACKED_ROWS_MIN_TERMS", 0)
-            assert _phi_cancel(f, exps, test) == expected
+        assert _phi_cancel(f, exps, test) == expected
         assert exps == want
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 import skeinlab.lmov as lmov
+from skeinlab import exactring
 from skeinlab.chars import SizeMismatch
 from skeinlab.composite import framed_composite, r_reform
 from skeinlab.exactring import (
@@ -465,14 +466,31 @@ class TestMultiplyAdd:
         first = next(iter(fg))
         start[first] = -w * fg[first]
         acc = {exponent_key(*pair): c for pair, c in start.items()}
-        _multiply_add(acc, LaurentQT(f), LaurentQT(g), w)
+        out, _ = _multiply_add(acc, LaurentQT(f), LaurentQT(g), w)
         expected = dict(start)
         for pair, c in fg.items():
             expected[pair] = expected.get(pair, 0) + w * c
-        assert {k: v for k, v in acc.items() if v} == {
-            exponent_key(*pair): v for pair, v in expected.items() if v
-        }
-        assert exponent_key(*first) not in {k for k, v in acc.items() if v}
+        # a nonempty acc is updated in place, and a zero total is deleted as it forms
+        assert out is acc
+        assert acc == {exponent_key(*pair): v for pair, v in expected.items() if v}
+        assert exponent_key(*first) not in acc
+
+    @pytest.mark.parametrize(
+        "f, g, packed", [(ONES, SIGNS, True), (ONES, SMALL, False)], ids=["packed", "below-gate"]
+    )
+    def test_empty_acc_with_unit_weight(self, monkeypatch, f, g, packed):
+        made, pack = [], exactring.packed_product
+
+        def record(a, b, gate=True):
+            made.append(pack(a, b, gate))
+            return made[-1]
+
+        monkeypatch.setattr(exactring, "packed_product", record)
+        acc, _ = _multiply_add({}, LaurentQT(f), LaurentQT(g), 1)
+        # the packed product becomes acc itself; below the size gate nothing is packed
+        assert len(made) == packed and (not packed or acc is made[0])
+        assert acc == {exponent_key(*pair): c for pair, c in oracles.dict_product(f, g).items()}
+        assert all(acc.values())
 
 
 class TestLogOfZhat:

@@ -13,7 +13,8 @@ exponent pairs, so the modules other than ``exactring`` never read them;
 that set of readers is pinned too, and so is the set of readers of the other
 fields behind a value (``_c``, ``_exps``, ``_den``, ``_hash``, ``_reach``).
 Every sum of values goes through one lift-and-add kernel, so its packed row
-layout and its term-dict adder each have exactly one caller.
+layout and its term-dict adder each have exactly one caller; every Laurent
+product goes through one multiply-add loop, whose callers are pinned too.
 """
 
 import ast
@@ -173,10 +174,17 @@ def test_value_fields_are_read_only_in_exactring():
 # kernel (``exactring._combine``), each with its one caller: a second packed or term-dict sum
 # layout cannot come back unnoticed
 ONE_CALLER = {"_packed_rows": ["exactring._packed_basis"], "_shifted_nums": ["exactring._combine"]}
+# the one Laurent product loop: ``LaurentQT.__mul__`` and the log series' accumulation are its
+# only callers, and it is the only caller of the Kronecker product, whose size gate it holds
+PRODUCT_CALLERS = {
+    "_multiply_add": ["exactring.LaurentQT.__mul__", "lmov._log_of_zhat"],
+    "packed_product": ["exactring._multiply_add"],
+}
 
 
-def test_the_kernel_has_one_packed_layout_and_one_term_dict_adder():
-    callers = {name: [] for name in ONE_CALLER}
+def _callers(names):
+    """{name: the functions (module.qualname) of src/ that refer to it}, in source order."""
+    callers = {name: [] for name in names}
     defs = (ast.FunctionDef, ast.AsyncFunctionDef)
     for path in SRC:
         scopes = [(getattr(stmt, "name", "<module>"), stmt) for stmt in ast.parse(path.read_text()).body]
@@ -187,4 +195,12 @@ def test_the_kernel_has_one_packed_layout_and_one_term_dict_adder():
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Name) and sub.id in callers:
                     callers[sub.id].append(f"{path.stem}.{name}")
-    assert callers == ONE_CALLER
+    return callers
+
+
+def test_the_kernel_has_one_packed_layout_and_one_term_dict_adder():
+    assert _callers(ONE_CALLER) == ONE_CALLER
+
+
+def test_laurent_products_run_through_one_multiply_add_loop():
+    assert _callers(PRODUCT_CALLERS) == PRODUCT_CALLERS
