@@ -25,7 +25,7 @@ from itertools import combinations
 
 from .exactring import LaurentQT, RationalQT, _div_int, bracket_scaled, zsquare_decompose
 from .partitions import Partition, PartitionPair
-from .skein import LabelCountMismatch, torus_framed
+from .skein import torus_framed
 from .symfun import pair_weights, power_to_schur_terms
 
 
@@ -40,8 +40,6 @@ def composite_invariant(spec, labels):
 
 def framed_composite(spec, labels):
     """The LR-weighted sum applied to the framed bracket (no writhe correction)."""
-    if len(labels) != spec.L:
-        raise LabelCountMismatch(f"{len(labels)} labels for {spec.L} components")
     return torus_framed(spec, [pair_weights(Partition(A)) for A in labels])
 
 
@@ -61,8 +59,6 @@ def z_reform(spec, labels):
     Reversed components receive the starred power sums; that is exactly the
     label-swap the bracket machinery applies.
     """
-    if len(labels) != spec.L:
-        raise LabelCountMismatch(f"{len(labels)} labels for {spec.L} components")
     decorations = [power_decoration(Partition(mu)) for mu in labels]
     raw = torus_framed(spec, decorations)
     return bracket_scaled(raw, [p for mu in labels for p in Partition(mu)])

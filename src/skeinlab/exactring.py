@@ -292,6 +292,8 @@ class LaurentQT:
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        if isinstance(k, bool):
+            raise TypeError("a bool is not an exponent")
         if not isinstance(k, int) or k < 0:
             raise ValueError("only nonnegative integer powers of a polynomial")
         result = _ONE
@@ -496,7 +498,7 @@ def _unpack(value, lo_q, hq, lo_t, ht, width, w, n):
     return dict(zip(compress(keys, slots), compress(slots, slots)))
 
 
-def packed_product(a, b, gate=True):
+def packed_product(a, b):
     """The term dict of the product of two nonempty term dicts by one big-integer product.
 
     Kronecker substitution: q and t are replaced by powers of X = 2**w, so
@@ -505,9 +507,9 @@ def packed_product(a, b, gate=True):
     share a parity.  No product coefficient exceeds
     min(sum|a| * max|b|, max|a| * sum|b|) in size, and w is that bound's
     length plus a sign bit, rounded up to 16, 32 or 64.  Returns None when the
-    bound is wider than 64 bits and, with ``gate``, when the product is too
-    sparse to pay for packing and reading its dense slots: fewer term pairs
-    than 1.5 times the terms and slots.  The size gate is ``_multiply_add``'s.
+    bound is wider than 64 bits, and when the product is too sparse to pay
+    for packing and reading its dense slots: fewer term pairs than 1.5 times
+    the terms and slots.  The size gate is ``_multiply_add``'s.
     """
     la, lb = len(a), len(b)
     pairs = la * lb
@@ -517,7 +519,7 @@ def packed_product(a, b, gate=True):
     hq, ht = int(pqa and pqb), int(pta and ptb)
     width = (sqa + sqb >> hq) + 1
     n = width * ((sta + stb >> ht) + 1)
-    if gate and 2 * pairs < 3 * (la + lb + n):
+    if 2 * pairs < 3 * (la + lb + n):
         return None
     abs_a, abs_b = [abs(c) for c in a.values()], [abs(c) for c in b.values()]
     w = _slot_width(min(sum(abs_a) * max(abs_b), max(abs_a) * sum(abs_b)))
@@ -1211,6 +1213,8 @@ class RationalQT:
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        if isinstance(k, bool):
+            raise TypeError("a bool is not an exponent")
         if not isinstance(k, int) or k < 0:
             raise ValueError("only nonnegative integer powers")
         # neither a prime of c nor all of a phi_d can divide num**k when it misses num

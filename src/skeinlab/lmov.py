@@ -55,7 +55,7 @@ from itertools import product as iproduct
 from math import gcd, lcm, prod
 
 from .chars import SizeMismatch, character
-from .composite import r_reform
+from .composite import r_reform, zsquare_member
 from .exactring import (
     LaurentQT,
     RationalQT,
@@ -71,7 +71,6 @@ from .exactring import (
     q_bracket,
     q_brace,
     q_one_leading,
-    zsquare_decompose,
 )
 from .partitions import Partition, partitions_of
 from .skein import LabelCountMismatch, LinkSpec, framed_numerators, full_invariant_value
@@ -155,7 +154,8 @@ class FreeEnergyTable:
     """The free energy up to a fixed total degree, held as ghat_mu = F~_mu / {mu}.
 
     ``table[labels]`` gives the coefficient
-    f_A = sum_mu chi_A(mu) {mu} ghat_mu; ``hat_h`` sums ghat directly.
+    f_A = sum_mu chi_A(mu) {mu} ghat_mu, with {mu} taken by phi_d exponents;
+    ``hat_h`` sums the same terms without {mu}.
     """
 
     ghat: dict
@@ -164,14 +164,16 @@ class FreeEnergyTable:
 
     def __getitem__(self, labels):
         labels = _checked_labels(self.spec, labels, self.max_degree, "f_A")
-        pieces = []
+        return RationalQT.sum(_times(bracket_scaled(value, [m for mu in mus for m in mu]), chi)
+                              for mus, chi, value in self.character_terms(labels))
+
+    def character_terms(self, labels):
+        """(mu vector, chi_A(mu), ghat_mu) for each mu vector of A's sizes with both nonzero."""
         for mus in _partition_vectors(A.size for A in labels):
             value = self.ghat.get(mus)
             chi = _chi(labels, mus) if value else 0
             if chi:
-                brace = prod((q_bracket(m) for mu in mus for m in mu), start=LaurentQT.one())
-                pieces.append(_times(value * brace, chi))
-        return RationalQT.sum(pieces)
+                yield mus, chi, value
 
 
 def log_partition_series(spec, D):
@@ -343,13 +345,7 @@ def hat_h(spec, B_labels, D=None, table=None):
     B_labels = _checked_labels(spec, B_labels, max_degree, "fhat_B")
     if table is None:
         table = plethystic_h(spec, sum(B.size for B in B_labels) if D is None else D)
-    pieces = []
-    for mus in _partition_vectors(B.size for B in B_labels):
-        value = table.ghat.get(mus)
-        chi = _chi(B_labels, mus) if value else 0
-        if chi:
-            pieces.append(_times(value, chi))
-    return RationalQT.sum(pieces)
+    return RationalQT.sum(_times(value, chi) for _, chi, value in table.character_terms(B_labels))
 
 
 def lmov_check(spec, B_labels, D=None, table=None):
@@ -358,21 +354,14 @@ def lmov_check(spec, B_labels, D=None, table=None):
     Returns (verdict, N-table, stage): the N-table satisfies
     fhat_B = sum N[g, Q] z**(2g-2) t**Q with all N integers when the verdict
     is true; otherwise ``stage`` names the failing reduction step.  The table
-    is the z**2-decomposition of z**2 fhat_B, whose keys are already those of
-    fhat_B.  One more factor z**2 would admit nothing more: for a Laurent
-    polynomial L with z**2 L in ZZ[z**2, t**(+-1)], setting q = 1 shows that
-    the z**0 terms of z**2 L vanish, so L lies in that ring too.
+    is the certificate of ``composite.zsquare_member`` for z**2 fhat_B, whose
+    keys are already those of fhat_B.  One more factor z**2 would admit
+    nothing more: for a Laurent polynomial L with z**2 L in
+    ZZ[z**2, t**(+-1)], setting q = 1 shows that the z**0 terms of z**2 L
+    vanish, so L lies in that ring too.
     """
-    value = hat_h(spec, B_labels, D=D, table=table)
-    if not value:
-        return True, {}, None
-    lau = bracket_scaled(value, (1, 1)).as_laurent()
-    if lau is None:
-        return False, None, "not-laurent"
-    ntable = zsquare_decompose(lau)
-    if ntable is None:
-        return False, None, "not-zsquare"
-    return True, ntable, None
+    verdict, stage, ntable = zsquare_member(bracket_scaled(hat_h(spec, B_labels, D=D, table=table), (1, 1)))
+    return verdict, ntable, stage
 
 
 # -- congruences ----------------------------------------------------------------------
@@ -382,7 +371,8 @@ def congruence_check(A, B, C):
     """Whether (A - B)/C lies in ZZ[z**2, t**(+-1)].
 
     A and B may be RationalQT; C must be a nonzero Laurent polynomial.
-    Returns (verdict, stage, table).
+    Returns (verdict, stage, table); once C divides, the quotient's
+    ``composite.zsquare_member`` verdict.
     """
     if isinstance(C, RationalQT):
         C = C.as_laurent()
@@ -390,19 +380,13 @@ def congruence_check(A, B, C):
             raise ValueError("the modulus must be a Laurent polynomial")
     if not C:
         raise ZeroDivisionError("zero modulus")
-    diff = RationalQT._coerce(A) - RationalQT._coerce(B)
-    if not diff:
-        return True, None, {}
-    lau = diff.as_laurent()
+    lau = (RationalQT._coerce(A) - RationalQT._coerce(B)).as_laurent()
     if lau is None:
         return False, "not-laurent", None
     quot = exact_div(lau, C)
     if quot is None:
         return False, "not-divisible", None
-    table = zsquare_decompose(quot)
-    if table is None:
-        return False, "not-zsquare", None
-    return True, None, table
+    return zsquare_member(quot)
 
 
 def congruent_skein_case(p, k):

@@ -116,9 +116,6 @@ class PartitionPair(NamedTuple):
     def swap(self):
         return PartitionPair(self.neg, self.pos)
 
-    def conjugate(self):
-        return PartitionPair(self.pos.conjugate(), self.neg.conjugate())
-
     def text(self):
         return f"[{self.pos.text()},{self.neg.text()}]"
 

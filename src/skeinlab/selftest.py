@@ -4,7 +4,8 @@ Each suite returns a list of (check name, ok, detail) triples; every check is
 an exact algebraic identity, never a numerical tolerance.  The pytest suite
 drives the same functions, so the command-line selftest and CI agree by
 construction.  Identities that the tests already check at equal or larger
-size are left to the tests.
+size are left to the tests.  Adams multiplicativity is checked in the schur
+pair basis, on the product and Adams kernels that the engine runs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from .exactring import q_one_leading
 from .fixtures import TORUS_KNOT_FAMILY
 from .partitions import Partition, PartitionPair, pairs_of_total, partitions_of
 from .skein import LinkSpec, full_invariant_value
-from .symfun import adams_composite, composite_product_terms, multiply_terms, sum_terms
+from .symfun import adams_schur, adams_schurpair, composite_to_schurpair_terms
+from .symfun import legwise_terms, multiply_terms, schurpair_mult
 
 P = Partition
 
@@ -28,13 +30,12 @@ def suite_symfun():
     for m in (2, 3):
         for p1 in deg2:
             for p2 in deg2:
-                lhs = sum_terms(
-                    (out, c * k)
-                    for target, c in composite_product_terms(p1, p2).items()
-                    for out, k in adams_composite(target, m).items()
-                )
-                a1, a2 = adams_composite(p1, m), adams_composite(p2, m)
-                rhs = multiply_terms(a1, a2, composite_product_terms)
+                # psi_m(s_1 s_2) = psi_m(s_1) psi_m(s_2), with s_i the schur pair table of p_i
+                s1 = composite_to_schurpair_terms(p1.pos, p1.neg)
+                s2 = composite_to_schurpair_terms(p2.pos, p2.neg)
+                product = multiply_terms(s1, s2, schurpair_mult)
+                lhs = legwise_terms(product, lambda lam: adams_schur(lam, m))
+                rhs = multiply_terms(adams_schurpair(p1, m), adams_schurpair(p2, m), schurpair_mult)
                 if lhs != rhs:
                     ok = False
     checks.append(("adams-multiplicative", ok, "degree <= 2 factors, m <= 3"))

@@ -153,14 +153,6 @@ def multiply_terms(t1, t2, kernel):
 
 
 @lru_cache(maxsize=None)
-def composite_product_terms(p1, p2):
-    """Structure constants of the composite basis, through the schur_pair route."""
-    t1 = composite_to_schurpair_terms(p1.pos, p1.neg)
-    t2 = composite_to_schurpair_terms(p2.pos, p2.neg)
-    return expand_terms(multiply_terms(t1, t2, schurpair_mult), schurpair_to_composite_terms)
-
-
-@lru_cache(maxsize=None)
 def pair_weights(A):
     """{(lam, mu): c^A_{lam,mu}} over all pairs splitting the label A."""
     A = Partition(A)
@@ -204,16 +196,6 @@ def adams_schurpair(pair, m):
     """Adams operation on a composite basis element, left in the schur_pair basis."""
     table = composite_to_schurpair_terms(pair.pos, pair.neg)
     return legwise_terms(table, lambda lam: adams_schur(lam, m))
-
-
-@lru_cache(maxsize=None)
-def adams_composite(pair, m):
-    """Adams operation on a composite basis element, as an integer table.
-
-    The schur_pair table of ``adams_schurpair`` re-expanded in the composite
-    basis.
-    """
-    return expand_terms(adams_schurpair(pair, m), schurpair_to_composite_terms)
 
 
 # -- the determinantal construction --------------------------------------------------------------

@@ -6,7 +6,15 @@ quantity the engine also computes, by a different formula:
 * ``lr_via_chars`` -- LR coefficients by the character-sum formula, against
   tableau enumeration (``chars.lr_coeff``);
 * ``product_structure_constant`` -- one composite structure constant by the
-  quadruple-LR sum, against ``symfun.composite_product_terms``;
+  quadruple-LR sum, against ``composite_product_terms``;
+* ``composite_product_terms`` and ``adams_composite`` -- the product and the
+  Adams operation psi_m of the composite basis, each through the schur pair
+  basis and re-expanded in the composite basis, which the engine never does:
+  ``skeinlab.selftest`` checks that psi_m is multiplicative in the schur pair
+  basis, and ``skeinlab.skein`` re-expands only a whole product of Adams
+  images;
+* ``pair_conjugate`` -- a composite label with both rows conjugated, for the
+  conjugation symmetry W_{[lam^t, mu^t]}(q) = W_{[lam, mu]}(-1/q);
 * ``r_nu`` and ``r_nu_via_chars`` -- the orientation-symmetrised power-sum
   element by the splitting expansion and by a character sum;
 * ``to_power_pairs`` and ``from_power_pairs`` -- a composite-basis table
@@ -111,12 +119,15 @@ from skeinlab.lmov import (
 from skeinlab.partitions import EMPTY, Partition, PartitionPair, partitions_of
 from skeinlab.skein import _core, _leaves, power_value
 from skeinlab.symfun import (
+    adams_schurpair,
     composite_to_schurpair_terms,
     expand_terms,
     legwise_terms,
+    multiply_terms,
     pair_weights,
     power_to_schur_terms,
     schur_to_power_terms,
+    schurpair_mult,
     schurpair_to_composite_terms,
     sum_terms,
 )
@@ -192,6 +203,29 @@ def product_structure_constant(p1, p2, target):
                             )
                             total += inner1 * inner2 * c_lam * c_mu
     return total
+
+
+@lru_cache(maxsize=None)
+def composite_product_terms(p1, p2):
+    """Structure constants of the composite basis, through the schur pair basis."""
+    t1 = composite_to_schurpair_terms(p1.pos, p1.neg)
+    t2 = composite_to_schurpair_terms(p2.pos, p2.neg)
+    return expand_terms(multiply_terms(t1, t2, schurpair_mult), schurpair_to_composite_terms)
+
+
+@lru_cache(maxsize=None)
+def adams_composite(pair, m):
+    """The Adams operation psi_m on a composite basis element, in the composite basis.
+
+    The schur pair table of ``adams_schurpair`` re-expanded in the composite
+    basis.
+    """
+    return expand_terms(adams_schurpair(pair, m), schurpair_to_composite_terms)
+
+
+def pair_conjugate(pair):
+    """[lam, mu] -> [lam^t, mu^t], both rows conjugated."""
+    return PartitionPair(pair.pos.conjugate(), pair.neg.conjugate())
 
 
 # -- splittings and the orientation-symmetrised power-sum element ---------------------------

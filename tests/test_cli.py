@@ -161,7 +161,8 @@ def test_malformed_label_exit_2(capsys, argv):
 # add a three-component link, a torus link with n = 2 and the trefoil at degree 6 (its
 # free energy has the largest numerators of the set) to the Hopf links.  The congruence
 # cases pin two all-true ranges (p = 3 and p = 5), two all-false ranges (p = 4
-# and p = 6) and p = 7 at k = 0, 1 and 2 (true), each with its exit code.
+# and p = 6) and p = 7 at k = 0, 1 and 2 (true), each with its exit code.  The last
+# two pin the whole reports of ``selftest`` and ``repro all`` (under 1 s each).
 PINNED_JSON_SHA256 = [
     pytest.param(
         ("bracket", "--torus", "1", "1", "2", "--pairs", "[[[1],[]],[[1],[]]]"),
@@ -339,6 +340,18 @@ PINNED_JSON_SHA256 = [
         0,
         "472653c6262891d3348f9e01de115e3e039ff550d2a6c88928207c6254d38907",
         id="congruence-p7-k2",
+    ),
+    pytest.param(
+        ("selftest",),
+        0,
+        "74cebc251e92acc3b9ecbe5fdd5b73a9c2a086b2f144dbab03e60162fe509d88",
+        id="selftest",
+    ),
+    pytest.param(
+        ("repro", "all"),
+        0,
+        "33f8622860a4003dddd026ab475b3b427edc24fbbfdd3fd5fa201ca780665fa1",
+        id="repro-all",
     ),
 ]
 

@@ -13,11 +13,15 @@ from skeinlab import exactring
 from skeinlab.exactring import (
     LaurentQT,
     RationalQT,
+    _box,
     _cancel_rows,
+    _exponent_lists,
     _multiply_add,
+    _pack,
     _phi_cancel,
     _phi_cancel_by_lists,
     _slot_width,
+    _unpack,
     bracket_combination,
     bracket_factors,
     bracket_quotient,
@@ -277,6 +281,26 @@ def _bound(a, b):
     return min(sum(abs_a) * max(abs_b), max(abs_a) * sum(abs_b))
 
 
+def ungated_product(a, b):
+    """The Kronecker kernel of ``packed_product`` without its density gate, from its packing helpers.
+
+    Sparse operands, which ``packed_product`` declines, reach the kernel
+    through this; the layout is ``packed_product``'s, and the tests check the
+    two against each other wherever the gate passes.
+    """
+    parts = _exponent_lists(a), _exponent_lists(b)
+    (qa, sqa, ta, sta, pqa, pta), (qb, sqb, tb, stb, pqb, ptb) = map(_box, parts)
+    hq, ht = int(pqa and pqb), int(pta and ptb)
+    width = (sqa + sqb >> hq) + 1
+    w = _slot_width(_bound(a, b))
+    if w is None:
+        return None
+    value = 1
+    for part, lo_q, sq, lo_t, st in zip(parts, (qa, qb), (sqa, sqb), (ta, tb), (sta, stb)):
+        value *= _pack(part, lo_q, hq, lo_t, ht, width, w, (sq >> hq) + 1 + width * (st >> ht))
+    return _unpack(value, qa + qb, hq, ta + tb, ht, width, w, width * ((sta + stb >> ht) + 1))
+
+
 class TestPackedProduct:
     """The packed product against the plain double loop over term pairs."""
 
@@ -289,7 +313,7 @@ class TestPackedProduct:
     def test_edge_coefficients_fill_their_slot(self, c):
         # a monomial times b: the bound is |c| itself, and c and -c both reach it
         a, b = {(2, 1): 1}, {(0, 0): c, (4, 0): -c, (2, 3): c}
-        result = packed_product(keyed(a), keyed(b), gate=False)
+        result = ungated_product(keyed(a), keyed(b))
         if abs(c) > 2**63 - 1:
             assert result is None
         else:
@@ -299,11 +323,13 @@ class TestPackedProduct:
     @settings(max_examples=300, deadline=None)
     def test_kernel_below_the_gate(self, a, b):
         expected = keyed(dict_product(a, b))
-        result = packed_product(keyed(a), keyed(b), gate=False)
+        result = ungated_product(keyed(a), keyed(b))
         if _slot_width(_bound(a, b)) is None:
             assert result is None
         else:
             assert result == expected
+        # the gated product declines a sparse pair or agrees with the kernel
+        assert packed_product(keyed(a), keyed(b)) in (None, result)
         assert (LaurentQT(a) * LaurentQT(b))._terms == expected
 
     @given(term_dicts(dense=True), term_dicts(dense=True))
@@ -311,17 +337,23 @@ class TestPackedProduct:
     def test_kernel_above_the_gate(self, a, b):
         expected = keyed(dict_product(a, b))
         assert packed_product(keyed(a), keyed(b)) == expected
+        assert ungated_product(keyed(a), keyed(b)) == expected
         assert (LaurentQT(a) * LaurentQT(b))._terms == expected
 
     def test_gate(self):
-        row = keyed({(i, 0): 1 for i in range(30)})
+        ones = {(i, 0): 1 for i in range(30)}
+        row = keyed(ones)
         assert packed_product(row, row) is not None
         # the density gate: a k x 1 monomial shift, and a sparse product whose slots outnumber its term pairs
         assert packed_product(row, keyed({(5, 2): 3})) is None
         sparse = {(40 * i, 0): 1 for i in range(20)}
         assert packed_product(keyed(sparse), keyed(sparse)) is None
         expected = keyed(dict_product(sparse, sparse))
-        assert packed_product(keyed(sparse), keyed(sparse), gate=False) == expected
+        assert ungated_product(keyed(sparse), keyed(sparse)) == expected
+        # past the gate, a product whose coefficient bound needs more than 64 bits is declined too
+        wide = {**ones, (7, 0): 2**63}
+        assert packed_product(row, keyed(wide)) is None
+        assert (LaurentQT(ones) * LaurentQT(wide))._terms == keyed(dict_product(ones, wide))
 
     @given(
         st.booleans().flatmap(lambda dense: st.tuples(term_dicts(dense), term_dicts(dense))),
@@ -550,7 +582,7 @@ class TestOperandTypes:
         assert {value: 0}[flag] == {flag: 0}[value] == 0
 
     @pytest.mark.parametrize("flag", [True, False])
-    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.pow])
     @pytest.mark.parametrize("value", [LaurentQT({(1, 0): 1, (0, 1): -2}), LaurentQT.one(),
                                        RationalQT(LaurentQT.one(), q_bracket(1)), RationalQT(1)])
     def test_arithmetic_with_bools_raises_type_error_in_both_orders(self, value, op, flag):

@@ -481,8 +481,8 @@ class TestMultiplyAdd:
     def test_empty_acc_with_unit_weight(self, monkeypatch, f, g, packed):
         made, pack = [], exactring.packed_product
 
-        def record(a, b, gate=True):
-            made.append(pack(a, b, gate))
+        def record(a, b):
+            made.append(pack(a, b))
             return made[-1]
 
         monkeypatch.setattr(exactring, "packed_product", record)

@@ -6,7 +6,7 @@ import pytest
 
 from skeinlab.partitions import EMPTY, Partition, PartitionPair, pairs_of_total, partitions_of
 
-from oracles import splitting_weight, splittings
+from oracles import pair_conjugate, splitting_weight, splittings
 
 P = Partition
 
@@ -72,7 +72,7 @@ class TestPair:
     def test_swap_and_conjugate(self):
         pr = PartitionPair(P([2, 1]), P([3]))
         assert pr.swap() == PartitionPair(P([3]), P([2, 1]))
-        assert pr.conjugate() == PartitionPair(P([2, 1]), P([1, 1, 1]))
+        assert pair_conjugate(pr) == PartitionPair(P([2, 1]), P([1, 1, 1]))
         assert pr.size == 6
         assert pr.kappa == P([2, 1]).kappa + P([3]).kappa
 

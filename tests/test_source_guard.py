@@ -6,9 +6,10 @@ benchmark harness refers to is a second route or a dead helper; it belongs in
 ``skeinlab.__all__`` and the boundaries that ``perfbench/tracer.py`` patches
 by name.  The same holds for the methods of the classes in src/: a method
 other than a dunder must be referenced by attribute name outside its own
-body, unless the tracer patches it as ``Class.method``.  The tracer's
-exemption is pinned: the boundaries that no code in src/ calls are listed
-below, and that list may only shrink.  Term dicts are keyed by packed
+body, unless the tracer patches it as ``Class.method``; a name that two
+classes share passes for both, so the set of shared names is pinned.  The
+tracer's exemption is pinned: the boundaries that no code in src/ calls are
+listed below, and that list may only shrink.  Term dicts are keyed by packed
 exponent pairs, so the modules other than ``exactring`` never read them;
 that set of readers is pinned too, and so is the set of readers of the other
 fields behind a value (``_c``, ``_exps``, ``_den``, ``_hash``, ``_reach``).
@@ -92,6 +93,25 @@ def test_every_src_method_has_a_caller():
         if qualname not in allowed and used[fn.name] <= _attribute_names(fn)[fn.name]
     )
     assert not unused, f"methods in src/ with no caller outside the tests: {unused}"
+
+
+# method names that two or more classes of src/ define; the check above counts a method as
+# called when any attribute of its name is read, so a second class's method of the same name
+# can hide a method without a caller, and a newly shared name needs a check by hand
+SHARED_METHOD_NAMES = {"substitute_power", "mirror", "to_json", "size", "kappa", "text"}
+
+
+def test_method_names_shared_by_src_classes_are_pinned():
+    owners = Counter()
+    for path in SRC:
+        for cls in (stmt for stmt in ast.parse(path.read_text()).body if isinstance(stmt, ast.ClassDef)):
+            owners.update({
+                fn.name for fn in cls.body
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (fn.name.startswith("__") and fn.name.endswith("__"))
+            })
+    shared = {name for name, n in owners.items() if n > 1}
+    assert shared == SHARED_METHOD_NAMES, f"method names shared by src/ classes: {sorted(shared)}"
 
 
 # tracer boundaries that no code in src/ calls; each leaves src/ once the tracer drops it

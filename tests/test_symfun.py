@@ -13,9 +13,7 @@ import pytest
 from skeinlab.chars import lr_coeff
 from skeinlab.partitions import EMPTY, Partition, PartitionPair, pairs_of_total, partitions_of
 from skeinlab.symfun import (
-    adams_composite,
     adams_schur,
-    composite_product_terms,
     composite_to_schurpair_terms,
     expand_terms,
     power_to_schur_terms,
@@ -26,6 +24,8 @@ from skeinlab.symfun import (
 )
 
 from oracles import (
+    adams_composite,
+    composite_product_terms,
     from_power_pairs,
     product_structure_constant,
     r_nu,
