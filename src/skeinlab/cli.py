@@ -83,9 +83,11 @@ def _add_spec_arguments(sub):
 
 
 def _partition_arg(item, flag):
-    # Partition() would coerce 1.5 and true to 1 and drop zero parts
+    # Partition() would coerce 1.5 and true to 1, drop zero parts and sort the parts
     if not isinstance(item, list) or not all(type(p) is int and p > 0 for p in item):
         raise SystemExit2(f"{flag}: {json.dumps(item)} is not a list of positive integers")
+    if item != sorted(item, reverse=True):
+        raise SystemExit2(f"{flag}: {json.dumps(item)} is not weakly decreasing")
     return Partition(item)
 
 
@@ -323,6 +325,9 @@ def cmd_selftest(args):
     for name in names:
         if name not in SUITES:
             raise SystemExit2(f"unknown suite {name!r}; choices: {sorted(SUITES)}")
+    if len(set(names)) < len(names):
+        # a suite named twice would run, print and count its failures twice
+        raise SystemExit2(f"--suite: {' '.join(names)} names a suite twice")
     results = dict(_map_jobs(_suite_item, names, args.jobs))
     failures = 0
     doc = {"command": "selftest", "suites": {}}

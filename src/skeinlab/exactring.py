@@ -66,14 +66,21 @@ as one gcd over the digits and divides each row by ``Phi_d(2**64)`` with
 proves that ``phi_d`` does not divide, but a zero one proves nothing alone, so
 a quotient q' is kept only under a certificate:
 ``||prod Phi||_1 * max|q'_i| < 2**63``, which makes ``prod Phi * q'`` equal
-the row digit for digit, because balanced base-2**64 digits are unique.  A
-quotient that fails it leaves the rows to the division of dense lists.  The
+the row digit for digit, because balanced base-2**64 digits are unique.  The
 gates are constants measured on the workloads: the kernel packs 4 or more
 vectors, and fewer from 64 leaf terms on when their lifts add 2 x-steps per
 term on average, if the slot bound stays below 2**62 and the rows take at
 most 16 (4 for few vectors) slots per term.  Below a gate the term-dict
 route runs.  ``_phi_cancel`` packs every numerator whose coefficients are
-below 2**62 in size, and leaves wider ones to the dense lists.
+below 2**62 in size.
+
+``exact_div`` is the one polynomial division.  It builds each ``phi_d`` as
+``{d}`` over the ``phi_e`` of the proper divisors e of d
+(``cyclotomic_factor``), finds the factors of a denominator
+(``bracket_factors``), and decides every cancellation that the packed rows
+cannot: a coefficient of 2**62 or more in size, or a quotient that fails
+the certificate, leaves the numerator to one ``exact_div`` by ``phi_d`` at
+a time (``_phi_cancel_by_division``).
 
 ``q_one_leading`` gives the exact leading term of either type under
 ``q = exp(h)``, which is how ``q -> 1`` limits are taken.
@@ -776,32 +783,6 @@ def zsquare_recompose(table):
 # -- centred cyclotomic factors ---------------------------------------------------------
 
 
-def _divmod_monic(row, m):
-    """Quotient and remainder of an integer polynomial row (constant term first) by a monic m.
-
-    Synthetic division in place over m's nonzero lower coefficients: row
-    ends as the remainder (its first deg m entries) followed by the quotient.
-    """
-    k = len(m) - 1
-    taps = [(j - k, mj) for j, mj in enumerate(m[:k]) if mj]
-    for i in range(len(row) - 1, k - 1, -1):
-        c = row[i]
-        if c:
-            for j, mj in taps:
-                row[i + j] -= c * mj
-    return row[k:], row[:k]
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic(d):
-    """Coefficients of the cyclotomic polynomial Phi_d(x), constant term first."""
-    p = [-1] + [0] * (d - 1) + [1]
-    for e in range(1, d):
-        if d % e == 0:
-            p, _ = _divmod_monic(p, _cyclotomic(e))
-    return tuple(p)
-
-
 def _totient(d):
     """Euler's totient of d."""
     out, n, p = d, d, 2
@@ -818,10 +799,11 @@ def _totient(d):
 
 @lru_cache(maxsize=None)
 def cyclotomic_factor(d):
-    """phi_d = q**-phi(d) * Phi_d(q**2), centred so that {k} = prod over d | k of phi_d."""
-    coeffs = _cyclotomic(d)
-    deg = len(coeffs) - 1
-    return LaurentQT({(2 * j - deg, 0): c for j, c in enumerate(coeffs)})
+    """phi_d = q**-phi(d) * Phi_d(q**2), centred so that {k} = prod over d | k of phi_d.
+
+    Built by that identity: {d} divided by the phi_e of its proper divisors e.
+    """
+    return exact_div(q_bracket(d), _phi_product(tuple((e, 1) for e in range(1, d) if d % e == 0)))
 
 
 @lru_cache(maxsize=4096)
@@ -843,10 +825,10 @@ def _phi_cancel(f, exps, test):
     and parity of the q-exponent (``_rows_in_x``).  Each row is one packed
     integer, divided by ``_cancel_rows``.  A coefficient of 2**62 or more in
     size, or a quotient that fails the certificate, leaves the decision to
-    the division of dense lists (``_phi_cancel_by_lists``).
+    ``exact_div`` (``_phi_cancel_by_division``).
     """
     if max(map(abs, f._terms.values())) >> _ROW_BOUND_BITS:
-        return _phi_cancel_by_lists(f, exps, test)
+        return _phi_cancel_by_division(f, exps, test)
     rows = _rows_in_x(f)
     width = max(len(row) for _, row in rows)
     bias = _bias(_ROW_BITS, width)
@@ -855,7 +837,7 @@ def _phi_cancel(f, exps, test):
     packed = [(base, (int.from_bytes(array("q", row), byteorder) ^ bias) - bias) for base, row in rows]
     out = _cancel_rows(packed, width, exps, test)
     if out is None:
-        return _phi_cancel_by_lists(f, exps, test)
+        return _phi_cancel_by_division(f, exps, test)
     # a quotient by phi_d lies inside the q-range of f
     return f if out is True else _laurent(out, f._reach)
 
@@ -887,40 +869,19 @@ def _rows_in_x(f):
     return rows
 
 
-def _phi_cancel_by_lists(f, exps, test):
-    """``_phi_cancel`` on dense lists: each row in x a list, divided by ``_divmod_monic``.
+def _phi_cancel_by_division(f, exps, test):
+    """``_phi_cancel`` by ``exact_div``: f divided by each phi_d until it fails or exps[d] is 0.
 
     The fallback of the packed rows, for a coefficient of 2**62 or more in
     size and for a quotient that fails the certificate of ``_cancel_rows``.
-    f is split once into rows, the factors q**phi(d) add up to one shift of
-    all rows, and the term dict is rebuilt once at the end.
     """
-    rows = _rows_in_x(f)
-    # the shortest row is the cheapest to divide, so it is tried first
-    rows.sort(key=lambda entry: len(entry[1]))
-    shift = 0
     for d in test:
-        m = _cyclotomic(d)
-        e = exps[d]
-        while e:
-            quos = []
-            for base, row in rows:
-                quo, rem = _divmod_monic(row[:], m)
-                if any(rem):
-                    break
-                quos.append((base, quo))
-            else:
-                rows, e, shift = quos, e - 1, shift + len(m) - 1
-                continue
-            break
-        exps[d] = e
-    if not shift:
-        return f
-    out = {}
-    for base, row in rows:
-        base += shift
-        out.update(zip(compress(range(base, base + 2 * len(row), 2), row), compress(row, row)))
-    return _laurent(out, f._reach)
+        while exps[d]:
+            quo = exact_div(f, cyclotomic_factor(d))
+            if quo is None:
+                break
+            f, exps[d] = quo, exps[d] - 1
+    return f
 
 
 # -- packed rows in x = q**2 -------------------------------------------------------------
@@ -1010,8 +971,9 @@ def _cancel_rows(rows, width, exps, test):
     divided out: then prod Phi * q' has digits below 2**63 in size and
     equals the row digit for digit, because a balanced base-2**64 expansion
     is unique.  Returns True when no phi_d divides, None when a quotient
-    fails the certificate (exps is then left as it was), and the quotient's
-    term dict otherwise, with exps lowered in place.
+    fails the certificate (exps is then left as it was, and the caller
+    divides by ``exact_div`` instead), and the quotient's term dict
+    otherwise, with exps lowered in place.
     """
     # the shortest row is the cheapest to divide, so it is tried first
     rows.sort(key=lambda row: row[1].bit_length())
@@ -1707,8 +1669,8 @@ def _canonical_packed(total, c, exps, test, layout):
     exps is a dict {d: e}, lowered in place, and only the phi_d in ``test``
     are tested.  The content is one gcd over the slots and one exact
     division, the phi_d are divided out of each row by ``_cancel_rows``, and
-    a quotient that fails its certificate leaves them to
-    ``_phi_cancel_by_lists``.  The term dict is read once.
+    a quotient that fails its certificate leaves them to ``exact_div``
+    (``_phi_cancel_by_division``).  The term dict is read once.
     """
     if not total:
         return ZERO_RATIONAL
@@ -1724,7 +1686,7 @@ def _canonical_packed(total, c, exps, test, layout):
     if out is True:
         num = _laurent(_read_rows(rows, width)[0], reach)
     elif out is None:
-        num = _phi_cancel_by_lists(_laurent(_read_rows(rows, width)[0], reach), exps, test)
+        num = _phi_cancel_by_division(_laurent(_read_rows(rows, width)[0], reach), exps, test)
     else:
         num = _laurent(out, reach)
     return _rational(num, c, tuple(sorted((d, e) for d, e in exps.items() if e)))
@@ -1782,7 +1744,7 @@ def q_one_leading(f):
         v, lead = q_one_leading(f.num)
         unit = f._c
         for d, e in f._exps:
-            unit *= (2 if d == 1 else sum(_cyclotomic(d))) ** e
+            unit *= (2 if d == 1 else sum(cyclotomic_factor(d)._terms.values())) ** e
         return v - dict(f._exps).get(1, 0), _canonical(lead.num, lead._c * unit, {}, ())
     if not f:
         raise ValueError("the zero polynomial has no leading term at q = 1")

@@ -91,17 +91,6 @@ def _labels_upto(L, D):
     return out
 
 
-def _checked_labels(spec, labels, max_degree, name):
-    """labels as a vector of partitions, one per component, of degree <= max_degree."""
-    labels = tuple(Partition(A) for A in labels)
-    if len(labels) != spec.L:
-        raise LabelCountMismatch(f"{len(labels)} labels for {spec.L} components")
-    degree = sum(A.size for A in labels)
-    if max_degree is not None and degree > max_degree:
-        raise ValueError(f"{name} has degree {degree}, beyond the table's degree {max_degree}")
-    return labels
-
-
 def _chi(labels, mus):
     """chi_A(mu) = prod_a chi_{A^a}(mu^a) for vectors of equal sizes, from memoised tables."""
     out = 1
@@ -153,19 +142,14 @@ def _signed_decorations(spec, labels):
 class FreeEnergyTable:
     """The free energy up to a fixed total degree, held as ghat_mu = F~_mu / {mu}.
 
-    ``table[labels]`` gives the coefficient
-    f_A = sum_mu chi_A(mu) {mu} ghat_mu, with {mu} taken by phi_d exponents;
-    ``hat_h`` sums the same terms without {mu}.
+    ``hat_h`` reads fhat_B = sum_mu chi_B(mu) ghat_mu from it; the
+    coefficient f_A = sum_mu chi_A(mu) {mu} ghat_mu is the same character
+    sum with {mu}.
     """
 
     ghat: dict
     max_degree: int
     spec: LinkSpec
-
-    def __getitem__(self, labels):
-        labels = _checked_labels(self.spec, labels, self.max_degree, "f_A")
-        return RationalQT.sum(_times(bracket_scaled(value, [m for mu in mus for m in mu]), chi)
-                              for mus, chi, value in self.character_terms(labels))
 
     def character_terms(self, labels):
         """(mu vector, chi_A(mu), ghat_mu) for each mu vector of A's sizes with both nonzero."""
@@ -342,9 +326,14 @@ def hat_h(spec, B_labels, D=None, table=None):
     silently 0.  B needs one label per component.
     """
     max_degree = D if table is None else table.max_degree
-    B_labels = _checked_labels(spec, B_labels, max_degree, "fhat_B")
+    B_labels = tuple(Partition(B) for B in B_labels)
+    if len(B_labels) != spec.L:
+        raise LabelCountMismatch(f"{len(B_labels)} labels for {spec.L} components")
+    degree = sum(B.size for B in B_labels)
+    if max_degree is not None and degree > max_degree:
+        raise ValueError(f"fhat_B has degree {degree}, beyond the table's degree {max_degree}")
     if table is None:
-        table = plethystic_h(spec, sum(B.size for B in B_labels) if D is None else D)
+        table = plethystic_h(spec, degree if D is None else D)
     return RationalQT.sum(_times(value, chi) for _, chi, value in table.character_terms(B_labels))
 
 

@@ -32,23 +32,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .chars import character, schur_expand_product, skew_terms
-from .exactring import RationalQT
 from .partitions import Partition, PartitionPair, partitions_of
 
-def sum_terms(pairs):
-    """Sum (key, value) pairs into {key: total}, leaving out zero totals.
 
-    Integer and Fraction values add as they come; RationalQT values are
-    collected per key and summed once, through ``RationalQT.sum``.
-    """
-    out, pieces = {}, {}
+def sum_terms(pairs):
+    """Sum (key, value) pairs of integers or Fractions into {key: total}, leaving out zero totals."""
+    out = {}
     for key, value in pairs:
-        if isinstance(value, RationalQT):
-            pieces.setdefault(key, []).append(value)
-        else:
-            out[key] = out.get(key, 0) + value
-    for key, values in pieces.items():
-        out[key] = RationalQT.sum([out.get(key, 0), *values])
+        out[key] = out.get(key, 0) + value
     return {key: value for key, value in out.items() if value}
 
 

@@ -50,8 +50,13 @@ quantity the engine also computes, by a different formula:
 * ``log_of_zhat_by_rationals`` -- the degree recursion of log Z on canonical
   RationalQT products and sums, against the fraction-free recursion over
   integer term dicts of ``lmov._log_of_zhat``;
-* ``free_energy_entries`` -- every nonzero f_A of a ``lmov.FreeEnergyTable``,
-  read one label vector at a time;
+* ``free_energy_coefficient`` and ``free_energy_entries`` -- the coefficient
+  f_A = sum_mu chi_A(mu) {mu} ghat_mu of a ``lmov.FreeEnergyTable``, which
+  the engine never forms (it reads only fhat_B, the same character sum
+  without {mu}, in ``lmov.hat_h``), and every nonzero f_A of a table;
+* ``sum_rationals`` -- the keyed sum of RationalQT values, one
+  ``RationalQT.sum`` per key, for the free-energy oracles; the engine's
+  ``symfun.sum_terms`` adds integers and Fractions only;
 * ``reassembled_log`` -- log Z rebuilt from a free-energy table by the Schur
   route, against ``lmov.log_partition_series``;
 * ``corollary_congruence`` -- the power-substitution congruence of Zh_p;
@@ -62,6 +67,13 @@ quantity the engine also computes, by a different formula:
 * ``exact_div_by_pairs`` -- exact division on term dicts keyed by exponent
   pairs, in lex (e_q, e_t) order, against ``exactring.exact_div``, which
   divides on int keys in (e_t, e_q) order;
+* ``divmod_monic``, ``cyclotomic`` and ``phi_cancel_by_lists`` -- synthetic
+  division of dense coefficient lists by a monic polynomial, Phi_d(x) as
+  x**d - 1 divided by each Phi_e of a proper divisor e, and the phi_d
+  cancellation of a numerator with each row in x = q**2 a dense list,
+  against ``exactring.cyclotomic_factor``, which divides {d} by ``exact_div``,
+  and ``exactring._phi_cancel``, which divides packed rows by Phi_d(2**64)
+  and leaves what they cannot certify to ``exact_div``;
 * ``zsquare_by_peel`` -- the z**2 expansion of a Laurent polynomial by the
   greedy peel per t-exponent, top q-degree first, against
   ``exactring.zsquare_decompose``, which tests each row in q**2 for an even
@@ -89,6 +101,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from itertools import compress
 from itertools import product as iproduct
 from math import comb, gcd, lcm
 
@@ -100,6 +113,7 @@ from skeinlab.exactring import (
     _exponents,
     _laurent,
     _rational,
+    _rows_in_x,
     bracket_exponents,
     bracket_scaled,
     combination_basis,
@@ -410,9 +424,18 @@ def conj_q(x):
 # -- free energy and congruences ------------------------------------------------------------
 
 
+def sum_rationals(pairs):
+    """Sum (key, RationalQT) pairs into {key: total}, one ``RationalQT.sum`` per key, leaving out zero totals."""
+    pieces = {}
+    for key, value in pairs:
+        pieces.setdefault(key, []).append(value)
+    totals = {key: RationalQT.sum(values) for key, values in pieces.items()}
+    return {key: value for key, value in totals.items() if value}
+
+
 def _series_mul(a, b, D):
-    """The product of two power-sum monomial series, truncated at total degree D."""
-    return sum_terms(
+    """The product of two power-sum monomial series of RationalQT values, truncated at total degree D."""
+    return sum_rationals(
         (tuple(x.union(y) for x, y in zip(mu1, mu2)), c1 * c2)
         for mu1, c1 in a.items()
         for mu2, c2 in b.items()
@@ -449,7 +472,7 @@ def _adams_layer(entries, n, d, sign=1):
 
 def log_series_via_powers(spec, D):
     """log Z = log(1 + u) = sum_i (-1)**(i+1) u**i / i, u = Z - 1 in power sums, degree <= D."""
-    zseries = sum_terms(
+    zseries = sum_rationals(
         (mus, value * RationalQT.from_fraction(w))
         for labels, value in cs_partition(spec, D).items()
         if value
@@ -469,7 +492,7 @@ def log_series_via_powers(spec, D):
         sign = -sign
         if i < D:
             power = _series_mul(power, u, D)
-    return sum_terms(pieces)
+    return sum_rationals(pieces)
 
 
 def log_series_via_common_denominator(spec, D):
@@ -534,7 +557,7 @@ def log_of_zhat_by_rationals(zseries, D):
             for mus, a in kf[k].items()
             for nus, b in zseries[n - k].items()
         ]
-        kf[n] = sum_terms(scaled + products)
+        kf[n] = sum_rationals(scaled + products)
         inverse = Fraction(1, n)
         for mus, value in kf[n].items():
             out[mus] = value * inverse
@@ -555,7 +578,7 @@ def free_energy_via_schur(spec, D):
         for d in range(2, n + 1):
             if n % d == 0:
                 pieces.extend(_adams_layer(entries, n, d, sign=-1))
-        residue = sum_terms(pieces)
+        residue = sum_rationals(pieces)
         for labels in _labels_upto(spec.L, n):
             if sum(A.size for A in labels) != n:
                 continue
@@ -590,11 +613,23 @@ def hat_h_via_t_transform(entries, B_labels):
     return RationalQT.sum(pieces)
 
 
+def free_energy_coefficient(table, labels):
+    """f_A = sum_mu chi_A(mu) {mu} ghat_mu from a ``lmov.FreeEnergyTable``, {mu} taken by phi_d exponents.
+
+    The same character sum as ``lmov.hat_h``, which leaves out {mu}; labels
+    is a vector of partitions, one per component, within the table's degree.
+    """
+    return RationalQT.sum(
+        bracket_scaled(value, [m for mu in mus for m in mu]) * chi
+        for mus, chi, value in table.character_terms(labels)
+    )
+
+
 def free_energy_entries(table):
     """{label vector: f_A} over the nonzero f_A of degree 1 to the table's maximum."""
     out = {}
     for labels in _labels_upto(table.spec.L, table.max_degree)[1:]:
-        value = table[labels]
+        value = free_energy_coefficient(table, labels)
         if value:
             out[labels] = value
     return out
@@ -612,7 +647,7 @@ def reassembled_log(table):
         for d in range(1, n + 1):
             if n % d == 0:
                 pieces.extend(_adams_layer(entries, n, d))
-    return sum_terms(pieces)
+    return sum_rationals(pieces)
 
 
 def corollary_congruence(spec, p):
@@ -693,6 +728,70 @@ def exact_div_by_pairs(a, b):
             else:
                 rem.pop(k2, None)
     return LaurentQT(quo)
+
+
+def divmod_monic(row, m):
+    """Quotient and remainder of an integer polynomial row (constant term first) by a monic m.
+
+    Synthetic division in place over m's nonzero lower coefficients: row
+    ends as the remainder (its first deg m entries) followed by the quotient.
+    """
+    k = len(m) - 1
+    taps = [(j - k, mj) for j, mj in enumerate(m[:k]) if mj]
+    for i in range(len(row) - 1, k - 1, -1):
+        c = row[i]
+        if c:
+            for j, mj in taps:
+                row[i + j] -= c * mj
+    return row[k:], row[:k]
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(d):
+    """Coefficients of the cyclotomic polynomial Phi_d(x), constant term first.
+
+    x**d - 1 divided by each Phi_e of a proper divisor e of d, by ``divmod_monic``.
+    """
+    p = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            p, _ = divmod_monic(p, cyclotomic(e))
+    return tuple(p)
+
+
+def phi_cancel_by_lists(f, exps, test):
+    """``exactring._phi_cancel`` on dense lists: each row in x = q**2 a list, divided by ``divmod_monic``.
+
+    f is split once into rows (``exactring._rows_in_x``), each phi_d in
+    ``test`` divides every row by ``cyclotomic(d)`` as long as no row leaves
+    a remainder and exps[d] is positive, the factors q**phi(d) add up to one
+    shift of all rows, and the term dict is rebuilt once at the end.  Lowers
+    exps[d] in place; returns f itself when nothing divides.
+    """
+    rows = _rows_in_x(f)
+    shift = 0
+    for d in test:
+        m = cyclotomic(d)
+        e = exps[d]
+        while e:
+            quos = []
+            for base, row in rows:
+                quo, rem = divmod_monic(row[:], m)
+                if any(rem):
+                    break
+                quos.append((base, quo))
+            else:
+                rows, e, shift = quos, e - 1, shift + len(m) - 1
+                continue
+            break
+        exps[d] = e
+    if not shift:
+        return f
+    out = {}
+    for base, row in rows:
+        base += shift
+        out.update(zip(compress(range(base, base + 2 * len(row), 2), row), compress(row, row)))
+    return _laurent(out, f._reach)
 
 
 def zsquare_by_peel(f):

@@ -471,8 +471,13 @@ def test_empty_k_range_exit_2(capsys, k):
         (("reform", "--torus", "2", "3", "1", "--p", "2", "--rhat", "--labels", "[[5]]"), "--labels"),
         # a k listed twice would be computed and reported twice
         (("congruence", "--p", "2", "--k", "1,1"), "--k"),
+        # a suite named twice would run and count its failures twice
+        (("selftest", "--suite", "lmov", "--suite", "lmov"), "--suite"),
+        # parts out of order would be sorted into another label without a word
+        (("reform", "--torus", "2", "3", "1", "--labels", "[[1,2]]"), "--labels"),
     ],
-    ids=["reform-p-and-labels", "rhat-with-labels", "congruence-repeated-k"],
+    ids=["reform-p-and-labels", "rhat-with-labels", "congruence-repeated-k", "selftest-repeated-suite",
+         "labels-not-decreasing"],
 )
 def test_conflicting_inputs_exit_2(capsys, argv, flag):
     with pytest.raises(SystemExit) as err:

@@ -19,7 +19,6 @@ from skeinlab.exactring import (
     _multiply_add,
     _pack,
     _phi_cancel,
-    _phi_cancel_by_lists,
     _slot_width,
     _unpack,
     bracket_combination,
@@ -47,8 +46,10 @@ from oracles import (
     binomial_product,
     combination_by_dicts,
     conj_q,
+    cyclotomic,
     dict_product,
     exact_div_by_pairs,
+    phi_cancel_by_lists,
     reciprocal,
     sum_by_lift,
     zsquare_by_peel,
@@ -667,6 +668,19 @@ class TestCanonicalForm:
                     prod = prod * cyclotomic_factor(d)
             assert prod == q_bracket(k)
 
+    def test_cyclotomic_factors_match_the_synthetic_division(self):
+        # Phi_d from x**d - 1 divided by each Phi_e, e | d, e < d, on dense lists
+        for d in range(1, 61):
+            coeffs = cyclotomic(d)
+            deg = len(coeffs) - 1
+            assert cyclotomic_factor(d) == LaurentQT({(2 * j - deg, 0): c for j, c in enumerate(coeffs)}), d
+            if d > 1:
+                # Phi_d(1) is p for d = p**k and 1 for d with two distinct primes
+                primes = [p for p in range(2, d + 1) if d % p == 0 and all(p % r for r in range(2, p))]
+                at_one = primes[0] if len(primes) == 1 else 1
+                lead = RationalQT.from_fraction(Fraction(1, at_one))
+                assert q_one_leading(RationalQT(LaurentQT.one(), cyclotomic_factor(d))) == (0, lead), d
+
     @given(
         laurents(max_terms=6, span=4).filter(bool),
         st.dictionaries(st.integers(1, 30), st.integers(0, 4), max_size=3),
@@ -927,23 +941,24 @@ def _count_routes(mp):
     """Counters of the lift-and-add kernel's outcomes, set through the MonkeyPatch ``mp``.
 
     packed and dicts count the calls of ``exactring._combine`` by the route
-    its gate chose, a basis on packed rows or in term dicts, and lists the
-    cancellations decided on dense lists.
+    its gate chose, a basis on packed rows or in term dicts, and division the
+    cancellations that the packed rows left to ``exact_div``
+    (``exactring._phi_cancel_by_division``).
     """
-    counts = {"packed": 0, "dicts": 0, "lists": 0}
-    combine, lists = exactring._combine, exactring._phi_cancel_by_lists
+    counts = {"packed": 0, "dicts": 0, "division": 0}
+    combine, division = exactring._combine, exactring._phi_cancel_by_division
 
     def count_combine(*args):
         basis = combine(*args)
         counts["dicts" if basis[3] is None else "packed"] += 1
         return basis
 
-    def count_lists(*args):
-        counts["lists"] += 1
-        return lists(*args)
+    def count_division(*args):
+        counts["division"] += 1
+        return division(*args)
 
     mp.setattr(exactring, "_combine", count_combine)
-    mp.setattr(exactring, "_phi_cancel_by_lists", count_lists)
+    mp.setattr(exactring, "_phi_cancel_by_division", count_division)
     return counts
 
 
@@ -1043,7 +1058,7 @@ class TestPackedSum:
         assert exps == {1: 2, 2: 0}
         assert quo * cyclotomic_factor(2) == LaurentQT(f)
         # decided on the packed rows, without the fallback
-        assert routes["lists"] == 0
+        assert routes["division"] == 0
 
     def test_spurious_integer_division_fails_the_certificate(self, routes):
         # five coefficients (2**64 - 1) / 5 < 2**62: the row's value is divisible by
@@ -1057,8 +1072,8 @@ class TestPackedSum:
         f = LaurentQT({(2 * i, 0): c for i in range(5)}) * LaurentQT({(0, j): 1 for j in range(8)})
         exps = {1: 1}
         assert _phi_cancel(f, exps, [1]) is f and exps == {1: 1}
-        # the certificate failed, so the lists decided
-        assert routes["lists"] == 1
+        # the certificate failed, so exact_div decided
+        assert routes["division"] == 1
 
     @given(
         laurents(max_terms=40, span=8).filter(bool),
@@ -1075,7 +1090,7 @@ class TestPackedSum:
         exps = {d: data.draw(st.integers(0, 4)) for d in ds}
         test = data.draw(st.lists(st.sampled_from(ds), unique=True))
         want = dict(exps)
-        expected = _phi_cancel_by_lists(f, want, test)
+        expected = phi_cancel_by_lists(f, want, test)
         assert _phi_cancel(f, exps, test) == expected
         assert exps == want
 
@@ -1089,7 +1104,7 @@ class TestSumRoutes:
 
         pair = PartitionPair(Partition([2, 1]), Partition([2, 1]))
         _surface_bracket.__wrapped__(2, 5, 1, (pair,))
-        assert routes == {"packed": 1, "dicts": 0, "lists": 0}
+        assert routes == {"packed": 1, "dicts": 0, "division": 0}
 
     def test_integer_denominator_sums_of_hat_h_stay_in_term_dicts(self, routes):
         from skeinlab.fixtures import hopf_with_kinks
@@ -1117,7 +1132,7 @@ class TestSumRoutes:
             pairs = (PartitionPair(Partition(lam), Partition()), one, one)
             _surface_bracket.__wrapped__(3, 1, 3, pairs)
         # 87 380 and 119 098 input terms over about 3 900 slots
-        assert routes == {"packed": 2, "dicts": 0, "lists": 0}
+        assert routes == {"packed": 2, "dicts": 0, "division": 0}
 
     def test_free_energy_bases_of_four_or_more_vectors_are_packed(self, monkeypatch):
         from skeinlab import lmov
@@ -1351,13 +1366,13 @@ class TestCombinationBasis:
             assert value == expected
             assert value.to_json() == expected.to_json()
 
-    def test_certificate_failure_falls_back_to_lists(self):
+    def test_certificate_failure_falls_back_to_division(self):
         # four vectors, so that the basis packs
         values, vectors = {0: SPURIOUS}, [[(0, 1, exponent_key(2, 0))]] * 4
         with pytest.MonkeyPatch.context() as mp:
             counts = _count_routes(mp)
             total = bracket_combination(combination_basis(values, vectors), [1, 0, 0, 0], 1, ())
-        assert counts == {"packed": 1, "dicts": 0, "lists": 1}
+        assert counts == {"packed": 1, "dicts": 0, "division": 1}
         assert total.to_json() == combination_by_dicts(values, vectors, [1, 0, 0, 0], 1, ()).to_json()
         assert total == SPURIOUS * LaurentQT.monomial(1, 2)
 

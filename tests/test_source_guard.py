@@ -15,7 +15,8 @@ that set of readers is pinned too, and so is the set of readers of the other
 fields behind a value (``_c``, ``_exps``, ``_den``, ``_hash``, ``_reach``).
 Every sum of values goes through one lift-and-add kernel, so its packed row
 layout and its term-dict adder each have exactly one caller; every Laurent
-product goes through one multiply-add loop, whose callers are pinned too.
+product goes through one multiply-add loop, and every polynomial division
+through ``exact_div``, whose callers are pinned too.
 """
 
 import ast
@@ -202,6 +203,20 @@ PRODUCT_CALLERS = {
 }
 
 
+# the one polynomial division: it builds the phi_d, finds a denominator's factors, settles
+# every phi_d cancellation that the packed rows cannot certify, and divides out a congruence's
+# modulus and a special polynomial's unknot; a second division cannot come back unnoticed
+DIVISION_CALLERS = {
+    "exact_div": [
+        "exactring.cyclotomic_factor",
+        "exactring._phi_cancel_by_division",
+        "exactring.bracket_factors",
+        "lmov.congruence_check",
+        "lmov.special_polynomial",
+    ],
+}
+
+
 def _callers(names):
     """{name: the functions (module.qualname) of src/ that refer to it}, in source order."""
     callers = {name: [] for name in names}
@@ -224,3 +239,7 @@ def test_the_kernel_has_one_packed_layout_and_one_term_dict_adder():
 
 def test_laurent_products_run_through_one_multiply_add_loop():
     assert _callers(PRODUCT_CALLERS) == PRODUCT_CALLERS
+
+
+def test_polynomials_divide_through_exact_div_alone():
+    assert _callers(DIVISION_CALLERS) == DIVISION_CALLERS
