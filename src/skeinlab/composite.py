@@ -16,16 +16,21 @@ The reformulated invariants decorate with power sums instead of eigenvectors:
 Zh lands in ZZ[z^2, t^{+-1}] with z = q - 1/q, and Rh in 2 ZZ[z^2, t^{+-1}];
 ``integrality_2z`` produces the verdict together with the integer certificate
 table.
+
+Zh_mu is a character-weighted integer combination of the brackets decorated
+by one label per component; ``z_reform`` keeps the last basis of those
+brackets it built, for the next Zh of the same spec and label sizes.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
+from math import prod
 
-from .exactring import LaurentQT, RationalQT, _div_int, bracket_scaled, zsquare_decompose
+from .exactring import LaurentQT, RationalQT, _div_int, bracket_combination, zsquare_decompose
 from .partitions import Partition, PartitionPair
-from .skein import torus_framed
+from .skein import framed_numerators, leaf_key, torus_framed
 from .symfun import pair_weights, power_to_schur_terms
 
 
@@ -53,15 +58,44 @@ def power_decoration(mu):
     return {PartitionPair(A, empty): chi for A, chi in power_to_schur_terms(Partition(mu)).items()}
 
 
-def z_reform(spec, labels):
-    """Zh: the power-sum-decorated bracket times [mu], by phi_d exponents (``bracket_scaled``).
+# the basis that z_reform built last: ((spec, label sizes), {label tuple: vector index}, basis)
+_kept = None
 
-    Reversed components receive the starred power sums; that is exactly the
-    label-swap the bracket machinery applies.
+
+def z_reform(spec, labels):
+    """Zh_mu = [mu] * Z_mu as one integer combination of the brackets of the label tuples.
+
+    P_mu is sum over A of chi_A(mu) Q_{A, empty} (``power_decoration``), so
+    Z_mu is the sum over label tuples (A^1, ..., A^L) of
+    prod_a chi_{A^a}(mu^a) times the bracket decorated by the Q_{A^a, empty};
+    a reversed component swaps its label, which stars its power sum.  The
+    brackets are the single-leaf vectors of one ``framed_numerators`` basis,
+    one vector per leaf (``skein.leaf_key``), and ``bracket_combination``
+    weighs them and folds [mu] into the phi_d exponents.
+
+    The module keeps the last basis built: a call with the same spec and
+    label sizes whose nonzero tuples all have a vector there reuses it, and
+    any other call builds its own and replaces it.  The entry is one tuple,
+    read once per call, so a concurrent caller can only rebuild it.
     """
-    decorations = [power_decoration(Partition(mu)) for mu in labels]
-    raw = torus_framed(spec, decorations)
-    return bracket_scaled(raw, [p for mu in labels for p in Partition(mu)])
+    global _kept
+    mus = [Partition(mu) for mu in labels]
+    weights = {}
+    for terms in product(*(power_decoration(mu).items() for mu in mus)):
+        weights[tuple(pair for pair, _ in terms)] = prod(chi for _, chi in terms)
+    key = (spec, tuple(mu.size for mu in mus))
+    kept = _kept
+    if kept is None or kept[0] != key or not weights.keys() <= kept[1].keys():
+        leaves, index = {}, {}
+        for pairs in weights:
+            index[pairs] = leaves.setdefault(leaf_key(spec, pairs), (len(leaves), pairs))[0]
+        basis = framed_numerators(spec, [[{pair: 1} for pair in pairs] for _, pairs in leaves.values()])
+        kept = _kept = (key, index, basis)
+    _, index, basis = kept
+    vector = [0] * len(basis[2])
+    for pairs, w in weights.items():
+        vector[index[pairs]] += w
+    return bracket_combination(basis, vector, 1, [m for mu in mus for m in mu])
 
 
 def r_reform(spec, p):

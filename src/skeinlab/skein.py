@@ -297,6 +297,16 @@ def _decorated_terms(comps, a, pairs, coeff, e_q, e_t):
         yield from _decorated_terms(comps, a + 1, pairs + (pair,), coeff * c, e_q + d_q, e_t + d_t)
 
 
+def leaf_key(spec, pairs):
+    """The core orbit and the kink exponents of the bracket decorated by one label per component.
+
+    Label tuples with equal keys have equal framed brackets, such as two
+    permutations of the labels over components of equal framing.
+    """
+    [(swapped, _, e_q, e_t)] = _leaves(spec, [{pair: 1} for pair in pairs])
+    return _core_key(spec, swapped), e_q, e_t
+
+
 def _shifted_leaves(spec, decoration_vectors):
     """The cores {index: value} and, per vector, leaves (index, int w != 0, shift key).
 

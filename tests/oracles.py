@@ -25,6 +25,11 @@ quantity the engine also computes, by a different formula:
 * ``framed_bracket_by_sum`` -- a framed bracket as the canonical sum of one
   monomial product per leaf, against ``skeinlab.skein.torus_framed``, which
   lifts each distinct core once and adds every leaf as a key shift;
+* ``z_reform_by_leaves`` -- Zh_mu as the one framed bracket of the
+  power-sum decorations (``skein.torus_framed``) times [mu], against
+  ``skeinlab.composite.z_reform``, one character-weighted combination of a
+  kept ``framed_numerators`` basis with one vector per leaf of the label
+  tuples;
 * ``conj_q`` -- the substitution q -> -1/q, for the conjugation symmetry
   W_{lam^t}(q) = W_lam(-1/q);
 * ``meridian_eigenvalue`` -- the meridian map's eigenvalue on [lam, mu];
@@ -106,7 +111,7 @@ from itertools import product as iproduct
 from math import comb, gcd, lcm
 
 from skeinlab.chars import character, lr_coeff
-from skeinlab.composite import z_reform
+from skeinlab.composite import power_decoration, z_reform
 from skeinlab.exactring import (
     LaurentQT,
     RationalQT,
@@ -131,7 +136,7 @@ from skeinlab.lmov import (
     t_transform,
 )
 from skeinlab.partitions import EMPTY, Partition, PartitionPair, partitions_of
-from skeinlab.skein import _core, _leaves, power_value
+from skeinlab.skein import _core, _leaves, power_value, torus_framed
 from skeinlab.symfun import (
     adams_schurpair,
     composite_to_schurpair_terms,
@@ -404,6 +409,20 @@ def framed_bracket_by_sum(spec, decorations):
         coeff * (RationalQT(LaurentQT.monomial(1, e_q, e_t)) * _core(spec, pairs))
         for pairs, coeff, e_q, e_t in _leaves(spec, decorations)
     )
+
+
+def z_reform_by_leaves(spec, labels):
+    """Zh_mu as one framed bracket decorated by the power sums, times [mu] by phi_d exponents.
+
+    ``skein.torus_framed`` adds every leaf of the decorations
+    ``composite.power_decoration(mu^a)`` into one canonical bracket, and
+    ``exactring.bracket_scaled`` multiplies it by [mu].  The engine's route,
+    ``composite.z_reform``, forms one ``framed_numerators`` basis with one
+    vector per leaf of the label tuples and weighs the vectors by characters.
+    """
+    mus = [Partition(mu) for mu in labels]
+    bracket = torus_framed(spec, [power_decoration(mu) for mu in mus])
+    return bracket_scaled(bracket, [m for mu in mus for m in mu])
 
 
 def conj_q(x):

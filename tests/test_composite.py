@@ -1,5 +1,7 @@
 """Composite invariants, reformulated invariants, integrality verdicts."""
 
+import sys
+import threading
 from itertools import product
 from math import gcd, prod
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skeinlab import composite
 from skeinlab.composite import (
     composite_invariant,
     framed_composite,
@@ -17,11 +20,11 @@ from skeinlab.composite import (
     zsquare_member,
 )
 from skeinlab.exactring import LaurentQT, RationalQT, q_bracket, t_bracket, t_power
-from skeinlab.partitions import EMPTY, Partition, PartitionPair
+from skeinlab.partitions import EMPTY, Partition, PartitionPair, partitions_of
 from skeinlab.skein import LabelCountMismatch, LinkSpec, full_invariant_value, torus_framed
 from skeinlab.symfun import pair_weights
 
-from oracles import from_power_pairs, r_nu
+from oracles import from_power_pairs, r_nu, z_reform_by_leaves
 
 P = Partition
 
@@ -129,6 +132,130 @@ class TestZReform:
                 verdict, stage, table = zsquare_member(z_reform(spec, [mu] * spec.L))
                 assert verdict, (spec.describe(), mu, stage)
                 assert table is not None
+
+
+# the spec families of the z_reform property test: each family's specs share their
+# surface brackets and differ in framing or in reversed components, so a basis kept
+# for one of them is wrong for the others
+Z_FAMILIES = [[LinkSpec.unknot(f) for f in range(-2, 3)]]
+Z_FAMILIES += [
+    [LinkSpec.torus_diagram(2, k, reversed_=subset) for subset in ((), (0,), (1,), (0, 1))[: 2 ** gcd(2, k)]]
+    for k in range(1, 6)
+]
+Z_FAMILIES += [[LinkSpec.torus(1, 1, 3, reversed_=subset) for subset in ((), (0,), (1, 2), (0, 1, 2))]]
+Z_FAMILIES += [[LinkSpec.torus(1, 1, 3, framing=(0, 1, 0), reversed_=subset) for subset in ((), (2,))]]
+Z_FAMILIES += [[LinkSpec.torus(1, 2, 2, framing=(1, -3), reversed_=subset) for subset in ((), (0,))]]
+LABELS_OF_SIZE = {n: partitions_of(n) for n in (1, 2, 3)}
+
+
+@st.composite
+def z_reform_calls(draw):
+    """A shuffled list of (spec, labels) calls in one or two blocks.
+
+    Each block draws one family and one label-size vector (total size at most 5
+    on three components), then several calls of that family and those sizes, so
+    that a kept basis is met by subset, equal and superset supports (only [2, 1]
+    has a character 0), by other framings and by other reversed components.
+    Half of the size vectors are constant, so that permuted label tuples meet
+    on equally and on unequally framed components.
+    """
+    calls = []
+    for _ in range(draw(st.integers(1, 2))):
+        family = draw(st.sampled_from(Z_FAMILIES))
+        L = family[0].L
+        if draw(st.booleans()):
+            sizes = [draw(st.integers(1, 3 if L < 3 else 1))] * L
+        else:
+            sizes = st.lists(st.integers(1, 3), min_size=L, max_size=L)
+            sizes = draw(sizes.filter(lambda s: L < 3 or sum(s) <= 5))
+        for _ in range(draw(st.integers(1, 4))):
+            spec = draw(st.sampled_from(family))
+            calls.append((spec, [draw(st.sampled_from(LABELS_OF_SIZE[s])) for s in sizes]))
+    return draw(st.permutations(calls))
+
+
+class TestZReformRoute:
+    @given(z_reform_calls())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_bracket_of_the_power_sums(self, calls):
+        composite._kept = None
+        for spec, labels in calls:
+            assert z_reform(spec, labels) == z_reform_by_leaves(spec, labels), (spec.describe(), labels)
+
+    def test_kept_basis_is_reused_rebuilt_and_replaced(self, monkeypatch):
+        builds = []
+        original = composite.framed_numerators
+
+        def counting(spec, vectors):
+            builds.append((spec, len(vectors)))
+            return original(spec, vectors)
+
+        monkeypatch.setattr(composite, "framed_numerators", counting)
+        monkeypatch.setattr(composite, "_kept", None)
+        trefoil = LinkSpec.torus_diagram(2, 3)
+        # the column label has every character nonzero; [2, 1] has chi_[2,1] = 0 and [3] none
+        for mu in ([1, 1, 1], [2, 1], [3], [1, 1, 1]):
+            z_reform(trefoil, [P(mu)])
+        assert builds == [(trefoil, 3)]
+        # a superset support rebuilds, and the subset after it reuses the rebuilt basis
+        z_reform(trefoil.with_framing(0), [P([2, 1])])
+        z_reform(trefoil.with_framing(0), [P([3])])
+        z_reform(trefoil.with_framing(0), [P([2, 1])])
+        assert builds[1:] == [(trefoil.with_framing(0), 2), (trefoil.with_framing(0), 3)]
+        # a new key rebuilds: another spec, or other label sizes
+        hopf = LinkSpec.torus_diagram(2, 2)
+        for spec, labels in (
+            (hopf, [P([2]), P([1])]),
+            (hopf.with_reversed({1}), [P([2]), P([1])]),
+            (hopf.with_reversed({1}), [P([1]), P([2])]),
+            (LinkSpec.unknot(1), [P([2])]),
+        ):
+            z_reform(spec, labels)
+        reversed_hopf = hopf.with_reversed({1})
+        assert [spec for spec, _ in builds[3:]] == [hopf, reversed_hopf, reversed_hopf, LinkSpec.unknot(1)]
+        # one entry is kept: the last call's spec and sizes, with one vector per label tuple
+        key, index, basis = composite._kept
+        assert key == (LinkSpec.unknot(1), (2,))
+        assert sorted(index.values()) == list(range(len(basis[2]))) == [0, 1]
+        # label tuples that permute one another over equally framed components share one vector
+        z_reform(hopf, [P([1, 1]), P([1, 1])])
+        _, index, basis = composite._kept
+        assert builds[-1] == (hopf, 3) and len(index) == 4
+        assert index[(pair([2]), pair([1, 1]))] == index[(pair([1, 1]), pair([2]))]
+
+    def test_concurrent_callers_only_rebuild(self):
+        # four threads alternate keys and supports on the one kept entry; each must get its own value
+        hopf = LinkSpec.torus_diagram(2, 2)
+        cases = [
+            (hopf, [P([2, 1]), P([1])]),
+            (hopf, [P([1, 1, 1]), P([1])]),
+            (hopf.with_reversed({1}), [P([2, 1]), P([1])]),
+            (LinkSpec.unknot(1), [P([2])]),
+            (LinkSpec.unknot(-1), [P([1, 1])]),
+        ]
+        expected = [z_reform_by_leaves(spec, labels) for spec, labels in cases]
+        wrong, finished, start = [], [], threading.Barrier(4)
+
+        def caller(k):
+            start.wait(timeout=60)
+            for i in range(1000):
+                j = (i * (k + 1) + k) % len(cases)
+                if z_reform(*cases[j]) != expected[j]:
+                    wrong.append(j)
+            finished.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(finished) == [0, 1, 2, 3] and not wrong
 
 
 class TestRReform:
